@@ -46,6 +46,7 @@ from .oracle import (
 from .relative_risk import (
     BetaEstimate,
     EIFRecord,
+    NuisanceFit,
     RRBand,
     eif_record,
     eif_variance,
@@ -69,7 +70,7 @@ __all__ = [
     "AssumptionSet", "DiscretePopulation", "ObservedLaw", "bounds_ar", "bounds_rr",
     "gamma", "gamma_ar", "project", "r_case_prob", "random_population",
     "rare_disease_slope",
-    "BetaEstimate", "EIFRecord", "RRBand", "eif_record", "eif_variance",
+    "BetaEstimate", "EIFRecord", "NuisanceFit", "RRBand", "eif_record", "eif_variance",
     "estimate_beta_combined", "estimate_beta_plugin", "estimate_kappa",
     "fit_nuisances", "rr_band",
     "RngSpec",

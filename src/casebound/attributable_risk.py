@@ -14,9 +14,13 @@ bias-corrected percentile bootstrap: pointwise per p in the case-control
 design, and a single corrected limit scaled by p (hence uniform) in the
 case-population design.
 
-r(x, p) and G_AR(x, p) are evaluated with convex-combination denominators,
-so UB(0) = 0 and (case-control) UB(1) = 0 hold exactly in floating point,
-matching the estimand, which vanishes at both ends.
+Every estimate is a read-out of one nuisance fit per data set,
+`relative_risk.fit_nuisances` with both bases: the clipped fitted
+probabilities enter r(x, p) and G_AR(x, p) through the formula kernel in
+`oracle`, the same functions the finite-population reference evaluates per
+cell.  Their convex-combination denominators make UB(0) = 0 and
+(case-control) UB(1) = 0 hold exactly in floating point, matching the
+estimand, which vanishes at both ends.
 """
 
 from __future__ import annotations
@@ -26,23 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .basis import BasisSpec, build_basis
-from .errors import (
-    BootstrapDegenerate,
-    CaseboundError,
-    NuisanceProbabilityOutOfRange,
-    ValidationError,
-    ZeroDenominator,
-)
-from .logit import fit_logit
+from .basis import BasisSpec
+from .errors import BootstrapDegenerate, CaseboundError, ValidationError
+from .logit import fit_logit  # noqa: F401  (perfbench's tracing tests wrap this binding)
 from .model import Design, ObservedDataset
+from .oracle import gamma_ar_formula, r_formula
+from .relative_risk import NuisanceFit, fit_nuisances, p_grid
 from .rng import RngSpec, resample_indices
 
 __all__ = [
-    "ARNuisances",
     "ARCurve",
     "BootstrapDiagnostics",
-    "fit_ar_nuisances",
     "estimate_beta_ar",
     "estimate_xi_cp",
     "upper_bound_curve_values",
@@ -50,68 +48,16 @@ __all__ = [
     "bc_level",
 ]
 
-CLIP = 1e-6
 
-
-@dataclass(frozen=True)
-class ARNuisances:
-    """Fitted probabilities entering the attributable-risk formulas.
-
-    pi1/pi0: Pr(T=1|Y=1,x), Pr(T=1|Y=0,x) at every observation; py:
-    Pr(Y=1|x); h_hat: the sample mean of Y (the estimator's normalization
-    always uses the sample mean, whatever h0 the dataset carries).
-    """
-
-    pi1: np.ndarray
-    pi0: np.ndarray
-    py: np.ndarray
-    h_hat: float
-    n_clipped: int
-
-
-def _clip_count(p: np.ndarray) -> tuple[np.ndarray, int]:
-    if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
-        raise NuisanceProbabilityOutOfRange("fitted probabilities leave [0, 1]")
-    clipped = np.clip(p, CLIP, 1.0 - CLIP)
-    return clipped, int(np.sum(clipped != p))
-
-
-def fit_ar_nuisances(data: ObservedDataset, prospective_spec: BasisSpec,
-                     retrospective_spec: BasisSpec) -> ARNuisances:
-    """Fit T on the retrospective basis within each stratum and Y on the
-    prospective basis, evaluating everything at every observation."""
-    rcols = build_basis(data.x, retrospective_spec)[:, retrospective_spec.intercept_safe_mask()]
-    mask0 = data.stratum(0)
-    mask1 = data.stratum(1)
-    fit0 = fit_logit(data.t[mask0], rcols[mask0])
-    fit1 = fit_logit(data.t[mask1], rcols[mask1])
-    pcols = build_basis(data.x, prospective_spec)[:, prospective_spec.intercept_safe_mask()]
-    pfit = fit_logit(data.y, pcols)
-    pi1, c1 = _clip_count(fit1.predict(rcols))
-    pi0, c0 = _clip_count(fit0.predict(rcols))
-    py, c2 = _clip_count(pfit.predict(pcols))
-    return ARNuisances(pi1=pi1, pi0=pi0, py=py, h_hat=float(data.y.mean()),
-                       n_clipped=c1 + c0 + c2)
-
-
-def _r_hat(py: np.ndarray, h0: float, p: float) -> np.ndarray:
-    # case-control form; exact 0 at p=0 and exact 1 at p=1
-    num = p * (1.0 - h0) * py
-    den = num + h0 * (1.0 - p) * (1.0 - py)
-    return num / den
-
-
-def _gamma_ar_hat(pi1: np.ndarray, pi0: np.ndarray, r: np.ndarray) -> np.ndarray:
-    den1 = (1.0 - r) * pi0 + r * pi1
-    den0 = (1.0 - r) * (1.0 - pi0) + r * (1.0 - pi1)
-    if np.any(den1 == 0.0) or np.any(den0 == 0.0):
-        raise ZeroDenominator("a fitted Gamma_AR denominator vanished")
-    return pi1 / den1 - (1.0 - pi1) / den0
+def _ar_terms(data: ObservedDataset, nuis: NuisanceFit, p: float) -> np.ndarray:
+    # r(X_i, p) * G_AR(X_i, p) at every row
+    r = r_formula(nuis.py, data.h0, p, data.design)
+    return r * gamma_ar_formula(nuis.pi0, nuis.pi1, r)
 
 
 def estimate_beta_ar(data: ObservedDataset, prospective_spec: BasisSpec,
                      retrospective_spec: BasisSpec, p: float, y_stratum: int,
-                     nuisances: ARNuisances | None = None) -> float:
+                     nuisances: NuisanceFit | None = None) -> float:
     """Stratum mean of r(X, p) * G_AR(X, p) under case-control sampling."""
     if data.design is not Design.CASE_CONTROL:
         raise ValidationError("beta_AR(p, y) is a case-control estimand")
@@ -119,42 +65,39 @@ def estimate_beta_ar(data: ObservedDataset, prospective_spec: BasisSpec,
         raise ValidationError("y_stratum must be 0 or 1")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    nuis = nuisances or fit_ar_nuisances(data, prospective_spec, retrospective_spec)
-    r = _r_hat(nuis.py, data.h0, p)
-    vals = r * _gamma_ar_hat(nuis.pi1, nuis.pi0, r)
-    return float(vals[data.stratum(y_stratum)].mean())
+    nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
+    return float(_ar_terms(data, nuis, p)[data.stratum(y_stratum)].mean())
 
 
 def estimate_xi_cp(data: ObservedDataset, prospective_spec: BasisSpec,
                    retrospective_spec: BasisSpec,
-                   nuisances: ARNuisances | None = None) -> float:
+                   nuisances: NuisanceFit | None = None) -> float:
     """Case-population slope estimate.
 
-    (sum Y_i)^{-1} sum (1-Y_i) * [py/(1-py)] * [pi1/pi0 - (1-pi1)/(1-pi0)],
-    the sample analog with the stratum share replaced by the mean of Y.
+    (sum Y_i)^{-1} sum (1-Y_i) * [py/(1-py)] * G_AR(X_i, 0), where
+    G_AR(x, 0) = pi1/pi0 - (1-pi1)/(1-pi0): the sample analog with the
+    stratum share replaced by the mean of Y.
     """
     if data.design is not Design.CASE_POPULATION:
         raise ValidationError("xi_CP is a case-population estimand")
-    nuis = nuisances or fit_ar_nuisances(data, prospective_spec, retrospective_spec)
-    bracket = (nuis.py / (1.0 - nuis.py)
-               * (nuis.pi1 / nuis.pi0 - (1.0 - nuis.pi1) / (1.0 - nuis.pi0)))
+    nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
+    bracket = nuis.py / (1.0 - nuis.py) * gamma_ar_formula(nuis.pi0, nuis.pi1, 0.0)
     y = data.y.astype(float)
     return float(np.sum((1.0 - y) * bracket) / np.sum(y))
 
 
 def upper_bound_curve_values(data: ObservedDataset, prospective_spec: BasisSpec,
                              retrospective_spec: BasisSpec, grid: np.ndarray,
-                             nuisances: ARNuisances | None = None) -> np.ndarray:
+                             nuisances: NuisanceFit | None = None) -> np.ndarray:
     """Untruncated UB estimates on a p-grid (case-control: per-p aggregate;
     case-population: p times the slope estimate)."""
-    nuis = nuisances or fit_ar_nuisances(data, prospective_spec, retrospective_spec)
+    nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
     if data.design is Design.CASE_POPULATION:
         return grid * estimate_xi_cp(data, prospective_spec, retrospective_spec, nuis)
     mask1 = data.stratum(1)
     out = np.empty(grid.shape[0])
     for i, p in enumerate(grid):
-        r = _r_hat(nuis.py, data.h0, float(p))
-        vals = r * _gamma_ar_hat(nuis.pi1, nuis.pi0, r)
+        vals = _ar_terms(data, nuis, float(p))
         out[i] = (1.0 - p) * vals[~mask1].mean() + p * vals[mask1].mean()
     return out
 
@@ -235,15 +178,12 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     """
     if B < 200:
         raise ValidationError("use at least 200 bootstrap replications")
-    if not 0.0 < pbar <= 1.0:
-        raise ValidationError("pbar must lie in (0, 1]")
+    grid = p_grid(pbar, step)
     if not 0.0 < alpha <= 0.5:
         raise ValidationError("alpha must lie in (0, 0.5]")
     rng = seed if isinstance(seed, RngSpec) else RngSpec(int(seed))
-    m = max(int(round(pbar / step)), 1)
-    grid = np.linspace(0.0, pbar, m + 1)
 
-    nuis = fit_ar_nuisances(data, prospective_spec, retrospective_spec)
+    nuis = fit_nuisances(data, retrospective_spec, prospective_spec)
     point_raw = upper_bound_curve_values(data, prospective_spec,
                                          retrospective_spec, grid, nuis)
 
@@ -257,7 +197,7 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
         gen = rng.derive("ar-bootstrap", b)
         try:
             bdata = _resample(data, gen, resample_mode)
-            bnuis = fit_ar_nuisances(bdata, prospective_spec, retrospective_spec)
+            bnuis = fit_nuisances(bdata, retrospective_spec, prospective_spec)
             if cp:
                 boot_rows.append(estimate_xi_cp(bdata, prospective_spec,
                                                 retrospective_spec, bnuis))

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .fixtures import FOOTNOTE_RETRO_PROBS, count_table, mc_defaults, top_income_population
 from .model import ColumnSchema, Design, ingest_csv, odds_ratio_2x2
-from .oracle import gamma, load_population, project
-from .relative_risk import estimate_beta_combined, rr_band
+from .oracle import gamma, gamma_formula, load_population, project
+from .relative_risk import estimate_beta_combined, fit_nuisances, rr_band
 from .rng import RngSpec
 from .synthetic import run_mc_study
 
@@ -171,19 +171,12 @@ def demo(fmt):
         lines.append(
             f"rare-treatment illustration (Pi(1|0)={pi0}, Pi(1|1)={pi1}): the "
             f"odds ratio overstates the p=0.01 bound by "
-            f"{_footnote_gap():.3f} (odds ratio 21.0)")
+            f"{gamma_formula(pi0, pi1, 0.0) - gamma_formula(pi0, pi1, 0.01):.3f} "
+            f"(odds ratio 21.0)")
         lines.append(f"elapsed: {elapsed:.3f}s")
         _emit({"command": "demo", "odds_ratios": ors, "projections": projected,
                "elapsed_seconds": elapsed}, "\n".join(lines), fmt)
     _run(body)
-
-
-def _footnote_gap() -> float:
-    pi0, pi1 = FOOTNOTE_RETRO_PROBS
-    g0 = pi1 / (1 - pi1) * (1 - pi0) / pi0
-    r = 0.01
-    gp = pi1 / (1 - pi1) * ((1 - r) * (1 - pi0) + r * (1 - pi1)) / ((1 - r) * pi0 + r * pi1)
-    return g0 - gp
 
 
 @main.command()
@@ -215,7 +208,8 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
         spec = _parse_basis(basis, data.n_covariates, interactions)
         z = norm.ppf(1.0 - alpha)
         strata = (0, 1) if data.design is Design.CASE_CONTROL else (0,)
-        estimates = {y: estimate_beta_combined(data, spec, y) for y in strata}
+        nuis = fit_nuisances(data, spec)
+        estimates = {y: estimate_beta_combined(data, spec, y, nuis) for y in strata}
         beta0 = estimates[0]
         beta1 = estimates.get(1)
         band = rr_band(beta0, beta1, alpha, data.design, pbar=pbar, step=grid_step)

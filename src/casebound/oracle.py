@@ -39,6 +39,9 @@ __all__ = [
     "AssumptionReport",
     "AssumptionSet",
     "project",
+    "r_formula",
+    "gamma_formula",
+    "gamma_ar_formula",
     "r_case_prob",
     "gamma",
     "gamma_ar",
@@ -281,6 +284,47 @@ def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:
     return ObservedLaw(design=design, h0=h0, pi=pi, fxy=fxy)
 
 
+# --- the formula kernel -----------------------------------------------------------
+#
+# r, Gamma and Gamma_AR as plain arithmetic on floats or arrays.  The per-cell
+# oracle functions below call them on one cell, the aggregates on every cell
+# at once, and the estimators on every observation.  Denominators are convex
+# combinations, so the endpoints p=0 and (case-control) p=1 come out exact.
+
+
+def r_formula(q, h0, p, design: Design):
+    """The case-probability map r from q = Pr(Y=1|x), the stratum share h0
+    and the true case share p."""
+    if design is Design.CASE_CONTROL:
+        num = p * (1.0 - h0) * q
+        den = num + h0 * (1.0 - p) * (1.0 - q)
+        return num / den
+    return p * (1.0 - h0) / h0 * q / (1.0 - q)
+
+
+def _check_denominators(what: str, *dens) -> None:
+    for den in dens:
+        zero = den == 0.0
+        if zero.any() if isinstance(zero, np.ndarray) else zero:
+            raise ZeroDenominator(f"{what} denominator vanished")
+
+
+def gamma_formula(pi0, pi1, r):
+    """Gamma from pi_y = Pi(1|y,x) and r; at r=0 it is the odds ratio."""
+    num = (1.0 - r) * (1.0 - pi0) + r * (1.0 - pi1)
+    den = (1.0 - r) * pi0 + r * pi1
+    _check_denominators("Gamma", den)
+    return pi1 / (1.0 - pi1) * (num / den)
+
+
+def gamma_ar_formula(pi0, pi1, r):
+    """Gamma_AR from pi_y = Pi(1|y,x) and r: a difference of probability ratios."""
+    den1 = (1.0 - r) * pi0 + r * pi1
+    den0 = (1.0 - r) * (1.0 - pi0) + r * (1.0 - pi1)
+    _check_denominators("Gamma_AR", den1, den0)
+    return pi1 / den1 - (1.0 - pi1) / den0
+
+
 def r_case_prob(law: ObservedLaw, cell: int, p: float) -> float:
     """The case-probability map r(x, p).
 
@@ -289,40 +333,19 @@ def r_case_prob(law: ObservedLaw, cell: int, p: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    q = law.pyx[cell]
-    h0 = law.h0
-    if law.design is Design.CASE_CONTROL:
-        num = p * (1.0 - h0) * q
-        den = num + h0 * (1.0 - p) * (1.0 - q)
-        return float(num / den)
-    return float(p * (1.0 - h0) / h0 * q / (1.0 - q))
-
-
-def _blend(a: float, b: float, r: float) -> float:
-    # a + r*(b - a), written as a convex combination so the endpoints are exact
-    return (1.0 - r) * a + r * b
+    return float(r_formula(law.pyx[cell], law.h0, p, law.design))
 
 
 def gamma(law: ObservedLaw, cell: int, p: float) -> float:
     """The identified bound function Gamma(x, p); Gamma(x, 0) is the odds ratio."""
-    r = r_case_prob(law, cell, p)
-    pi = law.pi
-    num = _blend(pi[0, 0, cell], pi[0, 1, cell], r)
-    den = _blend(pi[1, 0, cell], pi[1, 1, cell], r)
-    if den == 0.0:
-        raise ZeroDenominator("Gamma denominator vanished")
-    return float(pi[1, 1, cell] / pi[0, 1, cell] * (num / den))
+    return float(gamma_formula(law.pi[1, 0, cell], law.pi[1, 1, cell],
+                               r_case_prob(law, cell, p)))
 
 
 def gamma_ar(law: ObservedLaw, cell: int, p: float) -> float:
     """The attributable-risk analogue of Gamma: a difference of probability ratios."""
-    r = r_case_prob(law, cell, p)
-    pi = law.pi
-    den1 = _blend(pi[1, 0, cell], pi[1, 1, cell], r)
-    den0 = _blend(pi[0, 0, cell], pi[0, 1, cell], r)
-    if den1 == 0.0 or den0 == 0.0:
-        raise ZeroDenominator("Gamma_AR denominator vanished")
-    return float(pi[1, 1, cell] / den1 - pi[0, 1, cell] / den0)
+    return float(gamma_ar_formula(law.pi[1, 0, cell], law.pi[1, 1, cell],
+                                  r_case_prob(law, cell, p)))
 
 
 def rare_disease_slope(law: ObservedLaw, cell: int) -> float:
@@ -419,23 +442,27 @@ def bounds_ar(source, cell: int, pbar: float,
 # --- aggregated identification objects ------------------------------------------
 
 
+def _all_cells(law: ObservedLaw, p: float):
+    # (pi0, pi1, r) over every cell
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError("p must lie in [0, 1]")
+    return law.pi[1, 0], law.pi[1, 1], r_formula(law.pyx, law.h0, p, law.design)
+
+
 def beta_aggregate(law: ObservedLaw, y: int) -> float:
     """beta(y): stratum-weighted mean of the log odds ratio."""
-    lor = np.log([gamma(law, c, 0.0) for c in range(law.n_cells)])
-    return float(law.fxy[y] @ lor)
+    return float(law.fxy[y] @ np.log(gamma_formula(*_all_cells(law, 0.0))))
 
 
 def kappa_aggregate(law: ObservedLaw, y: int) -> float:
     """kappa(y): stratum-weighted mean of the odds ratio itself."""
-    orx = np.array([gamma(law, c, 0.0) for c in range(law.n_cells)])
-    return float(law.fxy[y] @ orx)
+    return float(law.fxy[y] @ gamma_formula(*_all_cells(law, 0.0)))
 
 
 def beta_ar_aggregate(law: ObservedLaw, p: float, y: int) -> float:
     """Stratum-weighted mean of r(X, p) * Gamma_AR(X, p)."""
-    vals = np.array([r_case_prob(law, c, p) * gamma_ar(law, c, p)
-                     for c in range(law.n_cells)])
-    return float(law.fxy[y] @ vals)
+    pi0, pi1, r = _all_cells(law, p)
+    return float(law.fxy[y] @ (r * gamma_ar_formula(pi0, pi1, r)))
 
 
 def xi_cp(law: ObservedLaw) -> float:
@@ -443,9 +470,8 @@ def xi_cp(law: ObservedLaw) -> float:
     if law.design is not Design.CASE_POPULATION:
         raise ValidationError("xi_cp applies to case-population laws")
     q = law.pyx
-    pi = law.pi
     ratio = q / (1.0 - q)
-    diff = pi[1, 1] / pi[1, 0] - pi[0, 1] / pi[0, 0]
+    diff = gamma_ar_formula(law.pi[1, 0], law.pi[1, 1], 0.0)
     return float((1.0 - law.h0) / law.h0 * (law.fxy[0] @ (ratio * diff)))
 
 

@@ -1,24 +1,27 @@
 """Aggregated log-odds-ratio estimation and relative-risk bands.
 
-Two algebraically equivalent routes estimate the stratum-aggregated log
-odds ratio beta(y):
+One nuisance fit per data set and basis, `fit_nuisances`, holds the two
+stratum logistic fits of T on the basis.  Every estimate is read off it:
 
-* combined: one logistic regression of T on an intercept, Y, the basis
-  columns demeaned by their stratum-y sample means, and the interactions
-  of Y with those demeaned columns.  The coefficient on Y *is* the
-  estimate and its usual standard error can be read off the fit.
-* plugin: two stratum logistic fits of T on the basis; the estimate is
-  the intercept gap plus the stratum-y basis means times the slope gaps.
-  Its standard error is that of its own influence function: the two
-  stratum fits' sampling variance plus that of the stratum-y mean.
-
-Both equal the exact interacted MLE, so they agree up to solver tolerance.
+* beta(y) is the intercept gap plus the stratum-y basis means times the
+  slope gaps, c'(b1 - b0) with c the stratum-y mean of [1, basis].  It is
+  the coefficient on Y in the fully interacted logistic fit of T on Y, the
+  basis demeaned by its stratum-y means and their products with Y: that
+  likelihood separates by stratum, so it needs no fit of its own.
+* Two standard errors are read off the same stratum-fit pair.  "combined"
+  reports the interacted fit's se, sqrt(c'V1c + c'V0c), from the two
+  stratum fits' covariances; "plugin" adds the sampling variance of the
+  stratum-y mean, which makes it the plug-in's own influence-function se.
+* kappa(y) is the stratum mean of the fitted odds ratio.
 
 The nonparametric efficient influence function (`eif_record`,
 `eif_variance`) is kept as a diagnostic of the efficiency bound.  It is
 not the variance of a finite-sieve plug-in (Newey 1994; Ackerberg, Chen,
 Hahn & Liao 2014), and overstates it on the parametric benchmark design.
 `estimate_kappa` still reports the efficiency-bound se on the level scale.
+It and the attributable-risk estimators also need the prospective fit of
+Y and the clipped fitted probabilities, which `fit_nuisances` adds when a
+prospective basis is given.
 
 The relative-risk band is indexed by the unknown true case probability p:
 exp{p*b1 + (1-p)*b0} plus a conservative uniform critical value under
@@ -41,8 +44,8 @@ from .model import Design, ObservedDataset
 
 __all__ = [
     "BetaEstimate",
-    "FittedNuisances",
     "EIFRecord",
+    "NuisanceFit",
     "RRBand",
     "estimate_beta_combined",
     "estimate_beta_plugin",
@@ -50,6 +53,7 @@ __all__ = [
     "fit_nuisances",
     "eif_record",
     "eif_variance",
+    "p_grid",
     "rr_band",
 ]
 
@@ -78,21 +82,23 @@ class BetaEstimate:
 
 
 @dataclass(frozen=True)
-class FittedNuisances:
-    """Per-observation fitted probabilities feeding the influence function.
+class NuisanceFit:
+    """The nuisance fit of one data set.
 
-    pi1, pi0: fitted Pr(T=1 | Y=y, X_i) for y=1, 0, evaluated at every row;
-    py: fitted Pr(Y=1 | X_i); lor: fitted log odds ratio at every row.
+    cols: the intercept-safe retrospective basis at every row; fit0, fit1:
+    the logistic fits of T on cols within strata 0 and 1.  Fitted with a
+    prospective basis, it also holds pi0, pi1 (Pr(T=1|Y=y, x) for y=0, 1)
+    and py (Pr(Y=1|x)) at every row, clipped into [CLIP, 1 - CLIP], and the
+    number of values the clipping touched; otherwise those are None and 0.
     """
 
-    pi1: np.ndarray
-    pi0: np.ndarray
-    py: np.ndarray
-    h0: float
-
-    @property
-    def lor(self) -> np.ndarray:
-        return np.log(self.pi1 / (1.0 - self.pi1)) - np.log(self.pi0 / (1.0 - self.pi0))
+    cols: np.ndarray
+    fit0: LogitFit
+    fit1: LogitFit
+    pi0: np.ndarray | None = None
+    pi1: np.ndarray | None = None
+    py: np.ndarray | None = None
+    n_clipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -124,61 +130,56 @@ def _design_columns(data: ObservedDataset, spec: BasisSpec) -> np.ndarray:
     return cols[:, mask]
 
 
-def estimate_beta_combined(data: ObservedDataset, spec: BasisSpec,
-                           y_stratum: int) -> BetaEstimate:
-    """Combined-regression estimator of beta(y) with read-off standard error.
-
-    Basis columns are demeaned with the stratum-`y_stratum` sample means, so
-    the coefficient on Y in the fully interacted logistic fit of T equals
-    the stratum aggregate of the fitted log odds ratio.
-    """
-    if y_stratum not in (0, 1):
-        raise ValidationError("y_stratum must be 0 or 1")
-    cols = _design_columns(data, spec)
-    y = data.y.astype(float)
-    if cols.shape[1]:
-        m = cols[data.stratum(y_stratum)].mean(axis=0)
-        phi = cols - m
-        design = np.column_stack([y, phi, phi * y[:, None]])
-    else:
-        design = y[:, None]
-    fit = fit_logit(data.t, design)
-    return BetaEstimate(y_stratum=y_stratum, value=float(fit.coef[1]),
-                        se=float(np.sqrt(fit.cov[1, 1])), method="combined",
-                        scale="log")
-
-
-def _stratum_fits(data: ObservedDataset, cols: np.ndarray) -> tuple[LogitFit, LogitFit]:
-    mask0 = data.stratum(0)
-    fit0 = fit_logit(data.t[mask0], cols[mask0])
-    mask1 = data.stratum(1)
-    fit1 = fit_logit(data.t[mask1], cols[mask1])
-    return fit0, fit1
+def _clipped(name: str, p: np.ndarray) -> tuple[np.ndarray, int]:
+    if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
+        raise NuisanceProbabilityOutOfRange(
+            f"fitted {name} probabilities leave [0, 1] or are not finite")
+    clipped = np.clip(p, CLIP, 1.0 - CLIP)
+    return clipped, int(np.sum(clipped != p))
 
 
 def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
-                  prospective_spec: BasisSpec | None = None) -> FittedNuisances:
-    """Fit the two retrospective logits and the prospective logit.
-
-    The prospective model Pr(Y=1|X) defaults to the same basis family as
-    the retrospective one.
-    """
+                  prospective_spec: BasisSpec | None = None) -> NuisanceFit:
+    """Fit T on the `spec` basis within each stratum and, given a
+    prospective basis, Y on it, with every fitted probability evaluated at
+    every row and clipped."""
     cols = _design_columns(data, spec)
-    fit0, fit1 = _stratum_fits(data, cols)
-    pspec = spec if prospective_spec is None else prospective_spec
-    pcols = _design_columns(data, pspec)
+    mask0 = data.stratum(0)
+    mask1 = data.stratum(1)
+    fit0 = fit_logit(data.t[mask0], cols[mask0])
+    fit1 = fit_logit(data.t[mask1], cols[mask1])
+    if prospective_spec is None:
+        return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1)
+    pcols = _design_columns(data, prospective_spec)
     pfit = fit_logit(data.y, pcols)
-    return FittedNuisances(pi1=fit1.predict(cols), pi0=fit0.predict(cols),
-                           py=pfit.predict(pcols), h0=data.h0)
+    pi1, c1 = _clipped("Pi(1|1,x)", fit1.predict(cols))
+    pi0, c0 = _clipped("Pi(1|0,x)", fit0.predict(cols))
+    py, c2 = _clipped("Pr(Y=1|x)", pfit.predict(pcols))
+    return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1, pi0=pi0, pi1=pi1, py=py,
+                       n_clipped=c1 + c0 + c2)
 
 
-def _plugin_value(data: ObservedDataset, cols: np.ndarray,
-                  fit0: LogitFit, fit1: LogitFit, y_stratum: int) -> float:
-    value = fit1.coef[0] - fit0.coef[0]
-    if cols.shape[1]:
-        m = cols[data.stratum(y_stratum)].mean(axis=0)
-        value = value + m @ (fit1.coef[1:] - fit0.coef[1:])
-    return float(value)
+def _read_out(data: ObservedDataset, nuis: NuisanceFit, y_stratum: int):
+    """beta(y) = c'(b1 - b0), the stratum fits' variance c'V1c + c'V0c, and
+    the fitted log odds ratio at every stratum-y row."""
+    phi = nuis.cols[data.stratum(y_stratum)]
+    gap = nuis.fit1.coef - nuis.fit0.coef
+    c = np.concatenate([[1.0], phi.mean(axis=0)])
+    value = float(gap[0] + c[1:] @ gap[1:])
+    var_fits = c @ nuis.fit1.cov @ c + c @ nuis.fit0.cov @ c
+    return value, var_fits, gap[0] + phi @ gap[1:]
+
+
+def estimate_beta_combined(data: ObservedDataset, spec: BasisSpec, y_stratum: int,
+                           nuisances: NuisanceFit | None = None) -> BetaEstimate:
+    """beta(y) with the interacted fit's standard error, sqrt(c'V1c + c'V0c),
+    read off the stratum fits (fitted here unless `nuisances` is given)."""
+    if y_stratum not in (0, 1):
+        raise ValidationError("y_stratum must be 0 or 1")
+    nuis = fit_nuisances(data, spec) if nuisances is None else nuisances
+    value, var_fits, _ = _read_out(data, nuis, y_stratum)
+    return BetaEstimate(y_stratum=y_stratum, value=value, se=float(np.sqrt(var_fits)),
+                        method="combined", scale="log")
 
 
 def estimate_beta_plugin(data: ObservedDataset, spec: BasisSpec,
@@ -199,74 +200,55 @@ def estimate_beta_plugin(data: ObservedDataset, spec: BasisSpec,
     """
     if y_stratum not in (0, 1):
         raise ValidationError("y_stratum must be 0 or 1")
-    cols = _design_columns(data, spec)
-    fit0, fit1 = _stratum_fits(data, cols)
-    value = _plugin_value(data, cols, fit0, fit1, y_stratum)
-    phi = cols[data.stratum(y_stratum)]
-    gap = fit1.coef - fit0.coef
-    c = np.concatenate([[1.0], phi.mean(axis=0)])
-    lor = gap[0] + phi @ gap[1:]
-    var = (c @ fit1.cov @ c + c @ fit0.cov @ c
-           + np.mean((lor - value) ** 2) / phi.shape[0])
+    value, var_fits, lor = _read_out(data, fit_nuisances(data, spec), y_stratum)
+    var = var_fits + np.mean((lor - value) ** 2) / lor.shape[0]
     return BetaEstimate(y_stratum=y_stratum, value=value, se=float(np.sqrt(var)),
                         method="plugin", scale="log")
 
 
-def _prospective_probs(data: ObservedDataset, spec: BasisSpec,
-                       prospective_spec: BasisSpec | None) -> np.ndarray:
-    pspec = spec if prospective_spec is None else prospective_spec
-    pcols = _design_columns(data, pspec)
-    return fit_logit(data.y, pcols).predict(pcols)
+def _log_odds_ratio(pi0: np.ndarray, pi1: np.ndarray) -> np.ndarray:
+    return np.log(pi1 / (1.0 - pi1)) - np.log(pi0 / (1.0 - pi0))
 
 
 def estimate_kappa(data: ObservedDataset, spec: BasisSpec, y_stratum: int,
                    prospective_spec: BasisSpec | None = None) -> BetaEstimate:
     """Level-scale aggregate kappa(y): stratum mean of the fitted odds ratio.
 
-    Its se is still the efficient-influence-function (efficiency-bound) se.
+    Its se is still the efficient-influence-function (efficiency-bound) se,
+    with the prospective model on `spec` unless `prospective_spec` is given.
     On the level scale neither that nor the plug-in's own influence-function
     se is calibrated at n=1000 per stratum on the benchmark design, so the
     bound is kept here.
     """
     if y_stratum not in (0, 1):
         raise ValidationError("y_stratum must be 0 or 1")
-    cols = _design_columns(data, spec)
-    fit0, fit1 = _stratum_fits(data, cols)
-    nuis = FittedNuisances(pi1=fit1.predict(cols), pi0=fit0.predict(cols),
-                           py=_prospective_probs(data, spec, prospective_spec),
-                           h0=data.h0)
-    value = float(np.mean(np.exp(nuis.lor[data.stratum(y_stratum)])))
+    nuis = fit_nuisances(data, spec, spec if prospective_spec is None else prospective_spec)
+    # unclipped: the clipping only guards the influence function's ratios
+    lor = _log_odds_ratio(nuis.fit0.predict(nuis.cols), nuis.fit1.predict(nuis.cols))
+    value = float(np.mean(np.exp(lor[data.stratum(y_stratum)])))
     var = eif_variance(data, nuis, y_stratum, scale="level")
     return BetaEstimate(y_stratum=y_stratum, value=value, se=float(np.sqrt(var)),
                         method="plugin", scale="level")
 
 
-def _checked_probs(name: str, p: np.ndarray) -> tuple[np.ndarray, int]:
-    if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
-        raise NuisanceProbabilityOutOfRange(
-            f"fitted {name} probabilities leave [0, 1] or are not finite")
-    clipped = np.clip(p, CLIP, 1.0 - CLIP)
-    return clipped, int(np.sum(clipped != p))
-
-
-def eif_record(data: ObservedDataset, nuisances: FittedNuisances,
+def eif_record(data: ObservedDataset, nuisances: NuisanceFit,
                y_stratum: int, scale: str = "log") -> EIFRecord:
     """Evaluate the influence function of beta(y) (log) or kappa(y) (level).
 
-    Fitted probabilities are clipped to [1e-6, 1 - 1e-6] before entering
-    the adjustment-term ratios; the number of values touched is reported.
+    `nuisances` must come from `fit_nuisances` with a prospective basis:
+    its clipped probabilities enter the adjustment-term ratios, and its
+    clip count is reported.
     """
     if scale not in ("log", "level"):
         raise ValidationError("scale must be 'log' or 'level'")
-    pi1, c1 = _checked_probs("Pi(1|1,x)", nuisances.pi1)
-    pi0, c0 = _checked_probs("Pi(1|0,x)", nuisances.pi0)
-    py, c2 = _checked_probs("Pr(Y=1|x)", nuisances.py)
-    n_clipped = c1 + c0 + c2
-    h0 = nuisances.h0
+    if nuisances.py is None:
+        raise ValidationError("the influence function needs a prospective fit")
+    pi1, pi0, py = nuisances.pi1, nuisances.pi0, nuisances.py
+    h0 = data.h0
     y = data.y.astype(float)
     t = data.t.astype(float)
 
-    lor = np.log(pi1 / (1.0 - pi1)) - np.log(pi0 / (1.0 - pi0))
+    lor = _log_odds_ratio(pi0, pi1)
     w = h0 / (1.0 - h0) * (1.0 - py) / py
     ind = y if y_stratum == 1 else 1.0 - y
     denom_h = h0 if y_stratum == 1 else 1.0 - h0
@@ -289,10 +271,10 @@ def eif_record(data: ObservedDataset, nuisances: FittedNuisances,
 
     components = np.column_stack([term1, term2, term3])
     return EIFRecord(values=components.sum(axis=1), components=components,
-                     scale=scale, n_clipped=n_clipped)
+                     scale=scale, n_clipped=nuisances.n_clipped)
 
 
-def eif_variance(data: ObservedDataset, nuisances: FittedNuisances,
+def eif_variance(data: ObservedDataset, nuisances: NuisanceFit,
                  y_stratum: int, scale: str = "log") -> float:
     """Influence-function variance of the stratum aggregate estimator."""
     return eif_record(data, nuisances, y_stratum, scale).variance_of_mean
@@ -317,7 +299,8 @@ class RRBand:
                    float(self.lower[i]), float(self.upper[i]))
 
 
-def _p_grid(pbar: float, step: float) -> np.ndarray:
+def p_grid(pbar: float, step: float) -> np.ndarray:
+    """Evenly spaced case shares from 0 to pbar, about `step` apart."""
     if not 0.0 < pbar <= 1.0:
         raise ValidationError("pbar must lie in (0, 1]")
     m = max(int(round(pbar / step)), 1)
@@ -337,7 +320,7 @@ def rr_band(beta0: BetaEstimate, beta1: BetaEstimate | None, alpha: float,
         raise ValidationError("alpha must lie in (0, 0.5]")
     if beta0.scale != "log" or beta0.y_stratum != 0:
         raise ValidationError("beta0 must be a log-scale stratum-0 estimate")
-    grid = _p_grid(pbar, step)
+    grid = p_grid(pbar, step)
     if design is Design.CASE_CONTROL:
         if beta1 is None or beta1.scale != "log" or beta1.y_stratum != 1:
             raise ValidationError("case-control bands need a log-scale stratum-1 estimate")

@@ -22,7 +22,7 @@ from .basis import BasisSpec
 from .errors import CaseboundError, OverlapViolation, ValidationError
 from .model import Design, ObservedDataset
 from .oracle import DiscretePopulation
-from .relative_risk import estimate_beta_combined
+from .relative_risk import estimate_beta_combined, fit_nuisances
 from .rng import RngSpec, bernoulli, categorical, standard_normals
 
 __all__ = [
@@ -188,10 +188,10 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
                  alpha: float = 0.05, keep_estimates: bool = False) -> MCStudyResult:
     """Replicate the benchmark design and summarize estimator performance.
 
-    Per replicate one sample is drawn and each named estimator produces
-    combined-regression estimates of both stratum aggregates with read-off
-    standard errors.  Replicates where a fit fails are dropped per
-    estimator and counted.
+    Per replicate one sample is drawn and, for each named estimator, one
+    pair of stratum fits yields both stratum aggregates with the combined
+    (interacted-fit) standard errors.  Replicates where a fit fails are
+    dropped per estimator and counted.
     """
     if replications < 100:
         raise ValidationError("use at least 100 replications")
@@ -206,7 +206,8 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
         data = draw_mc_sample(design, rng.derive("mc-replicate", r))
         for name in estimators:
             try:
-                fits = [estimate_beta_combined(data, specs[name], y) for y in (0, 1)]
+                nuis = fit_nuisances(data, specs[name])
+                fits = [estimate_beta_combined(data, specs[name], y, nuis) for y in (0, 1)]
             except CaseboundError:
                 failures[name] += 1
                 continue

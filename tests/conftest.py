@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from casebound.basis import build_basis
+from casebound.logit import fit_logit
 from casebound.model import Design, ObservedDataset
 from casebound.oracle import DiscretePopulation
 
@@ -29,3 +31,17 @@ def dataset_from_cells(counts: dict[tuple[int, int, float], int],
     return ObservedDataset(y=np.array(ys), t=np.array(ts),
                            x=np.array(xs, dtype=float)[:, None],
                            design=design, h0=h0)
+
+
+@pytest.fixture
+def interacted_fit():
+    """The fully interacted logit of T on [Y, phi - m, (phi - m) * Y], with
+    phi the intercept-safe basis and m its stratum-y mean.  Its coefficient
+    on Y is beta(y) and cov[1, 1] its squared se, fitted directly rather
+    than read off the two stratum fits."""
+    def fit(data: ObservedDataset, spec, y_stratum: int):
+        cols = build_basis(data.x, spec)[:, spec.intercept_safe_mask()]
+        phi = cols - cols[data.stratum(y_stratum)].mean(axis=0)
+        y = data.y.astype(float)
+        return fit_logit(data.t, np.column_stack([y, phi, phi * y[:, None]]))
+    return fit

@@ -179,7 +179,8 @@ def test_criterion_3_identity_suite():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_4_estimator_equivalence():
+def test_criterion_4_estimator_equivalence(interacted_fit):
+    # the stratum-fit read-out against a separately fitted interacted logit
     design = mc_defaults()
     spec = parametric_spec(design)
     rng = RngSpec(SEED)
@@ -187,9 +188,12 @@ def test_criterion_4_estimator_equivalence():
     for r in range(50):
         data = draw_mc_sample(design, rng.derive("mc-replicate", r))
         for y in (0, 1):
+            inter = interacted_fit(data, spec, y)
             comb = estimate_beta_combined(data, spec, y)
             plug = estimate_beta_plugin(data, spec, y)
-            worst = max(worst, abs(comb.value - plug.value))
+            assert comb.value == plug.value
+            assert abs(inter.cov[1, 1] - comb.se ** 2) <= 1e-10
+            worst = max(worst, abs(inter.coef[1] - plug.value))
     ok = worst <= 1e-6
     report("4 (combined vs plug-in)", ok,
            f"max |difference| over 50 draws x 2 strata = {worst:.2e}")

@@ -1,21 +1,30 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import casebound.attributable_risk as ar_mod
 from casebound.attributable_risk import (
-    ARNuisances,
     ar_curve,
     bc_level,
     estimate_beta_ar,
     estimate_xi_cp,
-    fit_ar_nuisances,
     upper_bound_curve_values,
 )
 from casebound.basis import BasisSpec
 from casebound.errors import BootstrapDegenerate, SeparationDetected, ValidationError
+from casebound.fixtures import mc_defaults
 from casebound.model import Design, ObservedDataset
-from casebound.oracle import ObservedLaw, beta_ar_aggregate, upper_bound_ar, xi_cp
+from casebound.oracle import (
+    ObservedLaw,
+    beta_ar_aggregate,
+    kappa_aggregate,
+    upper_bound_ar,
+    xi_cp,
+)
+from casebound.relative_risk import estimate_kappa, fit_nuisances
 from casebound.rng import RngSpec
+from casebound.synthetic import draw_mc_sample, parametric_spec
 
 D1, D2 = Design.CASE_CONTROL, Design.CASE_POPULATION
 LIN = BasisSpec.linear(1)
@@ -71,6 +80,27 @@ def test_beta_ar_matches_oracle_on_exact_expansion():
     np.testing.assert_allclose(curve, oracle, atol=1e-8)
 
 
+def test_kappa_matches_oracle_on_exact_expansion():
+    data = expand(COUNTS_D1, D1)
+    law = law_from_counts(COUNTS_D1, D1)
+    for y in (0, 1):
+        est = estimate_kappa(data, LIN, y)
+        assert est.value == pytest.approx(kappa_aggregate(law, y), abs=1e-8)
+
+
+def test_curve_point_invariant_to_row_order():
+    design = mc_defaults()
+    data = draw_mc_sample(design, RngSpec(12).derive("mc-replicate", 0))
+    perm = RngSpec(12).derive("permutation").permutation(data.n)
+    shuffled = ObservedDataset(y=data.y[perm], t=data.t[perm], x=data.x[perm],
+                               design=data.design)
+    spec = parametric_spec(design)
+    grid = np.linspace(0.0, 1.0, 21)
+    np.testing.assert_allclose(upper_bound_curve_values(shuffled, spec, spec, grid),
+                               upper_bound_curve_values(data, spec, spec, grid),
+                               rtol=0, atol=1e-12)
+
+
 def test_xi_cp_matches_oracle_on_exact_expansion():
     data = expand(COUNTS_D1, D2)
     law = law_from_counts(COUNTS_D1, D2)
@@ -79,9 +109,8 @@ def test_xi_cp_matches_oracle_on_exact_expansion():
 
 def test_xi_cp_zero_when_strata_probabilities_agree():
     data = expand(COUNTS_D1, D2)
-    nuis = fit_ar_nuisances(data, LIN, LIN)
-    same = ARNuisances(pi1=nuis.pi0, pi0=nuis.pi0, py=nuis.py,
-                       h_hat=nuis.h_hat, n_clipped=0)
+    nuis = fit_nuisances(data, LIN, LIN)
+    same = dataclasses.replace(nuis, pi1=nuis.pi0)
     assert estimate_xi_cp(data, LIN, LIN, nuisances=same) == 0.0
 
 
@@ -171,7 +200,7 @@ def test_bootstrap_degenerate_raises(monkeypatch):
 
 def test_failed_replicates_dropped_and_counted(monkeypatch):
     data = expand(COUNTS_D1, D1)
-    real = ar_mod.fit_ar_nuisances
+    real = ar_mod.fit_nuisances
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -180,7 +209,7 @@ def test_failed_replicates_dropped_and_counted(monkeypatch):
             raise SeparationDetected("synthetic failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ar_mod, "fit_ar_nuisances", flaky)
+    monkeypatch.setattr(ar_mod, "fit_nuisances", flaky)
     curve, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert diag.n_dropped == 3
     assert diag.n_kept == 197

@@ -7,8 +7,8 @@ from click.testing import CliRunner
 
 from casebound.cli import main
 from casebound.fixtures import count_table
-from casebound.model import ColumnSchema, Design, export_csv
-from casebound.rng import RngSpec
+from casebound.model import ColumnSchema, Design, ObservedDataset, export_csv
+from casebound.rng import RngSpec, bernoulli
 from casebound.synthetic import sample_from_population
 from casebound.fixtures import top_income_population
 
@@ -102,6 +102,22 @@ def test_rr_missing_column_exits_2(runner, tmp_path):
         "--y-col", "nope", "--t-col", "private"])
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+def test_rr_one_class_stratum_exits_2(runner, tmp_path):
+    # no treated row among the controls: the stratum fit has one response class
+    gen = RngSpec(32).derive("one-class")
+    y = np.repeat([1, 0], 200)
+    t = np.concatenate([bernoulli(gen, np.full(200, 0.5)), np.zeros(200, dtype=int)])
+    data = ObservedDataset(y=y, t=t, x=gen.standard_normal((400, 1)),
+                           design=Design.CASE_CONTROL)
+    path = tmp_path / "one_class.csv"
+    export_csv(data, path, ColumnSchema(y="y", t="t", x=("x1",)))
+    result = runner.invoke(main, [
+        "rr", "--input", str(path), "--design", "case-control",
+        "--y-col", "y", "--t-col", "t", "--x-cols", "x1"])
+    assert result.exit_code == 2
+    assert "both response classes must be present" in result.output
 
 
 def test_ar_case_population_grid(runner, tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casebound.errors import (
     OverlapViolation,
@@ -19,10 +23,14 @@ from casebound.oracle import (
     bounds_rr,
     gamma,
     gamma_ar,
+    gamma_ar_formula,
+    gamma_formula,
+    kappa_aggregate,
     load_population,
     population_from_margins,
     project,
     r_case_prob,
+    r_formula,
     random_population,
     rare_disease_slope,
     save_population,
@@ -368,6 +376,45 @@ def test_aggregation_identity_exact():
 
 
 # --- persistence --------------------------------------------------------------------
+
+
+# --- the formula kernel ---------------------------------------------------------
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 6),
+       p=st.floats(0.0, 1.0), h0=st.floats(0.05, 0.95), design=st.sampled_from([D1, D2]))
+@settings(max_examples=100, deadline=None)
+def test_kernel_over_cells_equals_scalar_calls(seed, n_cells, p, h0, design):
+    law = project(random_population(RngSpec(seed).derive("kernel-pop"), n_cells=n_cells),
+                  design, h0)
+    pi0, pi1 = law.pi[1, 0], law.pi[1, 1]
+    r = r_formula(law.pyx, law.h0, p, design)
+    g = gamma_formula(pi0, pi1, r)
+    g_ar = gamma_ar_formula(pi0, pi1, r)
+    cells = range(n_cells)
+    for c in cells:
+        assert r[c] == r_case_prob(law, c, p)
+        assert g[c] == gamma(law, c, p)
+        assert g_ar[c] == gamma_ar(law, c, p)
+    odds_ratios = [gamma(law, c, 0.0) for c in cells]
+    for y in (0, 1):
+        assert beta_aggregate(law, y) == float(law.fxy[y] @ np.log(odds_ratios))
+        assert kappa_aggregate(law, y) == float(law.fxy[y] @ np.array(odds_ratios))
+        per_cell = [r_case_prob(law, c, p) * gamma_ar(law, c, p) for c in cells]
+        assert beta_ar_aggregate(law, p, y) == float(law.fxy[y] @ np.array(per_cell))
+
+
+unit = st.floats(1e-6, 1.0 - 1e-6)
+
+
+@given(q=unit, h0=unit, pi0=unit, pi1=unit)
+@settings(max_examples=200, deadline=None)
+def test_kernel_endpoints_and_odds_ratio(q, h0, pi0, pi1):
+    for design in (D1, D2):
+        assert r_formula(q, h0, 0.0, design) == 0.0
+    assert r_formula(q, h0, 1.0, D1) == 1.0
+    odds_ratio = pi1 * (1.0 - pi0) / ((1.0 - pi1) * pi0)
+    assert math.isclose(gamma_formula(pi0, pi1, 0.0), odds_ratio, rel_tol=1e-14)
 
 
 def test_population_roundtrip(tmp_path):

@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import casebound.relative_risk as rr_mod
 from casebound.basis import BasisSpec, CubicSplineTerm, Linear
 from casebound.errors import NuisanceProbabilityOutOfRange, ValidationError
 from casebound.fixtures import count_table, mc_defaults
 from casebound.model import Design, ObservedDataset
 from casebound.relative_risk import (
-    FittedNuisances,
     eif_record,
     eif_variance,
     estimate_beta_combined,
@@ -35,20 +36,23 @@ def test_intercept_only_combined_equals_table_log_odds_ratio():
     assert est0.value == pytest.approx(est.value, abs=1e-9)
 
 
-def test_plugin_matches_combined_parametric_and_sieve():
+def test_plugin_matches_combined_parametric_and_sieve(interacted_fit):
     design = mc_defaults()
     rng = RngSpec(101)
     for r in range(5):
         data = draw_mc_sample(design, rng.derive("mc-replicate", r))
         for spec in (parametric_spec(design), sieve_spec(design)):
             for y in (0, 1):
+                inter = interacted_fit(data, spec, y)
                 comb = estimate_beta_combined(data, spec, y)
                 plug = estimate_beta_plugin(data, spec, y)
-                assert abs(comb.value - plug.value) < 1e-6
+                assert abs(inter.coef[1] - plug.value) < 1e-6
+                assert comb.value == plug.value
+                assert abs(inter.cov[1, 1] - comb.se ** 2) <= 1e-10
                 assert comb.method == "combined" and plug.method == "plugin"
 
 
-def test_plugin_matches_combined_with_spline_basis():
+def test_plugin_matches_combined_with_spline_basis(interacted_fit):
     gen = RngSpec(102).derive("spline-data")
     n = 1200
     income = np.exp(0.5 * gen.standard_normal(n))
@@ -56,13 +60,41 @@ def test_plugin_matches_combined_with_spline_basis():
     y = bernoulli(gen, np.full(n, 0.35))
     eta = 0.3 * y - 0.2 + 0.4 * np.log(income) + 0.3 * flag
     t = bernoulli(gen, 1 / (1 + np.exp(-eta)))
-    from casebound.model import ObservedDataset
     data = ObservedDataset(y=y, t=t, x=np.column_stack([income, flag]), design=D1)
     spec = BasisSpec(terms=(CubicSplineTerm(3), Linear()))
     for ystr in (0, 1):
+        inter = interacted_fit(data, spec, ystr)
         comb = estimate_beta_combined(data, spec, ystr)
         plug = estimate_beta_plugin(data, spec, ystr)
-        assert abs(comb.value - plug.value) < 1e-6
+        assert abs(inter.coef[1] - plug.value) < 1e-6
+        assert abs(inter.cov[1, 1] - comb.se ** 2) <= 1e-10
+
+
+def test_one_class_stratum_raises():
+    # no treated controls: the interacted fit used to stop at |coef| ~ 19
+    # and report beta ~ 19 with se ~ 1000; a stratum fit refuses the data
+    gen = RngSpec(111).derive("one-class")
+    y = np.repeat([1, 0], 200)
+    t = np.concatenate([bernoulli(gen, np.full(200, 0.5)), np.zeros(200, dtype=int)])
+    data = ObservedDataset(y=y, t=t, x=gen.standard_normal((400, 1)), design=D1)
+    for estimate in (estimate_beta_combined, estimate_beta_plugin):
+        for ystr in (0, 1):
+            with pytest.raises(ValidationError, match="both response classes"):
+                estimate(data, BasisSpec.linear(1), ystr)
+
+
+def test_estimates_invariant_to_row_order():
+    design = mc_defaults()
+    data = draw_mc_sample(design, RngSpec(112).derive("mc-replicate", 0))
+    perm = RngSpec(112).derive("permutation").permutation(data.n)
+    shuffled = ObservedDataset(y=data.y[perm], t=data.t[perm], x=data.x[perm],
+                               design=data.design)
+    for spec in (parametric_spec(design), sieve_spec(design)):
+        for y in (0, 1):
+            for estimate in (estimate_beta_combined, estimate_beta_plugin, estimate_kappa):
+                a, b = estimate(data, spec, y), estimate(shuffled, spec, y)
+                assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
+                assert abs(a.se - b.se) <= 1e-12 * max(1.0, a.se)
 
 
 def test_null_data_estimates_center_at_zero():
@@ -85,7 +117,8 @@ def test_null_data_estimates_center_at_zero():
 def test_eif_first_component_mean_is_exactly_zero():
     design = mc_defaults()
     data = draw_mc_sample(design, RngSpec(104).derive("mc-replicate", 0))
-    nuis = fit_nuisances(data, parametric_spec(design))
+    spec = parametric_spec(design)
+    nuis = fit_nuisances(data, spec, spec)
     for y in (0, 1):
         rec = eif_record(data, nuis, y)
         assert abs(rec.components[:, 0].mean()) < 1e-12
@@ -96,7 +129,7 @@ def test_eif_first_component_mean_is_exactly_zero():
 def test_eif_mean_vanishes_without_covariates():
     table = count_table("top_income_case_control")
     data = table.to_dataset(D1)
-    nuis = fit_nuisances(data, BasisSpec.empty())
+    nuis = fit_nuisances(data, BasisSpec.empty(), BasisSpec.empty())
     for y in (0, 1):
         rec = eif_record(data, nuis, y)
         assert abs(rec.values.mean()) < 1e-8
@@ -107,7 +140,7 @@ def test_eif_variance_positive_and_se_sane():
     design = mc_defaults()
     data = draw_mc_sample(design, RngSpec(105).derive("mc-replicate", 1))
     spec = parametric_spec(design)
-    assert 0.05 < math.sqrt(eif_variance(data, fit_nuisances(data, spec), 1)) < 1.0
+    assert 0.05 < math.sqrt(eif_variance(data, fit_nuisances(data, spec, spec), 1)) < 1.0
     est = estimate_beta_plugin(data, spec, 1)
     assert 0.05 < est.se < 1.0
 
@@ -133,14 +166,24 @@ def test_plugin_value_and_se_invariant_to_supplied_h0():
         assert abs(ests[0].se - ests[1].se) <= 1e-12
 
 
-def test_eif_rejects_bad_probabilities():
+def test_eif_rejects_bad_probabilities(monkeypatch):
+    # a stratum-1 fit whose coefficients are NaN gives NaN Pi(1|1,x)
     design = mc_defaults()
     data = draw_mc_sample(design, RngSpec(106).derive("mc-replicate", 2))
-    nuis = fit_nuisances(data, parametric_spec(design))
-    broken = FittedNuisances(pi1=np.full(data.n, np.nan), pi0=nuis.pi0,
-                             py=nuis.py, h0=nuis.h0)
-    with pytest.raises(NuisanceProbabilityOutOfRange):
-        eif_record(data, broken, 1)
+    spec = parametric_spec(design)
+    real = rr_mod.fit_logit
+    calls = {"n": 0}
+
+    def nan_second_fit(*args, **kwargs):
+        fit = real(*args, **kwargs)
+        calls["n"] += 1
+        if calls["n"] == 2:
+            return dataclasses.replace(fit, coef=np.full_like(fit.coef, np.nan))
+        return fit
+
+    monkeypatch.setattr(rr_mod, "fit_logit", nan_second_fit)
+    with pytest.raises(NuisanceProbabilityOutOfRange, match="Pi\\(1\\|1,x\\)"):
+        eif_record(data, fit_nuisances(data, spec, spec), 1)
 
 
 def homogeneous_or_design() -> MCDesign:
@@ -191,7 +234,7 @@ def test_kappa_centered_on_homogeneous_odds_ratio():
 def test_eif_variance_dominates_naive_term_on_homogeneous_data():
     design = homogeneous_or_design()
     data = draw_mc_sample(design, RngSpec(109).derive("mc-replicate", 0))
-    nuis = fit_nuisances(data, parametric_spec(design))
+    nuis = fit_nuisances(data, parametric_spec(design), parametric_spec(design))
     for y in (0, 1):
         rec = eif_record(data, nuis, y)
         naive = float(np.mean(rec.components[:, 0] ** 2) / data.n)

@@ -20,7 +20,21 @@ probabilities enter r(x, p) and G_AR(x, p) through the formula kernel in
 `oracle`, the same functions the finite-population reference evaluates per
 cell.  Their convex-combination denominators make UB(0) = 0 and
 (case-control) UB(1) = 0 hold exactly in floating point, matching the
-estimand, which vanishes at both ends.
+estimand, which vanishes at both ends.  The case-control curve is one
+(grid x rows) array of those terms, averaged within each stratum.
+
+The bootstrap does not rebuild resampled data sets.  The sample is
+collapsed once to a pattern table, its distinct (y, t, x) rows (eight for
+a binary covariate).  Each replicate makes the same `resample_indices`
+draw as resampling the rows would, turns it into pattern counts with
+`np.bincount`, and refits the patterns with a nonzero count through
+`fit_nuisances`, the counts as frequency weights.  Everything the expanded
+resample would judge is judged on that support: an empty stratum raises
+EmptyStratum and a constant basis column DegenerateColumn; an estimated h0
+is the counts-weighted share of cases; spline knots are the quantiles of
+the drawn multiset, recomputed per replicate; the clip count weighs each
+row by its count.  A replicate that raises any CaseboundError is dropped
+and counted, as it would be on the expanded rows.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .basis import BasisSpec
 from .errors import BootstrapDegenerate, CaseboundError, ValidationError
@@ -49,8 +63,9 @@ __all__ = [
 ]
 
 
-def _ar_terms(data: ObservedDataset, nuis: NuisanceFit, p: float) -> np.ndarray:
-    # r(X_i, p) * G_AR(X_i, p) at every row
+def _ar_terms(data: ObservedDataset, nuis: NuisanceFit, p) -> np.ndarray:
+    # r(X_i, p) * G_AR(X_i, p) at every row, or for a column of p's at every
+    # (p, row) pair
     r = r_formula(nuis.py, data.h0, p, data.design)
     return r * gamma_ar_formula(nuis.pi0, nuis.pi1, r)
 
@@ -76,30 +91,37 @@ def estimate_xi_cp(data: ObservedDataset, prospective_spec: BasisSpec,
 
     (sum Y_i)^{-1} sum (1-Y_i) * [py/(1-py)] * G_AR(X_i, 0), where
     G_AR(x, 0) = pi1/pi0 - (1-pi1)/(1-pi0): the sample analog with the
-    stratum share replaced by the mean of Y.
+    stratum share replaced by the mean of Y.  Both sums weigh each row by
+    the fit's counts, if it has them.
     """
     if data.design is not Design.CASE_POPULATION:
         raise ValidationError("xi_CP is a case-population estimand")
     nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
     bracket = nuis.py / (1.0 - nuis.py) * gamma_ar_formula(nuis.pi0, nuis.pi1, 0.0)
     y = data.y.astype(float)
-    return float(np.sum((1.0 - y) * bracket) / np.sum(y))
+    w = 1.0 if nuis.counts is None else nuis.counts
+    return float(np.sum((1.0 - y) * bracket * w) / np.sum(y * w))
 
 
 def upper_bound_curve_values(data: ObservedDataset, prospective_spec: BasisSpec,
                              retrospective_spec: BasisSpec, grid: np.ndarray,
                              nuisances: NuisanceFit | None = None) -> np.ndarray:
     """Untruncated UB estimates on a p-grid (case-control: per-p aggregate;
-    case-population: p times the slope estimate)."""
+    case-population: p times the slope estimate).
+
+    Case-control terms are evaluated as one (grid x rows) array, and the
+    stratum means are weighted by the fit's counts, if it has them.
+    """
     nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
     if data.design is Design.CASE_POPULATION:
         return grid * estimate_xi_cp(data, prospective_spec, retrospective_spec, nuis)
+    vals = _ar_terms(data, nuis, grid[:, None])
+    w = np.ones(data.n) if nuis.counts is None else nuis.counts.astype(float)
     mask1 = data.stratum(1)
-    out = np.empty(grid.shape[0])
-    for i, p in enumerate(grid):
-        vals = _ar_terms(data, nuis, float(p))
-        out[i] = (1.0 - p) * vals[~mask1].mean() + p * vals[mask1].mean()
-    return out
+    # C order keeps each row's sum the pairwise sum of a one-p loop
+    mean0, mean1 = ((np.ascontiguousarray(vals[:, m]) * w[m]).sum(axis=1) / w[m].sum()
+                    for m in (~mask1, mask1))
+    return (1.0 - grid) * mean0 + grid * mean1
 
 
 @dataclass(frozen=True)
@@ -140,30 +162,57 @@ def bc_level(mu_star: np.ndarray, alpha: float, n_boot: int) -> np.ndarray:
     """
     lo = 1.0 / (n_boot + 1.0)
     mu = np.clip(np.asarray(mu_star, dtype=float), lo, 1.0 - lo)
-    return norm.cdf(norm.ppf(1.0 - alpha) + 2.0 * norm.ppf(mu))
+    return ndtr(ndtri(1.0 - alpha) + 2.0 * ndtri(mu))
 
 
-def _quantile_higher(sorted_vals: np.ndarray, level: float) -> float:
-    # smallest order statistic whose empirical cdf reaches the level
+def _order_statistic(sorted_vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    # per column, the smallest order statistic whose empirical cdf reaches its level
     b = sorted_vals.shape[0]
-    k = int(np.ceil(level * b))
-    return float(sorted_vals[min(max(k, 1), b) - 1])
+    k = np.clip(np.ceil(levels * b).astype(np.intp), 1, b)
+    return sorted_vals[k - 1, np.arange(sorted_vals.shape[1])]
 
 
-def _resample(data: ObservedDataset, gen, mode: str) -> ObservedDataset:
-    n = data.n
+def _patterns(data: ObservedDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (y, t, x) rows of the sample, and the pattern of every row."""
+    rows = np.column_stack([data.y, data.t, data.x])
+    patterns, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return patterns, inverse.reshape(-1)
+
+
+def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
+                      mode: str) -> np.ndarray:
+    """Pattern counts of one bootstrap draw.  The draw is the one that
+    resampling the rows would make: n indices i.i.d. over the sample, or
+    within stratum 0 and then stratum 1."""
     if mode == "iid":
-        idx = resample_indices(gen, n)
-    elif mode == "stratified":
-        idx = np.arange(n)
-        for s in (0, 1):
-            rows = np.flatnonzero(data.y == s)
-            idx[rows] = rows[resample_indices(gen, rows.size)]
+        idx = resample_indices(gen, y.shape[0])
     else:
-        raise ValidationError(f"unknown resample mode {mode!r}")
-    return ObservedDataset(y=data.y[idx], t=data.t[idx], x=data.x[idx],
-                           design=data.design,
-                           h0=None if data.h0_estimated else data.h0)
+        strata = [np.flatnonzero(y == s) for s in (0, 1)]
+        idx = np.concatenate([rows[resample_indices(gen, rows.size)] for rows in strata])
+    return np.bincount(inverse[idx], minlength=n_patterns)
+
+
+def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
+               prospective_spec: BasisSpec, retrospective_spec: BasisSpec,
+               grid: np.ndarray) -> tuple[np.ndarray, int]:
+    """One bootstrap replicate, refitted on the patterns with a nonzero count
+    and weighted by them: its statistic (the case-control curve over the
+    grid, or the case-population xi as a one-element array) and its clip
+    count."""
+    keep = counts > 0
+    c = counts[keep]
+    rows = patterns[keep]
+    y = rows[:, 0].astype(np.int8)
+    h0 = int(c[y == 1].sum()) / int(c.sum()) if data.h0_estimated else data.h0
+    bdata = ObservedDataset(y=y, t=rows[:, 1].astype(np.int8), x=rows[:, 2:],
+                            design=data.design, h0=h0)
+    bnuis = fit_nuisances(bdata, retrospective_spec, prospective_spec, c)
+    if data.design is Design.CASE_POPULATION:
+        stat = np.array([estimate_xi_cp(bdata, prospective_spec, retrospective_spec, bnuis)])
+    else:
+        stat = upper_bound_curve_values(bdata, prospective_spec, retrospective_spec,
+                                        grid, bnuis)
+    return stat, bnuis.n_clipped
 
 
 def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
@@ -172,68 +221,72 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
              resample_mode: str = "iid") -> tuple[ARCurve, BootstrapDiagnostics]:
     """Attributable-risk upper-bound curve with BC bootstrap limits.
 
-    Replicates whose refit fails (separation, an empty stratum, ...) are
-    dropped and counted.  Point estimates and limits are truncated into
-    [0, 1].  Identical (data, specs, B, seed) give identical output.
+    The point estimate is read off one fit of the sample.  Replicate b
+    draws from the stream ("ar-bootstrap", b) the indices that resampling
+    the rows would (i.i.d., or within each stratum) and refits the sample's
+    distinct (y, t, x) rows with the drawn counts as frequency weights,
+    which is the expanded resample up to rounding (see the module
+    docstring).  Replicates whose refit fails (separation, an empty
+    stratum, a constant basis column, ...) are dropped and counted.  Point
+    estimates and limits are truncated into [0, 1].  Identical (data,
+    specs, B, seed) give identical output.
     """
     if B < 200:
         raise ValidationError("use at least 200 bootstrap replications")
     grid = p_grid(pbar, step)
     if not 0.0 < alpha <= 0.5:
         raise ValidationError("alpha must lie in (0, 0.5]")
+    if resample_mode not in ("iid", "stratified"):
+        raise ValidationError(f"unknown resample mode {resample_mode!r}")
     rng = seed if isinstance(seed, RngSpec) else RngSpec(int(seed))
 
     nuis = fit_nuisances(data, retrospective_spec, prospective_spec)
     point_raw = upper_bound_curve_values(data, prospective_spec,
                                          retrospective_spec, grid, nuis)
-
     cp = data.design is Design.CASE_POPULATION
-    xi_hat = estimate_xi_cp(data, prospective_spec, retrospective_spec, nuis) if cp else None
+    # the bootstrapped statistic at the sample, and the columns that can vary
+    if cp:
+        stat_hat = np.array([estimate_xi_cp(data, prospective_spec,
+                                            retrospective_spec, nuis)])
+        varying = np.array([True])
+    else:
+        stat_hat = point_raw
+        varying = grid > 0.0
+        if grid[-1] >= 1.0:
+            varying &= grid < 1.0
 
+    patterns, inverse = _patterns(data)
     boot_rows = []
     n_dropped = 0
     n_clipped_boot = 0
     for b in range(B):
-        gen = rng.derive("ar-bootstrap", b)
+        counts = _replicate_counts(rng.derive("ar-bootstrap", b), data.y, inverse,
+                                   patterns.shape[0], resample_mode)
         try:
-            bdata = _resample(data, gen, resample_mode)
-            bnuis = fit_nuisances(bdata, retrospective_spec, prospective_spec)
-            if cp:
-                boot_rows.append(estimate_xi_cp(bdata, prospective_spec,
-                                                retrospective_spec, bnuis))
-            else:
-                boot_rows.append(upper_bound_curve_values(
-                    bdata, prospective_spec, retrospective_spec, grid, bnuis))
-            n_clipped_boot += bnuis.n_clipped
+            stat, n_clipped = _replicate(data, patterns, counts, prospective_spec,
+                                         retrospective_spec, grid)
         except CaseboundError:
             n_dropped += 1
+            continue
+        boot_rows.append(stat)
+        n_clipped_boot += n_clipped
     n_kept = len(boot_rows)
     if n_kept < 2:
         raise BootstrapDegenerate(f"only {n_kept} of {B} bootstrap replicates survived")
 
+    boot = np.asarray(boot_rows)  # (n_kept, n_grid), or (n_kept, 1) for xi
+    if np.all(boot[:, varying] == boot[0, varying]):
+        raise BootstrapDegenerate("all bootstrap estimates are identical")
+    mu = (boot <= stat_hat[None, :]).mean(axis=0)
+    nu = bc_level(mu, alpha, n_kept)
+    limit = _order_statistic(np.sort(boot, axis=0), nu)
     if cp:
-        xis = np.asarray(boot_rows)
-        if np.all(xis == xis[0]):
-            raise BootstrapDegenerate("all bootstrap estimates are identical")
-        mu = float(np.mean(xis <= xi_hat))
-        nu = float(bc_level(mu, alpha, n_kept))
-        u = _quantile_higher(np.sort(xis), nu)
-        upper_raw = grid * u
-        mu_star = np.full_like(grid, mu)
-        nu_star = np.full_like(grid, nu)
+        upper_raw = grid * limit[0]
+        mu_star = np.full_like(grid, mu[0])
+        nu_star = np.full_like(grid, nu[0])
         mode = "uniform-bc"
     else:
-        mat = np.asarray(boot_rows)  # (n_kept, n_grid)
-        interior = grid > 0.0
-        if grid[-1] >= 1.0:
-            interior &= grid < 1.0
-        if np.all(mat[:, interior] == mat[0, interior]):
-            raise BootstrapDegenerate("all bootstrap curves are identical")
-        mu_star = (mat <= point_raw[None, :]).mean(axis=0)
-        nu_star = bc_level(mu_star, alpha, n_kept)
-        srt = np.sort(mat, axis=0)
-        upper_raw = np.array([_quantile_higher(srt[:, j], nu_star[j])
-                              for j in range(grid.shape[0])])
+        upper_raw, mu_star, nu_star = limit, mu, nu
         mode = "pointwise-bc"
 
     point = np.clip(point_raw, 0.0, 1.0)

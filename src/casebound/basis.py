@@ -139,9 +139,9 @@ class BasisSpec:
         return names
 
 
-def _quantile_knots(col: np.ndarray, m: int) -> np.ndarray:
+def _quantile_knots(col: np.ndarray, m: int, counts: np.ndarray | None) -> np.ndarray:
     probs = np.arange(1, m + 1) / (m + 1)
-    knots = np.quantile(col, probs)
+    knots = np.quantile(col if counts is None else np.repeat(col, counts), probs)
     lo, hi = col.min(), col.max()
     full = np.concatenate([[lo], knots, [hi]])
     if np.any(np.diff(full) <= 0):
@@ -151,8 +151,9 @@ def _quantile_knots(col: np.ndarray, m: int) -> np.ndarray:
     return knots
 
 
-def _spline_columns(col: np.ndarray, term: CubicSplineTerm) -> np.ndarray:
-    inner = _quantile_knots(col, term.inner_knots)
+def _spline_columns(col: np.ndarray, term: CubicSplineTerm,
+                    counts: np.ndarray | None) -> np.ndarray:
+    inner = _quantile_knots(col, term.inner_knots, counts)
     lo, hi = col.min(), col.max()
     knots = np.concatenate([[lo] * _SPLINE_ORDER, inner, [hi] * _SPLINE_ORDER])
     nbasis = term.n_terms()
@@ -166,12 +167,15 @@ def _spline_columns(col: np.ndarray, term: CubicSplineTerm) -> np.ndarray:
     return out
 
 
-def build_basis(x: np.ndarray, spec: BasisSpec) -> np.ndarray:
+def build_basis(x: np.ndarray, spec: BasisSpec,
+                counts: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the basis at the rows of x, returning an (n, J) matrix.
 
     Columns are ordered by (covariate index, term index), then interaction
     pairs in lexicographic order.  Raises DegenerateColumn if any column is
-    constant.
+    constant.  `counts`, if given, holds each row's integer frequency: the
+    spline knots are then the quantiles of the rows repeated that often, so
+    the basis equals that of the expanded sample row for row.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -188,7 +192,7 @@ def build_basis(x: np.ndarray, spec: BasisSpec) -> np.ndarray:
         elif isinstance(term, Polynomial):
             blocks.append(np.column_stack([col ** d for d in range(1, term.degree + 1)]))
         else:
-            blocks.append(_spline_columns(col, term))
+            blocks.append(_spline_columns(col, term, counts))
     if spec.interactions:
         k = spec.n_covariates
         inter = [x[:, i] * x[:, j] for i in range(k) for j in range(i + 1, k)]

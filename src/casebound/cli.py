@@ -18,7 +18,7 @@ import time
 
 import click
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import __version__
 from .attributable_risk import ar_curve
@@ -206,7 +206,7 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
             raise ValidationError("alpha must lie in (0, 0.5]")
         data = _load_dataset(input_path, design, y_col, t_col, x_cols, h0)
         spec = _parse_basis(basis, data.n_covariates, interactions)
-        z = norm.ppf(1.0 - alpha)
+        z = ndtri(1.0 - alpha)
         strata = (0, 1) if data.design is Design.CASE_CONTROL else (0,)
         nuis = fit_nuisances(data, spec)
         estimates = {y: estimate_beta_combined(data, spec, y, nuis) for y in strata}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -247,12 +248,14 @@ class ObservedLaw:
     def n_cells(self) -> int:
         return self.pi.shape[2]
 
-    @property
+    @cached_property
     def pyx(self) -> np.ndarray:
-        """Pr(Y=1 | X=x) by the Bayes rule from fxy and h0."""
+        """Pr(Y=1 | X=x) by the Bayes rule from fxy and h0, computed once."""
         num = self.h0 * self.fxy[1]
         den = num + (1.0 - self.h0) * self.fxy[0]
-        return num / den
+        out = num / den
+        out.setflags(write=False)
+        return out
 
 
 def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:

@@ -12,7 +12,7 @@ stratum logistic fits of T on the basis.  Every estimate is read off it:
   reports the interacted fit's se, sqrt(c'V1c + c'V0c), from the two
   stratum fits' covariances; "plugin" adds the sampling variance of the
   stratum-y mean, which makes it the plug-in's own influence-function se.
-* kappa(y) is the stratum mean of the fitted odds ratio.
+* kappa(y) is the stratum mean of the fitted odds ratio exp{X~'(b1 - b0)}.
 
 The nonparametric efficient influence function (`eif_record`,
 `eif_variance`) is kept as a diagnostic of the efficiency bound.  It is
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .basis import BasisSpec, build_basis
 from .errors import NuisanceProbabilityOutOfRange, ValidationError
@@ -90,6 +90,9 @@ class NuisanceFit:
     prospective basis, it also holds pi0, pi1 (Pr(T=1|Y=y, x) for y=0, 1)
     and py (Pr(Y=1|x)) at every row, clipped into [CLIP, 1 - CLIP], and the
     number of values the clipping touched; otherwise those are None and 0.
+    counts: the rows' integer frequency weights, or None for one each.  The
+    attributable-risk read-outs take counts-weighted stratum means; the
+    beta(y) and kappa(y) read-outs need an unweighted fit.
     """
 
     cols: np.ndarray
@@ -99,6 +102,7 @@ class NuisanceFit:
     pi1: np.ndarray | None = None
     py: np.ndarray | None = None
     n_clipped: int = 0
+    counts: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -122,46 +126,59 @@ class EIFRecord:
         return float(np.mean(self.values ** 2) / n)
 
 
-def _design_columns(data: ObservedDataset, spec: BasisSpec) -> np.ndarray:
+def _design_columns(data: ObservedDataset, spec: BasisSpec,
+                    counts: np.ndarray | None) -> np.ndarray:
     if spec.n_covariates != data.n_covariates:
         raise ValidationError("basis spec does not match the dataset's covariates")
-    cols = build_basis(data.x, spec)
+    cols = build_basis(data.x, spec, counts)
     mask = spec.intercept_safe_mask()
     return cols[:, mask]
 
 
-def _clipped(name: str, p: np.ndarray) -> tuple[np.ndarray, int]:
+def _clipped(name: str, p: np.ndarray,
+             counts: np.ndarray | None) -> tuple[np.ndarray, int]:
     if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
         raise NuisanceProbabilityOutOfRange(
             f"fitted {name} probabilities leave [0, 1] or are not finite")
     clipped = np.clip(p, CLIP, 1.0 - CLIP)
-    return clipped, int(np.sum(clipped != p))
+    touched = clipped != p
+    return clipped, int(np.sum(touched) if counts is None else np.sum(counts[touched]))
 
 
 def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
-                  prospective_spec: BasisSpec | None = None) -> NuisanceFit:
+                  prospective_spec: BasisSpec | None = None,
+                  counts: np.ndarray | None = None) -> NuisanceFit:
     """Fit T on the `spec` basis within each stratum and, given a
     prospective basis, Y on it, with every fitted probability evaluated at
-    every row and clipped."""
-    cols = _design_columns(data, spec)
+    every row and clipped.
+
+    `counts`, if given, are integer frequency weights: each row stands for
+    that many copies of itself, in the fits, the spline knots and the clip
+    count alike.
+    """
+    cols = _design_columns(data, spec, counts)
     mask0 = data.stratum(0)
     mask1 = data.stratum(1)
-    fit0 = fit_logit(data.t[mask0], cols[mask0])
-    fit1 = fit_logit(data.t[mask1], cols[mask1])
+    w0 = None if counts is None else counts[mask0]
+    w1 = None if counts is None else counts[mask1]
+    fit0 = fit_logit(data.t[mask0], cols[mask0], w0)
+    fit1 = fit_logit(data.t[mask1], cols[mask1], w1)
     if prospective_spec is None:
-        return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1)
-    pcols = _design_columns(data, prospective_spec)
-    pfit = fit_logit(data.y, pcols)
-    pi1, c1 = _clipped("Pi(1|1,x)", fit1.predict(cols))
-    pi0, c0 = _clipped("Pi(1|0,x)", fit0.predict(cols))
-    py, c2 = _clipped("Pr(Y=1|x)", pfit.predict(pcols))
+        return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1, counts=counts)
+    pcols = _design_columns(data, prospective_spec, counts)
+    pfit = fit_logit(data.y, pcols, counts)
+    pi1, c1 = _clipped("Pi(1|1,x)", fit1.predict(cols), counts)
+    pi0, c0 = _clipped("Pi(1|0,x)", fit0.predict(cols), counts)
+    py, c2 = _clipped("Pr(Y=1|x)", pfit.predict(pcols), counts)
     return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1, pi0=pi0, pi1=pi1, py=py,
-                       n_clipped=c1 + c0 + c2)
+                       n_clipped=c1 + c0 + c2, counts=counts)
 
 
 def _read_out(data: ObservedDataset, nuis: NuisanceFit, y_stratum: int):
     """beta(y) = c'(b1 - b0), the stratum fits' variance c'V1c + c'V0c, and
     the fitted log odds ratio at every stratum-y row."""
+    if nuis.counts is not None:
+        raise ValidationError("beta(y) and kappa(y) are read off an unweighted fit")
     phi = nuis.cols[data.stratum(y_stratum)]
     gap = nuis.fit1.coef - nuis.fit0.coef
     c = np.concatenate([[1.0], phi.mean(axis=0)])
@@ -212,7 +229,8 @@ def _log_odds_ratio(pi0: np.ndarray, pi1: np.ndarray) -> np.ndarray:
 
 def estimate_kappa(data: ObservedDataset, spec: BasisSpec, y_stratum: int,
                    prospective_spec: BasisSpec | None = None) -> BetaEstimate:
-    """Level-scale aggregate kappa(y): stratum mean of the fitted odds ratio.
+    """Level-scale aggregate kappa(y): stratum mean of the fitted odds ratio
+    exp{X~'(b1 - b0)}, the exact linear-predictor gap that beta(y) averages.
 
     Its se is still the efficient-influence-function (efficiency-bound) se,
     with the prospective model on `spec` unless `prospective_spec` is given.
@@ -223,9 +241,7 @@ def estimate_kappa(data: ObservedDataset, spec: BasisSpec, y_stratum: int,
     if y_stratum not in (0, 1):
         raise ValidationError("y_stratum must be 0 or 1")
     nuis = fit_nuisances(data, spec, spec if prospective_spec is None else prospective_spec)
-    # unclipped: the clipping only guards the influence function's ratios
-    lor = _log_odds_ratio(nuis.fit0.predict(nuis.cols), nuis.fit1.predict(nuis.cols))
-    value = float(np.mean(np.exp(lor[data.stratum(y_stratum)])))
+    value = float(np.mean(np.exp(_read_out(data, nuis, y_stratum)[2])))
     var = eif_variance(data, nuis, y_stratum, scale="level")
     return BetaEstimate(y_stratum=y_stratum, value=value, se=float(np.sqrt(var)),
                         method="plugin", scale="level")
@@ -324,10 +340,10 @@ def rr_band(beta0: BetaEstimate, beta1: BetaEstimate | None, alpha: float,
     if design is Design.CASE_CONTROL:
         if beta1 is None or beta1.scale != "log" or beta1.y_stratum != 1:
             raise ValidationError("case-control bands need a log-scale stratum-1 estimate")
-        u = float(norm.ppf(1.0 - alpha / 2.0) * max(beta1.se, beta0.se))
+        u = float(ndtri(1.0 - alpha / 2.0) * max(beta1.se, beta0.se))
         log_point = grid * beta1.value + (1.0 - grid) * beta0.value
     else:
-        u = float(norm.ppf(1.0 - alpha) * beta0.se)
+        u = float(ndtri(1.0 - alpha) * beta0.se)
         log_point = np.full_like(grid, beta0.value)
     point = np.maximum(np.exp(log_point), 1.0)
     upper = np.maximum(np.exp(log_point + u), 1.0)

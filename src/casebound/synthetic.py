@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from .basis import BasisSpec
 from .errors import CaseboundError, OverlapViolation, ValidationError
@@ -215,7 +214,7 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
                 values[(name, est.y_stratum)].append(est.value)
                 ses[(name, est.y_stratum)].append(est.se)
 
-    z = float(norm.ppf(1.0 - alpha))
+    z = float(ndtri(1.0 - alpha))
     cells = []
     for name in estimators:
         for y in (0, 1):

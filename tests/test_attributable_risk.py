@@ -11,8 +11,15 @@ from casebound.attributable_risk import (
     estimate_xi_cp,
     upper_bound_curve_values,
 )
-from casebound.basis import BasisSpec
-from casebound.errors import BootstrapDegenerate, SeparationDetected, ValidationError
+from casebound.basis import BasisSpec, CubicSplineTerm, Linear
+from casebound.errors import (
+    BootstrapDegenerate,
+    CaseboundError,
+    DegenerateColumn,
+    EmptyStratum,
+    SeparationDetected,
+    ValidationError,
+)
 from casebound.fixtures import mc_defaults
 from casebound.model import Design, ObservedDataset
 from casebound.oracle import (
@@ -22,8 +29,8 @@ from casebound.oracle import (
     upper_bound_ar,
     xi_cp,
 )
-from casebound.relative_risk import estimate_kappa, fit_nuisances
-from casebound.rng import RngSpec
+from casebound.relative_risk import estimate_kappa, fit_nuisances, p_grid
+from casebound.rng import RngSpec, resample_indices
 from casebound.synthetic import draw_mc_sample, parametric_spec
 
 D1, D2 = Design.CASE_CONTROL, Design.CASE_POPULATION
@@ -34,14 +41,14 @@ COUNTS_D1 = {(0, 0, 0.0): 30, (0, 0, 1.0): 20, (0, 1, 0.0): 10, (0, 1, 1.0): 40,
              (1, 0, 0.0): 15, (1, 0, 1.0): 10, (1, 1, 0.0): 25, (1, 1, 1.0): 50}
 
 
-def expand(counts, design):
+def expand(counts, design, h0=None):
     ys, ts, xs = [], [], []
     for (y, t, x), n in counts.items():
         ys += [y] * n
         ts += [t] * n
         xs += [x] * n
     return ObservedDataset(y=np.array(ys), t=np.array(ts),
-                           x=np.array(xs)[:, None], design=design)
+                           x=np.array(xs)[:, None], design=design, h0=h0)
 
 
 def law_from_counts(counts, design):
@@ -183,11 +190,15 @@ def test_curve_deterministic_across_runs():
 
 def test_stratified_resampling_keeps_stratum_sizes():
     data = expand(COUNTS_D1, D1)
-    gen = RngSpec(4).derive("ar-bootstrap", 0)
-    boot = ar_mod._resample(data, gen, "stratified")
-    assert np.array_equal(boot.y, data.y)
-    boot_iid = ar_mod._resample(data, RngSpec(4).derive("ar-bootstrap", 1), "iid")
-    assert boot_iid.n == data.n
+    patterns, inverse = ar_mod._patterns(data)
+    assert patterns.shape[0] == len(COUNTS_D1)
+    counts = ar_mod._replicate_counts(RngSpec(4).derive("ar-bootstrap", 0), data.y,
+                                      inverse, patterns.shape[0], "stratified")
+    for s in (0, 1):
+        assert counts[patterns[:, 0] == s].sum() == np.sum(data.y == s)
+    counts_iid = ar_mod._replicate_counts(RngSpec(4).derive("ar-bootstrap", 1), data.y,
+                                          inverse, patterns.shape[0], "iid")
+    assert counts_iid.sum() == data.n
 
 
 def test_bootstrap_degenerate_raises(monkeypatch):
@@ -213,3 +224,92 @@ def test_failed_replicates_dropped_and_counted(monkeypatch):
     curve, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert diag.n_dropped == 3
     assert diag.n_kept == 197
+
+
+# --- the weighted replicate engine against the expanded rows -----------------
+
+
+def expanded_replicate(data, gen, mode, pspec, rspec, grid):
+    """One replicate the way resampling the rows computes it: draw indices,
+    build the resampled data set, refit it unweighted, and read off xi or
+    the curve one p at a time."""
+    idx = resample_indices(gen, data.n) if mode == "iid" else np.arange(data.n)
+    if mode == "stratified":
+        for s in (0, 1):
+            rows = np.flatnonzero(data.y == s)
+            idx[rows] = rows[resample_indices(gen, rows.size)]
+    bdata = ObservedDataset(y=data.y[idx], t=data.t[idx], x=data.x[idx],
+                            design=data.design,
+                            h0=None if data.h0_estimated else data.h0)
+    nuis = fit_nuisances(bdata, rspec, pspec)
+    if data.design is D2:
+        return np.array([estimate_xi_cp(bdata, pspec, rspec, nuis)]), nuis.n_clipped
+    curve = [(1.0 - p) * estimate_beta_ar(bdata, pspec, rspec, p, 0, nuis)
+             + p * estimate_beta_ar(bdata, pspec, rspec, p, 1, nuis) for p in grid]
+    return np.array(curve), nuis.n_clipped
+
+
+def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
+    grid = p_grid(pbar, step)
+    patterns, inverse = ar_mod._patterns(data)
+    rng = RngSpec(seed)
+    kept = dropped = clipped = 0
+    for b in range(B):
+        counts = ar_mod._replicate_counts(rng.derive("ar-bootstrap", b), data.y,
+                                          inverse, patterns.shape[0], mode)
+        try:
+            want, want_clipped = expanded_replicate(data, rng.derive("ar-bootstrap", b),
+                                                    mode, pspec, rspec, grid)
+        except CaseboundError as exc:
+            with pytest.raises(type(exc)):
+                ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
+            dropped += 1
+            continue
+        got, got_clipped = ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert got_clipped == want_clipped
+        kept += 1
+        clipped += got_clipped
+    _, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=B, seed=seed, step=step,
+                       resample_mode=mode)
+    assert (diag.n_kept, diag.n_dropped, diag.n_clipped_boot) == (kept, dropped, clipped)
+    return diag
+
+
+@pytest.mark.parametrize("mode", ["iid", "stratified"])
+@pytest.mark.parametrize("h0", [None, 0.3])
+def test_weighted_replicates_equal_expanded_rows_case_control(h0, mode):
+    data = expand(COUNTS_D1, D1, h0)
+    assert data.h0_estimated is (h0 is None)
+    assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.1, B=200, seed=7, mode=mode)
+
+
+def test_weighted_replicates_equal_expanded_rows_spline_case_population():
+    # the spline draw of the case-population benchmark: every row distinct,
+    # knots per replicate, and replicates dropped on separation
+    drawn = draw_mc_sample(mc_defaults(), RngSpec(20240501).derive("mc-replicate", 0))
+    data = ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D2)
+    rspec = BasisSpec((CubicSplineTerm(3),) + (Linear(),) * 4)
+    diag = assert_replicates_match(data, BasisSpec.linear(5), rspec, pbar=0.15,
+                                   step=0.01, B=200, seed=1, mode="iid")
+    assert diag.n_dropped > 0 and diag.n_clipped_boot > 0
+
+
+@pytest.mark.parametrize("h0", [None, 0.3])
+@pytest.mark.parametrize("kept, error", [
+    (lambda pat: pat[:, 2] == 0.0, DegenerateColumn),   # covariate level x=1 lost
+    (lambda pat: pat[:, 0] == 0.0, EmptyStratum),       # stratum y=1 lost
+])
+def test_replicate_failures_match_expanded_rows(h0, kept, error):
+    data = expand(COUNTS_D1, D1, h0)
+    patterns, _ = ar_mod._patterns(data)
+    counts = np.array([COUNTS_D1[(int(y), int(t), x)] for y, t, x in patterns])
+    counts[~kept(patterns)] = 0
+    with pytest.raises(error):
+        ar_mod._replicate(data, patterns, counts, LIN, LIN, p_grid(0.6, 0.1))
+    rows = np.repeat(patterns, counts, axis=0)
+    with pytest.raises(error):
+        bdata = ObservedDataset(y=rows[:, 0].astype(int), t=rows[:, 1].astype(int),
+                                x=rows[:, 2:], design=D1,
+                                h0=None if data.h0_estimated else data.h0)
+        fit_nuisances(bdata, LIN, LIN)

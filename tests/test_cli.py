@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -183,3 +186,17 @@ def test_mc_writes_summary(runner, tmp_path):
     doc = json.loads((out / "mc_summary.json").read_text())
     assert doc["schema_version"] == 1
     assert len(doc["cells"]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second and 20 MB at startup; the normal
+    # cdf and quantile come from scipy.special instead
+    import casebound
+
+    src = os.path.dirname(os.path.dirname(casebound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, casebound.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+

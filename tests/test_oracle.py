@@ -381,6 +381,14 @@ def test_aggregation_identity_exact():
 # --- the formula kernel ---------------------------------------------------------
 
 
+def test_pyx_computed_once_per_law():
+    law = project(random_population(RngSpec(5).derive("kernel-pop"), n_cells=4), D1, 0.4)
+    num = law.h0 * law.fxy[1]
+    assert np.array_equal(law.pyx, num / (num + (1.0 - law.h0) * law.fxy[0]))
+    assert law.pyx is law.pyx
+    assert not law.pyx.flags.writeable
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 6),
        p=st.floats(0.0, 1.0), h0=st.floats(0.05, 0.95), design=st.sampled_from([D1, D2]))
 @settings(max_examples=100, deadline=None)

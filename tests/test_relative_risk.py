@@ -201,6 +201,26 @@ def test_kappa_no_covariates_equals_table_odds_ratio():
     assert est.scale == "level"
 
 
+def test_kappa_is_mean_exp_of_linear_predictor_gap():
+    # kappa(y) averages exp of the same gap X~'(b1 - b0) whose mean is beta(y),
+    # with no round trip through the fitted probabilities
+    design = mc_defaults()
+    data = draw_mc_sample(design, RngSpec(20240501).derive("mc-replicate", 0))
+    for spec in (parametric_spec(design), sieve_spec(design)):
+        nuis = fit_nuisances(data, spec)
+        for y in (0, 1):
+            lor = rr_mod._read_out(data, nuis, y)[2]
+            kappa = estimate_kappa(data, spec, y).value
+            assert kappa == pytest.approx(float(np.mean(np.exp(lor))), rel=1e-14, abs=0)
+
+
+def test_weighted_fit_is_not_read_as_beta():
+    data = count_table("university_private_school").to_dataset(D1)
+    nuis = fit_nuisances(data, BasisSpec.empty(), counts=np.ones(data.n, dtype=np.intp))
+    with pytest.raises(ValidationError):
+        estimate_beta_combined(data, BasisSpec.empty(), 1, nuis)
+
+
 def test_kappa_jensen_ordering():
     design = mc_defaults()
     rng = RngSpec(107)

@@ -6,6 +6,14 @@ on the Bernoulli log-likelihood, an intercept added internally, coefficient
 covariance equal to the inverse observed information at the optimum, and a
 hard error on separation instead of silent shrinkage (an opt-in 1e-8 ridge
 is available and flagged in the result).
+
+Each Newton step factorises the information matrix with LAPACK's ``dpotrf``
+and solves with ``dpotrs``, called directly with the arguments that
+``scipy.linalg.cho_factor``/``cho_solve`` pass them, so the factor and every
+solve are the same to the last bit; skipping the wrappers' argument handling
+is what keeps a fit of a few collapsed rows cheap.  A non-finite gradient or
+information matrix (a finite but huge covariate can overflow X'WX) raises
+`Singular` rather than an untyped error.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 from .errors import NotConverged, SeparationDetected, Singular, ValidationError
@@ -57,7 +65,15 @@ class LogitFit:
 
 def _loglik(eta: np.ndarray, t: np.ndarray, w: np.ndarray) -> float:
     # sum w * [t*eta - log(1 + exp(eta))], stable at large |eta|
-    return float(np.sum(w * (t * eta - np.logaddexp(0.0, eta))))
+    return float((w * (t * eta - np.logaddexp(0.0, eta))).sum())
+
+
+def _solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve info @ x = rhs from dpotrf's upper factor."""
+    x, status = dpotrs(chol, rhs, lower=False)
+    if status != 0:
+        raise RuntimeError(f"dpotrs: illegal value in argument {-status}")
+    return x
 
 
 def fit_logit(response: np.ndarray, design: np.ndarray,
@@ -116,25 +132,32 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
             p = expit(eta)
             grad = X.T @ (w * (t - p)) - ridge * coef
             sw = w * p * (1.0 - p)
-            info = (X * sw[:, None]).T @ X + ridge * np.eye(ncol)
-            try:
-                chol = cho_factor(info)
-            except np.linalg.LinAlgError:
-                raise Singular("observed information is not invertible") from None
-            if np.max(np.abs(grad)) <= tol:
-                if np.max(np.abs(coef)) > bound:
+            info = (X * sw[:, None]).T @ X
+            if ridge > 0:
+                info += ridge * np.eye(ncol)
+            if not np.isfinite(info).all():
+                raise Singular("observed information is not finite")
+            if not np.isfinite(grad).all():
+                raise Singular("gradient is not finite")
+            chol, status = dpotrf(info, lower=False, overwrite_a=False, clean=False)
+            if status > 0:
+                raise Singular("observed information is not invertible")
+            if status < 0:
+                raise RuntimeError(f"dpotrf: illegal value in argument {-status}")
+            if abs(grad).max() <= tol:
+                if abs(coef).max() > bound:
                     raise SeparationDetected(
                         f"coefficients exceeded {bound:g}; data look separated")
                 if polished:
-                    cov = cho_solve(chol, np.eye(ncol))
+                    cov = _solve(chol, np.eye(ncol))
                     cov = 0.5 * (cov + cov.T)
                     return LogitFit(coef=coef, cov=cov, converged=True,
                                     iterations=it - 1, loglik=ll,
                                     ridge_used=ridge > 0)
                 # one extra Newton step sharpens the optimum well past tol
                 polished = True
-            step = cho_solve(chol, grad)
-            if not np.all(np.isfinite(step)):
+            step = _solve(chol, grad)
+            if not np.isfinite(step).all():
                 raise Singular("Newton step is not finite")
             # step-halving keeps the log-likelihood non-decreasing
             scale = 1.0
@@ -146,7 +169,7 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
                     break
                 scale *= 0.5
             coef, eta, ll = cand, eta_c, ll_c
-            if np.max(np.abs(coef)) > bound:
+            if abs(coef).max() > bound:
                 raise SeparationDetected(
                     f"coefficients exceeded {bound:g}; data look separated")
         raise NotConverged(f"no convergence in {max_iter} Newton iterations")

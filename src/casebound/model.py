@@ -58,10 +58,12 @@ def _as_binary(a, name: str) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    vals = np.unique(arr)
-    if not np.all(np.isin(vals, (0, 1))):
+    binary = (arr == 0) | (arr == 1)
+    if not binary.all():
+        # first distinct offenders in row order: no sort, so any dtype works
+        bad = list(dict.fromkeys(repr(v) for v in arr[~binary].tolist()))
         raise NonBinaryOutcome(f"{name} contains values outside {{0, 1}}: "
-                               f"{[v for v in vals if v not in (0, 1)][:5]}")
+                               f"{', '.join(bad[:5])}")
     return arr.astype(np.int8)
 
 

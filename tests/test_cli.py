@@ -123,6 +123,19 @@ def test_rr_one_class_stratum_exits_2(runner, tmp_path):
     assert "both response classes must be present" in result.output
 
 
+def test_rr_overflowing_information_exits_3(runner, tmp_path):
+    # finite covariates whose squares overflow the stratum fits' X'WX
+    path = tmp_path / "huge.csv"
+    path.write_text("y,t,x1\n1,0,1e200\n1,1,-2e200\n1,0,3e200\n1,1,-1e200\n"
+                    "0,0,2e200\n0,1,-3e200\n0,1,1e200\n0,0,-2e200\n")
+    with np.errstate(over="ignore"):
+        result = runner.invoke(main, [
+            "rr", "--input", str(path), "--design", "case-control",
+            "--y-col", "y", "--t-col", "t", "--x-cols", "x1"])
+    assert result.exit_code == 3, result.output
+    assert "error: observed information is not finite" in result.output
+
+
 def test_ar_case_population_grid(runner, tmp_path):
     path = write_case_population_csv(tmp_path / "cp.csv")
     out = tmp_path / "arout"

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit
 
-from casebound.errors import SeparationDetected, Singular, ValidationError
-from casebound.fixtures import count_table
-from casebound.logit import fit_logit
+from casebound.basis import build_basis
+from casebound.errors import NotConverged, SeparationDetected, Singular, ValidationError
+from casebound.fixtures import count_table, mc_defaults
+from casebound.logit import RIDGE, LogitFit, fit_logit
 from casebound.model import Design
 from casebound.rng import RngSpec, bernoulli
+from casebound.synthetic import draw_mc_sample, parametric_spec, sieve_spec
 
 
 def _toy(seed=0, n=400, k=3):
@@ -133,3 +137,165 @@ def test_deterministic():
     f2 = fit_logit(t, x)
     assert np.array_equal(f1.coef, f2.coef)
     assert np.array_equal(f1.cov, f2.cov)
+
+
+def test_non_finite_information_is_singular():
+    # finite covariates whose squares overflow X'WX
+    x = np.array([1e200, -2e200, 3e200, -1e200, 2e200, -3e200, 1e200, -2e200])
+    t = np.array([0, 1, 0, 1, 0, 1, 1, 0])
+    with pytest.raises(Singular, match="observed information is not finite"):
+        with np.errstate(over="ignore"):
+            fit_logit(t, x)
+
+
+# --- the Newton kernel against a reference copy on scipy's Cholesky wrappers ---
+
+def _reference_fit(response, design, weights=None, ridge_on_separation=False):
+    """fit_logit's Newton loop as written on scipy.linalg.cho_factor and
+    cho_solve, with fit_logit's default tolerances; validation omitted."""
+    t = np.asarray(response, dtype=float)
+    design = np.asarray(design, dtype=float)
+    if design.ndim == 1:
+        design = design[:, None]
+    n = t.shape[0]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    wt_total = float(w.sum())
+    ncol = design.shape[1] + 1
+    X = np.column_stack([np.ones(n), design])
+
+    def loglik(eta):
+        return float(np.sum(w * (t * eta - np.logaddexp(0.0, eta))))
+
+    def newton(ridge, bound):
+        coef = np.zeros(ncol)
+        eta = X @ coef
+        ll = loglik(eta) - 0.5 * ridge * coef @ coef
+        tol = 1e-8 * wt_total
+        polished = False
+        for it in range(1, 101):
+            p = expit(eta)
+            grad = X.T @ (w * (t - p)) - ridge * coef
+            sw = w * p * (1.0 - p)
+            info = (X * sw[:, None]).T @ X + ridge * np.eye(ncol)
+            try:
+                chol = cho_factor(info)
+            except np.linalg.LinAlgError:
+                raise Singular("observed information is not invertible") from None
+            if np.max(np.abs(grad)) <= tol:
+                if np.max(np.abs(coef)) > bound:
+                    raise SeparationDetected("separated")
+                if polished:
+                    cov = cho_solve(chol, np.eye(ncol))
+                    cov = 0.5 * (cov + cov.T)
+                    return LogitFit(coef=coef, cov=cov, converged=True,
+                                    iterations=it - 1, loglik=ll,
+                                    ridge_used=ridge > 0)
+                polished = True
+            step = cho_solve(chol, grad)
+            if not np.all(np.isfinite(step)):
+                raise Singular("Newton step is not finite")
+            scale = 1.0
+            for _ in range(40):
+                cand = coef + scale * step
+                eta_c = X @ cand
+                ll_c = loglik(eta_c) - 0.5 * ridge * cand @ cand
+                if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
+                    break
+                scale *= 0.5
+            coef, eta, ll = cand, eta_c, ll_c
+            if np.max(np.abs(coef)) > bound:
+                raise SeparationDetected("separated")
+        raise NotConverged("no convergence")
+
+    try:
+        return newton(0.0, 250.0)
+    except SeparationDetected:
+        if not ridge_on_separation:
+            raise
+        return newton(RIDGE, np.inf)
+
+
+def _mc_stratum(spec_of, interacted=False):
+    """Stratum-0 treatment fit of one mc_defaults() draw on a spec's basis,
+    or the interacted fit of both strata."""
+    design = mc_defaults()
+    data = draw_mc_sample(design, RngSpec(20240501).derive("mc-replicate", 0))
+    spec = spec_of(design)
+    cols = build_basis(data.x, spec)[:, spec.intercept_safe_mask()]
+    if interacted:
+        g = data.y.astype(float)[:, None]
+        return data.t, np.column_stack([g, cols, cols * g]), None
+    keep = data.y == 0
+    return data.t[keep], cols[keep], None
+
+
+def _kernel_case(name):
+    if name == "J1_unweighted":
+        x, t = _toy(seed=23, k=1)
+        return t, x, None
+    if name == "J1_weighted":
+        x, t = _toy(seed=29, n=60, k=1)
+        return t, x, RngSpec(29).derive("w").integers(0, 6, 60).astype(float)
+    if name == "J5_unweighted":
+        gen = RngSpec(31).derive("j5")
+        x = gen.standard_normal((500, 5))
+        return bernoulli(gen, expit(0.3 + x @ np.linspace(-0.6, 0.6, 5))), x, None
+    if name == "J5_weighted":
+        gen = RngSpec(37).derive("j5w")
+        x = gen.standard_normal((200, 5))
+        t = bernoulli(gen, expit(-0.2 + x @ np.linspace(0.5, -0.5, 5)))
+        return t, x, gen.integers(1, 4, 200).astype(float)
+    if name == "J5_mc_parametric":
+        return _mc_stratum(parametric_spec)
+    if name == "J11_mc_parametric_interacted":
+        return _mc_stratum(parametric_spec, interacted=True)
+    if name == "J20_mc_sieve":
+        return _mc_stratum(sieve_spec)
+    if name == "J41_mc_sieve_interacted":
+        return _mc_stratum(sieve_spec, interacted=True)
+    if name == "ar_cc_pattern":
+        # one stratum of a case-control bootstrap replicate: four (t, x)
+        # patterns weighted by their draw counts
+        return (np.array([0, 0, 1, 1]), np.array([0.0, 1.0, 0.0, 1.0]),
+                np.array([412.0, 297.0, 188.0, 303.0]))
+    raise KeyError(name)
+
+
+_KERNEL_CASES = ("J1_unweighted", "J1_weighted", "J5_unweighted", "J5_weighted",
+                 "J5_mc_parametric", "J11_mc_parametric_interacted", "J20_mc_sieve",
+                 "J41_mc_sieve_interacted", "ar_cc_pattern")
+
+
+def _assert_bit_identical(fit, ref):
+    assert np.array_equal(fit.coef, ref.coef)
+    assert np.array_equal(fit.cov, ref.cov)
+    assert fit.loglik == ref.loglik
+    assert fit.iterations == ref.iterations
+    assert fit.ridge_used == ref.ridge_used
+
+
+@pytest.mark.parametrize("name", _KERNEL_CASES)
+def test_kernel_bit_identical_to_scipy_cholesky(name):
+    t, x, w = _kernel_case(name)
+    _assert_bit_identical(fit_logit(t, x, w), _reference_fit(t, x, w))
+
+
+def test_kernel_bit_identical_after_ridge_restart():
+    x = np.linspace(-2, 2, 40)[:, None]
+    t = (x[:, 0] > 0).astype(int)
+    fit = fit_logit(t, x, ridge_on_separation=True)
+    assert fit.ridge_used
+    _assert_bit_identical(fit, _reference_fit(t, x, ridge_on_separation=True))
+
+
+def test_kernel_failure_classes_match_reference():
+    x, t = _toy(seed=13, k=2)
+    doubled = np.column_stack([x, x[:, 0]])
+    separated_x = np.linspace(-2, 2, 40)[:, None]
+    separated_t = (separated_x[:, 0] > 0).astype(int)
+    for exc, args in ((Singular, (t, doubled)),
+                      (SeparationDetected, (separated_t, separated_x))):
+        with pytest.raises(exc):
+            _reference_fit(*args)
+        with pytest.raises(exc):
+            fit_logit(*args)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,27 @@ def test_swap_invariance(a, b, c, d):
 def test_product_margins_give_unit_odds_ratio(r0, r1, c0, c1):
     table = CountTable2x2(r0 * c0, r0 * c1, r1 * c0, r1 * c1)
     assert odds_ratio_2x2(table) == 1.0
+
+
+@pytest.mark.parametrize("y, shown", [
+    (np.array(["1", "0", "1", "0"]), "'1', '0'"),
+    (np.array([1.0, 0.0, np.nan, 0.0]), "nan"),
+    (np.array([1, 0, None, 0], dtype=object), "None"),
+    (np.array([2, 0, 2, 3]), "2, 3"),
+])
+def test_non_binary_outcome_names_offending_values(y, shown):
+    message = re.escape(f"y contains values outside {{0, 1}}: {shown}") + "$"
+    with pytest.raises(NonBinaryOutcome, match=message):
+        ObservedDataset(y=y, t=np.array([0, 1, 0, 1]), x=np.zeros((4, 1)),
+                        design=Design.CASE_CONTROL)
+
+
+def test_boolean_outcome_and_treatment_accepted():
+    data = ObservedDataset(y=np.array([True, False, True, False]),
+                           t=np.array([False, True, True, False]),
+                           x=np.zeros((4, 1)), design=Design.CASE_CONTROL)
+    assert data.y.dtype == np.int8 and data.y.tolist() == [1, 0, 1, 0]
+    assert data.t.tolist() == [0, 1, 1, 0]
 
 
 def test_table_to_dataset_counts():

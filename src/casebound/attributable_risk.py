@@ -26,15 +26,37 @@ estimand, which vanishes at both ends.  The case-control curve is one
 The bootstrap does not rebuild resampled data sets.  The sample is
 collapsed once to a pattern table, its distinct (y, t, x) rows (eight for
 a binary covariate).  Each replicate makes the same `resample_indices`
-draw as resampling the rows would, turns it into pattern counts with
-`np.bincount`, and refits the patterns with a nonzero count through
-`fit_nuisances`, the counts as frequency weights.  Everything the expanded
-resample would judge is judged on that support: an empty stratum raises
-EmptyStratum and a constant basis column DegenerateColumn; an estimated h0
-is the counts-weighted share of cases; spline knots are the quantiles of
-the drawn multiset, recomputed per replicate; the clip count weighs each
-row by its count.  A replicate that raises any CaseboundError is dropped
-and counted, as it would be on the expanded rows.
+draw as resampling the rows would and turns it into pattern counts with
+`np.bincount`; a replicate is a frequency-weighted refit of the patterns
+with its counts.  Everything the expanded resample would judge is judged
+on the replicate's support, the patterns with a nonzero count: an empty
+stratum raises EmptyStratum and a constant basis column DegenerateColumn;
+an estimated h0 is the counts-weighted share of cases; the clip count
+weighs each row by its count.  A replicate that raises any CaseboundError
+is dropped and counted, as it would be on the expanded rows.
+
+Replicates are refitted a block at a time (`_BLOCK`, fewer when the
+pattern table is wide, so memory does not grow with B).  Unless a basis
+has a spline term, the bases are the same for every replicate, so they
+are built once on the pattern table and `_block` refits the whole block
+as three batched Newton fits (`logit.fit_logit_batch`: stratum 0, stratum
+1, the prospective fit), with the curve or xi of every replicate read off
+one (replicate x grid x pattern) array.  A replicate the block cannot
+settle on that common path is flagged, not raised: an empty stratum, a
+basis column constant on its support, a fit that is not ok (including
+one too ill-conditioned for two summation orders to agree, see
+`logit.PIVOT_FLOOR`), a fitted probability outside [0, 1].  Each flagged
+replicate is refitted alone by
+`_replicate`, through `fit_nuisances`, which gives its exact exception
+class and clip count.  Spline knots are the quantiles of each drawn
+multiset, so a spline basis moves with every replicate; then every
+replicate takes `_replicate`, one at a time.  The two paths agree to
+rounding (1e-12 in the tests).
+
+The bias correction counts a replicate as at or below the point
+estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
+reproduce the sample ties with it in exact arithmetic, and its side must
+not be decided by the last bit of either path's rounding.
 """
 
 from __future__ import annotations
@@ -42,14 +64,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import expit, ndtr, ndtri
 
-from .basis import BasisSpec
+from .basis import BasisSpec, CubicSplineTerm, build_basis
 from .errors import BootstrapDegenerate, CaseboundError, ValidationError
 from .logit import fit_logit  # noqa: F401  (perfbench's tracing tests wrap this binding)
+from .logit import fit_logit_batch
 from .model import Design, ObservedDataset
 from .oracle import gamma_ar_formula, r_formula
-from .relative_risk import NuisanceFit, fit_nuisances, p_grid
+from .relative_risk import CLIP, NuisanceFit, fit_nuisances, p_grid
 from .rng import RngSpec, resample_indices
 
 __all__ = [
@@ -62,12 +85,36 @@ __all__ = [
     "bc_level",
 ]
 
+# bootstrap replicates refitted together, and the most (replicate x pattern
+# x max(grid, k^2)) cells one block's arrays may hold
+_BLOCK = 256
+_BLOCK_CELLS = 1 << 17
 
-def _ar_terms(data: ObservedDataset, nuis: NuisanceFit, p) -> np.ndarray:
-    # r(X_i, p) * G_AR(X_i, p) at every row, or for a column of p's at every
-    # (p, row) pair
-    r = r_formula(nuis.py, data.h0, p, data.design)
-    return r * gamma_ar_formula(nuis.pi0, nuis.pi1, r)
+
+def _ar_terms(design: Design, h0, pi0, pi1, py, p) -> np.ndarray:
+    # r(x, p) * G_AR(x, p) from the fitted probabilities at each row; all
+    # arguments broadcast, so one call covers (replicate, p, row) arrays
+    r = r_formula(py, h0, p, design)
+    return r * gamma_ar_formula(pi0, pi1, r)
+
+
+def _curve(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray,
+           grid: np.ndarray) -> np.ndarray:
+    # the case-control UB over the grid from probabilities at the rows (last
+    # axis; any leading axes are replicates), with w-weighted stratum means
+    vals = _ar_terms(design, h0, pi0[..., None, :], pi1[..., None, :],
+                     py[..., None, :], grid[:, None])
+    # C order keeps each row's sum the pairwise sum of a one-p loop
+    mean0, mean1 = ((np.ascontiguousarray(vals[..., m]) * w[..., None, m]).sum(axis=-1)
+                    / w[..., m].sum(axis=-1)[..., None] for m in (~case, case))
+    return (1.0 - grid) * mean0 + grid * mean1
+
+
+def _xi(case: np.ndarray, pi0, pi1, py, w) -> np.ndarray:
+    # the case-population slope from probabilities at the rows (last axis)
+    bracket = py / (1.0 - py) * gamma_ar_formula(pi0, pi1, 0.0)
+    y = case.astype(float)
+    return np.sum((1.0 - y) * bracket * w, axis=-1) / np.sum(y * w, axis=-1)
 
 
 def estimate_beta_ar(data: ObservedDataset, prospective_spec: BasisSpec,
@@ -81,7 +128,8 @@ def estimate_beta_ar(data: ObservedDataset, prospective_spec: BasisSpec,
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
     nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
-    return float(_ar_terms(data, nuis, p)[data.stratum(y_stratum)].mean())
+    vals = _ar_terms(data.design, data.h0, nuis.pi0, nuis.pi1, nuis.py, p)
+    return float(vals[data.stratum(y_stratum)].mean())
 
 
 def estimate_xi_cp(data: ObservedDataset, prospective_spec: BasisSpec,
@@ -97,10 +145,8 @@ def estimate_xi_cp(data: ObservedDataset, prospective_spec: BasisSpec,
     if data.design is not Design.CASE_POPULATION:
         raise ValidationError("xi_CP is a case-population estimand")
     nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
-    bracket = nuis.py / (1.0 - nuis.py) * gamma_ar_formula(nuis.pi0, nuis.pi1, 0.0)
-    y = data.y.astype(float)
     w = 1.0 if nuis.counts is None else nuis.counts
-    return float(np.sum((1.0 - y) * bracket * w) / np.sum(y * w))
+    return float(_xi(data.stratum(1), nuis.pi0, nuis.pi1, nuis.py, w))
 
 
 def upper_bound_curve_values(data: ObservedDataset, prospective_spec: BasisSpec,
@@ -115,13 +161,9 @@ def upper_bound_curve_values(data: ObservedDataset, prospective_spec: BasisSpec,
     nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
     if data.design is Design.CASE_POPULATION:
         return grid * estimate_xi_cp(data, prospective_spec, retrospective_spec, nuis)
-    vals = _ar_terms(data, nuis, grid[:, None])
     w = np.ones(data.n) if nuis.counts is None else nuis.counts.astype(float)
-    mask1 = data.stratum(1)
-    # C order keeps each row's sum the pairwise sum of a one-p loop
-    mean0, mean1 = ((np.ascontiguousarray(vals[:, m]) * w[m]).sum(axis=1) / w[m].sum()
-                    for m in (~mask1, mask1))
-    return (1.0 - grid) * mean0 + grid * mean1
+    return _curve(data.design, data.h0, data.stratum(1), nuis.pi0, nuis.pi1, nuis.py,
+                  w, grid)
 
 
 @dataclass(frozen=True)
@@ -192,6 +234,14 @@ def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
     return np.bincount(inverse[idx], minlength=n_patterns)
 
 
+def _replicate_h0(data: ObservedDataset, case: np.ndarray, counts: np.ndarray):
+    """h0 of replicates with pattern counts (..., patterns): the supplied
+    value, or the counts-weighted share of cases."""
+    if not data.h0_estimated:
+        return data.h0
+    return counts[..., case].sum(axis=-1) / counts.sum(axis=-1)
+
+
 def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
                prospective_spec: BasisSpec, retrospective_spec: BasisSpec,
                grid: np.ndarray) -> tuple[np.ndarray, int]:
@@ -203,9 +253,8 @@ def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     c = counts[keep]
     rows = patterns[keep]
     y = rows[:, 0].astype(np.int8)
-    h0 = int(c[y == 1].sum()) / int(c.sum()) if data.h0_estimated else data.h0
     bdata = ObservedDataset(y=y, t=rows[:, 1].astype(np.int8), x=rows[:, 2:],
-                            design=data.design, h0=h0)
+                            design=data.design, h0=_replicate_h0(data, y == 1, c))
     bnuis = fit_nuisances(bdata, retrospective_spec, prospective_spec, c)
     if data.design is Design.CASE_POPULATION:
         stat = np.array([estimate_xi_cp(bdata, prospective_spec, retrospective_spec, bnuis)])
@@ -213,6 +262,68 @@ def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
         stat = upper_bound_curve_values(bdata, prospective_spec, retrospective_spec,
                                         grid, bnuis)
     return stat, bnuis.n_clipped
+
+
+def _pattern_designs(patterns: np.ndarray, retrospective_spec: BasisSpec,
+                     prospective_spec: BasisSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """The retrospective and prospective [1, basis] at every pattern, shared
+    by all replicates; None if a basis has a spline term, whose knots move
+    with each replicate's draw."""
+    specs = (retrospective_spec, prospective_spec)
+    if any(isinstance(term, CubicSplineTerm) for spec in specs for term in spec.terms):
+        return None
+    ones = np.ones((patterns.shape[0], 1))
+    return tuple(np.hstack([ones, build_basis(patterns[:, 2:], spec)]) for spec in specs)
+
+
+def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
+           designs: tuple[np.ndarray, np.ndarray],
+           grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block of replicates refitted together on the pattern table.
+
+    `counts` is (replicates, patterns); `designs` holds the retrospective
+    and prospective [1, basis] at every pattern.  Returns each replicate's
+    statistic (as `_replicate`), its clip count and whether it stayed on
+    the common path; the statistic and clip count of a replicate that did
+    not are meaningless, and `_replicate` settles it.
+    """
+    rdesign, pdesign = designs
+    case = patterns[:, 0] == 1
+    t = patterns[:, 1]
+    support = counts > 0
+    ok = support[:, case].any(axis=1) & support[:, ~case].any(axis=1)
+    for design in designs:
+        # a basis column constant on the support is what build_basis rejects
+        cols = design[None, :, 1:]
+        hi = np.where(support[:, :, None], cols, -np.inf).max(axis=1)
+        lo = np.where(support[:, :, None], cols, np.inf).min(axis=1)
+        ok &= (hi - lo != 0).all(axis=1)
+    w = counts.astype(float)
+    fits = ((fit_logit_batch(t[~case], rdesign[~case], w[:, ~case]), rdesign),
+            (fit_logit_batch(t[case], rdesign[case], w[:, case]), rdesign),
+            (fit_logit_batch(case, pdesign, w), pdesign))
+    probs = []
+    n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
+    for (coef, fitted), design in fits:
+        prob = expit((coef[:, None, :] * design).sum(axis=-1))
+        in_range = np.isfinite(prob) & (prob >= 0.0) & (prob <= 1.0)
+        ok &= fitted & (in_range | ~support).all(axis=1)
+        clipped = np.clip(prob, CLIP, 1.0 - CLIP)
+        n_clipped += (counts * (clipped != prob)).sum(axis=1)
+        # off the support a value only has to keep the weighted sums finite
+        probs.append(np.where(support, clipped, 0.5))
+    # the statistic of the replicates still on the common path; every
+    # probability now lies in [CLIP, 1 - CLIP], so no denominator vanishes
+    pi0, pi1, py = (prob[ok] for prob in probs)
+    if data.design is Design.CASE_POPULATION:
+        vals = _xi(case, pi0, pi1, py, w[ok])[:, None]
+    else:
+        h0 = _replicate_h0(data, case, counts[ok])
+        h0 = h0 if np.ndim(h0) == 0 else h0[:, None, None]
+        vals = _curve(data.design, h0, case, pi0, pi1, py, w[ok], grid)
+    stat = np.zeros((counts.shape[0], vals.shape[1]))
+    stat[ok] = vals
+    return stat, n_clipped, ok
 
 
 def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
@@ -225,7 +336,8 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     draws from the stream ("ar-bootstrap", b) the indices that resampling
     the rows would (i.i.d., or within each stratum) and refits the sample's
     distinct (y, t, x) rows with the drawn counts as frequency weights,
-    which is the expanded resample up to rounding (see the module
+    which is the expanded resample up to rounding; unless a basis has a
+    spline term, a block of replicates is refitted at once (see the module
     docstring).  Replicates whose refit fails (separation, an empty
     stratum, a constant basis column, ...) are dropped and counted.  Point
     estimates and limits are truncated into [0, 1].  Identical (data,
@@ -256,28 +368,45 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
             varying &= grid < 1.0
 
     patterns, inverse = _patterns(data)
-    boot_rows = []
-    n_dropped = 0
+    designs = _pattern_designs(patterns, retrospective_spec, prospective_spec)
+    size = 1
+    if designs is not None:
+        width = max(grid.shape[0], *(d.shape[1] ** 2 for d in designs))
+        size = max(1, min(_BLOCK, _BLOCK_CELLS // (patterns.shape[0] * width)))
+    boot = np.empty((B, stat_hat.shape[0]))  # each replicate's statistic
+    kept = np.zeros(B, dtype=bool)
     n_clipped_boot = 0
-    for b in range(B):
-        counts = _replicate_counts(rng.derive("ar-bootstrap", b), data.y, inverse,
-                                   patterns.shape[0], resample_mode)
-        try:
-            stat, n_clipped = _replicate(data, patterns, counts, prospective_spec,
-                                         retrospective_spec, grid)
-        except CaseboundError:
-            n_dropped += 1
-            continue
-        boot_rows.append(stat)
-        n_clipped_boot += n_clipped
-    n_kept = len(boot_rows)
+    for start in range(0, B, size):
+        stop = min(B, start + size)
+        counts = np.array([_replicate_counts(rng.derive("ar-bootstrap", b), data.y, inverse,
+                                             patterns.shape[0], resample_mode)
+                           for b in range(start, stop)])
+        ok = np.zeros(stop - start, dtype=bool)
+        if designs is not None:
+            stats, clipped, ok = _block(data, patterns, counts, designs, grid)
+            boot[start:stop][ok] = stats[ok]
+            n_clipped_boot += int(clipped[ok].sum())
+        kept[start:stop] = ok
+        for i in np.flatnonzero(~ok):
+            try:
+                stat, n_clipped = _replicate(data, patterns, counts[i], prospective_spec,
+                                             retrospective_spec, grid)
+            except CaseboundError:
+                continue
+            boot[start + i] = stat
+            kept[start + i] = True
+            n_clipped_boot += n_clipped
+    boot = boot[kept]  # (n_kept, n_grid), or (n_kept, 1) for xi
+    n_kept = boot.shape[0]
+    n_dropped = B - n_kept
     if n_kept < 2:
         raise BootstrapDegenerate(f"only {n_kept} of {B} bootstrap replicates survived")
 
-    boot = np.asarray(boot_rows)  # (n_kept, n_grid), or (n_kept, 1) for xi
     if np.all(boot[:, varying] == boot[0, varying]):
         raise BootstrapDegenerate("all bootstrap estimates are identical")
-    mu = (boot <= stat_hat[None, :]).mean(axis=0)
+    # a replicate that ties with the sample up to rounding counts as below it
+    tie = 1e-12 * np.maximum(1.0, np.abs(stat_hat))
+    mu = (boot <= stat_hat + tie).mean(axis=0)
     nu = bc_level(mu, alpha, n_kept)
     limit = _order_statistic(np.sort(boot, axis=0), nu)
     if cp:

@@ -13,7 +13,19 @@ and solves with ``dpotrs``, called directly with the arguments that
 solve are the same to the last bit; skipping the wrappers' argument handling
 is what keeps a fit of a few collapsed rows cheap.  A non-finite gradient or
 information matrix (a finite but huge covariate can overflow X'WX) raises
-`Singular` rather than an untyped error.
+`Singular` rather than an untyped error, and the overflow itself stays
+silent: the Newton iterations run under ``np.errstate(over="ignore",
+invalid="ignore")``, so the typed error is all a caller sees.
+
+`fit_logit_batch` runs the same Newton rule for one shared design under
+many frequency-weight rows at once (the bootstrap replicates of one
+pattern table).  It has no ridge, no step-halving and no covariance.  A
+row that would need any of them, or would raise anything, leaves the
+active set with ``ok`` False instead, so a caller can refit exactly that
+row with `fit_logit`; the rows that stay are the same fits to rounding.
+It is stricter than `fit_logit` in one place: information whose Cholesky
+pivot falls below `PIVOT_FLOOR` of its diagonal also leaves, because a
+fit that converges on a flat ridge there is not reproducible to rounding.
 """
 
 from __future__ import annotations
@@ -26,12 +38,17 @@ from scipy.special import expit
 
 from .errors import NotConverged, SeparationDetected, Singular, ValidationError
 
-__all__ = ["LogitFit", "fit_logit"]
+__all__ = ["LogitFit", "fit_logit", "fit_logit_batch"]
 
 DEFAULT_TOL_SCALE = 1e-8
 DEFAULT_MAX_ITER = 100
 DEFAULT_SEPARATION_BOUND = 250.0
 RIDGE = 1e-8
+# a batched Cholesky pivot below this share of its diagonal leaves the
+# batch: near separation or collinearity the optimum sits on a flat ridge
+# whose coefficients move with the last bit of 1 - p, so two summation
+# orders agree only to about 1e-8 there, against 1e-14 above this floor
+PIVOT_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,13 +120,13 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     n = t.shape[0]
     if design.shape[0] != n:
         raise ValidationError("response and design row counts differ")
-    if not np.all((t == 0) | (t == 1)):
+    if not ((t == 0) | (t == 1)).all():
         raise ValidationError("response must be binary")
     if weights is None:
         w = np.ones(n)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != t.shape or np.any(w < 0) or not np.all(np.isfinite(w)):
+        if w.shape != t.shape or (w < 0).any() or not np.isfinite(w).all():
             raise ValidationError("weights must be nonnegative finite, one per row")
     wt_total = float(w.sum())
     pos = float((w * t).sum())
@@ -119,7 +136,7 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     if wt_total <= ncol - 1:
         raise ValidationError(f"need n > J ({wt_total} rows, J={ncol - 1})")
     X = np.column_stack([np.ones(n), design])
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValidationError("design contains non-finite values")
 
     def newton(ridge: float, bound: float) -> LogitFit:
@@ -174,10 +191,117 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
                     f"coefficients exceeded {bound:g}; data look separated")
         raise NotConverged(f"no convergence in {max_iter} Newton iterations")
 
-    try:
-        return newton(0.0, separation_bound)
-    except SeparationDetected:
-        if not ridge_on_separation:
-            raise
-        # the ridge guarantees a finite optimum, so the bound is lifted
-        return newton(RIDGE, np.inf)
+    # an overflow in X'WX or the step is reported by the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return newton(0.0, separation_bound)
+        except SeparationDetected:
+            if not ridge_on_separation:
+                raise
+            # the ridge guarantees a finite optimum, so the bound is lifted
+            return newton(RIDGE, np.inf)
+
+
+def _rowwise(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # (m, n) by (c, n) -> (m, c): every output is one contiguous sum of
+    # elementwise products, so a row's result does not depend on which
+    # other rows share the call
+    return (a[:, None, :] * cols).sum(axis=-1)
+
+
+def _cholesky_solve(info: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve info @ x = rhs for a stack of symmetric matrices by Cholesky,
+    and flag the matrices whose every pivot exceeds PIVOT_FLOOR times its
+    diagonal (False also for NaN)."""
+    m, k = rhs.shape
+    low = np.zeros_like(info)
+    pd = np.ones(m, dtype=bool)
+    for j in range(k):
+        piv = info[:, j, j] - (low[:, j, :j] ** 2).sum(axis=-1)
+        pd &= piv > PIVOT_FLOOR * info[:, j, j]
+        low[:, j, j] = np.sqrt(np.where(pd, piv, 1.0))
+        below = info[:, j + 1:, j] - (low[:, j + 1:, :j] * low[:, j, None, :j]).sum(axis=-1)
+        low[:, j + 1:, j] = below / low[:, j, j, None]
+    x = np.empty_like(rhs)
+    for j in range(k):  # forward: low @ z = rhs
+        x[:, j] = (rhs[:, j] - (low[:, j, :j] * x[:, :j]).sum(axis=-1)) / low[:, j, j]
+    for j in reversed(range(k)):  # back: low.T @ x = z
+        x[:, j] = (x[:, j] - (low[:, j + 1:, j] * x[:, j + 1:]).sum(axis=-1)) / low[:, j, j]
+    return x, pd
+
+
+def fit_logit_batch(response: np.ndarray, X: np.ndarray, W: np.ndarray, *,
+                    tol_scale: float = DEFAULT_TOL_SCALE,
+                    max_iter: int = DEFAULT_MAX_ITER,
+                    separation_bound: float = DEFAULT_SEPARATION_BOUND
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """`fit_logit` of one response on one design under every weight row.
+
+    Parameters
+    ----------
+    response : binary array of length n.
+    X : (n, k) design, the intercept column included.
+    W : (B, n) nonnegative frequency weights, one row per fit; zeros drop
+        a row from that fit.
+
+    Returns the (B, k) coefficients and a (B,) mask `ok`.  A fit is ok
+    when it converges by `fit_logit`'s test, polish step included, taking
+    every full Newton step (accepted as there, up to 1e-12 of the
+    log-likelihood).  It is not ok, and its coefficients are zeros, when
+    `fit_logit` would raise (one response class, total weight <= J, a
+    non-finite design, information, gradient or step, information that is
+    not positive definite, the separation bound, no convergence) or would
+    halve a step, and also when a Cholesky pivot of the information falls
+    below PIVOT_FLOOR times its diagonal.  Nothing is raised for a single
+    fit.
+    """
+    t = np.asarray(response, dtype=float)
+    X = np.asarray(X, dtype=float)
+    W = np.asarray(W, dtype=float)
+    n, k = X.shape
+    if t.shape != (n,) or W.ndim != 2 or W.shape[1] != n:
+        raise ValidationError("response, design and weight rows differ in length")
+    if not ((t == 0) | (t == 1)).all():
+        raise ValidationError("response must be binary")
+    if (W < 0).any() or not np.isfinite(W).all():
+        raise ValidationError("weights must be nonnegative finite, one per row")
+    coef = np.zeros((W.shape[0], k))
+    ok = np.zeros(W.shape[0], dtype=bool)
+    wt_total = W.sum(axis=1)
+    pos = (W * t).sum(axis=1)
+    live = (pos > 0) & (pos < wt_total) & (wt_total > k - 1) & np.isfinite(X).all()
+    rows = np.flatnonzero(live)
+    w = W[rows]
+    b = coef[rows]
+    eta = np.zeros_like(w)
+    ll = (w * (t * eta - np.logaddexp(0.0, eta))).sum(axis=-1)
+    tol = tol_scale * wt_total[rows]
+    polished = np.zeros(rows.size, dtype=bool)
+    Xt = np.ascontiguousarray(X.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = (X[:, :, None] * X[:, None, :]).reshape(n, k * k).T.copy()
+        for _ in range(max_iter):
+            if rows.size == 0:
+                break
+            p = expit(eta)
+            grad = _rowwise(w * (t - p), Xt)
+            info = _rowwise(w * p * (1.0 - p), outer).reshape(-1, k, k)
+            step, fine = _cholesky_solve(info, grad)
+            fine &= np.isfinite(info).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+            conv = abs(grad).max(axis=1) <= tol
+            fine &= ~conv | (abs(b).max(axis=1) <= separation_bound)
+            done = fine & conv & polished
+            coef[rows[done]] = b[done]
+            ok[rows[done]] = True
+            # one extra Newton step sharpens the optimum well past tol
+            polished |= conv
+            cand = b + step
+            eta_c = _rowwise(cand, X)
+            ll_c = (w * (t * eta_c - np.logaddexp(0.0, eta_c))).sum(axis=-1)
+            fine &= (np.isfinite(step).all(axis=1)
+                     & (ll_c >= ll - 1e-12 * np.maximum(1.0, abs(ll)))
+                     & (abs(cand).max(axis=1) <= separation_bound))
+            go = fine & ~done
+            rows, w, b, eta, ll = rows[go], w[go], cand[go], eta_c[go], ll_c[go]
+            tol, polished = tol[go], polished[go]
+    return coef, ok

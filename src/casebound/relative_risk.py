@@ -137,12 +137,12 @@ def _design_columns(data: ObservedDataset, spec: BasisSpec,
 
 def _clipped(name: str, p: np.ndarray,
              counts: np.ndarray | None) -> tuple[np.ndarray, int]:
-    if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
+    if not np.isfinite(p).all() or (p < 0).any() or (p > 1).any():
         raise NuisanceProbabilityOutOfRange(
             f"fitted {name} probabilities leave [0, 1] or are not finite")
     clipped = np.clip(p, CLIP, 1.0 - CLIP)
     touched = clipped != p
-    return clipped, int(np.sum(touched) if counts is None else np.sum(counts[touched]))
+    return clipped, int(touched.sum() if counts is None else counts[touched].sum())
 
 
 def fit_nuisances(data: ObservedDataset, spec: BasisSpec,

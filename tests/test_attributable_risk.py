@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from casebound.oracle import (
     ObservedLaw,
     beta_ar_aggregate,
     kappa_aggregate,
+    random_population,
     upper_bound_ar,
     xi_cp,
 )
 from casebound.relative_risk import estimate_kappa, fit_nuisances, p_grid
-from casebound.rng import RngSpec, resample_indices
-from casebound.synthetic import draw_mc_sample, parametric_spec
+from casebound.rng import RngSpec, bernoulli, resample_indices
+from casebound.synthetic import draw_mc_sample, parametric_spec, sample_from_population
 
 D1, D2 = Design.CASE_CONTROL, Design.CASE_POPULATION
 LIN = BasisSpec.linear(1)
@@ -203,24 +205,34 @@ def test_stratified_resampling_keeps_stratum_sizes():
 
 def test_bootstrap_degenerate_raises(monkeypatch):
     data = expand(COUNTS_D1, D2)
+    real = ar_mod._block
+
+    def constant(*args, **kwargs):
+        stats, clipped, ok = real(*args, **kwargs)
+        return np.full_like(stats, 0.25), clipped, ok
+
     monkeypatch.setattr(ar_mod, "estimate_xi_cp",
                         lambda *a, **k: 0.25)
+    monkeypatch.setattr(ar_mod, "_block", constant)
     with pytest.raises(BootstrapDegenerate):
         ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=5)
 
 
 def test_failed_replicates_dropped_and_counted(monkeypatch):
     data = expand(COUNTS_D1, D1)
-    real = ar_mod.fit_nuisances
-    calls = {"n": 0}
+    real = ar_mod._block
 
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] in (3, 4, 5):  # three bootstrap refits fail
-            raise SeparationDetected("synthetic failure")
-        return real(*args, **kwargs)
+    def flaky_block(*args, **kwargs):
+        stats, clipped, ok = real(*args, **kwargs)
+        ok = ok.copy()
+        ok[[2, 3, 4]] = False  # three replicates leave the common path
+        return stats, clipped, ok
 
-    monkeypatch.setattr(ar_mod, "fit_nuisances", flaky)
+    def failing_replicate(*args, **kwargs):
+        raise SeparationDetected("synthetic failure")
+
+    monkeypatch.setattr(ar_mod, "_block", flaky_block)
+    monkeypatch.setattr(ar_mod, "_replicate", failing_replicate)
     curve, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert diag.n_dropped == 3
     assert diag.n_kept == 197
@@ -250,30 +262,45 @@ def expanded_replicate(data, gen, mode, pspec, rspec, grid):
 
 
 def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
+    """Each replicate three ways: the expanded rows, `_replicate`, and (for
+    bases without a spline term) its row of one batched `_block`.  Returns
+    the diagnostics, the exception classes of the dropped replicates and
+    how many replicates the block settled."""
     grid = p_grid(pbar, step)
     patterns, inverse = ar_mod._patterns(data)
     rng = RngSpec(seed)
+    all_counts = np.array([ar_mod._replicate_counts(rng.derive("ar-bootstrap", b), data.y,
+                                                    inverse, patterns.shape[0], mode)
+                           for b in range(B)])
+    designs = ar_mod._pattern_designs(patterns, rspec, pspec)
+    ok = np.zeros(B, dtype=bool)
+    if designs is not None:
+        stats, block_clipped, ok = ar_mod._block(data, patterns, all_counts, designs, grid)
     kept = dropped = clipped = 0
-    for b in range(B):
-        counts = ar_mod._replicate_counts(rng.derive("ar-bootstrap", b), data.y,
-                                          inverse, patterns.shape[0], mode)
+    failures = Counter()
+    for b, counts in enumerate(all_counts):
         try:
             want, want_clipped = expanded_replicate(data, rng.derive("ar-bootstrap", b),
                                                     mode, pspec, rspec, grid)
         except CaseboundError as exc:
             with pytest.raises(type(exc)):
                 ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
+            assert not ok[b]
+            failures[type(exc).__name__] += 1
             dropped += 1
             continue
         got, got_clipped = ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert got_clipped == want_clipped
+        if ok[b]:
+            np.testing.assert_allclose(stats[b], got, rtol=1e-12, atol=1e-12)
+            assert block_clipped[b] == got_clipped
         kept += 1
         clipped += got_clipped
     _, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=B, seed=seed, step=step,
                        resample_mode=mode)
     assert (diag.n_kept, diag.n_dropped, diag.n_clipped_boot) == (kept, dropped, clipped)
-    return diag
+    return diag, failures, int(ok.sum())
 
 
 @pytest.mark.parametrize("mode", ["iid", "stratified"])
@@ -281,7 +308,102 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
 def test_weighted_replicates_equal_expanded_rows_case_control(h0, mode):
     data = expand(COUNTS_D1, D1, h0)
     assert data.h0_estimated is (h0 is None)
-    assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.1, B=200, seed=7, mode=mode)
+    diag, _, n_batched = assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.1,
+                                                 B=200, seed=7, mode=mode)
+    assert n_batched == diag.n_kept == 200
+
+
+def test_weighted_replicates_equal_expanded_rows_case_population_linear():
+    data = expand(COUNTS_D1, D2)
+    diag, _, n_batched = assert_replicates_match(data, LIN, LIN, pbar=0.3, step=0.05,
+                                                 B=200, seed=8, mode="iid")
+    assert n_batched == diag.n_kept == 200
+
+
+def test_weighted_replicates_equal_expanded_rows_ar_cc_input():
+    # the input of the ar_cc benchmark workload at seed 1: 2400 rows, 8 patterns
+    pop = random_population(RngSpec(20240501).derive("accept-ar-pop"), n_cells=2,
+                            mtr=True, mts=True)
+    drawn = sample_from_population(pop, D1, 0.5, 2400, RngSpec(1).derive("perfbench-ar-cc"))
+    data = ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D1, h0=0.5)
+    diag, _, n_batched = assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.05,
+                                                 B=200, seed=1, mode="iid")
+    assert n_batched == diag.n_kept == 200
+
+
+# sixteen rows: three cases, and a single covariate level x=1 among controls
+# and among cases, so that replicates lose a stratum, the level, or a
+# treatment class within a stratum
+FRAGILE = [(1, 0, 0.0), (1, 1, 0.0), (1, 1, 1.0)] + [(0, 0, 0.0)] * 6 \
+    + [(0, 1, 0.0)] * 6 + [(0, 0, 1.0)]
+
+
+def fragile_data(design):
+    rows = np.array(FRAGILE)
+    return ObservedDataset(y=rows[:, 0].astype(int), t=rows[:, 1].astype(int),
+                           x=rows[:, 2:], design=design)
+
+
+@pytest.mark.parametrize("design", [D1, D2])
+def test_real_replicate_failures_leave_the_block(design):
+    diag, failures, n_batched = assert_replicates_match(
+        fragile_data(design), LIN, LIN, pbar=0.6, step=0.1, B=200, seed=3, mode="iid")
+    for name in ("EmptyStratum", "DegenerateColumn", "ValidationError"):
+        assert failures[name] > 0, failures
+    assert diag.n_dropped == sum(failures.values())
+    assert 0 < n_batched <= diag.n_kept
+
+
+@pytest.mark.parametrize("data", [expand(COUNTS_D1, D1), fragile_data(D2)],
+                         ids=["counts_d1", "fragile"])
+def test_block_composition_invariance(data, monkeypatch):
+    grid = p_grid(0.6, 0.1)
+    patterns, inverse = ar_mod._patterns(data)
+    counts = np.array([ar_mod._replicate_counts(RngSpec(5).derive("ar-bootstrap", b),
+                                                data.y, inverse, patterns.shape[0], "iid")
+                       for b in range(60)])
+    designs = ar_mod._pattern_designs(patterns, LIN, LIN)
+    stats, clipped, ok = ar_mod._block(data, patterns, counts, designs, grid)
+    assert ok.any()
+    for b in range(60):
+        alone = ar_mod._block(data, patterns, counts[b:b + 1], designs, grid)
+        assert alone[2][0] == ok[b]
+        if ok[b]:
+            assert np.array_equal(alone[0][0], stats[b]) and alone[1][0] == clipped[b]
+    # and the engine's output does not depend on its block size
+    want = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
+    monkeypatch.setattr(ar_mod, "_BLOCK", 7)
+    got = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
+    assert np.array_equal(got[0].upper, want[0].upper)
+    assert np.array_equal(got[1].mu_star, want[1].mu_star)
+    assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
+
+
+def test_bc_tie_counts_the_same_on_both_paths(monkeypatch):
+    # 27 rows; under stratified resampling one replicate redraws the sample's
+    # own pattern counts, so its curve equals the point curve up to rounding,
+    # which falls on different sides of it on the two paths
+    gen = RngSpec(7).derive("tie")
+    y, t, x = (bernoulli(gen, np.full(27, 0.5)) for _ in range(3))
+    data = ObservedDataset(y=y, t=t, x=x.astype(float)[:, None], design=D1)
+    patterns, inverse = ar_mod._patterns(data)
+    sample = np.bincount(inverse, minlength=patterns.shape[0])
+    assert any(np.array_equal(ar_mod._replicate_counts(
+        RngSpec(7).derive("ar-bootstrap", b), data.y, inverse, patterns.shape[0],
+        "stratified"), sample) for b in range(200))
+    kwargs = dict(pbar=0.6, B=200, seed=7, step=0.05, resample_mode="stratified")
+    batched, batched_diag = ar_curve(data, LIN, LIN, **kwargs)
+    real = ar_mod._block
+
+    def no_block(*args, **kw):
+        stats, clipped, ok = real(*args, **kw)
+        return stats, clipped, np.zeros_like(ok)
+
+    monkeypatch.setattr(ar_mod, "_block", no_block)
+    looped, looped_diag = ar_curve(data, LIN, LIN, **kwargs)
+    assert np.array_equal(batched_diag.mu_star, looped_diag.mu_star)
+    np.testing.assert_allclose(batched.upper, looped.upper, rtol=1e-12, atol=1e-12)
+    assert batched_diag.n_kept == looped_diag.n_kept
 
 
 def test_weighted_replicates_equal_expanded_rows_spline_case_population():
@@ -290,9 +412,11 @@ def test_weighted_replicates_equal_expanded_rows_spline_case_population():
     drawn = draw_mc_sample(mc_defaults(), RngSpec(20240501).derive("mc-replicate", 0))
     data = ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D2)
     rspec = BasisSpec((CubicSplineTerm(3),) + (Linear(),) * 4)
-    diag = assert_replicates_match(data, BasisSpec.linear(5), rspec, pbar=0.15,
-                                   step=0.01, B=200, seed=1, mode="iid")
+    diag, _, n_batched = assert_replicates_match(data, BasisSpec.linear(5), rspec,
+                                                 pbar=0.15, step=0.01, B=200, seed=1,
+                                                 mode="iid")
     assert diag.n_dropped > 0 and diag.n_clipped_boot > 0
+    assert n_batched == 0  # a spline basis keeps every replicate on _replicate
 
 
 @pytest.mark.parametrize("h0", [None, 0.3])

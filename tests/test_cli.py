@@ -136,6 +136,24 @@ def test_rr_overflowing_information_exits_3(runner, tmp_path):
     assert "error: observed information is not finite" in result.output
 
 
+def test_rr_overflow_prints_only_the_typed_error(tmp_path):
+    # numpy's overflow warning from X'WX stays silent (here it would abort
+    # the run as an error); the finiteness check reports the failure
+    import casebound
+
+    path = tmp_path / "huge.csv"
+    path.write_text("y,t,x1\n1,0,1e200\n1,1,-2e200\n1,0,3e200\n1,1,-1e200\n"
+                    "0,0,2e200\n0,1,-3e200\n0,1,1e200\n0,0,-2e200\n")
+    src = os.path.dirname(os.path.dirname(casebound.__file__))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "casebound.cli", "rr", "--input", str(path),
+         "--design", "case-control", "--y-col", "y", "--t-col", "t", "--x-cols", "x1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == "error: observed information is not finite\n"
+
+
 def test_ar_case_population_grid(runner, tmp_path):
     path = write_case_population_csv(tmp_path / "cp.csv")
     out = tmp_path / "arout"

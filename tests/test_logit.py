@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,16 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from casebound.basis import build_basis
-from casebound.errors import NotConverged, SeparationDetected, Singular, ValidationError
+import casebound.logit as logit_mod
+from casebound.errors import (
+    CaseboundError,
+    NotConverged,
+    SeparationDetected,
+    Singular,
+    ValidationError,
+)
 from casebound.fixtures import count_table, mc_defaults
-from casebound.logit import RIDGE, LogitFit, fit_logit
+from casebound.logit import RIDGE, LogitFit, fit_logit, fit_logit_batch
 from casebound.model import Design
 from casebound.rng import RngSpec, bernoulli
 from casebound.synthetic import draw_mc_sample, parametric_spec, sieve_spec
@@ -299,3 +307,124 @@ def test_kernel_failure_classes_match_reference():
             _reference_fit(*args)
         with pytest.raises(exc):
             fit_logit(*args)
+
+
+# --- the batched Newton kernel against fit_logit, one weight row at a time ---
+
+def _loop_fits(t, design, W, monkeypatch):
+    """fit_logit on each weight row's support rows: its coefficients, or None
+    where it raises or halves a step.  A fit that never halves evaluates the
+    log-likelihood once at the start and once per full step."""
+    calls = []
+    real = logit_mod._loglik
+    monkeypatch.setattr(logit_mod, "_loglik", lambda *a: calls.append(1) or real(*a))
+    out = []
+    for w in W:
+        keep = w > 0
+        calls.clear()
+        try:
+            fit = fit_logit(t[keep], design[keep], w[keep])
+        except CaseboundError:
+            out.append(None)
+            continue
+        out.append(fit.coef if len(calls) == 1 + fit.iterations else None)
+    monkeypatch.undo()
+    return out
+
+
+def _batch_case(name):
+    """(response, slope columns, weight rows) with one row per pattern."""
+    gen = RngSpec(41).derive(f"batch-{name}")
+    if name in ("J1", "duplicated"):
+        t = np.array([0, 0, 1, 1])
+        x = np.array([[0.0], [1.0], [0.0], [1.0]])
+    elif name == "J2_polynomial":
+        t = np.repeat([0, 1], 3)
+        v = np.tile([0.0, 1.0, 2.0], 2)
+        x = np.column_stack([v, v ** 2])
+    elif name == "J3_interactions":
+        t = np.repeat([0, 1], 4)
+        x1, x2 = np.tile([0.0, 0.0, 1.0, 1.0], 2), np.tile([0.0, 1.0, 0.0, 1.0], 2)
+        x = np.column_stack([x1, x2, x1 * x2])
+    elif name == "separated":
+        x = np.linspace(-2, 2, 40)[:, None]
+        t = (x[:, 0] > 0).astype(int)
+    elif name == "halving":
+        # a full Newton step from zero lowers this log-likelihood
+        t = np.array([0, 0, 1, 1, 0, 0])
+        x = np.array([[0.6], [-1.0], [-0.5], [-0.3], [18.6], [21.4]])
+    W = gen.integers(0, 40, (60, t.size)).astype(float)
+    W[0] = 0.0
+    W[0, :2] = 5.0                   # one response class
+    W[1] = 0.0
+    W[1, [0, -1]] = 1.0              # total weight <= J for J >= 2
+    if name == "duplicated":
+        x = np.column_stack([x, x])
+    elif name == "separated":
+        W[1:] += 1.0                 # every point on the support
+    elif name == "halving":
+        W[2] = [6.0, 1.0, 10.0, 108.0, 97.0, 86.0]
+    return t, x, W
+
+
+@pytest.mark.parametrize("name, min_ok, min_failed", [
+    ("J1", 40, 1), ("J2_polynomial", 40, 2), ("J3_interactions", 40, 2),
+    ("duplicated", 0, 60), ("separated", 0, 50), ("halving", 40, 2)])
+def test_batch_matches_fit_logit_per_weight_row(name, min_ok, min_failed, monkeypatch):
+    # ok is never True where fit_logit raises or halves a step, and where it
+    # is True the coefficients are fit_logit's; a fit on a flat ridge (a
+    # zero-weight cell separating the rest) may leave the batch even though
+    # fit_logit converges there
+    t, x, W = _batch_case(name)
+    coef, ok = fit_logit_batch(t, np.column_stack([np.ones(t.size), x]), W)
+    loop = _loop_fits(t, x, W, monkeypatch)
+    for got, fitted, want in zip(coef, ok, loop):
+        if want is None:
+            assert not fitted
+        elif fitted:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert not ok[0]
+    assert not ok[1] or x.shape[1] < 2
+    assert ok.sum() >= min_ok and sum(want is None for want in loop) >= min_failed
+    assert not coef[~ok].any()
+    if name == "halving":
+        assert loop[2] is None
+
+
+def test_batch_zero_weight_rows_are_absent_rows():
+    t, x, W = _batch_case("J3_interactions")
+    X = np.column_stack([np.ones(t.size), x])
+    coef, ok = fit_logit_batch(t[:6], X[:6], W[:, :6])
+    padded = np.hstack([W[:, :6], np.zeros((60, 2))])
+    coef_pad, ok_pad = fit_logit_batch(t, X, padded)
+    assert np.array_equal(ok, ok_pad) and ok.sum() >= 40
+    np.testing.assert_allclose(coef_pad, coef, rtol=1e-12, atol=1e-12)
+
+
+def test_batch_rows_do_not_depend_on_their_neighbours():
+    t, x, W = _batch_case("J2_polynomial")
+    X = np.column_stack([np.ones(t.size), x])
+    coef, ok = fit_logit_batch(t, X, W)
+    for i in range(W.shape[0]):
+        alone, ok_alone = fit_logit_batch(t, X, W[i:i + 1])
+        assert ok_alone[0] == ok[i]
+        assert np.array_equal(alone[0], coef[i])
+
+
+def test_batch_overflow_is_a_flag_not_a_warning():
+    x = np.array([1e200, -2e200, 3e200, -1e200, 2e200, -3e200, 1e200, -2e200])
+    t = np.array([0, 1, 0, 1, 0, 1, 1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coef, ok = fit_logit_batch(t, np.column_stack([np.ones(8), x]), np.ones((3, 8)))
+    assert not ok.any() and not coef.any()
+
+
+def test_batch_input_contracts():
+    X = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
+    with pytest.raises(ValidationError):
+        fit_logit_batch([0, 1, 2, 1], X, np.ones((2, 4)))
+    with pytest.raises(ValidationError):
+        fit_logit_batch([0, 1, 0, 1], X, -np.ones((2, 4)))
+    with pytest.raises(ValidationError):
+        fit_logit_batch([0, 1, 0, 1], X, np.ones((2, 3)))

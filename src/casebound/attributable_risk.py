@@ -35,23 +35,28 @@ an estimated h0 is the counts-weighted share of cases; the clip count
 weighs each row by its count.  A replicate that raises any CaseboundError
 is dropped and counted, as it would be on the expanded rows.
 
-Replicates are refitted a block at a time (`_BLOCK`, fewer when the
-pattern table is wide, so memory does not grow with B).  Unless a basis
-has a spline term, the bases are the same for every replicate, so they
-are built once on the pattern table and `_block` refits the whole block
-as three batched Newton fits (`logit.fit_logit_batch`: stratum 0, stratum
-1, the prospective fit), with the curve or xi of every replicate read off
-one (replicate x grid x pattern) array.  A replicate the block cannot
-settle on that common path is flagged, not raised: an empty stratum, a
-basis column constant on its support, a fit that is not ok (including
-one too ill-conditioned for two summation orders to agree, see
-`logit.PIVOT_FLOOR`), a fitted probability outside [0, 1].  Each flagged
-replicate is refitted alone by
-`_replicate`, through `fit_nuisances`, which gives its exact exception
-class and clip count.  Spline knots are the quantiles of each drawn
-multiset, so a spline basis moves with every replicate; then every
-replicate takes `_replicate`, one at a time.  The two paths agree to
-rounding (1e-12 in the tests).
+Unless a basis has a spline term, the bases are the same for every
+replicate, so they are built once on the pattern table and `_block`
+refits a whole block of replicates as three batched Newton fits
+(`logit.fit_logit_batch`: stratum 0, stratum 1, the prospective fit), with
+the curve or xi of every replicate read off one (replicate x grid x
+pattern) array.  A block holds as many replicates as fit in
+`_BLOCK_CELLS` cells, so memory does not grow with B.  The batch pays
+only while the pattern table is narrow: it does every replicate's
+arithmetic on every pattern, zero counts included, so on a wide table
+(a continuous covariate makes every row a pattern) it is slower than
+refitting each replicate alone.  A table where a block would hold fewer
+than `_MIN_BLOCK` replicates therefore stays on the per-replicate path.
+A replicate the block cannot settle on that common path is flagged, not
+raised: an empty stratum, a basis column constant on its support, a fit
+that is not ok (including one too ill-conditioned for two summation
+orders to agree, see `logit.PIVOT_FLOOR`), a fitted probability outside
+[0, 1].  Each flagged replicate is refitted alone by `_replicate`,
+through `fit_nuisances`, which gives its exact exception class and clip
+count.  Spline knots are the quantiles of each drawn multiset, so a
+spline basis moves with every replicate; then every replicate takes
+`_replicate`, one at a time.  The two paths agree to rounding (1e-12 in
+the tests).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -66,13 +71,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
-from .basis import BasisSpec, CubicSplineTerm, build_basis
+from .basis import BasisSpec, CubicSplineTerm
 from .errors import BootstrapDegenerate, CaseboundError, ValidationError
 from .logit import fit_logit  # noqa: F401  (perfbench's tracing tests wrap this binding)
 from .logit import fit_logit_batch
 from .model import Design, ObservedDataset
 from .oracle import gamma_ar_formula, r_formula
-from .relative_risk import CLIP, NuisanceFit, fit_nuisances, p_grid
+from .relative_risk import CLIP, NuisanceFit, design_columns, fit_nuisances, p_grid
 from .rng import RngSpec, resample_indices
 
 __all__ = [
@@ -85,10 +90,11 @@ __all__ = [
     "bc_level",
 ]
 
-# bootstrap replicates refitted together, and the most (replicate x pattern
-# x max(grid, k^2)) cells one block's arrays may hold
-_BLOCK = 256
+# the most (replicate x pattern x max(grid, k^2)) cells one block's arrays
+# may hold, and the fewest replicates per block for which the batch beats
+# refitting each replicate alone (see the module docstring)
 _BLOCK_CELLS = 1 << 17
+_MIN_BLOCK = 16
 
 
 def _ar_terms(design: Design, h0, pi0, pi1, py, p) -> np.ndarray:
@@ -273,7 +279,7 @@ def _pattern_designs(patterns: np.ndarray, retrospective_spec: BasisSpec,
     if any(isinstance(term, CubicSplineTerm) for spec in specs for term in spec.terms):
         return None
     ones = np.ones((patterns.shape[0], 1))
-    return tuple(np.hstack([ones, build_basis(patterns[:, 2:], spec)]) for spec in specs)
+    return tuple(np.hstack([ones, design_columns(patterns[:, 2:], spec)]) for spec in specs)
 
 
 def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
@@ -337,11 +343,11 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     the rows would (i.i.d., or within each stratum) and refits the sample's
     distinct (y, t, x) rows with the drawn counts as frequency weights,
     which is the expanded resample up to rounding; unless a basis has a
-    spline term, a block of replicates is refitted at once (see the module
-    docstring).  Replicates whose refit fails (separation, an empty
-    stratum, a constant basis column, ...) are dropped and counted.  Point
-    estimates and limits are truncated into [0, 1].  Identical (data,
-    specs, B, seed) give identical output.
+    spline term or the pattern table is wide, a block of replicates is
+    refitted at once (see the module docstring).  Replicates whose refit
+    fails (separation, an empty stratum, a constant basis column, ...) are
+    dropped and counted.  Point estimates and limits are truncated into
+    [0, 1].  Identical (data, specs, B, seed) give identical output.
     """
     if B < 200:
         raise ValidationError("use at least 200 bootstrap replications")
@@ -372,7 +378,9 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     size = 1
     if designs is not None:
         width = max(grid.shape[0], *(d.shape[1] ** 2 for d in designs))
-        size = max(1, min(_BLOCK, _BLOCK_CELLS // (patterns.shape[0] * width)))
+        size = _BLOCK_CELLS // (patterns.shape[0] * width)
+        if size < _MIN_BLOCK:  # too wide for the batch to pay
+            designs, size = None, 1
     boot = np.empty((B, stat_hat.shape[0]))  # each replicate's statistic
     kept = np.zeros(B, dtype=bool)
     n_clipped_boot = 0

@@ -19,7 +19,8 @@ invalid="ignore")``, so the typed error is all a caller sees.
 
 `fit_logit_batch` runs the same Newton rule for one shared design under
 many frequency-weight rows at once (the bootstrap replicates of one
-pattern table).  It has no ridge, no step-halving and no covariance.  A
+pattern table), at `fit_logit`'s default tolerance, iteration limit and
+separation bound.  It has no ridge, no step-halving and no covariance.  A
 row that would need any of them, or would raise anything, leaves the
 active set with ``ok`` False instead, so a caller can refit exactly that
 row with `fit_logit`; the rows that stay are the same fits to rounding.
@@ -80,9 +81,10 @@ class LogitFit:
         return expit(self.coef[0] + design @ self.coef[1:])
 
 
-def _loglik(eta: np.ndarray, t: np.ndarray, w: np.ndarray) -> float:
-    # sum w * [t*eta - log(1 + exp(eta))], stable at large |eta|
-    return float((w * (t * eta - np.logaddexp(0.0, eta))).sum())
+def _loglik(eta: np.ndarray, t: np.ndarray, w: np.ndarray):
+    # sum w * [t*eta - log(1 + exp(eta))] along the last axis, stable at
+    # large |eta|: a scalar for one fit, one value per weight row for a batch
+    return (w * (t * eta - np.logaddexp(0.0, eta))).sum(axis=-1)
 
 
 def _solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -169,7 +171,7 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
                     cov = _solve(chol, np.eye(ncol))
                     cov = 0.5 * (cov + cov.T)
                     return LogitFit(coef=coef, cov=cov, converged=True,
-                                    iterations=it - 1, loglik=ll,
+                                    iterations=it - 1, loglik=float(ll),
                                     ridge_used=ridge > 0)
                 # one extra Newton step sharpens the optimum well past tol
                 polished = True
@@ -230,12 +232,10 @@ def _cholesky_solve(info: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     return x, pd
 
 
-def fit_logit_batch(response: np.ndarray, X: np.ndarray, W: np.ndarray, *,
-                    tol_scale: float = DEFAULT_TOL_SCALE,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    separation_bound: float = DEFAULT_SEPARATION_BOUND
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """`fit_logit` of one response on one design under every weight row.
+def fit_logit_batch(response: np.ndarray, X: np.ndarray,
+                    W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`fit_logit`, at its default tolerances, of one response on one design
+    under every weight row.
 
     Parameters
     ----------
@@ -274,13 +274,13 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray, W: np.ndarray, *,
     w = W[rows]
     b = coef[rows]
     eta = np.zeros_like(w)
-    ll = (w * (t * eta - np.logaddexp(0.0, eta))).sum(axis=-1)
-    tol = tol_scale * wt_total[rows]
+    ll = _loglik(eta, t, w)
+    tol = DEFAULT_TOL_SCALE * wt_total[rows]
     polished = np.zeros(rows.size, dtype=bool)
     Xt = np.ascontiguousarray(X.T)
     with np.errstate(over="ignore", invalid="ignore"):
         outer = (X[:, :, None] * X[:, None, :]).reshape(n, k * k).T.copy()
-        for _ in range(max_iter):
+        for _ in range(DEFAULT_MAX_ITER):
             if rows.size == 0:
                 break
             p = expit(eta)
@@ -289,7 +289,7 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray, W: np.ndarray, *,
             step, fine = _cholesky_solve(info, grad)
             fine &= np.isfinite(info).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
             conv = abs(grad).max(axis=1) <= tol
-            fine &= ~conv | (abs(b).max(axis=1) <= separation_bound)
+            fine &= ~conv | (abs(b).max(axis=1) <= DEFAULT_SEPARATION_BOUND)
             done = fine & conv & polished
             coef[rows[done]] = b[done]
             ok[rows[done]] = True
@@ -297,10 +297,10 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray, W: np.ndarray, *,
             polished |= conv
             cand = b + step
             eta_c = _rowwise(cand, X)
-            ll_c = (w * (t * eta_c - np.logaddexp(0.0, eta_c))).sum(axis=-1)
+            ll_c = _loglik(eta_c, t, w)
             fine &= (np.isfinite(step).all(axis=1)
                      & (ll_c >= ll - 1e-12 * np.maximum(1.0, abs(ll)))
-                     & (abs(cand).max(axis=1) <= separation_bound))
+                     & (abs(cand).max(axis=1) <= DEFAULT_SEPARATION_BOUND))
             go = fine & ~done
             rows, w, b, eta, ll = rows[go], w[go], cand[go], eta_c[go], ll_c[go]
             tol, polished = tol[go], polished[go]

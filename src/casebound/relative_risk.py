@@ -126,11 +126,13 @@ class EIFRecord:
         return float(np.mean(self.values ** 2) / n)
 
 
-def _design_columns(data: ObservedDataset, spec: BasisSpec,
-                    counts: np.ndarray | None) -> np.ndarray:
-    if spec.n_covariates != data.n_covariates:
+def design_columns(x: np.ndarray, spec: BasisSpec,
+                   counts: np.ndarray | None = None) -> np.ndarray:
+    """The basis columns of covariate rows x that enter a fit beside the
+    intercept."""
+    if spec.n_covariates != x.shape[1]:
         raise ValidationError("basis spec does not match the dataset's covariates")
-    cols = build_basis(data.x, spec, counts)
+    cols = build_basis(x, spec, counts)
     mask = spec.intercept_safe_mask()
     return cols[:, mask]
 
@@ -156,7 +158,7 @@ def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
     that many copies of itself, in the fits, the spline knots and the clip
     count alike.
     """
-    cols = _design_columns(data, spec, counts)
+    cols = design_columns(data.x, spec, counts)
     mask0 = data.stratum(0)
     mask1 = data.stratum(1)
     w0 = None if counts is None else counts[mask0]
@@ -165,7 +167,7 @@ def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
     fit1 = fit_logit(data.t[mask1], cols[mask1], w1)
     if prospective_spec is None:
         return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1, counts=counts)
-    pcols = _design_columns(data, prospective_spec, counts)
+    pcols = design_columns(data.x, prospective_spec, counts)
     pfit = fit_logit(data.y, pcols, counts)
     pi1, c1 = _clipped("Pi(1|1,x)", fit1.predict(cols), counts)
     pi0, c0 = _clipped("Pi(1|0,x)", fit0.predict(cols), counts)

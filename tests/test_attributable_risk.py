@@ -372,11 +372,49 @@ def test_block_composition_invariance(data, monkeypatch):
             assert np.array_equal(alone[0][0], stats[b]) and alone[1][0] == clipped[b]
     # and the engine's output does not depend on its block size
     want = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
-    monkeypatch.setattr(ar_mod, "_BLOCK", 7)
+    sizes = []
+    real = ar_mod._block
+    monkeypatch.setattr(ar_mod, "_block",
+                        lambda d, p, c, *a: sizes.append(c.shape[0]) or real(d, p, c, *a))
+    # seven grid points on eight or six patterns: blocks of 17 or 23
+    monkeypatch.setattr(ar_mod, "_BLOCK_CELLS", 1000)
     got = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
+    assert sizes[0] in (17, 23) and sum(sizes) == 200
     assert np.array_equal(got[0].upper, want[0].upper)
     assert np.array_equal(got[1].mu_star, want[1].mu_star)
     assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
+
+
+def wide_data(n):
+    # a continuous covariate: every row is its own pattern
+    gen = RngSpec(11).derive("wide")
+    x = np.linspace(-2.0, 2.0, n)
+    y = bernoulli(gen, np.full(n, 0.5))
+    t = bernoulli(gen, 1.0 / (1.0 + np.exp(-0.5 * x - 0.8 * y + 0.3)))
+    return ObservedDataset(y=y, t=t, x=x[:, None], design=D1)
+
+
+@pytest.mark.parametrize("n, pbar, batched", [(60, 1.0, True), (90, 1.0, False),
+                                              (90, 0.6, True)])
+def test_only_narrow_pattern_tables_are_batched(n, pbar, batched, monkeypatch):
+    # a replicate of n patterns on a 101- or 61-point grid holds n * 101 or
+    # n * 61 cells, so a block of _BLOCK_CELLS holds 21, 14 or 23 of them;
+    # below _MIN_BLOCK = 16 the batch would be slower than the loop
+    data = wide_data(n)
+    sizes = []
+    real = ar_mod._block
+    monkeypatch.setattr(ar_mod, "_block",
+                        lambda d, p, c, *a: sizes.append(c.shape[0]) or real(d, p, c, *a))
+    curve, diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
+    assert bool(sizes) is batched
+    if batched:
+        assert min(sizes[:-1]) >= ar_mod._MIN_BLOCK and sum(sizes) == 200
+    monkeypatch.setattr(ar_mod, "_MIN_BLOCK", 10 ** 9)  # every table on the loop
+    looped, looped_diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
+    np.testing.assert_allclose(curve.upper, looped.upper, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(diag.mu_star, looped_diag.mu_star)
+    assert (diag.n_kept, diag.n_clipped_boot) == (looped_diag.n_kept,
+                                                  looped_diag.n_clipped_boot)
 
 
 def test_bc_tie_counts_the_same_on_both_paths(monkeypatch):

@@ -9,19 +9,33 @@ counterexample dump.
 
 The suite also runs a negative control: populations built to violate
 monotone selection, for which the odds-ratio upper bound must fail.
+
+Each population is projected at most once per design: the suite pairs it
+with its laws when it is drawn and hands the pair to every check that reads
+it.  Populations are drawn one family at a time (general, monotone,
+unconfounded, unconfounded and monotone), and a family's pairs are dropped
+once its checks have run, so nothing outlives the suite and only one
+family's laws are held at once.  Populations and laws are immutable and
+cache their derived arrays on the instance (see `casebound.oracle`), so
+sharing them between checks cannot change a result.
+
+A non-finite error counts as a failure, and as an infinite worst error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import Design
 from .oracle import (
     AssumptionSet,
     DiscretePopulation,
+    ObservedLaw,
     bounds_ar,
     bounds_rr,
     beta_aggregate,
@@ -41,6 +55,7 @@ __all__ = ["CheckResult", "run_identity_suite", "render_report", "check_populati
 
 EXACT_TOL = 1e-10
 _H0 = 0.35  # arbitrary sampling rate; the identities must hold for any h0
+_BOTH = (Design.CASE_CONTROL, Design.CASE_POPULATION)
 
 
 @dataclass(frozen=True)
@@ -66,121 +81,127 @@ class _Tally:
 
     def record(self, err: float, pop: DiscretePopulation, cell: int, tol: float):
         self.n += 1
-        self.worst = max(self.worst, err)
-        if err > tol and self.example is None:
+        # a non-finite error fails and is the worst possible: NaN would
+        # otherwise pass both `err > tol` and `max`
+        finite = math.isfinite(err)
+        self.worst = max(self.worst, err if finite else math.inf)
+        if err > tol or not finite:
             self.fail += 1
-            self.example = (f"cell={cell} err={err:.3e}\n"
-                            f"pmf={np.array2string(pop.pmf, precision=6)}")
-        elif err > tol:
-            self.fail += 1
+            if self.example is None:
+                self.example = (f"cell={cell} err={err:.3e}\n"
+                                f"pmf={np.array2string(pop.pmf, precision=6)}")
 
     def result(self) -> CheckResult:
         return CheckResult(name=self.name, n_cases=self.n, n_failures=self.fail,
                            worst_error=self.worst, counterexample=self.example)
 
 
-def _both_laws(pop: DiscretePopulation):
-    for design in (Design.CASE_CONTROL, Design.CASE_POPULATION):
-        yield design, project(pop, design, _H0)
+class _Case(NamedTuple):
+    """A population and its observed laws, projected once per design."""
+
+    pop: DiscretePopulation
+    laws: dict[Design, ObservedLaw]
+
+
+def _cases(pops, designs=_BOTH) -> list[_Case]:
+    return [_Case(pop, {design: project(pop, design, _H0) for design in designs})
+            for pop in pops]
 
 
 def run_identity_suite(seed: int = 0, n_populations: int = 200,
                        tol: float = EXACT_TOL) -> list[CheckResult]:
-    """Run every identity check on `n_populations` seeded populations each."""
-    rng = RngSpec(seed)
-    general = [random_population(rng.derive("pop-general", i), n_cells=2)
-               for i in range(n_populations)]
-    monotone = [random_population(rng.derive("pop-monotone", i), n_cells=2,
-                                  mtr=True, mts=True)
-                for i in range(n_populations)]
-    unconf = [random_population(rng.derive("pop-unconf", i), n_cells=2,
-                                unconfounded=True)
-              for i in range(n_populations)]
-    unconf_mtr = [random_population(rng.derive("pop-unconf-mtr", i), n_cells=2,
-                                    unconfounded=True, mtr=True, mts=True)
-                  for i in range(n_populations)]
+    """Run every identity check on `n_populations` seeded populations each.
 
-    results = [
-        _check_case_prob_identity(general, tol),
-        _check_gamma_prospective_rr(general, tol),
-        _check_bayes_or_invariance(general, tol),
-        _check_gamma_ordering(monotone, tol),
-        _check_rr_containment(monotone, tol),
-        _check_ar_containment(monotone, tol),
-        _check_rr_point_id(unconf, tol),
-        _check_ar_point_id(unconf, tol),
-        _check_aggregation_identity(general, tol),
-        _check_cp_bound_linear(general, tol),
-        _check_slope_finite_difference(general),
-        _check_gamma_monotone(unconf_mtr, tol),
-        _check_rare_disease_limit(rng, n_populations),
-        _check_mts_violation_detected(rng, n_populations),
-    ]
-    return results
+    Each family of populations is drawn, projected, checked and released
+    before the next is drawn, so one family's laws are alive at a time.
+    """
+    if n_populations < 1:
+        raise ValidationError(f"the suite needs at least one population, got {n_populations}")
+    rng = RngSpec(seed)
+
+    def family(purpose: str, checks, designs=_BOTH, **kind) -> list[CheckResult]:
+        cases = _cases([random_population(rng.derive(purpose, i), n_cells=2, **kind)
+                        for i in range(n_populations)], designs)
+        return [check(cases, tol) for check in checks]
+
+    general = family("pop-general", (
+        _check_case_prob_identity, _check_gamma_prospective_rr, _check_bayes_or_invariance,
+        _check_aggregation_identity, _check_cp_bound_linear, _check_slope_finite_difference))
+    monotone = family("pop-monotone", (
+        _check_gamma_ordering, _check_rr_containment, _check_ar_containment),
+        mtr=True, mts=True)
+    unconf = family("pop-unconf", (_check_rr_point_id, _check_ar_point_id),
+                    unconfounded=True)
+    unconf_mtr = family("pop-unconf-mtr", (_check_gamma_monotone,), (Design.CASE_CONTROL,),
+                        unconfounded=True, mtr=True, mts=True)
+    return [*general[:3], *monotone, *unconf, *general[3:], *unconf_mtr,
+            _check_rare_disease_limit(rng, n_populations),
+            _check_mts_violation_detected(rng, n_populations)]
 
 
 def check_population(pop: DiscretePopulation, tol: float = EXACT_TOL) -> list[CheckResult]:
     """Run the applicable identity checks on a single supplied population."""
+    cases = _cases([pop])
     results = [
-        _check_case_prob_identity([pop], tol),
-        _check_gamma_prospective_rr([pop], tol),
-        _check_bayes_or_invariance([pop], tol),
-        _check_aggregation_identity([pop], tol),
+        _check_case_prob_identity(cases, tol),
+        _check_gamma_prospective_rr(cases, tol),
+        _check_bayes_or_invariance(cases, tol),
+        _check_aggregation_identity(cases, tol),
     ]
     report = pop.check_assumptions()
     if report.mtr and report.mts:
-        results.append(_check_gamma_ordering([pop], tol))
-        results.append(_check_rr_containment([pop], tol))
-        results.append(_check_ar_containment([pop], tol))
+        results.append(_check_gamma_ordering(cases, tol))
+        results.append(_check_rr_containment(cases, tol))
+        results.append(_check_ar_containment(cases, tol))
     if report.unconfounded:
-        results.append(_check_rr_point_id([pop], tol))
-        results.append(_check_ar_point_id([pop], tol))
+        results.append(_check_rr_point_id(cases, tol))
+        results.append(_check_ar_point_id(cases, tol))
     return results
 
 
-def _check_case_prob_identity(pops, tol) -> CheckResult:
+def _check_case_prob_identity(cases, tol) -> CheckResult:
     t = _Tally("case-probability identity r(x, p0) = Pr(Y*=1|x)")
-    for pop in pops:
+    for pop, laws in cases:
         truth = pop.py_given_x()
-        for _, law in _both_laws(pop):
+        for law in laws.values():
             for c in range(pop.n_cells):
                 t.record(abs(r_case_prob(law, c, pop.p0) - truth[c]), pop, c, tol)
     return t.result()
 
 
-def _check_gamma_prospective_rr(pops, tol) -> CheckResult:
+def _check_gamma_prospective_rr(cases, tol) -> CheckResult:
     t = _Tally("Gamma at the true case share equals the prospective relative risk")
-    for pop in pops:
-        for design, law in _both_laws(pop):
+    for pop, laws in cases:
+        for design, law in laws.items():
             p = pop.p0 if design is Design.CASE_CONTROL else 0.0
             for c in range(pop.n_cells):
                 t.record(abs(gamma(law, c, p) - pop.prospective_rr(c)), pop, c, tol)
     return t.result()
 
 
-def _check_bayes_or_invariance(pops, tol) -> CheckResult:
+def _check_bayes_or_invariance(cases, tol) -> CheckResult:
     t = _Tally("odds-ratio invariance: Gamma(x, 0) equals the prospective odds ratio")
-    for pop in pops:
-        law = project(pop, Design.CASE_CONTROL, _H0)
+    for pop, laws in cases:
+        law = laws[Design.CASE_CONTROL]
         for c in range(pop.n_cells):
             t.record(abs(gamma(law, c, 0.0) - pop.prospective_or(c)), pop, c, tol)
     return t.result()
 
 
-def _check_gamma_ordering(pops, tol) -> CheckResult:
+def _check_gamma_ordering(cases, tol) -> CheckResult:
     t = _Tally("monotone populations: Gamma(x, p0) <= Gamma(x, 0)")
-    for pop in pops:
-        law = project(pop, Design.CASE_CONTROL, _H0)
+    for pop, laws in cases:
+        law = laws[Design.CASE_CONTROL]
         for c in range(pop.n_cells):
             gap = gamma(law, c, pop.p0) - gamma(law, c, 0.0)
             t.record(max(gap, 0.0), pop, c, tol)
     return t.result()
 
 
-def _check_rr_containment(pops, tol) -> CheckResult:
+def _check_rr_containment(cases, tol) -> CheckResult:
     t = _Tally("relative risk lies in [1, Gamma(x, 0)] under monotonicity")
-    for pop in pops:
-        for design, law in _both_laws(pop):
+    for pop, laws in cases:
+        for law in laws.values():
             for c in range(pop.n_cells):
                 lo, hi = bounds_rr(law, c, 1.0, AssumptionSet.MONOTONE)
                 theta = pop.theta(c)
@@ -189,10 +210,10 @@ def _check_rr_containment(pops, tol) -> CheckResult:
     return t.result()
 
 
-def _check_ar_containment(pops, tol) -> CheckResult:
+def _check_ar_containment(cases, tol) -> CheckResult:
     t = _Tally("attributable risk lies in [0, envelope bound] under monotonicity")
-    for pop in pops:
-        for design, law in _both_laws(pop):
+    for pop, laws in cases:
+        for law in laws.values():
             for c in range(pop.n_cells):
                 lo, hi = bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE,
                                    step=0.01, extra_p=(pop.p0,))
@@ -201,24 +222,24 @@ def _check_ar_containment(pops, tol) -> CheckResult:
     return t.result()
 
 
-def _check_rr_point_id(pops, tol) -> CheckResult:
+def _check_rr_point_id(cases, tol) -> CheckResult:
     t = _Tally("ignorability: Gamma pins down the relative risk exactly")
-    for pop in pops:
-        for design, law in _both_laws(pop):
+    for pop, laws in cases:
+        for design, law in laws.items():
             p = pop.p0 if design is Design.CASE_CONTROL else 0.0
             for c in range(pop.n_cells):
                 t.record(abs(gamma(law, c, p) - pop.theta(c)), pop, c, tol)
-        law2 = project(pop, Design.CASE_POPULATION, _H0)
+        law2 = laws[Design.CASE_POPULATION]
         for c in range(pop.n_cells):
             lo, hi = bounds_rr(law2, c, 1.0, AssumptionSet.IGNORABILITY)
             t.record(max(abs(lo - pop.theta(c)), abs(hi - pop.theta(c))), pop, c, tol)
     return t.result()
 
 
-def _check_ar_point_id(pops, tol) -> CheckResult:
+def _check_ar_point_id(cases, tol) -> CheckResult:
     t = _Tally("ignorability: r * Gamma_AR pins down the attributable risk exactly")
-    for pop in pops:
-        for design, law in _both_laws(pop):
+    for pop, laws in cases:
+        for design, law in laws.items():
             p = pop.p0 if design is Design.CASE_CONTROL else 0.0
             for c in range(pop.n_cells):
                 val = r_case_prob(law, c, pop.p0) * gamma_ar(law, c, p)
@@ -226,11 +247,11 @@ def _check_ar_point_id(pops, tol) -> CheckResult:
     return t.result()
 
 
-def _check_aggregation_identity(pops, tol) -> CheckResult:
+def _check_aggregation_identity(cases, tol) -> CheckResult:
     t = _Tally("aggregation: population mean of log OR matches the stratum mix")
-    for pop in pops:
+    for pop, laws in cases:
         mass = pop.cell_mass
-        for design, law in _both_laws(pop):
+        for design, law in laws.items():
             target = float(mass @ np.log([gamma(law, c, 0.0)
                                           for c in range(pop.n_cells)]))
             if design is Design.CASE_CONTROL:
@@ -242,22 +263,23 @@ def _check_aggregation_identity(pops, tol) -> CheckResult:
     return t.result()
 
 
-def _check_cp_bound_linear(pops, tol) -> CheckResult:
+def _check_cp_bound_linear(cases, tol) -> CheckResult:
     t = _Tally("case-population AR bound is p times its slope")
-    for pop in pops:
-        law = project(pop, Design.CASE_POPULATION, _H0)
+    for pop, laws in cases:
+        law = laws[Design.CASE_POPULATION]
         slope = xi_cp(law)
         for p in (0.0, 0.25, 0.5, 1.0):
             t.record(abs(upper_bound_ar(law, p) - p * slope), pop, 0, tol)
     return t.result()
 
 
-def _check_slope_finite_difference(pops) -> CheckResult:
-    # derivative formula vs central-quality one-sided difference at p ~ 0
+def _check_slope_finite_difference(cases, tol) -> CheckResult:
+    # derivative formula vs central-quality one-sided difference at p ~ 0; a
+    # finite difference is not exact, so `tol` gives way to a fixed 1e-4
     t = _Tally("odds-ratio slope at p=0 matches a finite difference (1e-4 relative)")
     eps = 1e-6
-    for pop in pops:
-        law = project(pop, Design.CASE_CONTROL, _H0)
+    for pop, laws in cases:
+        law = laws[Design.CASE_CONTROL]
         for c in range(pop.n_cells):
             slope = rare_disease_slope(law, c)
             fd = (gamma(law, c, eps) - gamma(law, c, 0.0)) / eps
@@ -270,11 +292,11 @@ def _check_slope_finite_difference(pops) -> CheckResult:
     return t.result()
 
 
-def _check_gamma_monotone(pops, tol) -> CheckResult:
+def _check_gamma_monotone(cases, tol) -> CheckResult:
     t = _Tally("monotone + unconfounded: Gamma decreasing in p, sandwiching theta")
     grid = np.linspace(0.0, 1.0, 21)
-    for pop in pops:
-        law = project(pop, Design.CASE_CONTROL, _H0)
+    for pop, laws in cases:
+        law = laws[Design.CASE_CONTROL]
         for c in range(pop.n_cells):
             vals = [gamma(law, c, p) for p in grid]
             worst_up = max(max(b - a for a, b in zip(vals, vals[1:])), 0.0)

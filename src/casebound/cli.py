@@ -321,7 +321,10 @@ def oracle(seed, populations, population_path, strict, fmt):
             results = run_identity_suite(seed=seed, n_populations=populations)
         _emit({"command": "oracle",
                "results": [{"name": r.name, "cases": r.n_cases,
-                            "failures": r.n_failures, "worst_error": r.worst_error}
+                            "failures": r.n_failures,
+                            # JSON has no infinity; a non-finite error reads null
+                            "worst_error": (r.worst_error if math.isfinite(r.worst_error)
+                                            else None)}
                            for r in results]},
               render_report(results), fmt)
         if strict and any(not r.passed for r in results):

@@ -9,6 +9,22 @@ formulas — can then be evaluated by plain enumeration, with no estimation
 error.  This module is the reference against which the estimators and the
 identification formulas are verified.
 
+Caching
+-------
+A DiscretePopulation and an ObservedLaw are frozen and their arrays are
+read-only, so what they determine is computed on first use and kept on the
+instance with functools.cached_property: a population's cell mass,
+treatment propensity, potential-outcome margins, factual joint, p0 and its
+assumption report at the default tolerance (any other tolerance is
+evaluated afresh), and a law's Pr(Y=1|x).  Cached arrays are read-only
+too, so no caller can change them under another.  A cache lives and dies
+with its instance; nothing is memoised at module level, where a population
+(unhashable, since it holds arrays) would be kept alive for good.
+
+The bound scans evaluate their whole p-grid with one call of the
+elementwise formula kernel; only the local refinement around the best grid
+point evaluates one p at a time, with the same arithmetic.
+
 Index conventions
 -----------------
 pmf has shape (n_cells, 2, 2, 2) indexed [cell, t, y0, y1].
@@ -61,6 +77,7 @@ __all__ = [
 ]
 
 _PMF_TOL = 1e-12
+_ASSUMPTION_TOL = 1e-12
 
 
 class AssumptionSet(enum.Enum):
@@ -102,28 +119,36 @@ class DiscretePopulation:
         self.pmf.setflags(write=False)
 
     # --- marginal building blocks -----------------------------------------
+    #
+    # The population is immutable, so everything below that depends only on
+    # pmf is computed on first use and cached on the instance as a read-only
+    # array (functools.cached_property writes the instance __dict__, which a
+    # frozen dataclass allows).
 
     @property
     def n_cells(self) -> int:
         return self.support_x.shape[0]
 
-    @property
+    @cached_property
     def cell_mass(self) -> np.ndarray:
         """f_{X*}(x), per cell."""
-        return self.pmf.sum(axis=(1, 2, 3))
+        return _frozen(self.pmf.sum(axis=(1, 2, 3)))
 
-    @property
+    @cached_property
     def p_treat_given_x(self) -> np.ndarray:
         """Pr(T*=1 | X*=x), per cell."""
-        return self.pmf[:, 1].sum(axis=(1, 2)) / self.cell_mass
+        return _frozen(self.pmf[:, 1].sum(axis=(1, 2)) / self.cell_mass)
+
+    @cached_property
+    def _potential_probs(self) -> np.ndarray:
+        # [t, cell] -> Pr{Y*(t)=1 | X*=x}
+        num = np.stack([self.pmf[:, :, 1, :].sum(axis=(1, 2)),
+                        self.pmf[:, :, :, 1].sum(axis=(1, 2))])
+        return _frozen(num / self.cell_mass)
 
     def potential_prob(self, t: int) -> np.ndarray:
         """Pr{Y*(t)=1 | X*=x}, per cell."""
-        if t == 1:
-            num = self.pmf[:, :, :, 1].sum(axis=(1, 2))
-        else:
-            num = self.pmf[:, :, 1, :].sum(axis=(1, 2))
-        return num / self.cell_mass
+        return self._potential_probs[1 if t == 1 else 0]
 
     def potential_prob_by_arm(self, t: int, arm: int) -> np.ndarray:
         """Pr{Y*(t)=1 | T*=arm, X*=x}, per cell."""
@@ -133,7 +158,7 @@ class DiscretePopulation:
         with np.errstate(invalid="ignore"):
             return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), np.nan)
 
-    @property
+    @cached_property
     def joint_xty(self) -> np.ndarray:
         """Pr(X*=x, T*=t, Y*=y) with Y* = T*Y*(1) + (1-T*)Y*(0); shape (n_cells, 2, 2)."""
         out = np.empty((self.n_cells, 2, 2))
@@ -141,9 +166,9 @@ class DiscretePopulation:
         out[:, 0, 1] = self.pmf[:, 0, 1, :].sum(axis=1)   # t=0, y0=1
         out[:, 1, 0] = self.pmf[:, 1, :, 0].sum(axis=1)   # t=1, y1=0
         out[:, 1, 1] = self.pmf[:, 1, :, 1].sum(axis=1)   # t=1, y1=1
-        return out
+        return _frozen(out)
 
-    @property
+    @cached_property
     def p0(self) -> float:
         """True case probability Pr(Y*=1)."""
         j = self.joint_xty
@@ -157,6 +182,7 @@ class DiscretePopulation:
 
     def theta(self, cell: int) -> float:
         """Causal relative risk Pr{Y*(1)=1|x} / Pr{Y*(0)=1|x}."""
+        _check_cell(self, cell)
         p1 = self.potential_prob(1)[cell]
         p0 = self.potential_prob(0)[cell]
         if p0 <= 0:
@@ -165,12 +191,12 @@ class DiscretePopulation:
 
     def theta_ar(self, cell: int) -> float:
         """Causal attributable risk Pr{Y*(1)=1|x} - Pr{Y*(0)=1|x}."""
-        if not 0 <= cell < self.n_cells:
-            raise ValidationError(f"cell {cell} outside support")
+        _check_cell(self, cell)
         return float(self.potential_prob(1)[cell] - self.potential_prob(0)[cell])
 
     def prospective_rr(self, cell: int) -> float:
         """Pr(Y*=1|T*=1,x) / Pr(Y*=1|T*=0,x) from the factual joint."""
+        _check_cell(self, cell)
         j = self.joint_xty[cell]
         p1 = j[1, 1] / j[1].sum()
         p0 = j[0, 1] / j[0].sum()
@@ -180,34 +206,61 @@ class DiscretePopulation:
 
     def prospective_or(self, cell: int) -> float:
         """Odds ratio of (Y*, T*) given X*=x."""
+        _check_cell(self, cell)
         j = self.joint_xty[cell]
-        if np.any(j <= 0):
+        if (j <= 0).any():
             raise ZeroDenominator("a factual (t, y) cell has zero mass")
         return float((j[1, 1] * j[0, 0]) / (j[0, 1] * j[1, 0]))
 
     # --- assumption checks ----------------------------------------------------
 
-    def check_assumptions(self, tol: float = 1e-12) -> AssumptionReport:
-        """Exact enumeration of overlap, unconfoundedness, MTR and MTS."""
+    def check_assumptions(self, tol: float = _ASSUMPTION_TOL) -> AssumptionReport:
+        """Exact enumeration of overlap, unconfoundedness, MTR and MTS.
+
+        The report at the default tolerance is computed once per population;
+        any other tolerance is evaluated afresh.
+        """
+        if tol == _ASSUMPTION_TOL:
+            return self._default_report
+        return self._assumption_report(tol)
+
+    @cached_property
+    def _default_report(self) -> AssumptionReport:
+        return self._assumption_report(_ASSUMPTION_TOL)
+
+    def _assumption_report(self, tol: float) -> AssumptionReport:
+        # Every cell and both arms at once.  Overlap needs Pr(T*=1|x) and both
+        # potential-outcome margins inside (0, 1); the margins are only
+        # computed when treatment overlap holds.
         pt = self.p_treat_given_x
-        overlap = bool(np.all((pt > 0) & (pt < 1)))
+        overlap = bool(((pt > 0) & (pt < 1)).all())
         if overlap:
-            for t in (0, 1):
-                q = self.potential_prob(t)
-                overlap &= bool(np.all((q > 0) & (q < 1)))
+            q = self._potential_probs
+            overlap = bool(((q > 0) & (q < 1)).all())
         mtr = bool(self.pmf[:, :, 1, 0].sum() <= tol)
-        unconf = True
-        mts = True
-        for t in (0, 1):
-            by1 = self.potential_prob_by_arm(t, 1)
-            by0 = self.potential_prob_by_arm(t, 0)
-            if np.any(np.isnan(by1)) or np.any(np.isnan(by0)):
-                unconf = False
-                mts = False
-                break
-            unconf &= bool(np.all(np.abs(by1 - by0) <= tol))
-            mts &= bool(np.all(by1 >= by0 - tol))
+        # by_arm[c, arm, t] = Pr{Y*(t)=1 | T*=arm, X*=x}; an empty arm leaves
+        # it undefined, and then neither assumption can be verified
+        denom = self.pmf.sum(axis=(2, 3))
+        if (denom <= 0).any():
+            return AssumptionReport(overlap=overlap, unconfounded=False, mtr=mtr, mts=False)
+        num = np.stack([self.pmf[:, :, 1, :].sum(axis=2),
+                        self.pmf[:, :, :, 1].sum(axis=2)], axis=2)
+        by_arm = num / denom[:, :, None]
+        by1, by0 = by_arm[:, 1], by_arm[:, 0]
+        unconf = bool((np.abs(by1 - by0) <= tol).all())
+        mts = bool((by1 >= by0 - tol).all())
         return AssumptionReport(overlap=overlap, unconfounded=unconf, mtr=mtr, mts=mts)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_cell(source, cell: int) -> None:
+    """Reject a cell index outside 0..n_cells-1 (negative indices included)."""
+    if not 0 <= cell < source.n_cells:
+        raise ValidationError(f"cell {cell} outside support 0..{source.n_cells - 1}")
 
 
 @dataclass(frozen=True)
@@ -253,9 +306,7 @@ class ObservedLaw:
         """Pr(Y=1 | X=x) by the Bayes rule from fxy and h0, computed once."""
         num = self.h0 * self.fxy[1]
         den = num + (1.0 - self.h0) * self.fxy[0]
-        out = num / den
-        out.setflags(write=False)
-        return out
+        return _frozen(num / den)
 
 
 def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:
@@ -265,8 +316,7 @@ def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:
     Y*=y.  Case-population: the y=0 stratum is the unconditional law of
     (T*, X*).  Requires an overlap-valid population.
     """
-    report = pop.check_assumptions()
-    if not report.overlap:
+    if not pop.check_assumptions().overlap:
         raise OverlapViolation("population violates overlap on some support cell")
     j = pop.joint_xty  # (cell, t, ystar)
     p_y1 = j[:, :, 1].sum()
@@ -334,6 +384,7 @@ def r_case_prob(law: ObservedLaw, cell: int, p: float) -> float:
     Evaluated at the (unidentified) true case share p0 it returns
     Pr(Y*=1 | X*=x) under both designs; at p=0 it returns 0.
     """
+    _check_cell(law, cell)
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
     return float(r_formula(law.pyx[cell], law.h0, p, law.design))
@@ -341,12 +392,14 @@ def r_case_prob(law: ObservedLaw, cell: int, p: float) -> float:
 
 def gamma(law: ObservedLaw, cell: int, p: float) -> float:
     """The identified bound function Gamma(x, p); Gamma(x, 0) is the odds ratio."""
+    _check_cell(law, cell)
     return float(gamma_formula(law.pi[1, 0, cell], law.pi[1, 1, cell],
                                r_case_prob(law, cell, p)))
 
 
 def gamma_ar(law: ObservedLaw, cell: int, p: float) -> float:
     """The attributable-risk analogue of Gamma: a difference of probability ratios."""
+    _check_cell(law, cell)
     return float(gamma_ar_formula(law.pi[1, 0, cell], law.pi[1, 1, cell],
                                   r_case_prob(law, cell, p)))
 
@@ -360,6 +413,7 @@ def rare_disease_slope(law: ObservedLaw, cell: int) -> float:
     """
     if law.design is not Design.CASE_CONTROL:
         raise ValidationError("the p=0 slope formula applies to case-control laws")
+    _check_cell(law, cell)
     pi = law.pi
     lead = pi[1, 1, cell] * (pi[1, 0, cell] - pi[1, 1, cell]) / (
         pi[0, 1, cell] * pi[1, 0, cell] ** 2)
@@ -389,6 +443,7 @@ def bounds_rr(source, cell: int, pbar: float,
     if not 0.0 <= pbar <= 1.0:
         raise ValidationError("pbar must lie in [0, 1]")
     law = _as_law(source, design, h0)
+    _check_cell(law, cell)
     g0 = gamma(law, cell, 0.0)
     if assumptions is AssumptionSet.MONOTONE:
         return (1.0, g0)
@@ -400,11 +455,15 @@ def bounds_rr(source, cell: int, pbar: float,
 
 def _scan_max(f, pbar: float, step: float, extra: tuple[float, ...],
               sign: float) -> float:
-    """max (sign=+1) or min (sign=-1) of f over [0, pbar], grid + local refinement."""
+    """max (sign=+1) or min (sign=-1) of f over [0, pbar], grid + local refinement.
+
+    f is elementwise: the whole grid is one call on an array, and the same
+    arithmetic on a float gives the refinement's values bit for bit.
+    """
     grid = np.arange(0.0, pbar, step)
     grid = np.concatenate([grid, [pbar], np.asarray(extra, dtype=float)])
     grid = np.unique(np.clip(grid, 0.0, pbar))
-    vals = np.array([sign * f(p) for p in grid])
+    vals = sign * f(grid)
     k = int(np.argmax(vals))
     best = vals[k]
     lo = grid[max(k - 1, 0)]
@@ -412,7 +471,7 @@ def _scan_max(f, pbar: float, step: float, extra: tuple[float, ...],
     if hi > lo:
         res = minimize_scalar(lambda p: -sign * f(p), bounds=(lo, hi),
                               method="bounded", options={"xatol": 1e-10})
-        best = max(best, sign * f(float(res.x)))
+        best = max(best, sign * float(f(float(res.x))))
     return sign * best
 
 
@@ -430,11 +489,15 @@ def bounds_ar(source, cell: int, pbar: float,
     if not 0.0 <= pbar <= 1.0:
         raise ValidationError("pbar must lie in [0, 1]")
     law = _as_law(source, design, h0)
+    _check_cell(law, cell)
+    q, pi0, pi1 = law.pyx[cell], law.pi[1, 0, cell], law.pi[1, 1, cell]
     if law.design is Design.CASE_CONTROL:
-        f = lambda p: r_case_prob(law, cell, p) * gamma_ar(law, cell, p)
+        def f(p):
+            r = r_formula(q, law.h0, p, law.design)
+            return r * gamma_ar_formula(pi0, pi1, r)
     else:
         g0 = gamma_ar(law, cell, 0.0)
-        f = lambda p: r_case_prob(law, cell, p) * g0
+        f = lambda p: r_formula(q, law.h0, p, law.design) * g0
     hi = _scan_max(f, pbar, step, extra_p, +1.0)
     if assumptions is AssumptionSet.MONOTONE:
         return (0.0, hi)

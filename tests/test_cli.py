@@ -231,3 +231,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
 
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_oracle_rejects_an_empty_suite(runner, count):
+    result = runner.invoke(main, ["oracle", "--populations", count, "--strict"])
+    assert result.exit_code == 2, result.output
+    assert "[PASS]" not in result.output
+
+
+def test_oracle_nan_error_fails_and_json_stays_valid(runner, monkeypatch):
+    import casebound.checks
+    monkeypatch.setattr(casebound.checks, "gamma", lambda law, cell, p: float("nan"))
+    result = runner.invoke(main, ["oracle", "--populations", "2", "--strict",
+                                  "--format", "json"])
+    assert result.exit_code == 6, result.output
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    doc = json.loads(result.output, parse_constant=reject)
+    by_name = {r["name"]: r for r in doc["results"]}
+    odds = by_name["odds-ratio invariance: Gamma(x, 0) equals the prospective odds ratio"]
+    assert odds["failures"] == odds["cases"] == 4
+    assert odds["worst_error"] is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from casebound.errors import (
     OverlapViolation,
@@ -95,6 +96,33 @@ def test_check_assumptions_flags():
     prod = random_population(rng.derive("unconf"), n_cells=2, unconfounded=True)
     rep = prod.check_assumptions()
     assert rep.unconfounded and rep.mts and rep.overlap
+
+
+@pytest.mark.parametrize("cell", [-1, 2])
+def test_population_cell_index_outside_support_is_typed(cell):
+    pop = random_population(RngSpec(8).derive("index-pop"), n_cells=2)
+    for method in (pop.theta, pop.theta_ar, pop.prospective_rr, pop.prospective_or):
+        with pytest.raises(ValidationError, match="outside support"):
+            method(cell)
+
+
+@pytest.mark.parametrize("cell", [-1, 2])
+def test_law_cell_index_outside_support_is_typed(cell):
+    pop = random_population(RngSpec(8).derive("index-pop"), n_cells=2)
+    law = project(pop, D1, 0.4)
+    calls = [
+        lambda: r_case_prob(law, cell, 0.3),
+        lambda: gamma(law, cell, 0.3),
+        lambda: gamma_ar(law, cell, 0.3),
+        lambda: rare_disease_slope(law, cell),
+        lambda: bounds_rr(law, cell, 0.5, AssumptionSet.IGNORABILITY),
+        lambda: bounds_rr(pop, cell, 0.5, AssumptionSet.MONOTONE, design=D2),
+        lambda: bounds_ar(law, cell, 0.5, AssumptionSet.IGNORABILITY, step=0.1),
+        lambda: bounds_ar(pop, cell, 0.5, AssumptionSet.MONOTONE, design=D2, step=0.1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="outside support"):
+            call()
 
 
 def test_check_assumptions_matches_hand_scan():
@@ -375,6 +403,53 @@ def test_aggregation_identity_exact():
         assert beta_aggregate(law2, 0) == pytest.approx(target2, abs=1e-12)
 
 
+def _per_point_scan(f, pbar, step, extra, sign):
+    # the grid scan as it was before the grid became one array call
+    grid = np.arange(0.0, pbar, step)
+    grid = np.concatenate([grid, [pbar], np.asarray(extra, dtype=float)])
+    grid = np.unique(np.clip(grid, 0.0, pbar))
+    vals = np.array([sign * f(p) for p in grid])
+    k = int(np.argmax(vals))
+    best = vals[k]
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    if hi > lo:
+        res = minimize_scalar(lambda p: -sign * f(p), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-10})
+        best = max(best, sign * f(float(res.x)))
+    return sign * best
+
+
+def _per_point_bounds_ar(law, cell, pbar, assumptions, step, extra_p):
+    if law.design is D1:
+        f = lambda p: r_case_prob(law, cell, p) * gamma_ar(law, cell, p)
+    else:
+        g0 = gamma_ar(law, cell, 0.0)
+        f = lambda p: r_case_prob(law, cell, p) * g0
+    hi = _per_point_scan(f, pbar, step, extra_p, +1.0)
+    if assumptions is AssumptionSet.MONOTONE:
+        return (0.0, hi)
+    return (_per_point_scan(f, pbar, step, extra_p, -1.0), hi)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 3),
+       h0=st.floats(0.05, 0.95), pbar=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+       design=st.sampled_from([D1, D2]),
+       assumptions=st.sampled_from([AssumptionSet.MONOTONE, AssumptionSet.IGNORABILITY]),
+       step=st.sampled_from([0.25, 0.01, 0.001]), with_p0=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bounds_ar_scan_equals_per_point_scan_bit_for_bit(seed, n_cells, h0, pbar, design,
+                                                           assumptions, step, with_p0):
+    pop = random_population(RngSpec(seed).derive("scan-pop"), n_cells=n_cells,
+                            mtr=seed % 2 == 0, mts=seed % 2 == 0)
+    law = project(pop, design, h0)
+    extra_p = (pop.p0,) if with_p0 else ()
+    for c in range(n_cells):
+        got = bounds_ar(law, c, pbar, assumptions, step=step, extra_p=extra_p)
+        want = _per_point_bounds_ar(law, c, pbar, assumptions, step, extra_p)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 # --- persistence --------------------------------------------------------------------
 
 
@@ -387,6 +462,49 @@ def test_pyx_computed_once_per_law():
     assert np.array_equal(law.pyx, num / (num + (1.0 - law.h0) * law.fxy[0]))
     assert law.pyx is law.pyx
     assert not law.pyx.flags.writeable
+
+
+def test_population_quantities_computed_once_and_read_only():
+    pop = random_population(RngSpec(6).derive("cache-pop"), n_cells=3)
+    pmf = pop.pmf
+    fresh = {
+        "cell_mass": pmf.sum(axis=(1, 2, 3)),
+        "p_treat_given_x": pmf[:, 1].sum(axis=(1, 2)) / pmf.sum(axis=(1, 2, 3)),
+        "joint_xty": np.stack([np.stack([pmf[:, 0, 0, :].sum(axis=1),
+                                         pmf[:, 0, 1, :].sum(axis=1)], axis=1),
+                               np.stack([pmf[:, 1, :, 0].sum(axis=1),
+                                         pmf[:, 1, :, 1].sum(axis=1)], axis=1)], axis=1),
+    }
+    for name, want in fresh.items():
+        got = getattr(pop, name)
+        assert np.array_equal(got, want), name
+        assert getattr(pop, name) is got, name
+        assert not got.flags.writeable, name
+        with pytest.raises(ValueError):
+            got[0] = 0.5
+    margins = (pmf[:, :, 1, :].sum(axis=(1, 2)) / fresh["cell_mass"],   # Y*(0)
+               pmf[:, :, :, 1].sum(axis=(1, 2)) / fresh["cell_mass"])   # Y*(1)
+    for t in (0, 1):
+        margin = pop.potential_prob(t)
+        assert np.array_equal(margin, margins[t])
+        # both margins are views of one array computed once
+        assert margin.base is pop.potential_prob(1 - t).base is not None
+        assert not margin.flags.writeable
+        with pytest.raises(ValueError):
+            margin[0] = 0.5
+    assert pop.p0 == float(fresh["joint_xty"][:, :, 1].sum())
+    assert pop.check_assumptions() is pop.check_assumptions()
+
+
+def test_non_default_tolerance_is_computed_fresh():
+    pmf = np.zeros((1, 2, 2, 2))
+    pmf[0, 0, 1, 0] = 0.5  # mass on a harmed unit: y0=1, y1=0
+    pmf[0, 1, 0, 1] = 0.5
+    pop = DiscretePopulation(support_x=np.zeros((1, 1)), pmf=pmf)
+    assert not pop.check_assumptions().mtr
+    assert pop.check_assumptions(tol=1.0).mtr
+    assert not pop.check_assumptions().mtr
+    assert pop.check_assumptions(tol=1e-12) is pop.check_assumptions()
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 6),

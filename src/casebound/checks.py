@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,16 +95,9 @@ class _Tally:
                            worst_error=self.worst, counterexample=self.example)
 
 
-class _Case(NamedTuple):
-    """A population and its observed laws, projected once per design."""
-
-    pop: DiscretePopulation
-    laws: dict[Design, ObservedLaw]
-
-
-def _cases(pops, designs=_BOTH) -> list[_Case]:
-    return [_Case(pop, {design: project(pop, design, _H0) for design in designs})
-            for pop in pops]
+def _cases(pops, designs=_BOTH) -> list[tuple[DiscretePopulation, dict[Design, ObservedLaw]]]:
+    """Pair each population with its observed laws, projected once per design."""
+    return [(pop, {design: project(pop, design, _H0) for design in designs}) for pop in pops]
 
 
 def run_identity_suite(seed: int = 0, n_populations: int = 200,

@@ -12,6 +12,11 @@ the columns to use in intercept-carrying fits; dropping the first column of
 each spline block is an exact reparameterization (the dropped function is an
 affine combination of the intercept and the retained ones), leaving fitted
 probabilities and the treatment coefficient unchanged.
+
+Spline columns are evaluated here by de Boor's recursion, vectorised over
+the rows, in the operation order of scipy's BSpline evaluator: the values
+equal BSpline(knots, eye, 3, extrapolate=False) bit for bit, without the
+cost of importing scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import DegenerateColumn, ValidationError
 
@@ -140,9 +144,11 @@ class BasisSpec:
 
 
 def _quantile_knots(col: np.ndarray, m: int, counts: np.ndarray | None) -> np.ndarray:
+    lo, hi = col.min(), col.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError("spline covariate has non-finite values")
     probs = np.arange(1, m + 1) / (m + 1)
     knots = np.quantile(col if counts is None else np.repeat(col, counts), probs)
-    lo, hi = col.min(), col.max()
     full = np.concatenate([[lo], knots, [hi]])
     if np.any(np.diff(full) <= 0):
         raise ValidationError(
@@ -153,14 +159,38 @@ def _quantile_knots(col: np.ndarray, m: int, counts: np.ndarray | None) -> np.nd
 
 def _spline_columns(col: np.ndarray, term: CubicSplineTerm,
                     counts: np.ndarray | None) -> np.ndarray:
+    """Clamped cubic B-spline basis at every row of col.
+
+    Row i lies in knot interval ell[i] (t[ell] <= x < t[ell+1], the last
+    interval closed), where only the k+1 = 4 functions ell-k..ell are
+    nonzero.  De Boor's triangular recursion gives their values for all rows
+    at once, each product and sum in the order of scipy's evaluator
+    (FITPACK's fpbspl), which is what makes the values bit-identical.
+    """
     inner = _quantile_knots(col, term.inner_knots, counts)
     lo, hi = col.min(), col.max()
-    knots = np.concatenate([[lo] * _SPLINE_ORDER, inner, [hi] * _SPLINE_ORDER])
-    nbasis = term.n_terms()
-    spline = BSpline(knots, np.eye(nbasis), _SPLINE_ORDER - 1, extrapolate=False)
-    out = spline(col)
+    k = _SPLINE_ORDER - 1
+    t = np.concatenate([[lo] * _SPLINE_ORDER, inner, [hi] * _SPLINE_ORDER])
+    n, nbasis = col.shape[0], term.n_terms()
+    ell = k + np.searchsorted(inner, col, "right")
+    # tk[d] = t[ell + d - k + 1]: the 2k knots around each row's interval
+    tk = t[ell + np.arange(1 - k, k + 1)[:, None]]
+    right, left = tk - col, col - tk
+    # level j holds the j+1 nonzero B-splines of order j+1 at each row:
+    # h_new[i] = w[i-1] * (x - t[ell+i-j]) + w[i] * (t[ell+i+1] - x) with
+    # w[i] = h[i] / (t[ell+i+1] - t[ell+i+1-j]), the missing ends zero
+    h = np.ones((1, n))
+    for j in range(1, k + 1):
+        w = h / (tk[k:k + j] - tk[k - j:k])
+        up, down = w * right[k:k + j], w * left[k - j:k]
+        h = np.empty((j + 1, n))
+        h[0] = up[0]
+        np.add(down[:-1], up[1:], out=h[1:j])
+        h[j] = down[-1]
+    out = np.zeros(n * nbasis)
+    out[np.arange(0, n * nbasis, nbasis) + (ell - k) + np.arange(k + 1)[:, None]] = h
+    out = out.reshape(n, nbasis)
     # the rightmost point sits on the closing knot; clamp it into the basis
-    out = np.nan_to_num(out, nan=0.0)
     at_hi = col == hi
     out[at_hi] = 0.0
     out[at_hi, -1] = 1.0

@@ -23,7 +23,10 @@ with its instance; nothing is memoised at module level, where a population
 
 The bound scans evaluate their whole p-grid with one call of the
 elementwise formula kernel; only the local refinement around the best grid
-point evaluates one p at a time, with the same arithmetic.
+point evaluates one p at a time, with the same arithmetic.  The refinement
+is Brent's bounded search, ported from scipy.optimize.minimize_scalar
+(method="bounded") so that it returns scipy's point bit for bit without
+importing scipy.optimize.
 
 Index conventions
 -----------------
@@ -36,11 +39,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     OverlapViolation,
@@ -109,6 +112,8 @@ class DiscretePopulation:
         pmf = np.asarray(self.pmf, dtype=float)
         if pmf.shape != (support.shape[0], 2, 2, 2):
             raise ValidationError(f"pmf must have shape (n_cells, 2, 2, 2), got {pmf.shape}")
+        if not (np.isfinite(pmf).all() and np.isfinite(support).all()):
+            raise ValidationError("pmf and support_x must be finite")
         if np.any(pmf < 0):
             raise ValidationError("pmf entries must be nonnegative")
         if abs(pmf.sum() - 1.0) > _PMF_TOL:
@@ -284,6 +289,8 @@ class ObservedLaw:
             raise ValidationError("pi must be (2, 2, n_cells) and fxy (2, n_cells)")
         if not 0.0 < self.h0 < 1.0:
             raise ValidationError("h0 must lie in (0, 1)")
+        if not (np.isfinite(pi).all() and np.isfinite(fxy).all()):
+            raise ValidationError("pi and fxy must be finite")
         if np.any(np.abs(pi.sum(axis=0) - 1.0) > 1e-9):
             raise ValidationError("Pi(0|y,x) + Pi(1|y,x) must equal 1")
         if np.any(np.abs(fxy.sum(axis=1) - 1.0) > 1e-9):
@@ -453,25 +460,100 @@ def bounds_rr(source, cell: int, pbar: float,
     return (min(g0, gbar), max(g0, gbar))
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_min(f, a: float, b: float, xatol: float) -> tuple[float, float, int]:
+    """Minimise the scalar function f on [a, b]: Brent's golden-section and
+    parabolic search.
+
+    A port of scipy.optimize.minimize_scalar(method="bounded") on Python
+    floats, the same steps in the same order, so every iterate, the returned
+    point and the number of evaluations are scipy's bit for bit.  Returns
+    (x, f(x), evaluations); like scipy, it stops after 500 evaluations.
+    """
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = float(f(x))
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = float(f(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
 def _scan_max(f, pbar: float, step: float, extra: tuple[float, ...],
               sign: float) -> float:
     """max (sign=+1) or min (sign=-1) of f over [0, pbar], grid + local refinement.
 
-    f is elementwise: the whole grid is one call on an array, and the same
-    arithmetic on a float gives the refinement's values bit for bit.
+    f is elementwise: the whole grid is one call on an array.  Between the
+    best grid point's neighbours, _bounded_min (Brent's bounded search, to
+    1e-10 in p) refines it one p at a time with the same arithmetic.
     """
     grid = np.arange(0.0, pbar, step)
     grid = np.concatenate([grid, [pbar], np.asarray(extra, dtype=float)])
     grid = np.unique(np.clip(grid, 0.0, pbar))
     vals = sign * f(grid)
     k = int(np.argmax(vals))
-    best = vals[k]
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
+    best = float(vals[k])
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, len(grid) - 1)])
     if hi > lo:
-        res = minimize_scalar(lambda p: -sign * f(p), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-10})
-        best = max(best, sign * float(f(float(res.x))))
+        _, fx, _ = _bounded_min(lambda p: -sign * f(p), lo, hi, 1e-10)
+        best = max(best, -fx)
     return sign * best
 
 
@@ -483,7 +565,8 @@ def bounds_ar(source, cell: int, pbar: float,
 
     The envelope of r(x, p) * Gamma_AR(x, p) (case-control) or of
     r(x, p) * Gamma_AR(x, 0) (case-population) over p in [0, pbar] is
-    found by a grid scan with local refinement; `extra_p` forces known
+    found by a grid scan, refined between the best grid point's neighbours
+    by Brent's bounded search to 1e-10 in p; `extra_p` forces known
     candidate points (for example the true case share) into the scan.
     """
     if not 0.0 <= pbar <= 1.0:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from casebound.basis import (
     BasisSpec,
@@ -99,3 +100,47 @@ def test_empty_spec_for_no_covariate_data():
     assert spec.n_columns == 0
     cols = build_basis(np.empty((7, 0)), spec)
     assert cols.shape == (7, 0)
+
+
+def _scipy_spline_columns(col, m, counts=None):
+    # the knots build_basis uses, evaluated by scipy
+    probs = np.arange(1, m + 1) / (m + 1)
+    inner = np.quantile(col if counts is None else np.repeat(col, counts), probs)
+    lo, hi = col.min(), col.max()
+    knots = np.concatenate([[lo] * 4, inner, [hi] * 4])
+    return BSpline(knots, np.eye(m + 4), 3, extrapolate=False)(col)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 400), m=st.integers(1, 8),
+       shape=st.sampled_from(["normal", "heavy-tailed", "tied"]), weighted=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_spline_basis_equals_scipy_bspline_bit_for_bit(seed, n, m, shape, weighted):
+    rng = RngSpec(seed).derive("spline-vs-scipy")
+    if shape == "normal":
+        col = rng.standard_normal(n)
+    elif shape == "heavy-tailed":
+        col = rng.standard_cauchy(n)
+    else:
+        col = rng.integers(0, 3 * m + 6, n) / 7.0
+    counts = rng.integers(1, 6, n) if weighted else None
+    spec = BasisSpec(terms=(CubicSplineTerm(m),))
+    try:
+        got = build_basis(col, spec, counts)
+    except (ValidationError, DegenerateColumn):
+        # too few distinct values for m knots: nothing to compare
+        return
+    want = _scipy_spline_columns(col, m, counts)
+    at_hi = col == col.max()
+    # scipy's value at the closing knot is the left limit; build_basis clamps
+    # that row to the last basis function exactly
+    assert np.array_equal(got[~at_hi], want[~at_hi])
+    assert np.array_equal(got[at_hi], np.tile(np.eye(m + 4)[-1], (at_hi.sum(), 1)))
+    np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spline_on_non_finite_covariate_rejected(bad):
+    x = RngSpec(6).derive("basis").standard_normal(40)
+    x[5] = bad
+    with pytest.raises(ValidationError):
+        build_basis(x[:, None], BasisSpec(terms=(CubicSplineTerm(2),)))

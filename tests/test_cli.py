@@ -232,6 +232,45 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+_RUN_WITHOUT_HEAVY_SCIPY = """
+import sys
+import numpy as np
+from click.testing import CliRunner
+from casebound.cli import main
+from casebound.model import ColumnSchema, Design, ObservedDataset, export_csv
+
+rng = np.random.default_rng(5)
+x = rng.standard_normal(400)
+t = (rng.random(400) < 1 / (1 + np.exp(-0.8 * x))).astype(int)
+y = (rng.random(400) < 0.4).astype(int)
+export_csv(ObservedDataset(y=y, t=t, x=x, design=Design.CASE_POPULATION),
+           sys.argv[1], ColumnSchema(y="y", t="t", x=("x1",)))
+runner = CliRunner()
+for args in (["oracle", "--populations", "3", "--seed", "1"],
+             ["ar", "--input", sys.argv[1], "--design", "case-population",
+              "--y-col", "y", "--t-col", "t", "--x-cols", "x1",
+              "--retro-basis", "spline3", "--pbar", "0.15", "--B", "200"],
+             ["mc", "--replications", "100", "--estimators", "parametric"]):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, (args, result.output)
+print(sorted(m for m in ("scipy.optimize", "scipy.interpolate", "scipy.stats")
+             if m in sys.modules))
+"""
+
+
+def test_cli_calls_leave_scipy_optimize_interpolate_and_stats_unloaded(tmp_path):
+    # the bound scans and the spline basis run on in-house ports, so no lazy
+    # import of these packages can hide inside a timed CLI call
+    import casebound
+
+    src = os.path.dirname(os.path.dirname(casebound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_HEAVY_SCIPY,
+                          str(tmp_path / "cp.csv")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_oracle_rejects_an_empty_suite(runner, count):

@@ -18,6 +18,7 @@ from casebound.oracle import (
     AssumptionSet,
     DiscretePopulation,
     ObservedLaw,
+    _bounded_min,
     beta_aggregate,
     beta_ar_aggregate,
     bounds_ar,
@@ -450,6 +451,47 @@ def test_bounds_ar_scan_equals_per_point_scan_bit_for_bit(seed, n_cells, h0, pba
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
+def _assert_same_as_scipy(f, lo, hi, xatol):
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    x, fx, evaluations = _bounded_min(f, lo, hi, xatol)
+    assert x.hex() == float(res.x).hex()
+    assert fx.hex() == float(res.fun).hex()
+    assert evaluations == res.nfev
+
+
+@pytest.mark.parametrize("xatol", [1e-10, 1e-5])
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: (x - 0.3) ** 2, 0.0, 1.0),      # interior optimum
+    (lambda x: math.cos(3.0 * x), -0.5, 2.0),  # interior, not a parabola
+    (lambda x: x, 0.2, 0.9),                   # optimum on the lower bound
+    (lambda x: -x, 0.2, 0.9),                  # optimum on the upper bound
+    (lambda x: 2.0, 0.0, 1.0),                 # constant
+], ids=["parabola", "cosine", "lower-bound", "upper-bound", "constant"])
+def test_bounded_min_equals_scipy_bit_for_bit(f, lo, hi, xatol):
+    _assert_same_as_scipy(f, lo, hi, xatol)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 3),
+       h0=st.floats(0.05, 0.95), design=st.sampled_from([D1, D2]),
+       sign=st.sampled_from([1.0, -1.0]), lo=st.floats(0.0, 0.9),
+       width=st.floats(1e-6, 1.0), xatol=st.sampled_from([1e-10, 1e-5]))
+@settings(max_examples=80, deadline=None)
+def test_bounded_min_equals_scipy_on_ar_envelopes(seed, n_cells, h0, design, sign, lo,
+                                                   width, xatol):
+    # the functions _scan_max refines: sign * r * Gamma_AR of random laws
+    pop = random_population(RngSpec(seed).derive("brent-pop"), n_cells=n_cells,
+                            mtr=seed % 2 == 0, mts=seed % 2 == 0)
+    law = project(pop, design, h0)
+    hi = min(lo + width, 1.0)
+    for c in range(n_cells):
+        g0 = gamma_ar(law, c, 0.0)
+        if design is D1:
+            f = lambda p: -sign * r_case_prob(law, c, p) * gamma_ar(law, c, p)
+        else:
+            f = lambda p: -sign * r_case_prob(law, c, p) * g0
+        _assert_same_as_scipy(f, lo, hi, xatol)
+
+
 # --- persistence --------------------------------------------------------------------
 
 
@@ -560,3 +602,30 @@ def test_pmf_validation():
     bad[0, 1, 1, 1] = -0.5
     with pytest.raises(ValidationError):
         DiscretePopulation(support_x=np.zeros((1, 1)), pmf=bad)
+
+
+def test_non_finite_probabilities_are_rejected(tmp_path):
+    pmf = np.full((1, 2, 2, 2), 1.0 / 8)
+    pmf[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValidationError):
+        DiscretePopulation(support_x=np.zeros((1, 1)), pmf=pmf)
+    with pytest.raises(ValidationError):
+        DiscretePopulation(support_x=np.array([[np.inf]]), pmf=np.full((1, 2, 2, 2), 1.0 / 8))
+    law = single_cell_law(0.4, 0.3)
+    pi = np.array(law.pi)
+    pi[0, 0, 0] = np.nan
+    with pytest.raises(ValidationError):
+        ObservedLaw(design=D1, h0=0.5, pi=pi, fxy=law.fxy)
+    fxy = np.array(law.fxy)
+    fxy[1, 0] = np.nan
+    with pytest.raises(ValidationError):
+        ObservedLaw(design=D1, h0=0.5, pi=law.pi, fxy=fxy)
+    path = tmp_path / "pop.csv"
+    save_population(random_population(RngSpec(23).derive("io"), n_cells=2), path)
+    rows = path.read_text().splitlines()
+    cells = rows[1].split(",")
+    cells[4] = "nan"
+    rows[1] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValidationError):
+        load_population(path)

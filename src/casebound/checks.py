@@ -78,7 +78,8 @@ class _Tally:
         self.worst = 0.0
         self.example = None
 
-    def record(self, err: float, pop: DiscretePopulation, cell: int, tol: float):
+    def record(self, err: float, pop: DiscretePopulation, cell: int,
+               tol: float = EXACT_TOL):
         self.n += 1
         # a non-finite error fails and is the worst possible: NaN would
         # otherwise pass both `err > tol` and `max`
@@ -100,8 +101,7 @@ def _cases(pops, designs=_BOTH) -> list[tuple[DiscretePopulation, dict[Design, O
     return [(pop, {design: project(pop, design, _H0) for design in designs}) for pop in pops]
 
 
-def run_identity_suite(seed: int = 0, n_populations: int = 200,
-                       tol: float = EXACT_TOL) -> list[CheckResult]:
+def run_identity_suite(seed: int = 0, n_populations: int = 200) -> list[CheckResult]:
     """Run every identity check on `n_populations` seeded populations each.
 
     Each family of populations is drawn, projected, checked and released
@@ -114,7 +114,7 @@ def run_identity_suite(seed: int = 0, n_populations: int = 200,
     def family(purpose: str, checks, designs=_BOTH, **kind) -> list[CheckResult]:
         cases = _cases([random_population(rng.derive(purpose, i), n_cells=2, **kind)
                         for i in range(n_populations)], designs)
-        return [check(cases, tol) for check in checks]
+        return [check(cases) for check in checks]
 
     general = family("pop-general", (
         _check_case_prob_identity, _check_gamma_prospective_rr, _check_bayes_or_invariance,
@@ -131,66 +131,66 @@ def run_identity_suite(seed: int = 0, n_populations: int = 200,
             _check_mts_violation_detected(rng, n_populations)]
 
 
-def check_population(pop: DiscretePopulation, tol: float = EXACT_TOL) -> list[CheckResult]:
+def check_population(pop: DiscretePopulation) -> list[CheckResult]:
     """Run the applicable identity checks on a single supplied population."""
     cases = _cases([pop])
     results = [
-        _check_case_prob_identity(cases, tol),
-        _check_gamma_prospective_rr(cases, tol),
-        _check_bayes_or_invariance(cases, tol),
-        _check_aggregation_identity(cases, tol),
+        _check_case_prob_identity(cases),
+        _check_gamma_prospective_rr(cases),
+        _check_bayes_or_invariance(cases),
+        _check_aggregation_identity(cases),
     ]
     report = pop.check_assumptions()
     if report.mtr and report.mts:
-        results.append(_check_gamma_ordering(cases, tol))
-        results.append(_check_rr_containment(cases, tol))
-        results.append(_check_ar_containment(cases, tol))
+        results.append(_check_gamma_ordering(cases))
+        results.append(_check_rr_containment(cases))
+        results.append(_check_ar_containment(cases))
     if report.unconfounded:
-        results.append(_check_rr_point_id(cases, tol))
-        results.append(_check_ar_point_id(cases, tol))
+        results.append(_check_rr_point_id(cases))
+        results.append(_check_ar_point_id(cases))
     return results
 
 
-def _check_case_prob_identity(cases, tol) -> CheckResult:
+def _check_case_prob_identity(cases) -> CheckResult:
     t = _Tally("case-probability identity r(x, p0) = Pr(Y*=1|x)")
     for pop, laws in cases:
         truth = pop.py_given_x()
         for law in laws.values():
             for c in range(pop.n_cells):
-                t.record(abs(r_case_prob(law, c, pop.p0) - truth[c]), pop, c, tol)
+                t.record(abs(r_case_prob(law, c, pop.p0) - truth[c]), pop, c)
     return t.result()
 
 
-def _check_gamma_prospective_rr(cases, tol) -> CheckResult:
+def _check_gamma_prospective_rr(cases) -> CheckResult:
     t = _Tally("Gamma at the true case share equals the prospective relative risk")
     for pop, laws in cases:
         for design, law in laws.items():
             p = pop.p0 if design is Design.CASE_CONTROL else 0.0
             for c in range(pop.n_cells):
-                t.record(abs(gamma(law, c, p) - pop.prospective_rr(c)), pop, c, tol)
+                t.record(abs(gamma(law, c, p) - pop.prospective_rr(c)), pop, c)
     return t.result()
 
 
-def _check_bayes_or_invariance(cases, tol) -> CheckResult:
+def _check_bayes_or_invariance(cases) -> CheckResult:
     t = _Tally("odds-ratio invariance: Gamma(x, 0) equals the prospective odds ratio")
     for pop, laws in cases:
         law = laws[Design.CASE_CONTROL]
         for c in range(pop.n_cells):
-            t.record(abs(gamma(law, c, 0.0) - pop.prospective_or(c)), pop, c, tol)
+            t.record(abs(gamma(law, c, 0.0) - pop.prospective_or(c)), pop, c)
     return t.result()
 
 
-def _check_gamma_ordering(cases, tol) -> CheckResult:
+def _check_gamma_ordering(cases) -> CheckResult:
     t = _Tally("monotone populations: Gamma(x, p0) <= Gamma(x, 0)")
     for pop, laws in cases:
         law = laws[Design.CASE_CONTROL]
         for c in range(pop.n_cells):
             gap = gamma(law, c, pop.p0) - gamma(law, c, 0.0)
-            t.record(max(gap, 0.0), pop, c, tol)
+            t.record(max(gap, 0.0), pop, c)
     return t.result()
 
 
-def _check_rr_containment(cases, tol) -> CheckResult:
+def _check_rr_containment(cases) -> CheckResult:
     t = _Tally("relative risk lies in [1, Gamma(x, 0)] under monotonicity")
     for pop, laws in cases:
         for law in laws.values():
@@ -198,11 +198,11 @@ def _check_rr_containment(cases, tol) -> CheckResult:
                 lo, hi = bounds_rr(law, c, 1.0, AssumptionSet.MONOTONE)
                 theta = pop.theta(c)
                 err = max(lo - theta, theta - hi, 0.0)
-                t.record(err, pop, c, tol)
+                t.record(err, pop, c)
     return t.result()
 
 
-def _check_ar_containment(cases, tol) -> CheckResult:
+def _check_ar_containment(cases) -> CheckResult:
     t = _Tally("attributable risk lies in [0, envelope bound] under monotonicity")
     for pop, laws in cases:
         for law in laws.values():
@@ -210,36 +210,36 @@ def _check_ar_containment(cases, tol) -> CheckResult:
                 lo, hi = bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE,
                                    step=0.01, extra_p=(pop.p0,))
                 ar = pop.theta_ar(c)
-                t.record(max(lo - ar, ar - hi, 0.0), pop, c, tol)
+                t.record(max(lo - ar, ar - hi, 0.0), pop, c)
     return t.result()
 
 
-def _check_rr_point_id(cases, tol) -> CheckResult:
+def _check_rr_point_id(cases) -> CheckResult:
     t = _Tally("ignorability: Gamma pins down the relative risk exactly")
     for pop, laws in cases:
         for design, law in laws.items():
             p = pop.p0 if design is Design.CASE_CONTROL else 0.0
             for c in range(pop.n_cells):
-                t.record(abs(gamma(law, c, p) - pop.theta(c)), pop, c, tol)
+                t.record(abs(gamma(law, c, p) - pop.theta(c)), pop, c)
         law2 = laws[Design.CASE_POPULATION]
         for c in range(pop.n_cells):
             lo, hi = bounds_rr(law2, c, 1.0, AssumptionSet.IGNORABILITY)
-            t.record(max(abs(lo - pop.theta(c)), abs(hi - pop.theta(c))), pop, c, tol)
+            t.record(max(abs(lo - pop.theta(c)), abs(hi - pop.theta(c))), pop, c)
     return t.result()
 
 
-def _check_ar_point_id(cases, tol) -> CheckResult:
+def _check_ar_point_id(cases) -> CheckResult:
     t = _Tally("ignorability: r * Gamma_AR pins down the attributable risk exactly")
     for pop, laws in cases:
         for design, law in laws.items():
             p = pop.p0 if design is Design.CASE_CONTROL else 0.0
             for c in range(pop.n_cells):
                 val = r_case_prob(law, c, pop.p0) * gamma_ar(law, c, p)
-                t.record(abs(val - pop.theta_ar(c)), pop, c, tol)
+                t.record(abs(val - pop.theta_ar(c)), pop, c)
     return t.result()
 
 
-def _check_aggregation_identity(cases, tol) -> CheckResult:
+def _check_aggregation_identity(cases) -> CheckResult:
     t = _Tally("aggregation: population mean of log OR matches the stratum mix")
     for pop, laws in cases:
         mass = pop.cell_mass
@@ -251,23 +251,23 @@ def _check_aggregation_identity(cases, tol) -> CheckResult:
                        + pop.p0 * beta_aggregate(law, 1))
             else:
                 mix = beta_aggregate(law, 0)
-            t.record(abs(mix - target), pop, 0, tol)
+            t.record(abs(mix - target), pop, 0)
     return t.result()
 
 
-def _check_cp_bound_linear(cases, tol) -> CheckResult:
+def _check_cp_bound_linear(cases) -> CheckResult:
     t = _Tally("case-population AR bound is p times its slope")
     for pop, laws in cases:
         law = laws[Design.CASE_POPULATION]
         slope = xi_cp(law)
         for p in (0.0, 0.25, 0.5, 1.0):
-            t.record(abs(upper_bound_ar(law, p) - p * slope), pop, 0, tol)
+            t.record(abs(upper_bound_ar(law, p) - p * slope), pop, 0)
     return t.result()
 
 
-def _check_slope_finite_difference(cases, tol) -> CheckResult:
+def _check_slope_finite_difference(cases) -> CheckResult:
     # derivative formula vs central-quality one-sided difference at p ~ 0; a
-    # finite difference is not exact, so `tol` gives way to a fixed 1e-4
+    # finite difference is not exact, so EXACT_TOL gives way to a fixed 1e-4
     t = _Tally("odds-ratio slope at p=0 matches a finite difference (1e-4 relative)")
     eps = 1e-6
     for pop, laws in cases:
@@ -284,7 +284,7 @@ def _check_slope_finite_difference(cases, tol) -> CheckResult:
     return t.result()
 
 
-def _check_gamma_monotone(cases, tol) -> CheckResult:
+def _check_gamma_monotone(cases) -> CheckResult:
     t = _Tally("monotone + unconfounded: Gamma decreasing in p, sandwiching theta")
     grid = np.linspace(0.0, 1.0, 21)
     for pop, laws in cases:
@@ -292,11 +292,11 @@ def _check_gamma_monotone(cases, tol) -> CheckResult:
         for c in range(pop.n_cells):
             vals = [gamma(law, c, p) for p in grid]
             worst_up = max(max(b - a for a, b in zip(vals, vals[1:])), 0.0)
-            t.record(worst_up, pop, c, tol)
+            t.record(worst_up, pop, c)
             theta = pop.theta(c)
             pbar = min(1.0, pop.p0 + 0.5 * (1.0 - pop.p0))
             sandwich = max(gamma(law, c, pbar) - theta, theta - gamma(law, c, 0.0), 0.0)
-            t.record(sandwich, pop, c, tol)
+            t.record(sandwich, pop, c)
     return t.result()
 
 

@@ -69,6 +69,13 @@ def _run(fn):
         sys.exit(_exit_code(exc))
 
 
+def _term_size(tok: str, prefix: str, default: int) -> int:
+    try:
+        return int(tok[len(prefix):] or default)
+    except ValueError:
+        raise ValidationError(f"basis term {tok!r}: {prefix} takes an integer suffix") from None
+
+
 def _parse_basis(text: str, k: int, interactions: bool) -> BasisSpec:
     """'linear' | 'poly<d>' | 'spline<m>', or a comma list with one entry
     per covariate column."""
@@ -83,9 +90,9 @@ def _parse_basis(text: str, k: int, interactions: bool) -> BasisSpec:
         if tok == "linear":
             terms.append(Linear())
         elif tok.startswith("poly"):
-            terms.append(Polynomial(int(tok[4:] or 2)))
+            terms.append(Polynomial(_term_size(tok, "poly", 2)))
         elif tok.startswith("spline"):
-            terms.append(CubicSplineTerm(int(tok[6:] or 3)))
+            terms.append(CubicSplineTerm(_term_size(tok, "spline", 3)))
         else:
             raise ValidationError(f"unknown basis term {tok!r}")
     return BasisSpec(terms=tuple(terms), interactions=interactions)

@@ -4,8 +4,8 @@ This is the numerical workhorse behind every retrospective and prospective
 fit in the package.  It is deliberately plain: canonical-link Newton (IRLS)
 on the Bernoulli log-likelihood, an intercept added internally, coefficient
 covariance equal to the inverse observed information at the optimum, and a
-hard error on separation instead of silent shrinkage (an opt-in 1e-8 ridge
-is available and flagged in the result).
+hard error on separation instead of silent shrinkage: no ridge and no
+penalty, so every fit is the unpenalised maximum likelihood estimate.
 
 Each Newton step factorises the information matrix with LAPACK's ``dpotrf``
 and solves with ``dpotrs``, called directly with the arguments that
@@ -19,8 +19,8 @@ invalid="ignore")``, so the typed error is all a caller sees.
 
 `fit_logit_batch` runs the same Newton rule for one shared design under
 many frequency-weight rows at once (the bootstrap replicates of one
-pattern table), at `fit_logit`'s default tolerance, iteration limit and
-separation bound.  It has no ridge, no step-halving and no covariance.  A
+pattern table), at `fit_logit`'s tolerance, iteration limit and
+separation bound.  It has no step-halving and no covariance.  A
 row that would need any of them, or would raise anything, leaves the
 active set with ``ok`` False instead, so a caller can refit exactly that
 row with `fit_logit`; the rows that stay are the same fits to rounding.
@@ -44,7 +44,6 @@ __all__ = ["LogitFit", "fit_logit", "fit_logit_batch"]
 DEFAULT_TOL_SCALE = 1e-8
 DEFAULT_MAX_ITER = 100
 DEFAULT_SEPARATION_BOUND = 250.0
-RIDGE = 1e-8
 # a batched Cholesky pivot below this share of its diagonal leaves the
 # batch: near separation or collinearity the optimum sits on a flat ridge
 # whose coefficients move with the last bit of 1 - p, so two summation
@@ -62,18 +61,12 @@ class LogitFit:
 
     coef: np.ndarray
     cov: np.ndarray
-    converged: bool
     iterations: int
     loglik: float
-    ridge_used: bool = False
 
     def __post_init__(self):
         self.coef.setflags(write=False)
         self.cov.setflags(write=False)
-
-    @property
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         """Fitted success probabilities at new rows (intercept added here)."""
@@ -96,11 +89,7 @@ def _solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def fit_logit(response: np.ndarray, design: np.ndarray,
-              weights: np.ndarray | None = None, *,
-              tol_scale: float = DEFAULT_TOL_SCALE,
-              max_iter: int = DEFAULT_MAX_ITER,
-              separation_bound: float = DEFAULT_SEPARATION_BOUND,
-              ridge_on_separation: bool = False) -> LogitFit:
+              weights: np.ndarray | None = None) -> LogitFit:
     """Maximize the Bernoulli log-likelihood of response given [1, design].
 
     Parameters
@@ -108,12 +97,11 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     response : binary array of length n.
     design : (n, J) matrix of slope columns; the intercept is added here.
     weights : optional nonnegative frequency weights.
-    tol_scale : convergence when the gradient max-norm is <= tol_scale * n
-        (n = total weight).
-    separation_bound : SeparationDetected once max|coef| exceeds this,
-        unless `ridge_on_separation` restarts the fit with a 1e-8 ridge.
 
-    The result is a deterministic function of the inputs.
+    Converged once the gradient max-norm is <= DEFAULT_TOL_SCALE * n
+    (n = total weight) and one polish step has run; SeparationDetected once
+    max|coef| exceeds DEFAULT_SEPARATION_BOUND.  The result is a
+    deterministic function of the inputs.
     """
     t = np.asarray(response, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -141,19 +129,19 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     if not np.isfinite(X).all():
         raise ValidationError("design contains non-finite values")
 
-    def newton(ridge: float, bound: float) -> LogitFit:
-        coef = np.zeros(ncol)
-        eta = X @ coef
-        ll = _loglik(eta, t, w) - 0.5 * ridge * coef @ coef
-        tol = tol_scale * wt_total
-        polished = False
-        for it in range(1, max_iter + 1):
+    bound = DEFAULT_SEPARATION_BOUND
+    coef = np.zeros(ncol)
+    eta = X @ coef
+    ll = _loglik(eta, t, w)
+    tol = DEFAULT_TOL_SCALE * wt_total
+    polished = False
+    # an overflow in X'WX or the step is reported by the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, DEFAULT_MAX_ITER + 1):
             p = expit(eta)
-            grad = X.T @ (w * (t - p)) - ridge * coef
+            grad = X.T @ (w * (t - p))
             sw = w * p * (1.0 - p)
             info = (X * sw[:, None]).T @ X
-            if ridge > 0:
-                info += ridge * np.eye(ncol)
             if not np.isfinite(info).all():
                 raise Singular("observed information is not finite")
             if not np.isfinite(grad).all():
@@ -170,9 +158,8 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
                 if polished:
                     cov = _solve(chol, np.eye(ncol))
                     cov = 0.5 * (cov + cov.T)
-                    return LogitFit(coef=coef, cov=cov, converged=True,
-                                    iterations=it - 1, loglik=float(ll),
-                                    ridge_used=ridge > 0)
+                    return LogitFit(coef=coef, cov=cov, iterations=it - 1,
+                                    loglik=float(ll))
                 # one extra Newton step sharpens the optimum well past tol
                 polished = True
             step = _solve(chol, grad)
@@ -183,7 +170,7 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
             for _ in range(40):
                 cand = coef + scale * step
                 eta_c = X @ cand
-                ll_c = _loglik(eta_c, t, w) - 0.5 * ridge * cand @ cand
+                ll_c = _loglik(eta_c, t, w)
                 if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
                     break
                 scale *= 0.5
@@ -191,17 +178,7 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
             if abs(coef).max() > bound:
                 raise SeparationDetected(
                     f"coefficients exceeded {bound:g}; data look separated")
-        raise NotConverged(f"no convergence in {max_iter} Newton iterations")
-
-    # an overflow in X'WX or the step is reported by the finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return newton(0.0, separation_bound)
-        except SeparationDetected:
-            if not ridge_on_separation:
-                raise
-            # the ridge guarantees a finite optimum, so the bound is lifted
-            return newton(RIDGE, np.inf)
+    raise NotConverged(f"no convergence in {DEFAULT_MAX_ITER} Newton iterations")
 
 
 def _rowwise(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -234,8 +211,7 @@ def _cholesky_solve(info: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
 
 def fit_logit_batch(response: np.ndarray, X: np.ndarray,
                     W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`fit_logit`, at its default tolerances, of one response on one design
-    under every weight row.
+    """`fit_logit` of one response on one design under every weight row.
 
     Parameters
     ----------

@@ -427,20 +427,10 @@ def rare_disease_slope(law: ObservedLaw, cell: int) -> float:
     return float(lead * law.fxy[1, cell] / law.fxy[0, cell])
 
 
-def _as_law(source, design: Design | None, h0: float) -> ObservedLaw:
-    if isinstance(source, ObservedLaw):
-        return source
-    if isinstance(source, DiscretePopulation):
-        if design is None:
-            raise ValidationError("projecting a population requires a design")
-        return project(source, design, h0)
-    raise ValidationError(f"expected a population or an observed law, got {type(source)!r}")
-
-
-def bounds_rr(source, cell: int, pbar: float,
-              assumptions: AssumptionSet,
-              design: Design | None = None, h0: float = 0.5) -> tuple[float, float]:
-    """Identified interval for the causal relative risk at one cell.
+def bounds_rr(law: ObservedLaw, cell: int, pbar: float,
+              assumptions: AssumptionSet) -> tuple[float, float]:
+    """Identified interval for the causal relative risk at one cell of an
+    observed law (`project` a population to its law first).
 
     Under monotone response + selection the interval is [1, Gamma(x, 0)]
     for both designs.  Under ignorability it is the segment between
@@ -449,7 +439,6 @@ def bounds_rr(source, cell: int, pbar: float,
     """
     if not 0.0 <= pbar <= 1.0:
         raise ValidationError("pbar must lie in [0, 1]")
-    law = _as_law(source, design, h0)
     _check_cell(law, cell)
     g0 = gamma(law, cell, 0.0)
     if assumptions is AssumptionSet.MONOTONE:
@@ -557,11 +546,11 @@ def _scan_max(f, pbar: float, step: float, extra: tuple[float, ...],
     return sign * best
 
 
-def bounds_ar(source, cell: int, pbar: float,
+def bounds_ar(law: ObservedLaw, cell: int, pbar: float,
               assumptions: AssumptionSet,
-              design: Design | None = None, h0: float = 0.5,
               step: float = 0.001, extra_p: tuple[float, ...] = ()) -> tuple[float, float]:
-    """Identified interval for the causal attributable risk at one cell.
+    """Identified interval for the causal attributable risk at one cell of
+    an observed law (`project` a population to its law first).
 
     The envelope of r(x, p) * Gamma_AR(x, p) (case-control) or of
     r(x, p) * Gamma_AR(x, 0) (case-population) over p in [0, pbar] is
@@ -571,7 +560,6 @@ def bounds_ar(source, cell: int, pbar: float,
     """
     if not 0.0 <= pbar <= 1.0:
         raise ValidationError("pbar must lie in [0, 1]")
-    law = _as_law(source, design, h0)
     _check_cell(law, cell)
     q, pi0, pi1 = law.pyx[cell], law.pi[1, 0, cell], law.pi[1, 1, cell]
     if law.design is Design.CASE_CONTROL:
@@ -671,11 +659,13 @@ def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
     return DiscretePopulation(support_x=support, pmf=pmf)
 
 
+_MAX_TRIES = 2000  # rejection draws before monotone selection is given up
+
+
 def random_population(rng: np.random.Generator, n_cells: int = 2, *,
                       mtr: bool = False, mts: bool = False,
                       unconfounded: bool = False,
-                      support: np.ndarray | None = None,
-                      max_tries: int = 2000) -> DiscretePopulation:
+                      support: np.ndarray | None = None) -> DiscretePopulation:
     """Draw a population with probabilities bounded away from 0 and 1.
 
     Monotone response is enforced by construction (no mass on y0 > y1),
@@ -700,7 +690,7 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
             pmf[c, 1] = mass[c] * pt[c] * joint
         return DiscretePopulation(support_x=support, pmf=pmf)
 
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         pmf = _floored_dirichlet(rng, (n_cells, 2, 2, 2), floor=0.02)
         if mtr:
             pmf = pmf.copy()
@@ -710,7 +700,7 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
         if mts and not pop.check_assumptions().mts:
             continue
         return pop
-    raise ValidationError(f"no admissible population found in {max_tries} draws")
+    raise ValidationError(f"no admissible population found in {_MAX_TRIES} draws")
 
 
 # --- fixture files -------------------------------------------------------------------

@@ -149,7 +149,7 @@ class MCCellSummary:
 
     Absolute deviations are reported both around the truth and around the
     replication median.  Coverage refers to the one-sided 95% upper
-    interval value + z(1-alpha)*se containing the true aggregate.
+    interval value + z(0.95)*se containing the true aggregate.
     """
 
     estimator: str
@@ -184,7 +184,7 @@ _SPEC_BUILDERS = {"parametric": parametric_spec, "sieve": sieve_spec}
 
 def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", "sieve"),
                  replications: int = 1000, rng: RngSpec = RngSpec(0),
-                 alpha: float = 0.05, keep_estimates: bool = False) -> MCStudyResult:
+                 keep_estimates: bool = False) -> MCStudyResult:
     """Replicate the benchmark design and summarize estimator performance.
 
     Per replicate one sample is drawn and, for each named estimator, one
@@ -214,7 +214,7 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
                 values[(name, est.y_stratum)].append(est.value)
                 ses[(name, est.y_stratum)].append(est.se)
 
-    z = float(ndtri(1.0 - alpha))
+    z = float(ndtri(0.95))
     cells = []
     for name in estimators:
         for y in (0, 1):

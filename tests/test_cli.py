@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +81,23 @@ def test_rr_json_output(runner, tmp_path):
     assert doc["estimates"]["beta1"]["exp_value"] == pytest.approx(1.3823, abs=5e-4)
 
 
+def test_rr_json_pins_table_log_odds_ratio_and_woolf_se(runner, tmp_path):
+    # without covariates beta(0) = beta(1) is the table's log odds ratio and
+    # its se Woolf's sqrt(1/n00 + 1/n01 + 1/n10 + 1/n11)
+    table = count_table("university_private_school")
+    path = write_university_csv(tmp_path / "univ.csv")
+    result = runner.invoke(main, [
+        "rr", "--input", path, "--design", "case-control",
+        "--y-col", "vsu", "--t-col", "private", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    estimates = json.loads(result.output)["estimates"]
+    log_or = math.log(table.n11 * table.n00 / (table.n01 * table.n10))
+    woolf = math.sqrt(1 / table.n00 + 1 / table.n01 + 1 / table.n10 + 1 / table.n11)
+    for y in (0, 1):
+        assert estimates[f"beta{y}"]["value"] == pytest.approx(log_or, rel=0, abs=1e-12)
+        assert estimates[f"beta{y}"]["se"] == pytest.approx(woolf, rel=1e-12, abs=0)
+
+
 def test_rr_case_population_single_stratum(runner, tmp_path):
     path = write_case_population_csv(tmp_path / "cp.csv")
     result = runner.invoke(main, [
@@ -96,6 +114,33 @@ def test_rr_alpha_out_of_range_exits_2(runner, tmp_path):
         "rr", "--input", path, "--design", "case-control",
         "--y-col", "vsu", "--t-col", "private", "--alpha", "0.7"])
     assert result.exit_code == 2
+
+
+def _assert_one_error_line(result):
+    assert result.exit_code == 2, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+
+
+@pytest.mark.parametrize("command", ["rr", "ar"])
+@pytest.mark.parametrize("step", ["0", "nan", "-0.01", "inf"])
+def test_bad_grid_step_exits_2(runner, tmp_path, command, step):
+    path = write_university_csv(tmp_path / "univ.csv")
+    result = runner.invoke(main, [
+        command, "--input", path, "--design", "case-control",
+        "--y-col", "vsu", "--t-col", "private", "--grid-step", step])
+    _assert_one_error_line(result)
+    assert "grid step must be positive and finite" in result.output
+
+
+@pytest.mark.parametrize("basis", ["polyx", "spline2.5"])
+def test_bad_basis_suffix_exits_2(runner, tmp_path, basis):
+    path = write_case_population_csv(tmp_path / "cp.csv")
+    result = runner.invoke(main, [
+        "rr", "--input", path, "--design", "case-population",
+        "--y-col", "y", "--t-col", "t", "--x-cols", "x1", "--basis", basis])
+    _assert_one_error_line(result)
+    assert "takes an integer suffix" in result.output
 
 
 def test_rr_missing_column_exits_2(runner, tmp_path):

@@ -16,7 +16,7 @@ from casebound.errors import (
     ValidationError,
 )
 from casebound.fixtures import count_table, mc_defaults
-from casebound.logit import RIDGE, LogitFit, fit_logit, fit_logit_batch
+from casebound.logit import LogitFit, fit_logit, fit_logit_batch
 from casebound.model import Design
 from casebound.rng import RngSpec, bernoulli
 from casebound.synthetic import draw_mc_sample, parametric_spec, sieve_spec
@@ -54,7 +54,6 @@ def test_gradient_norm_at_optimum():
     p = 1.0 / (1.0 + np.exp(-design @ fit.coef))
     grad = design.T @ (t - p)
     assert np.max(np.abs(grad)) <= 1e-8 * len(t)
-    assert fit.converged
     assert np.all((fit.predict(x) > 0) & (fit.predict(x) < 1))
 
 
@@ -110,14 +109,11 @@ def test_frequency_weights_match_row_expansion():
     np.testing.assert_allclose(fw.cov, fe.cov, atol=1e-9)
 
 
-def test_separation_detected_and_optional_ridge():
+def test_separation_detected():
     x = np.linspace(-2, 2, 40)[:, None]
     t = (x[:, 0] > 0).astype(int)
     with pytest.raises(SeparationDetected):
         fit_logit(t, x)
-    fit = fit_logit(t, x, ridge_on_separation=True)
-    assert fit.ridge_used
-    assert fit.converged
 
 
 def test_singular_design_rejected():
@@ -158,7 +154,7 @@ def test_non_finite_information_is_singular():
 
 # --- the Newton kernel against a reference copy on scipy's Cholesky wrappers ---
 
-def _reference_fit(response, design, weights=None, ridge_on_separation=False):
+def _reference_fit(response, design, weights=None):
     """fit_logit's Newton loop as written on scipy.linalg.cho_factor and
     cho_solve, with fit_logit's default tolerances; validation omitted."""
     t = np.asarray(response, dtype=float)
@@ -174,53 +170,44 @@ def _reference_fit(response, design, weights=None, ridge_on_separation=False):
     def loglik(eta):
         return float(np.sum(w * (t * eta - np.logaddexp(0.0, eta))))
 
-    def newton(ridge, bound):
-        coef = np.zeros(ncol)
-        eta = X @ coef
-        ll = loglik(eta) - 0.5 * ridge * coef @ coef
-        tol = 1e-8 * wt_total
-        polished = False
-        for it in range(1, 101):
-            p = expit(eta)
-            grad = X.T @ (w * (t - p)) - ridge * coef
-            sw = w * p * (1.0 - p)
-            info = (X * sw[:, None]).T @ X + ridge * np.eye(ncol)
-            try:
-                chol = cho_factor(info)
-            except np.linalg.LinAlgError:
-                raise Singular("observed information is not invertible") from None
-            if np.max(np.abs(grad)) <= tol:
-                if np.max(np.abs(coef)) > bound:
-                    raise SeparationDetected("separated")
-                if polished:
-                    cov = cho_solve(chol, np.eye(ncol))
-                    cov = 0.5 * (cov + cov.T)
-                    return LogitFit(coef=coef, cov=cov, converged=True,
-                                    iterations=it - 1, loglik=ll,
-                                    ridge_used=ridge > 0)
-                polished = True
-            step = cho_solve(chol, grad)
-            if not np.all(np.isfinite(step)):
-                raise Singular("Newton step is not finite")
-            scale = 1.0
-            for _ in range(40):
-                cand = coef + scale * step
-                eta_c = X @ cand
-                ll_c = loglik(eta_c) - 0.5 * ridge * cand @ cand
-                if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
-                    break
-                scale *= 0.5
-            coef, eta, ll = cand, eta_c, ll_c
+    bound = 250.0
+    coef = np.zeros(ncol)
+    eta = X @ coef
+    ll = loglik(eta)
+    tol = 1e-8 * wt_total
+    polished = False
+    for it in range(1, 101):
+        p = expit(eta)
+        grad = X.T @ (w * (t - p))
+        sw = w * p * (1.0 - p)
+        info = (X * sw[:, None]).T @ X
+        try:
+            chol = cho_factor(info)
+        except np.linalg.LinAlgError:
+            raise Singular("observed information is not invertible") from None
+        if np.max(np.abs(grad)) <= tol:
             if np.max(np.abs(coef)) > bound:
                 raise SeparationDetected("separated")
-        raise NotConverged("no convergence")
-
-    try:
-        return newton(0.0, 250.0)
-    except SeparationDetected:
-        if not ridge_on_separation:
-            raise
-        return newton(RIDGE, np.inf)
+            if polished:
+                cov = cho_solve(chol, np.eye(ncol))
+                cov = 0.5 * (cov + cov.T)
+                return LogitFit(coef=coef, cov=cov, iterations=it - 1, loglik=ll)
+            polished = True
+        step = cho_solve(chol, grad)
+        if not np.all(np.isfinite(step)):
+            raise Singular("Newton step is not finite")
+        scale = 1.0
+        for _ in range(40):
+            cand = coef + scale * step
+            eta_c = X @ cand
+            ll_c = loglik(eta_c)
+            if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
+                break
+            scale *= 0.5
+        coef, eta, ll = cand, eta_c, ll_c
+        if np.max(np.abs(coef)) > bound:
+            raise SeparationDetected("separated")
+    raise NotConverged("no convergence")
 
 
 def _mc_stratum(spec_of, interacted=False):
@@ -279,21 +266,12 @@ def _assert_bit_identical(fit, ref):
     assert np.array_equal(fit.cov, ref.cov)
     assert fit.loglik == ref.loglik
     assert fit.iterations == ref.iterations
-    assert fit.ridge_used == ref.ridge_used
 
 
 @pytest.mark.parametrize("name", _KERNEL_CASES)
 def test_kernel_bit_identical_to_scipy_cholesky(name):
     t, x, w = _kernel_case(name)
     _assert_bit_identical(fit_logit(t, x, w), _reference_fit(t, x, w))
-
-
-def test_kernel_bit_identical_after_ridge_restart():
-    x = np.linspace(-2, 2, 40)[:, None]
-    t = (x[:, 0] > 0).astype(int)
-    fit = fit_logit(t, x, ridge_on_separation=True)
-    assert fit.ridge_used
-    _assert_bit_identical(fit, _reference_fit(t, x, ridge_on_separation=True))
 
 
 def test_kernel_failure_classes_match_reference():

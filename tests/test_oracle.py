@@ -117,9 +117,10 @@ def test_law_cell_index_outside_support_is_typed(cell):
         lambda: gamma_ar(law, cell, 0.3),
         lambda: rare_disease_slope(law, cell),
         lambda: bounds_rr(law, cell, 0.5, AssumptionSet.IGNORABILITY),
-        lambda: bounds_rr(pop, cell, 0.5, AssumptionSet.MONOTONE, design=D2),
+        lambda: bounds_rr(project(pop, D2, 0.5), cell, 0.5, AssumptionSet.MONOTONE),
         lambda: bounds_ar(law, cell, 0.5, AssumptionSet.IGNORABILITY, step=0.1),
-        lambda: bounds_ar(pop, cell, 0.5, AssumptionSet.MONOTONE, design=D2, step=0.1),
+        lambda: bounds_ar(project(pop, D2, 0.5), cell, 0.5, AssumptionSet.MONOTONE,
+                          step=0.1),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="outside support"):
@@ -350,9 +351,9 @@ def test_bounds_rr_ignorability_case_control_endpoints():
     lo, hi = bounds_rr(law, 0, 0.3, AssumptionSet.IGNORABILITY)
     g0, gbar = gamma(law, 0, 0.0), gamma(law, 0, 0.3)
     assert (lo, hi) == (min(g0, gbar), max(g0, gbar))
-    # accepts a population as the source too
-    pop = top_income_population()
-    lo2, hi2 = bounds_rr(pop, 0, 0.3, AssumptionSet.MONOTONE, design=D1)
+    # on a population projected to its case-control law
+    law2 = project(top_income_population(), D1, 0.5)
+    lo2, hi2 = bounds_rr(law2, 0, 0.3, AssumptionSet.MONOTONE)
     assert lo2 == 1.0 and hi2 == pytest.approx(2.1852, abs=5e-4)
 
 

@@ -91,10 +91,12 @@ def test_estimates_invariant_to_row_order():
                                design=data.design)
     for spec in (parametric_spec(design), sieve_spec(design)):
         for y in (0, 1):
-            for estimate in (estimate_beta_combined, estimate_beta_plugin, estimate_kappa):
+            for estimate in (estimate_beta_combined, estimate_beta_plugin):
                 a, b = estimate(data, spec, y), estimate(shuffled, spec, y)
                 assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
                 assert abs(a.se - b.se) <= 1e-12 * max(1.0, a.se)
+            a, b = estimate_kappa(data, spec, y), estimate_kappa(shuffled, spec, y)
+            assert abs(a - b) <= 1e-12 * max(1.0, a)
 
 
 def test_null_data_estimates_center_at_zero():
@@ -195,10 +197,9 @@ def homogeneous_or_design() -> MCDesign:
 def test_kappa_no_covariates_equals_table_odds_ratio():
     table = count_table("university_private_school")
     data = table.to_dataset(D1)
-    est = estimate_kappa(data, BasisSpec.empty(), 1)
+    kappa = estimate_kappa(data, BasisSpec.empty(), 1)
     exact = table.n11 * table.n00 / (table.n01 * table.n10)
-    assert est.value == pytest.approx(exact, abs=1e-9)
-    assert est.scale == "level"
+    assert kappa == pytest.approx(exact, abs=1e-9)
 
 
 def test_kappa_is_mean_exp_of_linear_predictor_gap():
@@ -210,7 +211,7 @@ def test_kappa_is_mean_exp_of_linear_predictor_gap():
         nuis = fit_nuisances(data, spec)
         for y in (0, 1):
             lor = rr_mod._read_out(data, nuis, y)[2]
-            kappa = estimate_kappa(data, spec, y).value
+            kappa = estimate_kappa(data, spec, y)
             assert kappa == pytest.approx(float(np.mean(np.exp(lor))), rel=1e-14, abs=0)
 
 
@@ -229,7 +230,7 @@ def test_kappa_jensen_ordering():
         for y in (0, 1):
             beta = estimate_beta_plugin(data, parametric_spec(design), y)
             kappa = estimate_kappa(data, parametric_spec(design), y)
-            assert math.log(kappa.value) >= beta.value - 1e-12
+            assert math.log(kappa) >= beta.value - 1e-12
 
 
 def test_kappa_centered_on_homogeneous_odds_ratio():
@@ -244,7 +245,7 @@ def test_kappa_centered_on_homogeneous_odds_ratio():
                           n_per_stratum=n_per)
         rng = RngSpec(108)
         vals = [estimate_kappa(draw_mc_sample(design, rng.derive("mc-replicate", r)),
-                               parametric_spec(design), 1).value
+                               parametric_spec(design), 1)
                 for r in range(40)]
         means[n_per] = float(np.mean(vals))
     assert abs(means[4000] - target) < abs(means[1000] - target)
@@ -263,8 +264,7 @@ def test_eif_variance_dominates_naive_term_on_homogeneous_data():
 
 def _estimate(value, se, y):
     from casebound.relative_risk import BetaEstimate
-    return BetaEstimate(y_stratum=y, value=value, se=se, method="combined",
-                        scale="log")
+    return BetaEstimate(y_stratum=y, value=value, se=se, method="combined")
 
 
 def test_band_halfwidth_standard_normal_quantile():
@@ -313,7 +313,7 @@ def test_band_validation():
         rr_band(_estimate(0.1, 0.1, 0), _estimate(0.2, 0.1, 1), 0.7, D1)
     with pytest.raises(ValidationError):
         rr_band(_estimate(0.1, 0.1, 0), None, 0.05, D1)
-    kappa = estimate_kappa(count_table("university_private_school").to_dataset(D1),
-                           BasisSpec.empty(), 0)
+    with pytest.raises(ValidationError):  # strata swapped
+        rr_band(_estimate(0.2, 0.1, 1), _estimate(0.1, 0.1, 0), 0.05, D1)
     with pytest.raises(ValidationError):
-        rr_band(kappa, None, 0.05, D2)
+        rr_band(_estimate(0.1, 0.1, 1), None, 0.05, D2)

@@ -49,7 +49,6 @@ from .relative_risk import (
     NuisanceFit,
     RRBand,
     eif_record,
-    eif_variance,
     estimate_beta_combined,
     estimate_beta_plugin,
     estimate_kappa,
@@ -70,7 +69,7 @@ __all__ = [
     "AssumptionSet", "DiscretePopulation", "ObservedLaw", "bounds_ar", "bounds_rr",
     "gamma", "gamma_ar", "project", "r_case_prob", "random_population",
     "rare_disease_slope",
-    "BetaEstimate", "EIFRecord", "NuisanceFit", "RRBand", "eif_record", "eif_variance",
+    "BetaEstimate", "EIFRecord", "NuisanceFit", "RRBand", "eif_record",
     "estimate_beta_combined", "estimate_beta_plugin", "estimate_kappa",
     "fit_nuisances", "rr_band",
     "RngSpec",

@@ -15,8 +15,9 @@ design, and a single corrected limit scaled by p (hence uniform) in the
 case-population design.
 
 Every estimate is a read-out of one nuisance fit per data set,
-`relative_risk.fit_nuisances` with both bases: the clipped fitted
-probabilities enter r(x, p) and G_AR(x, p) through the formula kernel in
+`relative_risk.fit_nuisances` with both bases, and takes only that fit and
+its own index: the clipped fitted probabilities (`NuisanceFit.prospective`)
+enter r(x, p) and G_AR(x, p) through the formula kernel in
 `oracle`, the same functions the finite-population reference evaluates per
 cell.  Their convex-combination denominators make UB(0) = 0 and
 (case-control) UB(1) = 0 hold exactly in floating point, matching the
@@ -123,24 +124,19 @@ def _xi(case: np.ndarray, pi0, pi1, py, w) -> np.ndarray:
     return np.sum((1.0 - y) * bracket * w, axis=-1) / np.sum(y * w, axis=-1)
 
 
-def estimate_beta_ar(data: ObservedDataset, prospective_spec: BasisSpec,
-                     retrospective_spec: BasisSpec, p: float, y_stratum: int,
-                     nuisances: NuisanceFit | None = None) -> float:
+def estimate_beta_ar(nuis: NuisanceFit, p: float, y_stratum: int) -> float:
     """Stratum mean of r(X, p) * G_AR(X, p) under case-control sampling."""
+    data = nuis.data
     if data.design is not Design.CASE_CONTROL:
         raise ValidationError("beta_AR(p, y) is a case-control estimand")
-    if y_stratum not in (0, 1):
-        raise ValidationError("y_stratum must be 0 or 1")
+    rows = nuis.stratum(y_stratum)
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
-    vals = _ar_terms(data.design, data.h0, nuis.pi0, nuis.pi1, nuis.py, p)
-    return float(vals[data.stratum(y_stratum)].mean())
+    vals = _ar_terms(data.design, data.h0, *nuis.prospective(), p)
+    return float(vals[rows].mean())
 
 
-def estimate_xi_cp(data: ObservedDataset, prospective_spec: BasisSpec,
-                   retrospective_spec: BasisSpec,
-                   nuisances: NuisanceFit | None = None) -> float:
+def estimate_xi_cp(nuis: NuisanceFit) -> float:
     """Case-population slope estimate.
 
     (sum Y_i)^{-1} sum (1-Y_i) * [py/(1-py)] * G_AR(X_i, 0), where
@@ -148,28 +144,25 @@ def estimate_xi_cp(data: ObservedDataset, prospective_spec: BasisSpec,
     stratum share replaced by the mean of Y.  Both sums weigh each row by
     the fit's counts, if it has them.
     """
-    if data.design is not Design.CASE_POPULATION:
+    if nuis.data.design is not Design.CASE_POPULATION:
         raise ValidationError("xi_CP is a case-population estimand")
-    nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
     w = 1.0 if nuis.counts is None else nuis.counts
-    return float(_xi(data.stratum(1), nuis.pi0, nuis.pi1, nuis.py, w))
+    return float(_xi(nuis.data.stratum(1), *nuis.prospective(), w))
 
 
-def upper_bound_curve_values(data: ObservedDataset, prospective_spec: BasisSpec,
-                             retrospective_spec: BasisSpec, grid: np.ndarray,
-                             nuisances: NuisanceFit | None = None) -> np.ndarray:
+def upper_bound_curve_values(nuis: NuisanceFit, grid: np.ndarray) -> np.ndarray:
     """Untruncated UB estimates on a p-grid (case-control: per-p aggregate;
     case-population: p times the slope estimate).
 
     Case-control terms are evaluated as one (grid x rows) array, and the
     stratum means are weighted by the fit's counts, if it has them.
     """
-    nuis = nuisances or fit_nuisances(data, retrospective_spec, prospective_spec)
+    data = nuis.data
     if data.design is Design.CASE_POPULATION:
-        return grid * estimate_xi_cp(data, prospective_spec, retrospective_spec, nuis)
+        return grid * estimate_xi_cp(nuis)
+    pi0, pi1, py = nuis.prospective()
     w = np.ones(data.n) if nuis.counts is None else nuis.counts.astype(float)
-    return _curve(data.design, data.h0, data.stratum(1), nuis.pi0, nuis.pi1, nuis.py,
-                  w, grid)
+    return _curve(data.design, data.h0, data.stratum(1), pi0, pi1, py, w, grid)
 
 
 @dataclass(frozen=True)
@@ -263,10 +256,9 @@ def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
                             design=data.design, h0=_replicate_h0(data, y == 1, c))
     bnuis = fit_nuisances(bdata, retrospective_spec, prospective_spec, c)
     if data.design is Design.CASE_POPULATION:
-        stat = np.array([estimate_xi_cp(bdata, prospective_spec, retrospective_spec, bnuis)])
+        stat = np.array([estimate_xi_cp(bnuis)])
     else:
-        stat = upper_bound_curve_values(bdata, prospective_spec, retrospective_spec,
-                                        grid, bnuis)
+        stat = upper_bound_curve_values(bnuis, grid)
     return stat, bnuis.n_clipped
 
 
@@ -359,13 +351,11 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     rng = seed if isinstance(seed, RngSpec) else RngSpec(int(seed))
 
     nuis = fit_nuisances(data, retrospective_spec, prospective_spec)
-    point_raw = upper_bound_curve_values(data, prospective_spec,
-                                         retrospective_spec, grid, nuis)
+    point_raw = upper_bound_curve_values(nuis, grid)
     cp = data.design is Design.CASE_POPULATION
     # the bootstrapped statistic at the sample, and the columns that can vary
     if cp:
-        stat_hat = np.array([estimate_xi_cp(data, prospective_spec,
-                                            retrospective_spec, nuis)])
+        stat_hat = np.array([estimate_xi_cp(nuis)])
         varying = np.array([True])
     else:
         stat_hat = point_raw

@@ -79,14 +79,8 @@ def _term_size(tok: str, prefix: str, default: int) -> int:
 def _parse_basis(text: str, k: int, interactions: bool) -> BasisSpec:
     """'linear' | 'poly<d>' | 'spline<m>', or a comma list with one entry
     per covariate column."""
-    tokens = [tok.strip() for tok in text.split(",")]
-    if len(tokens) == 1:
-        tokens = tokens * k
-    if len(tokens) != k:
-        raise ValidationError(
-            f"basis spec lists {len(tokens)} terms for {k} covariate columns")
     terms = []
-    for tok in tokens:
+    for tok in (tok.strip() for tok in text.split(",")):
         if tok == "linear":
             terms.append(Linear())
         elif tok.startswith("poly"):
@@ -95,6 +89,11 @@ def _parse_basis(text: str, k: int, interactions: bool) -> BasisSpec:
             terms.append(CubicSplineTerm(_term_size(tok, "spline", 3)))
         else:
             raise ValidationError(f"unknown basis term {tok!r}")
+    if len(terms) == 1:
+        terms = terms * k
+    if len(terms) != k:
+        raise ValidationError(
+            f"basis spec lists {len(terms)} terms for {k} covariate columns")
     return BasisSpec(terms=tuple(terms), interactions=interactions)
 
 
@@ -216,7 +215,7 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
         z = ndtri(1.0 - alpha)
         strata = (0, 1) if data.design is Design.CASE_CONTROL else (0,)
         nuis = fit_nuisances(data, spec)
-        estimates = {y: estimate_beta_combined(data, spec, y, nuis) for y in strata}
+        estimates = {y: estimate_beta_combined(nuis, y) for y in strata}
         beta0 = estimates[0]
         beta1 = estimates.get(1)
         band = rr_band(beta0, beta1, alpha, data.design, pbar=pbar, step=grid_step)

@@ -33,6 +33,7 @@ __all__ = [
     "ObservedDataset",
     "CountTable2x2",
     "ColumnSchema",
+    "IngestReport",
     "ingest_csv",
     "export_csv",
     "odds_ratio_2x2",

@@ -15,8 +15,7 @@ A DiscretePopulation and an ObservedLaw are frozen and their arrays are
 read-only, so what they determine is computed on first use and kept on the
 instance with functools.cached_property: a population's cell mass,
 treatment propensity, potential-outcome margins, factual joint, p0 and its
-assumption report at the default tolerance (any other tolerance is
-evaluated afresh), and a law's Pr(Y=1|x).  Cached arrays are read-only
+assumption report, and a law's Pr(Y=1|x).  Cached arrays are read-only
 too, so no caller can change them under another.  A cache lives and dies
 with its instance; nothing is memoised at module level, where a population
 (unhashable, since it holds arrays) would be kept alive for good.
@@ -219,21 +218,13 @@ class DiscretePopulation:
 
     # --- assumption checks ----------------------------------------------------
 
-    def check_assumptions(self, tol: float = _ASSUMPTION_TOL) -> AssumptionReport:
-        """Exact enumeration of overlap, unconfoundedness, MTR and MTS.
-
-        The report at the default tolerance is computed once per population;
-        any other tolerance is evaluated afresh.
-        """
-        if tol == _ASSUMPTION_TOL:
-            return self._default_report
-        return self._assumption_report(tol)
+    def check_assumptions(self) -> AssumptionReport:
+        """Exact enumeration of overlap, unconfoundedness, MTR and MTS,
+        computed once per population."""
+        return self._assumption_report
 
     @cached_property
-    def _default_report(self) -> AssumptionReport:
-        return self._assumption_report(_ASSUMPTION_TOL)
-
-    def _assumption_report(self, tol: float) -> AssumptionReport:
+    def _assumption_report(self) -> AssumptionReport:
         # Every cell and both arms at once.  Overlap needs Pr(T*=1|x) and both
         # potential-outcome margins inside (0, 1); the margins are only
         # computed when treatment overlap holds.
@@ -242,7 +233,7 @@ class DiscretePopulation:
         if overlap:
             q = self._potential_probs
             overlap = bool(((q > 0) & (q < 1)).all())
-        mtr = bool(self.pmf[:, :, 1, 0].sum() <= tol)
+        mtr = bool(self.pmf[:, :, 1, 0].sum() <= _ASSUMPTION_TOL)
         # by_arm[c, arm, t] = Pr{Y*(t)=1 | T*=arm, X*=x}; an empty arm leaves
         # it undefined, and then neither assumption can be verified
         denom = self.pmf.sum(axis=(2, 3))
@@ -252,8 +243,8 @@ class DiscretePopulation:
                         self.pmf[:, :, :, 1].sum(axis=2)], axis=2)
         by_arm = num / denom[:, :, None]
         by1, by0 = by_arm[:, 1], by_arm[:, 0]
-        unconf = bool((np.abs(by1 - by0) <= tol).all())
-        mts = bool((by1 >= by0 - tol).all())
+        unconf = bool((np.abs(by1 - by0) <= _ASSUMPTION_TOL).all())
+        mts = bool((by1 >= by0 - _ASSUMPTION_TOL).all())
         return AssumptionReport(overlap=overlap, unconfounded=unconf, mtr=mtr, mts=mts)
 
 

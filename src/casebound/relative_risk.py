@@ -1,7 +1,8 @@
 """Aggregated log-odds-ratio estimation and relative-risk bands.
 
-One nuisance fit per data set and basis, `fit_nuisances`, holds the two
-stratum logistic fits of T on the basis.  Every estimate is read off it:
+One nuisance fit per data set and basis, `fit_nuisances`, holds the data
+and the two stratum logistic fits of T on the basis.  Every estimate is
+read off it, and a read-out takes only the fit and its own index:
 
 * beta(y) is the intercept gap plus the stratum-y basis means times the
   slope gaps, c'(b1 - b0) with c the stratum-y mean of [1, basis].  It is
@@ -16,13 +17,13 @@ stratum logistic fits of T on the basis.  Every estimate is read off it:
   a point estimate with no se: on the benchmark design at n=1000 per
   stratum, its level-scale EIF se ran at 1.64-2.27 times the MC sd.
 
-The nonparametric efficient influence function of beta(y) (`eif_record`,
-`eif_variance`) is kept as a diagnostic of the efficiency bound.  It is
-not the variance of a finite-sieve plug-in (Newey 1994; Ackerberg, Chen,
-Hahn & Liao 2014), and overstates it on the parametric benchmark design.
-It and the attributable-risk estimators also need the prospective fit of
-Y and the clipped fitted probabilities, which `fit_nuisances` adds when a
-prospective basis is given.
+The nonparametric efficient influence function of beta(y) (`eif_record`)
+is kept as a diagnostic of the efficiency bound.  It is not the variance
+of a finite-sieve plug-in (Newey 1994; Ackerberg, Chen, Hahn & Liao 2014),
+and overstates it on the parametric benchmark design.  It and the
+attributable-risk estimators also need the prospective fit of Y and the
+clipped fitted probabilities, which `fit_nuisances` adds when a
+prospective basis is given; `NuisanceFit.prospective` hands them out.
 
 The relative-risk band is indexed by the unknown true case probability p:
 exp{p*b1 + (1-p)*b0} plus a conservative uniform critical value under
@@ -48,12 +49,12 @@ __all__ = [
     "EIFRecord",
     "NuisanceFit",
     "RRBand",
+    "design_columns",
     "estimate_beta_combined",
     "estimate_beta_plugin",
     "estimate_kappa",
     "fit_nuisances",
     "eif_record",
-    "eif_variance",
     "p_grid",
     "rr_band",
 ]
@@ -81,16 +82,18 @@ class BetaEstimate:
 class NuisanceFit:
     """The nuisance fit of one data set.
 
-    cols: the intercept-safe retrospective basis at every row; fit0, fit1:
-    the logistic fits of T on cols within strata 0 and 1.  Fitted with a
-    prospective basis, it also holds pi0, pi1 (Pr(T=1|Y=y, x) for y=0, 1)
-    and py (Pr(Y=1|x)) at every row, clipped into [CLIP, 1 - CLIP], and the
-    number of values the clipping touched; otherwise those are None and 0.
-    counts: the rows' integer frequency weights, or None for one each.  The
-    attributable-risk read-outs take counts-weighted stratum means; the
-    beta(y) and kappa(y) read-outs need an unweighted fit.
+    data: the data set it was fitted to; cols: the intercept-safe
+    retrospective basis at every row; fit0, fit1: the logistic fits of T on
+    cols within strata 0 and 1.  Fitted with a prospective basis, it also
+    holds pi0, pi1 (Pr(T=1|Y=y, x) for y=0, 1) and py (Pr(Y=1|x)) at every
+    row, clipped into [CLIP, 1 - CLIP], and the number of values the
+    clipping touched; otherwise those are None and 0.  counts: the rows'
+    integer frequency weights, or None for one each.  The AR curve and
+    xi_CP take counts-weighted stratum means; the read-outs indexed by a
+    stratum y need an unweighted fit.
     """
 
+    data: ObservedDataset
     cols: np.ndarray
     fit0: LogitFit
     fit1: LogitFit
@@ -99,6 +102,20 @@ class NuisanceFit:
     py: np.ndarray | None = None
     n_clipped: int = 0
     counts: np.ndarray | None = None
+
+    def prospective(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The clipped (pi0, pi1, py) at every row."""
+        if self.py is None:
+            raise ValidationError("this read-out needs a fit with a prospective basis")
+        return self.pi0, self.pi1, self.py
+
+    def stratum(self, y_stratum: int) -> np.ndarray:
+        """The stratum-y rows, for a read-out indexed by y."""
+        if y_stratum not in (0, 1):
+            raise ValidationError("y_stratum must be 0 or 1")
+        if self.counts is not None:
+            raise ValidationError("a stratum-y read-out needs an unweighted fit")
+        return self.data.stratum(y_stratum)
 
 
 @dataclass(frozen=True)
@@ -161,22 +178,20 @@ def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
     fit0 = fit_logit(data.t[mask0], cols[mask0], w0)
     fit1 = fit_logit(data.t[mask1], cols[mask1], w1)
     if prospective_spec is None:
-        return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1, counts=counts)
+        return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1, counts=counts)
     pcols = design_columns(data.x, prospective_spec, counts)
     pfit = fit_logit(data.y, pcols, counts)
     pi1, c1 = _clipped("Pi(1|1,x)", fit1.predict(cols), counts)
     pi0, c0 = _clipped("Pi(1|0,x)", fit0.predict(cols), counts)
     py, c2 = _clipped("Pr(Y=1|x)", pfit.predict(pcols), counts)
-    return NuisanceFit(cols=cols, fit0=fit0, fit1=fit1, pi0=pi0, pi1=pi1, py=py,
-                       n_clipped=c1 + c0 + c2, counts=counts)
+    return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1, pi0=pi0, pi1=pi1,
+                       py=py, n_clipped=c1 + c0 + c2, counts=counts)
 
 
-def _read_out(data: ObservedDataset, nuis: NuisanceFit, y_stratum: int):
+def _read_out(nuis: NuisanceFit, y_stratum: int):
     """beta(y) = c'(b1 - b0), the stratum fits' variance c'V1c + c'V0c, and
     the fitted log odds ratio at every stratum-y row."""
-    if nuis.counts is not None:
-        raise ValidationError("beta(y) and kappa(y) are read off an unweighted fit")
-    phi = nuis.cols[data.stratum(y_stratum)]
+    phi = nuis.cols[nuis.stratum(y_stratum)]
     gap = nuis.fit1.coef - nuis.fit0.coef
     c = np.concatenate([[1.0], phi.mean(axis=0)])
     value = float(gap[0] + c[1:] @ gap[1:])
@@ -184,20 +199,15 @@ def _read_out(data: ObservedDataset, nuis: NuisanceFit, y_stratum: int):
     return value, var_fits, gap[0] + phi @ gap[1:]
 
 
-def estimate_beta_combined(data: ObservedDataset, spec: BasisSpec, y_stratum: int,
-                           nuisances: NuisanceFit | None = None) -> BetaEstimate:
+def estimate_beta_combined(nuis: NuisanceFit, y_stratum: int) -> BetaEstimate:
     """beta(y) with the interacted fit's standard error, sqrt(c'V1c + c'V0c),
-    read off the stratum fits (fitted here unless `nuisances` is given)."""
-    if y_stratum not in (0, 1):
-        raise ValidationError("y_stratum must be 0 or 1")
-    nuis = fit_nuisances(data, spec) if nuisances is None else nuisances
-    value, var_fits, _ = _read_out(data, nuis, y_stratum)
+    read off the stratum fits."""
+    value, var_fits, _ = _read_out(nuis, y_stratum)
     return BetaEstimate(y_stratum=y_stratum, value=value, se=float(np.sqrt(var_fits)),
                         method="combined")
 
 
-def estimate_beta_plugin(data: ObservedDataset, spec: BasisSpec,
-                         y_stratum: int) -> BetaEstimate:
+def estimate_beta_plugin(nuis: NuisanceFit, y_stratum: int) -> BetaEstimate:
     """Plug-in sieve estimator of beta(y) with its own influence-function se.
 
     With X~_i = [1, phi(x_i)] (the intercept-safe basis columns), stratum
@@ -212,9 +222,7 @@ def estimate_beta_plugin(data: ObservedDataset, spec: BasisSpec,
     Nothing depends on the supplied h0.  Without covariates this is Woolf's
     variance of the 2x2 log odds ratio.
     """
-    if y_stratum not in (0, 1):
-        raise ValidationError("y_stratum must be 0 or 1")
-    value, var_fits, lor = _read_out(data, fit_nuisances(data, spec), y_stratum)
+    value, var_fits, lor = _read_out(nuis, y_stratum)
     var = var_fits + np.mean((lor - value) ** 2) / lor.shape[0]
     return BetaEstimate(y_stratum=y_stratum, value=value, se=float(np.sqrt(var)),
                         method="plugin")
@@ -224,25 +232,22 @@ def _log_odds_ratio(pi0: np.ndarray, pi1: np.ndarray) -> np.ndarray:
     return np.log(pi1 / (1.0 - pi1)) - np.log(pi0 / (1.0 - pi0))
 
 
-def estimate_kappa(data: ObservedDataset, spec: BasisSpec, y_stratum: int) -> float:
+def estimate_kappa(nuis: NuisanceFit, y_stratum: int) -> float:
     """Level-scale aggregate kappa(y): stratum mean of the fitted odds ratio
     exp{X~'(b1 - b0)}, the exact linear-predictor gap that beta(y) averages."""
-    if y_stratum not in (0, 1):
-        raise ValidationError("y_stratum must be 0 or 1")
-    return float(np.mean(np.exp(_read_out(data, fit_nuisances(data, spec), y_stratum)[2])))
+    return float(np.mean(np.exp(_read_out(nuis, y_stratum)[2])))
 
 
-def eif_record(data: ObservedDataset, nuisances: NuisanceFit,
-               y_stratum: int) -> EIFRecord:
+def eif_record(nuis: NuisanceFit, y_stratum: int) -> EIFRecord:
     """Evaluate the efficient influence function of beta(y).
 
-    `nuisances` must come from `fit_nuisances` with a prospective basis:
-    its clipped probabilities enter the adjustment-term ratios, and its
-    clip count is reported.
+    `nuis` must be an unweighted fit with a prospective basis: its clipped
+    probabilities enter the adjustment-term ratios, and its clip count is
+    reported.  The estimator's variance is `.variance_of_mean`.
     """
-    if nuisances.py is None:
-        raise ValidationError("the influence function needs a prospective fit")
-    pi1, pi0, py = nuisances.pi1, nuisances.pi0, nuisances.py
+    pi0, pi1, py = nuis.prospective()
+    rows = nuis.stratum(y_stratum)
+    data = nuis.data
     h0 = data.h0
     y = data.y.astype(float)
     t = data.t.astype(float)
@@ -256,20 +261,14 @@ def eif_record(data: ObservedDataset, nuisances: NuisanceFit,
     w_pow_y = w if y_stratum == 1 else 1.0
     w_pow_1my = 1.0 if y_stratum == 1 else w
 
-    center = float(lor[data.stratum(y_stratum)].mean())
+    center = float(lor[rows].mean())
     term1 = ind / denom_h * (lor - center)
     term2 = -delta0 / ((1.0 - h0) * w_pow_y)
     term3 = w_pow_1my * delta1 / h0
 
     components = np.column_stack([term1, term2, term3])
     return EIFRecord(values=components.sum(axis=1), components=components,
-                     n_clipped=nuisances.n_clipped)
-
-
-def eif_variance(data: ObservedDataset, nuisances: NuisanceFit,
-                 y_stratum: int) -> float:
-    """Influence-function variance of the beta(y) estimator."""
-    return eif_record(data, nuisances, y_stratum).variance_of_mean
+                     n_clipped=nuis.n_clipped)
 
 
 @dataclass(frozen=True)

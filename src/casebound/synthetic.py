@@ -206,7 +206,7 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
         for name in estimators:
             try:
                 nuis = fit_nuisances(data, specs[name])
-                fits = [estimate_beta_combined(data, specs[name], y, nuis) for y in (0, 1)]
+                fits = [estimate_beta_combined(nuis, y) for y in (0, 1)]
             except CaseboundError:
                 failures[name] += 1
                 continue

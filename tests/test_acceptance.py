@@ -31,7 +31,7 @@ from casebound.fixtures import benchmark_estimates, count_table, mc_defaults, \
     top_income_population
 from casebound.model import ColumnSchema, Design, export_csv
 from casebound.oracle import gamma, project, random_population, upper_bound_ar
-from casebound.relative_risk import estimate_beta_combined, estimate_beta_plugin
+from casebound.relative_risk import estimate_beta_combined, estimate_beta_plugin, fit_nuisances
 from casebound.rng import RngSpec
 from casebound.synthetic import draw_mc_sample, parametric_spec, run_mc_study, \
     sample_from_population
@@ -187,10 +187,11 @@ def test_criterion_4_estimator_equivalence(interacted_fit):
     worst = 0.0
     for r in range(50):
         data = draw_mc_sample(design, rng.derive("mc-replicate", r))
+        nuis = fit_nuisances(data, spec)
         for y in (0, 1):
             inter = interacted_fit(data, spec, y)
-            comb = estimate_beta_combined(data, spec, y)
-            plug = estimate_beta_plugin(data, spec, y)
+            comb = estimate_beta_combined(nuis, y)
+            plug = estimate_beta_plugin(nuis, y)
             assert comb.value == plug.value
             assert abs(inter.cov[1, 1] - comb.se ** 2) <= 1e-10
             worst = max(worst, abs(inter.coef[1] - plug.value))
@@ -214,8 +215,9 @@ def eif_replications():
     ses = {0: [], 1: []}
     for r in range(1000):
         data = draw_mc_sample(design, rng.derive("mc-replicate", r))
+        nuis = fit_nuisances(data, spec)
         for y in (0, 1):
-            est = estimate_beta_plugin(data, spec, y)
+            est = estimate_beta_plugin(nuis, y)
             values[y].append(est.value)
             ses[y].append(est.se)
     return values, ses

@@ -70,31 +70,30 @@ def law_from_counts(counts, design):
 
 
 def test_beta_ar_zero_at_endpoints():
-    data = expand(COUNTS_D1, D1)
+    nuis = fit_nuisances(expand(COUNTS_D1, D1), LIN, LIN)
     for y in (0, 1):
-        assert estimate_beta_ar(data, LIN, LIN, 0.0, y) == 0.0
-        assert estimate_beta_ar(data, LIN, LIN, 1.0, y) == 0.0
+        assert estimate_beta_ar(nuis, 0.0, y) == 0.0
+        assert estimate_beta_ar(nuis, 1.0, y) == 0.0
 
 
 def test_beta_ar_matches_oracle_on_exact_expansion():
-    data = expand(COUNTS_D1, D1)
+    nuis = fit_nuisances(expand(COUNTS_D1, D1), LIN, LIN)
     law = law_from_counts(COUNTS_D1, D1)
     for p in (0.2, 0.55, 0.9):
         for y in (0, 1):
-            est = estimate_beta_ar(data, LIN, LIN, p, y)
+            est = estimate_beta_ar(nuis, p, y)
             assert est == pytest.approx(beta_ar_aggregate(law, p, y), abs=1e-8)
     grid = np.linspace(0.0, 1.0, 11)
-    curve = upper_bound_curve_values(data, LIN, LIN, grid)
+    curve = upper_bound_curve_values(nuis, grid)
     oracle = [upper_bound_ar(law, p) for p in grid]
     np.testing.assert_allclose(curve, oracle, atol=1e-8)
 
 
 def test_kappa_matches_oracle_on_exact_expansion():
-    data = expand(COUNTS_D1, D1)
+    nuis = fit_nuisances(expand(COUNTS_D1, D1), LIN)
     law = law_from_counts(COUNTS_D1, D1)
     for y in (0, 1):
-        assert estimate_kappa(data, LIN, y) == pytest.approx(kappa_aggregate(law, y),
-                                                             abs=1e-8)
+        assert estimate_kappa(nuis, y) == pytest.approx(kappa_aggregate(law, y), abs=1e-8)
 
 
 def test_curve_point_invariant_to_row_order():
@@ -105,31 +104,46 @@ def test_curve_point_invariant_to_row_order():
                                design=data.design)
     spec = parametric_spec(design)
     grid = np.linspace(0.0, 1.0, 21)
-    np.testing.assert_allclose(upper_bound_curve_values(shuffled, spec, spec, grid),
-                               upper_bound_curve_values(data, spec, spec, grid),
+    shuffled_nuis, nuis = fit_nuisances(shuffled, spec, spec), fit_nuisances(data, spec, spec)
+    np.testing.assert_allclose(upper_bound_curve_values(shuffled_nuis, grid),
+                               upper_bound_curve_values(nuis, grid),
                                rtol=0, atol=1e-12)
 
 
 def test_xi_cp_matches_oracle_on_exact_expansion():
     data = expand(COUNTS_D1, D2)
     law = law_from_counts(COUNTS_D1, D2)
-    assert estimate_xi_cp(data, LIN, LIN) == pytest.approx(xi_cp(law), abs=1e-8)
+    nuis = fit_nuisances(data, LIN, LIN)
+    assert estimate_xi_cp(nuis) == pytest.approx(xi_cp(law), abs=1e-8)
 
 
 def test_xi_cp_zero_when_strata_probabilities_agree():
     data = expand(COUNTS_D1, D2)
     nuis = fit_nuisances(data, LIN, LIN)
     same = dataclasses.replace(nuis, pi1=nuis.pi0)
-    assert estimate_xi_cp(data, LIN, LIN, nuisances=same) == 0.0
+    assert estimate_xi_cp(same) == 0.0
+
+
+def test_read_outs_need_a_prospective_fit():
+    # a fit without a prospective basis has no Pr(Y=1|x) to read
+    grid = p_grid(0.5, 0.1)
+    for design in (D1, D2):
+        nuis = fit_nuisances(expand(COUNTS_D1, design), LIN)
+        with pytest.raises(ValidationError, match="prospective basis"):
+            upper_bound_curve_values(nuis, grid)
+    with pytest.raises(ValidationError, match="prospective basis"):
+        estimate_beta_ar(fit_nuisances(expand(COUNTS_D1, D1), LIN), 0.5, 0)
+    with pytest.raises(ValidationError, match="prospective basis"):
+        estimate_xi_cp(fit_nuisances(expand(COUNTS_D1, D2), LIN))
 
 
 def test_design_contracts():
     data1 = expand(COUNTS_D1, D1)
     data2 = expand(COUNTS_D1, D2)
     with pytest.raises(ValidationError):
-        estimate_beta_ar(data2, LIN, LIN, 0.5, 0)
+        estimate_beta_ar(fit_nuisances(data2, LIN, LIN), 0.5, 0)
     with pytest.raises(ValidationError):
-        estimate_xi_cp(data1, LIN, LIN)
+        estimate_xi_cp(fit_nuisances(data1, LIN, LIN))
     with pytest.raises(ValidationError):
         ar_curve(data1, LIN, LIN, pbar=0.5, B=50)  # B too small
 
@@ -255,9 +269,9 @@ def expanded_replicate(data, gen, mode, pspec, rspec, grid):
                             h0=None if data.h0_estimated else data.h0)
     nuis = fit_nuisances(bdata, rspec, pspec)
     if data.design is D2:
-        return np.array([estimate_xi_cp(bdata, pspec, rspec, nuis)]), nuis.n_clipped
-    curve = [(1.0 - p) * estimate_beta_ar(bdata, pspec, rspec, p, 0, nuis)
-             + p * estimate_beta_ar(bdata, pspec, rspec, p, 1, nuis) for p in grid]
+        return np.array([estimate_xi_cp(nuis)]), nuis.n_clipped
+    curve = [(1.0 - p) * estimate_beta_ar(nuis, p, 0)
+             + p * estimate_beta_ar(nuis, p, 1) for p in grid]
     return np.array(curve), nuis.n_clipped
 
 

@@ -143,6 +143,22 @@ def test_bad_basis_suffix_exits_2(runner, tmp_path, basis):
     assert "takes an integer suffix" in result.output
 
 
+@pytest.mark.parametrize("command, option, basis", [
+    ("rr", "--basis", "polyx"), ("rr", "--basis", "nonsense"),
+    ("ar", "--retro-basis", "bogus"), ("rr", "--basis", "linear")])
+def test_basis_parsed_without_covariates(runner, tmp_path, command, option, basis):
+    # the university table has no covariate column: the one basis term is
+    # repeated zero times, and must still be a valid term
+    path = write_university_csv(tmp_path / "univ.csv")
+    result = runner.invoke(main, [
+        command, "--input", path, "--design", "case-control",
+        "--y-col", "vsu", "--t-col", "private", option, basis])
+    if basis == "linear":
+        assert result.exit_code == 0, result.output
+    else:
+        _assert_one_error_line(result)
+
+
 def test_rr_missing_column_exits_2(runner, tmp_path):
     path = write_university_csv(tmp_path / "univ.csv")
     result = runner.invoke(main, [

@@ -539,17 +539,6 @@ def test_population_quantities_computed_once_and_read_only():
     assert pop.check_assumptions() is pop.check_assumptions()
 
 
-def test_non_default_tolerance_is_computed_fresh():
-    pmf = np.zeros((1, 2, 2, 2))
-    pmf[0, 0, 1, 0] = 0.5  # mass on a harmed unit: y0=1, y1=0
-    pmf[0, 1, 0, 1] = 0.5
-    pop = DiscretePopulation(support_x=np.zeros((1, 1)), pmf=pmf)
-    assert not pop.check_assumptions().mtr
-    assert pop.check_assumptions(tol=1.0).mtr
-    assert not pop.check_assumptions().mtr
-    assert pop.check_assumptions(tol=1e-12) is pop.check_assumptions()
-
-
 @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 6),
        p=st.floats(0.0, 1.0), h0=st.floats(0.05, 0.95), design=st.sampled_from([D1, D2]))
 @settings(max_examples=100, deadline=None)

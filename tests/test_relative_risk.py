@@ -11,7 +11,6 @@ from casebound.fixtures import count_table, mc_defaults
 from casebound.model import Design, ObservedDataset
 from casebound.relative_risk import (
     eif_record,
-    eif_variance,
     estimate_beta_combined,
     estimate_beta_plugin,
     estimate_kappa,
@@ -27,12 +26,13 @@ D1, D2 = Design.CASE_CONTROL, Design.CASE_POPULATION
 def test_intercept_only_combined_equals_table_log_odds_ratio():
     table = count_table("top_income_case_control")
     data = table.to_dataset(D1)
-    est = estimate_beta_combined(data, BasisSpec.empty(), 1)
+    nuis = fit_nuisances(data, BasisSpec.empty())
+    est = estimate_beta_combined(nuis, 1)
     exact = math.log(table.n11 * table.n00 / (table.n01 * table.n10))
     assert est.value == pytest.approx(exact, abs=1e-9)
     assert est.value == pytest.approx(0.783, abs=5e-4)
     # identical for both strata when there are no covariates
-    est0 = estimate_beta_combined(data, BasisSpec.empty(), 0)
+    est0 = estimate_beta_combined(nuis, 0)
     assert est0.value == pytest.approx(est.value, abs=1e-9)
 
 
@@ -44,8 +44,9 @@ def test_plugin_matches_combined_parametric_and_sieve(interacted_fit):
         for spec in (parametric_spec(design), sieve_spec(design)):
             for y in (0, 1):
                 inter = interacted_fit(data, spec, y)
-                comb = estimate_beta_combined(data, spec, y)
-                plug = estimate_beta_plugin(data, spec, y)
+                nuis = fit_nuisances(data, spec)
+                comb = estimate_beta_combined(nuis, y)
+                plug = estimate_beta_plugin(nuis, y)
                 assert abs(inter.coef[1] - plug.value) < 1e-6
                 assert comb.value == plug.value
                 assert abs(inter.cov[1, 1] - comb.se ** 2) <= 1e-10
@@ -64,8 +65,9 @@ def test_plugin_matches_combined_with_spline_basis(interacted_fit):
     spec = BasisSpec(terms=(CubicSplineTerm(3), Linear()))
     for ystr in (0, 1):
         inter = interacted_fit(data, spec, ystr)
-        comb = estimate_beta_combined(data, spec, ystr)
-        plug = estimate_beta_plugin(data, spec, ystr)
+        nuis = fit_nuisances(data, spec)
+        comb = estimate_beta_combined(nuis, ystr)
+        plug = estimate_beta_plugin(nuis, ystr)
         assert abs(inter.coef[1] - plug.value) < 1e-6
         assert abs(inter.cov[1, 1] - comb.se ** 2) <= 1e-10
 
@@ -80,7 +82,7 @@ def test_one_class_stratum_raises():
     for estimate in (estimate_beta_combined, estimate_beta_plugin):
         for ystr in (0, 1):
             with pytest.raises(ValidationError, match="both response classes"):
-                estimate(data, BasisSpec.linear(1), ystr)
+                estimate(fit_nuisances(data, BasisSpec.linear(1)), ystr)
 
 
 def test_estimates_invariant_to_row_order():
@@ -90,12 +92,13 @@ def test_estimates_invariant_to_row_order():
     shuffled = ObservedDataset(y=data.y[perm], t=data.t[perm], x=data.x[perm],
                                design=data.design)
     for spec in (parametric_spec(design), sieve_spec(design)):
+        nuis, nuis_shuffled = fit_nuisances(data, spec), fit_nuisances(shuffled, spec)
         for y in (0, 1):
             for estimate in (estimate_beta_combined, estimate_beta_plugin):
-                a, b = estimate(data, spec, y), estimate(shuffled, spec, y)
+                a, b = estimate(nuis, y), estimate(nuis_shuffled, y)
                 assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
                 assert abs(a.se - b.se) <= 1e-12 * max(1.0, a.se)
-            a, b = estimate_kappa(data, spec, y), estimate_kappa(shuffled, spec, y)
+            a, b = estimate_kappa(nuis, y), estimate_kappa(nuis_shuffled, y)
             assert abs(a - b) <= 1e-12 * max(1.0, a)
 
 
@@ -110,7 +113,7 @@ def test_null_data_estimates_center_at_zero():
         t = bernoulli(gen, np.full(n, 0.4))  # independent of (y, x)
         from casebound.model import ObservedDataset
         data = ObservedDataset(y=y, t=t, x=x, design=D1)
-        est = estimate_beta_combined(data, BasisSpec.linear(2), 1)
+        est = estimate_beta_combined(fit_nuisances(data, BasisSpec.linear(2)), 1)
         if abs(est.value) <= 3.0 * est.se:
             hits += 1
     assert hits >= 28
@@ -122,7 +125,7 @@ def test_eif_first_component_mean_is_exactly_zero():
     spec = parametric_spec(design)
     nuis = fit_nuisances(data, spec, spec)
     for y in (0, 1):
-        rec = eif_record(data, nuis, y)
+        rec = eif_record(nuis, y)
         assert abs(rec.components[:, 0].mean()) < 1e-12
         # full mean is 0 only up to the adjustment terms' sampling noise
         assert abs(rec.values.mean()) < 5.0 * rec.values.std() / math.sqrt(data.n)
@@ -133,7 +136,7 @@ def test_eif_mean_vanishes_without_covariates():
     data = table.to_dataset(D1)
     nuis = fit_nuisances(data, BasisSpec.empty(), BasisSpec.empty())
     for y in (0, 1):
-        rec = eif_record(data, nuis, y)
+        rec = eif_record(nuis, y)
         assert abs(rec.values.mean()) < 1e-8
         assert rec.n_clipped == 0
 
@@ -142,8 +145,9 @@ def test_eif_variance_positive_and_se_sane():
     design = mc_defaults()
     data = draw_mc_sample(design, RngSpec(105).derive("mc-replicate", 1))
     spec = parametric_spec(design)
-    assert 0.05 < math.sqrt(eif_variance(data, fit_nuisances(data, spec, spec), 1)) < 1.0
-    est = estimate_beta_plugin(data, spec, 1)
+    nuis = fit_nuisances(data, spec, spec)
+    assert 0.05 < math.sqrt(eif_record(nuis, 1).variance_of_mean) < 1.0
+    est = estimate_beta_plugin(nuis, 1)
     assert 0.05 < est.se < 1.0
 
 
@@ -151,7 +155,7 @@ def test_plugin_se_without_covariates_is_woolf():
     table = count_table("top_income_case_control")
     woolf = math.sqrt(1 / table.n11 + 1 / table.n10 + 1 / table.n01 + 1 / table.n00)
     for y in (0, 1):
-        est = estimate_beta_plugin(table.to_dataset(D1), BasisSpec.empty(), y)
+        est = estimate_beta_plugin(fit_nuisances(table.to_dataset(D1), BasisSpec.empty()), y)
         assert est.se == pytest.approx(woolf, rel=1e-9)
 
 
@@ -160,9 +164,9 @@ def test_plugin_value_and_se_invariant_to_supplied_h0():
     data = draw_mc_sample(design, RngSpec(110).derive("mc-replicate", 0))
     spec = parametric_spec(design)
     for y in (0, 1):
-        ests = [estimate_beta_plugin(
+        ests = [estimate_beta_plugin(fit_nuisances(
                     ObservedDataset(y=data.y, t=data.t, x=data.x,
-                                    design=data.design, h0=h0), spec, y)
+                                    design=data.design, h0=h0), spec), y)
                 for h0 in (0.3, 0.7)]
         assert abs(ests[0].value - ests[1].value) <= 1e-12
         assert abs(ests[0].se - ests[1].se) <= 1e-12
@@ -185,7 +189,7 @@ def test_eif_rejects_bad_probabilities(monkeypatch):
 
     monkeypatch.setattr(rr_mod, "fit_logit", nan_second_fit)
     with pytest.raises(NuisanceProbabilityOutOfRange, match="Pi\\(1\\|1,x\\)"):
-        eif_record(data, fit_nuisances(data, spec, spec), 1)
+        eif_record(fit_nuisances(data, spec, spec), 1)
 
 
 def homogeneous_or_design() -> MCDesign:
@@ -197,7 +201,7 @@ def homogeneous_or_design() -> MCDesign:
 def test_kappa_no_covariates_equals_table_odds_ratio():
     table = count_table("university_private_school")
     data = table.to_dataset(D1)
-    kappa = estimate_kappa(data, BasisSpec.empty(), 1)
+    kappa = estimate_kappa(fit_nuisances(data, BasisSpec.empty()), 1)
     exact = table.n11 * table.n00 / (table.n01 * table.n10)
     assert kappa == pytest.approx(exact, abs=1e-9)
 
@@ -210,8 +214,8 @@ def test_kappa_is_mean_exp_of_linear_predictor_gap():
     for spec in (parametric_spec(design), sieve_spec(design)):
         nuis = fit_nuisances(data, spec)
         for y in (0, 1):
-            lor = rr_mod._read_out(data, nuis, y)[2]
-            kappa = estimate_kappa(data, spec, y)
+            lor = rr_mod._read_out(nuis, y)[2]
+            kappa = estimate_kappa(nuis, y)
             assert kappa == pytest.approx(float(np.mean(np.exp(lor))), rel=1e-14, abs=0)
 
 
@@ -219,7 +223,7 @@ def test_weighted_fit_is_not_read_as_beta():
     data = count_table("university_private_school").to_dataset(D1)
     nuis = fit_nuisances(data, BasisSpec.empty(), counts=np.ones(data.n, dtype=np.intp))
     with pytest.raises(ValidationError):
-        estimate_beta_combined(data, BasisSpec.empty(), 1, nuis)
+        estimate_beta_combined(nuis, 1)
 
 
 def test_kappa_jensen_ordering():
@@ -227,9 +231,10 @@ def test_kappa_jensen_ordering():
     rng = RngSpec(107)
     for r in range(6):
         data = draw_mc_sample(design, rng.derive("mc-replicate", r))
+        nuis = fit_nuisances(data, parametric_spec(design))
         for y in (0, 1):
-            beta = estimate_beta_plugin(data, parametric_spec(design), y)
-            kappa = estimate_kappa(data, parametric_spec(design), y)
+            beta = estimate_beta_plugin(nuis, y)
+            kappa = estimate_kappa(nuis, y)
             assert math.log(kappa) >= beta.value - 1e-12
 
 
@@ -244,8 +249,9 @@ def test_kappa_centered_on_homogeneous_odds_ratio():
                           alpha1_control=(1.0, 1.0, 0.0, 0.0, 0.0),
                           n_per_stratum=n_per)
         rng = RngSpec(108)
-        vals = [estimate_kappa(draw_mc_sample(design, rng.derive("mc-replicate", r)),
-                               parametric_spec(design), 1)
+        vals = [estimate_kappa(fit_nuisances(draw_mc_sample(design,
+                                                            rng.derive("mc-replicate", r)),
+                                             parametric_spec(design)), 1)
                 for r in range(40)]
         means[n_per] = float(np.mean(vals))
     assert abs(means[4000] - target) < abs(means[1000] - target)
@@ -257,7 +263,7 @@ def test_eif_variance_dominates_naive_term_on_homogeneous_data():
     data = draw_mc_sample(design, RngSpec(109).derive("mc-replicate", 0))
     nuis = fit_nuisances(data, parametric_spec(design), parametric_spec(design))
     for y in (0, 1):
-        rec = eif_record(data, nuis, y)
+        rec = eif_record(nuis, y)
         naive = float(np.mean(rec.components[:, 0] ** 2) / data.n)
         assert rec.variance_of_mean >= naive
 

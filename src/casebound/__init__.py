@@ -45,10 +45,8 @@ from .oracle import (
 )
 from .relative_risk import (
     BetaEstimate,
-    EIFRecord,
     NuisanceFit,
     RRBand,
-    eif_record,
     estimate_beta_combined,
     estimate_beta_plugin,
     estimate_kappa,
@@ -69,7 +67,7 @@ __all__ = [
     "AssumptionSet", "DiscretePopulation", "ObservedLaw", "bounds_ar", "bounds_rr",
     "gamma", "gamma_ar", "project", "r_case_prob", "random_population",
     "rare_disease_slope",
-    "BetaEstimate", "EIFRecord", "NuisanceFit", "RRBand", "eif_record",
+    "BetaEstimate", "NuisanceFit", "RRBand",
     "estimate_beta_combined", "estimate_beta_plugin", "estimate_kappa",
     "fit_nuisances", "rr_band",
     "RngSpec",

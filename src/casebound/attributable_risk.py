@@ -17,12 +17,17 @@ case-population design.
 Every estimate is a read-out of one nuisance fit per data set,
 `relative_risk.fit_nuisances` with both bases, and takes only that fit and
 its own index: the clipped fitted probabilities (`NuisanceFit.prospective`)
-enter r(x, p) and G_AR(x, p) through the formula kernel in
-`oracle`, the same functions the finite-population reference evaluates per
-cell.  Their convex-combination denominators make UB(0) = 0 and
-(case-control) UB(1) = 0 hold exactly in floating point, matching the
-estimand, which vanishes at both ends.  The case-control curve is one
-(grid x rows) array of those terms, averaged within each stratum.
+enter r(x, p) * G_AR(x, p) through `oracle.ar_term_formula`, the same
+kernel the finite-population reference evaluates per cell.  Its
+convex-combination denominators make UB(0) = 0 and (case-control)
+UB(1) = 0 hold exactly in floating point, matching the estimand, which
+vanishes at both ends.
+
+One function, `_statistic`, is the only place where the design selects
+the bootstrapped statistic: the case-control curve, one (grid x rows)
+array of those terms averaged within each stratum, or the case-population
+xi.  It works over leading replicate axes, so the sample, a refitted
+replicate and a block of replicates all read it.
 
 The bootstrap does not rebuild resampled data sets.  The sample is
 collapsed once to a pattern table, its distinct (y, t, x) rows (eight for
@@ -33,8 +38,9 @@ with its counts.  Everything the expanded resample would judge is judged
 on the replicate's support, the patterns with a nonzero count: an empty
 stratum raises EmptyStratum and a constant basis column DegenerateColumn;
 an estimated h0 is the counts-weighted share of cases; the clip count
-weighs each row by its count.  A replicate that raises any CaseboundError
-is dropped and counted, as it would be on the expanded rows.
+(`relative_risk.clip_probabilities`) weighs each row by its count.  A
+replicate that raises any CaseboundError is dropped and counted, as it
+would be on the expanded rows.
 
 Unless a basis has a spline term, the bases are the same for every
 replicate, so they are built once on the pattern table and `_block`
@@ -77,8 +83,8 @@ from .errors import BootstrapDegenerate, CaseboundError, ValidationError
 from .logit import fit_logit  # noqa: F401  (perfbench's tracing tests wrap this binding)
 from .logit import fit_logit_batch
 from .model import Design, ObservedDataset
-from .oracle import gamma_ar_formula, r_formula
-from .relative_risk import CLIP, NuisanceFit, design_columns, fit_nuisances, p_grid
+from .oracle import ar_term_formula, gamma_ar_formula
+from .relative_risk import NuisanceFit, clip_probabilities, design_columns, fit_nuisances, p_grid
 from .rng import RngSpec, resample_indices
 
 __all__ = [
@@ -98,30 +104,29 @@ _BLOCK_CELLS = 1 << 17
 _MIN_BLOCK = 16
 
 
-def _ar_terms(design: Design, h0, pi0, pi1, py, p) -> np.ndarray:
-    # r(x, p) * G_AR(x, p) from the fitted probabilities at each row; all
-    # arguments broadcast, so one call covers (replicate, p, row) arrays
-    r = r_formula(py, h0, p, design)
-    return r * gamma_ar_formula(pi0, pi1, r)
-
-
-def _curve(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray,
-           grid: np.ndarray) -> np.ndarray:
-    # the case-control UB over the grid from probabilities at the rows (last
-    # axis; any leading axes are replicates), with w-weighted stratum means
-    vals = _ar_terms(design, h0, pi0[..., None, :], pi1[..., None, :],
-                     py[..., None, :], grid[:, None])
+def _statistic(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray,
+               grid: np.ndarray | None) -> np.ndarray:
+    """The bootstrapped statistic from probabilities and weights at the rows
+    (last axis; any leading axes are replicates, h0 a scalar or one per
+    replicate): the case-control UB over the grid, with w-weighted stratum
+    means, or the case-population xi as one column (the grid unused)."""
+    if design is Design.CASE_POPULATION:
+        bracket = py / (1.0 - py) * gamma_ar_formula(pi0, pi1, 0.0)
+        y = case.astype(float)
+        return (np.sum((1.0 - y) * bracket * w, axis=-1) / np.sum(y * w, axis=-1))[..., None]
+    vals = ar_term_formula(py[..., None, :], np.asarray(h0)[..., None, None], grid[:, None],
+                           design, pi0[..., None, :], pi1[..., None, :])
     # C order keeps each row's sum the pairwise sum of a one-p loop
     mean0, mean1 = ((np.ascontiguousarray(vals[..., m]) * w[..., None, m]).sum(axis=-1)
                     / w[..., m].sum(axis=-1)[..., None] for m in (~case, case))
     return (1.0 - grid) * mean0 + grid * mean1
 
 
-def _xi(case: np.ndarray, pi0, pi1, py, w) -> np.ndarray:
-    # the case-population slope from probabilities at the rows (last axis)
-    bracket = py / (1.0 - py) * gamma_ar_formula(pi0, pi1, 0.0)
-    y = case.astype(float)
-    return np.sum((1.0 - y) * bracket * w, axis=-1) / np.sum(y * w, axis=-1)
+def _fit_statistic(nuis: NuisanceFit, grid: np.ndarray | None) -> np.ndarray:
+    """`_statistic` of one fit, its rows weighted by its counts, if any."""
+    data = nuis.data
+    w = np.ones(data.n) if nuis.counts is None else nuis.counts.astype(float)
+    return _statistic(data.design, data.h0, data.stratum(1), *nuis.prospective(), w, grid)
 
 
 def estimate_beta_ar(nuis: NuisanceFit, p: float, y_stratum: int) -> float:
@@ -132,8 +137,8 @@ def estimate_beta_ar(nuis: NuisanceFit, p: float, y_stratum: int) -> float:
     rows = nuis.stratum(y_stratum)
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    vals = _ar_terms(data.design, data.h0, *nuis.prospective(), p)
-    return float(vals[rows].mean())
+    pi0, pi1, py = nuis.prospective()
+    return float(ar_term_formula(py, data.h0, p, data.design, pi0, pi1)[rows].mean())
 
 
 def estimate_xi_cp(nuis: NuisanceFit) -> float:
@@ -146,23 +151,15 @@ def estimate_xi_cp(nuis: NuisanceFit) -> float:
     """
     if nuis.data.design is not Design.CASE_POPULATION:
         raise ValidationError("xi_CP is a case-population estimand")
-    w = 1.0 if nuis.counts is None else nuis.counts
-    return float(_xi(nuis.data.stratum(1), *nuis.prospective(), w))
+    return float(_fit_statistic(nuis, None)[0])
 
 
 def upper_bound_curve_values(nuis: NuisanceFit, grid: np.ndarray) -> np.ndarray:
     """Untruncated UB estimates on a p-grid (case-control: per-p aggregate;
-    case-population: p times the slope estimate).
-
-    Case-control terms are evaluated as one (grid x rows) array, and the
-    stratum means are weighted by the fit's counts, if it has them.
-    """
-    data = nuis.data
-    if data.design is Design.CASE_POPULATION:
-        return grid * estimate_xi_cp(nuis)
-    pi0, pi1, py = nuis.prospective()
-    w = np.ones(data.n) if nuis.counts is None else nuis.counts.astype(float)
-    return _curve(data.design, data.h0, data.stratum(1), pi0, pi1, py, w, grid)
+    case-population: p times the slope estimate), the stratum means
+    weighted by the fit's counts, if it has them."""
+    stat = _fit_statistic(nuis, grid)
+    return grid * stat[0] if nuis.data.design is Design.CASE_POPULATION else stat
 
 
 @dataclass(frozen=True)
@@ -255,11 +252,7 @@ def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     bdata = ObservedDataset(y=y, t=rows[:, 1].astype(np.int8), x=rows[:, 2:],
                             design=data.design, h0=_replicate_h0(data, y == 1, c))
     bnuis = fit_nuisances(bdata, retrospective_spec, prospective_spec, c)
-    if data.design is Design.CASE_POPULATION:
-        stat = np.array([estimate_xi_cp(bnuis)])
-    else:
-        stat = upper_bound_curve_values(bnuis, grid)
-    return stat, bnuis.n_clipped
+    return _fit_statistic(bnuis, grid), bnuis.n_clipped
 
 
 def _pattern_designs(patterns: np.ndarray, retrospective_spec: BasisSpec,
@@ -303,22 +296,17 @@ def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     probs = []
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
     for (coef, fitted), design in fits:
-        prob = expit((coef[:, None, :] * design).sum(axis=-1))
-        in_range = np.isfinite(prob) & (prob >= 0.0) & (prob <= 1.0)
+        clipped, in_range, n_moved = clip_probabilities(
+            expit((coef[:, None, :] * design).sum(axis=-1)), counts)
         ok &= fitted & (in_range | ~support).all(axis=1)
-        clipped = np.clip(prob, CLIP, 1.0 - CLIP)
-        n_clipped += (counts * (clipped != prob)).sum(axis=1)
+        n_clipped += n_moved
         # off the support a value only has to keep the weighted sums finite
         probs.append(np.where(support, clipped, 0.5))
     # the statistic of the replicates still on the common path; every
     # probability now lies in [CLIP, 1 - CLIP], so no denominator vanishes
     pi0, pi1, py = (prob[ok] for prob in probs)
-    if data.design is Design.CASE_POPULATION:
-        vals = _xi(case, pi0, pi1, py, w[ok])[:, None]
-    else:
-        h0 = _replicate_h0(data, case, counts[ok])
-        h0 = h0 if np.ndim(h0) == 0 else h0[:, None, None]
-        vals = _curve(data.design, h0, case, pi0, pi1, py, w[ok], grid)
+    vals = _statistic(data.design, _replicate_h0(data, case, counts[ok]), case,
+                      pi0, pi1, py, w[ok], grid)
     stat = np.zeros((counts.shape[0], vals.shape[1]))
     stat[ok] = vals
     return stat, n_clipped, ok
@@ -348,20 +336,13 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
         raise ValidationError("alpha must lie in (0, 0.5]")
     if resample_mode not in ("iid", "stratified"):
         raise ValidationError(f"unknown resample mode {resample_mode!r}")
-    rng = seed if isinstance(seed, RngSpec) else RngSpec(int(seed))
+    rng = seed if isinstance(seed, RngSpec) else RngSpec(seed)
 
     nuis = fit_nuisances(data, retrospective_spec, prospective_spec)
-    point_raw = upper_bound_curve_values(nuis, grid)
+    stat_hat = _fit_statistic(nuis, grid)  # the bootstrapped statistic at the sample
     cp = data.design is Design.CASE_POPULATION
-    # the bootstrapped statistic at the sample, and the columns that can vary
-    if cp:
-        stat_hat = np.array([estimate_xi_cp(nuis)])
-        varying = np.array([True])
-    else:
-        stat_hat = point_raw
-        varying = grid > 0.0
-        if grid[-1] >= 1.0:
-            varying &= grid < 1.0
+    # the columns that can vary: xi, or the curve off its ends, 0 by construction
+    varying = np.array([True]) if cp else (grid > 0.0) & (grid < 1.0)
 
     patterns, inverse = _patterns(data)
     designs = _pattern_designs(patterns, retrospective_spec, prospective_spec)
@@ -408,12 +389,11 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     nu = bc_level(mu, alpha, n_kept)
     limit = _order_statistic(np.sort(boot, axis=0), nu)
     if cp:
-        upper_raw = grid * limit[0]
-        mu_star = np.full_like(grid, mu[0])
-        nu_star = np.full_like(grid, nu[0])
+        point_raw, upper_raw = grid * stat_hat[0], grid * limit[0]
+        mu_star, nu_star = np.full_like(grid, mu[0]), np.full_like(grid, nu[0])
         mode = "uniform-bc"
     else:
-        upper_raw, mu_star, nu_star = limit, mu, nu
+        point_raw, upper_raw, mu_star, nu_star = stat_hat, limit, mu, nu
         mode = "pointwise-bc"
 
     point = np.clip(point_raw, 0.0, 1.0)

@@ -130,8 +130,39 @@ def _write_grid(path: pathlib.Path, header: list[str], rows) -> None:
             fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
+def _out_dir(out: str) -> pathlib.Path:
+    outdir = pathlib.Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 _seed_option = click.option("--seed", type=int, envvar="CASEBOUND_SEED", default=0,
                             show_default=True, help="master seed (env CASEBOUND_SEED)")
+_format_option = click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
+                              default="tabular", show_default=True)
+_DATA_OPTIONS = (
+    click.option("--input", "input_path", required=True, type=click.Path(exists=True)),
+    click.option("--design", required=True, help="case-control | case-population"),
+    click.option("--y-col", required=True),
+    click.option("--t-col", required=True),
+    click.option("--x-cols", default="", help="comma-separated covariate columns"),
+    click.option("--h0", type=float, default=None,
+                 help="stratum probability Pr(Y=1); default: sample mean of y"),
+    click.option("--interactions", is_flag=True, help="add pairwise covariate products"),
+    click.option("--alpha", type=float, default=0.05, show_default=True),
+    click.option("--pbar", type=float, default=1.0, show_default=True,
+                 help="upper bound on the true case probability"),
+    click.option("--grid-step", type=float, default=0.01, show_default=True),
+    click.option("--out", type=click.Path(), default=None,
+                 help="directory for the grid output files"),
+)
+
+
+def _data_options(command):
+    """The data, grid and output options that rr and ar share."""
+    for option in reversed(_DATA_OPTIONS):
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -141,8 +172,7 @@ def main():
 
 
 @main.command()
-@click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
-              default="tabular", show_default=True)
+@_format_option
 def demo(fmt):
     """Odds ratios of the bundled tables, plus the sampling-design projections."""
     def body():
@@ -186,24 +216,10 @@ def demo(fmt):
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--design", required=True, help="case-control | case-population")
-@click.option("--y-col", required=True)
-@click.option("--t-col", required=True)
-@click.option("--x-cols", default="", help="comma-separated covariate columns")
-@click.option("--h0", type=float, default=None,
-              help="stratum probability Pr(Y=1); default: sample mean of y")
+@_data_options
 @click.option("--basis", default="linear", show_default=True,
               help="retrospective basis: linear | poly<d> | spline<m> | comma list")
-@click.option("--interactions", is_flag=True, help="add pairwise covariate products")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--pbar", type=float, default=1.0, show_default=True,
-              help="upper bound on the true case probability")
-@click.option("--grid-step", type=float, default=0.01, show_default=True)
-@click.option("--out", type=click.Path(), default=None,
-              help="directory for the band grid file")
-@click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
-              default="tabular", show_default=True)
+@_format_option
 def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
        alpha, pbar, grid_step, out, fmt):
     """Stratum aggregates of the log odds ratio and the relative-risk band."""
@@ -236,8 +252,7 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
                                   "exp_value": math.exp(est.value),
                                   "ci_level": [1.0, math.exp(max(ub_log, 0.0))]}
         if out is not None:
-            outdir = pathlib.Path(out)
-            outdir.mkdir(parents=True, exist_ok=True)
+            outdir = _out_dir(out)
             _write_grid(outdir / "rr_band.csv", ["p", "point", "lower", "upper"],
                         band.rows())
             lines.append(f"band grid written to {outdir / 'rr_band.csv'}")
@@ -250,25 +265,14 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--design", required=True)
-@click.option("--y-col", required=True)
-@click.option("--t-col", required=True)
-@click.option("--x-cols", default="")
-@click.option("--h0", type=float, default=None)
+@_data_options
 @click.option("--retro-basis", default="linear", show_default=True)
 @click.option("--prospective-basis", default="linear", show_default=True)
-@click.option("--interactions", is_flag=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--pbar", type=float, default=1.0, show_default=True)
-@click.option("--grid-step", type=float, default=0.01, show_default=True)
 @click.option("--B", "n_boot", type=int, default=1000, show_default=True)
 @_seed_option
 @click.option("--resample", type=click.Choice(["iid", "stratified"]),
               default="iid", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
-              default="tabular", show_default=True)
+@_format_option
 def ar(input_path, design, y_col, t_col, x_cols, h0, retro_basis,
        prospective_basis, interactions, alpha, pbar, grid_step, n_boot, seed,
        resample, out, fmt):
@@ -286,8 +290,7 @@ def ar(input_path, design, y_col, t_col, x_cols, h0, retro_basis,
         lines.append(f"mode={curve.mode} B={curve.B} kept={diag.n_kept} "
                      f"dropped={diag.n_dropped}")
         if out is not None:
-            outdir = pathlib.Path(out)
-            outdir.mkdir(parents=True, exist_ok=True)
+            outdir = _out_dir(out)
             _write_grid(outdir / "ar_curve.csv",
                         ["p", "point", "upper", "mu_star", "nu_star"],
                         ((curve.p[i], curve.point[i], curve.upper[i],
@@ -316,8 +319,7 @@ def ar(input_path, design, y_col, t_col, x_cols, h0, retro_basis,
 @click.option("--population", "population_path", type=click.Path(exists=True),
               default=None, help="run the checks on a population fixture file")
 @click.option("--strict", is_flag=True, help="exit nonzero when a check fails")
-@click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
-              default="tabular", show_default=True)
+@_format_option
 def oracle(seed, populations, population_path, strict, fmt):
     """Brute-force verification of the identification identities."""
     def body():
@@ -343,8 +345,7 @@ def oracle(seed, populations, population_path, strict, fmt):
 @_seed_option
 @click.option("--estimators", default="parametric,sieve", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
-              default="tabular", show_default=True)
+@_format_option
 def mc(replications, seed, estimators, out, fmt):
     """Replication study of the benchmark design (six summary statistics)."""
     def body():
@@ -361,8 +362,7 @@ def mc(replications, seed, estimators, out, fmt):
             row = [stat] + [f"{getattr(c, stat):.4f}" for c in result.cells]
             lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
         if out is not None:
-            outdir = pathlib.Path(out)
-            outdir.mkdir(parents=True, exist_ok=True)
+            outdir = _out_dir(out)
             with open(outdir / "mc_summary.json", "w") as fh:
                 json.dump({"schema_version": SCHEMA_VERSION, "seed": seed,
                            "replications": replications,

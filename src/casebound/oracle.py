@@ -61,6 +61,7 @@ __all__ = [
     "r_formula",
     "gamma_formula",
     "gamma_ar_formula",
+    "ar_term_formula",
     "r_case_prob",
     "gamma",
     "gamma_ar",
@@ -337,10 +338,11 @@ def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:
 
 # --- the formula kernel -----------------------------------------------------------
 #
-# r, Gamma and Gamma_AR as plain arithmetic on floats or arrays.  The per-cell
-# oracle functions below call them on one cell, the aggregates on every cell
-# at once, and the estimators on every observation.  Denominators are convex
-# combinations, so the endpoints p=0 and (case-control) p=1 come out exact.
+# r, Gamma, Gamma_AR and the attributable-risk term r * Gamma_AR as plain
+# arithmetic on floats or arrays.  The per-cell oracle functions below call
+# them on one cell, the aggregates on every cell at once, and the estimators
+# on every observation.  Denominators are convex combinations, so the
+# endpoints p=0 and (case-control) p=1 come out exact.
 
 
 def r_formula(q, h0, p, design: Design):
@@ -374,6 +376,13 @@ def gamma_ar_formula(pi0, pi1, r):
     den0 = (1.0 - r) * (1.0 - pi0) + r * (1.0 - pi1)
     _check_denominators("Gamma_AR", den1, den0)
     return pi1 / den1 - (1.0 - pi1) / den0
+
+
+def ar_term_formula(q, h0, p, design: Design, pi0, pi1):
+    """The attributable-risk term r * Gamma_AR from q = Pr(Y=1|x), the
+    stratum share h0, the true case share p and pi_y = Pi(1|y,x)."""
+    r = r_formula(q, h0, p, design)
+    return r * gamma_ar_formula(pi0, pi1, r)
 
 
 def r_case_prob(law: ObservedLaw, cell: int, p: float) -> float:
@@ -554,9 +563,7 @@ def bounds_ar(law: ObservedLaw, cell: int, pbar: float,
     _check_cell(law, cell)
     q, pi0, pi1 = law.pyx[cell], law.pi[1, 0, cell], law.pi[1, 1, cell]
     if law.design is Design.CASE_CONTROL:
-        def f(p):
-            r = r_formula(q, law.h0, p, law.design)
-            return r * gamma_ar_formula(pi0, pi1, r)
+        f = lambda p: ar_term_formula(q, law.h0, p, law.design, pi0, pi1)
     else:
         g0 = gamma_ar(law, cell, 0.0)
         f = lambda p: r_formula(q, law.h0, p, law.design) * g0
@@ -570,27 +577,28 @@ def bounds_ar(law: ObservedLaw, cell: int, pbar: float,
 # --- aggregated identification objects ------------------------------------------
 
 
-def _all_cells(law: ObservedLaw, p: float):
-    # (pi0, pi1, r) over every cell
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must lie in [0, 1]")
-    return law.pi[1, 0], law.pi[1, 1], r_formula(law.pyx, law.h0, p, law.design)
+def _odds_ratios(law: ObservedLaw) -> np.ndarray:
+    # Gamma(x, 0) over every cell
+    return gamma_formula(law.pi[1, 0], law.pi[1, 1],
+                         r_formula(law.pyx, law.h0, 0.0, law.design))
 
 
 def beta_aggregate(law: ObservedLaw, y: int) -> float:
     """beta(y): stratum-weighted mean of the log odds ratio."""
-    return float(law.fxy[y] @ np.log(gamma_formula(*_all_cells(law, 0.0))))
+    return float(law.fxy[y] @ np.log(_odds_ratios(law)))
 
 
 def kappa_aggregate(law: ObservedLaw, y: int) -> float:
     """kappa(y): stratum-weighted mean of the odds ratio itself."""
-    return float(law.fxy[y] @ gamma_formula(*_all_cells(law, 0.0)))
+    return float(law.fxy[y] @ _odds_ratios(law))
 
 
 def beta_ar_aggregate(law: ObservedLaw, p: float, y: int) -> float:
     """Stratum-weighted mean of r(X, p) * Gamma_AR(X, p)."""
-    pi0, pi1, r = _all_cells(law, p)
-    return float(law.fxy[y] @ (r * gamma_ar_formula(pi0, pi1, r)))
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError("p must lie in [0, 1]")
+    return float(law.fxy[y] @ ar_term_formula(law.pyx, law.h0, p, law.design,
+                                              law.pi[1, 0], law.pi[1, 1]))
 
 
 def xi_cp(law: ObservedLaw) -> float:
@@ -714,22 +722,25 @@ def save_population(pop: DiscretePopulation, path) -> None:
 
 
 def load_population(path) -> DiscretePopulation:
-    """Read a population written by save_population."""
+    """Read a population written by save_population; a file that is not
+    one raises ValidationError naming it."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        xcols = [name for name in header if name.startswith("x")]
-        rows = list(reader)
-    if not rows:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
         raise ValidationError(f"{path}: no population rows")
-    cells = sorted({int(r[0]) for r in rows})
-    if cells != list(range(len(cells))):
-        raise ValidationError("cell ids must be 0..n_cells-1")
-    n_cells = len(cells)
-    pmf = np.zeros((n_cells, 2, 2, 2))
-    support = np.zeros((n_cells, len(xcols)))
-    for r in rows:
-        c, t, y0, y1 = (int(v) for v in r[:4])
-        pmf[c, t, y0, y1] = float(r[4])
-        support[c] = [float(v) for v in r[5:5 + len(xcols)]]
+    xcols = [name for name in rows[0] if name.startswith("x")]
+    try:
+        cells = sorted({int(r[0]) for r in rows[1:]})
+        if cells != list(range(len(cells))):
+            raise ValidationError("cell ids must be 0..n_cells-1")
+        pmf = np.zeros((len(cells), 2, 2, 2))
+        support = np.zeros((len(cells), len(xcols)))
+        for r in rows[1:]:
+            c, t, y0, y1 = (int(v) for v in r[:4])
+            if not {t, y0, y1} <= {0, 1}:
+                raise ValidationError(f"t, y0 and y1 must be 0 or 1, got {r[1:4]}")
+            pmf[c, t, y0, y1] = float(r[4])
+            support[c] = [float(v) for v in r[5:5 + len(xcols)]]
+    except (ValueError, IndexError) as exc:
+        raise ValidationError(f"{path}: not a population file: {exc}") from None
     return DiscretePopulation(support_x=support, pmf=pmf)

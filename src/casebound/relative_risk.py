@@ -15,15 +15,15 @@ read off it, and a read-out takes only the fit and its own index:
   stratum-y mean, which makes it the plug-in's own influence-function se.
 * kappa(y) is the stratum mean of the fitted odds ratio exp{X~'(b1 - b0)},
   a point estimate with no se: on the benchmark design at n=1000 per
-  stratum, its level-scale EIF se ran at 1.64-2.27 times the MC sd.
+  stratum, its level-scale influence-function se ran at 1.64-2.27 times
+  the MC sd.
 
-The nonparametric efficient influence function of beta(y) (`eif_record`)
-is kept as a diagnostic of the efficiency bound.  It is not the variance
-of a finite-sieve plug-in (Newey 1994; Ackerberg, Chen, Hahn & Liao 2014),
-and overstates it on the parametric benchmark design.  It and the
-attributable-risk estimators also need the prospective fit of Y and the
-clipped fitted probabilities, which `fit_nuisances` adds when a
-prospective basis is given; `NuisanceFit.prospective` hands them out.
+The attributable-risk estimators also need the prospective fit of Y and
+the fitted probabilities clipped into [CLIP, 1 - CLIP], which
+`fit_nuisances` adds when a prospective basis is given;
+`NuisanceFit.prospective` hands them out.  The clip and its count are
+`clip_probabilities`, which the batched AR bootstrap applies to a whole
+block of replicates at once.
 
 The relative-risk band is indexed by the unknown true case probability p:
 exp{p*b1 + (1-p)*b0} plus a conservative uniform critical value under
@@ -46,15 +46,14 @@ from .model import Design, ObservedDataset
 
 __all__ = [
     "BetaEstimate",
-    "EIFRecord",
     "NuisanceFit",
     "RRBand",
+    "clip_probabilities",
     "design_columns",
     "estimate_beta_combined",
     "estimate_beta_plugin",
     "estimate_kappa",
     "fit_nuisances",
-    "eif_record",
     "p_grid",
     "rr_band",
 ]
@@ -118,26 +117,6 @@ class NuisanceFit:
         return self.data.stratum(y_stratum)
 
 
-@dataclass(frozen=True)
-class EIFRecord:
-    """Evaluated influence function: values and the three additive terms.
-
-    components columns: centered aggregate term, the (minus) Delta_0
-    adjustment, the Delta_1 adjustment.  The first column has exact sample
-    mean zero by construction of the stratum mean.
-    """
-
-    values: np.ndarray
-    components: np.ndarray
-    n_clipped: int
-
-    @property
-    def variance_of_mean(self) -> float:
-        """Plug-in variance of the estimator: mean(F^2)/n."""
-        n = self.values.shape[0]
-        return float(np.mean(self.values ** 2) / n)
-
-
 def design_columns(x: np.ndarray, spec: BasisSpec,
                    counts: np.ndarray | None = None) -> np.ndarray:
     """The basis columns of covariate rows x that enter a fit beside the
@@ -149,14 +128,18 @@ def design_columns(x: np.ndarray, spec: BasisSpec,
     return cols[:, mask]
 
 
-def _clipped(name: str, p: np.ndarray,
-             counts: np.ndarray | None) -> tuple[np.ndarray, int]:
-    if not np.isfinite(p).all() or (p < 0).any() or (p > 1).any():
-        raise NuisanceProbabilityOutOfRange(
-            f"fitted {name} probabilities leave [0, 1] or are not finite")
+def clip_probabilities(p: np.ndarray, counts: np.ndarray | None):
+    """Fitted probabilities at the rows (last axis; any leading axes are
+    replicates) clipped into [CLIP, 1 - CLIP].
+
+    Returns the clipped values, whether each value was finite and in
+    [0, 1], and per leading index the number of values the clip moved,
+    each row weighted by its count if `counts` is given.
+    """
+    in_range = np.isfinite(p) & (p >= 0.0) & (p <= 1.0)
     clipped = np.clip(p, CLIP, 1.0 - CLIP)
-    touched = clipped != p
-    return clipped, int(touched.sum() if counts is None else counts[touched].sum())
+    moved = clipped != p
+    return clipped, in_range, (moved if counts is None else counts * moved).sum(axis=-1)
 
 
 def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
@@ -181,11 +164,19 @@ def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
         return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1, counts=counts)
     pcols = design_columns(data.x, prospective_spec, counts)
     pfit = fit_logit(data.y, pcols, counts)
-    pi1, c1 = _clipped("Pi(1|1,x)", fit1.predict(cols), counts)
-    pi0, c0 = _clipped("Pi(1|0,x)", fit0.predict(cols), counts)
-    py, c2 = _clipped("Pr(Y=1|x)", pfit.predict(pcols), counts)
+    probs = []
+    n_clipped = 0
+    for name, p in (("Pi(1|1,x)", fit1.predict(cols)), ("Pi(1|0,x)", fit0.predict(cols)),
+                    ("Pr(Y=1|x)", pfit.predict(pcols))):
+        clipped, in_range, n_moved = clip_probabilities(p, counts)
+        if not in_range.all():
+            raise NuisanceProbabilityOutOfRange(
+                f"fitted {name} probabilities leave [0, 1] or are not finite")
+        probs.append(clipped)
+        n_clipped += int(n_moved)
+    pi1, pi0, py = probs
     return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1, pi0=pi0, pi1=pi1,
-                       py=py, n_clipped=c1 + c0 + c2, counts=counts)
+                       py=py, n_clipped=n_clipped, counts=counts)
 
 
 def _read_out(nuis: NuisanceFit, y_stratum: int):
@@ -228,47 +219,10 @@ def estimate_beta_plugin(nuis: NuisanceFit, y_stratum: int) -> BetaEstimate:
                         method="plugin")
 
 
-def _log_odds_ratio(pi0: np.ndarray, pi1: np.ndarray) -> np.ndarray:
-    return np.log(pi1 / (1.0 - pi1)) - np.log(pi0 / (1.0 - pi0))
-
-
 def estimate_kappa(nuis: NuisanceFit, y_stratum: int) -> float:
     """Level-scale aggregate kappa(y): stratum mean of the fitted odds ratio
     exp{X~'(b1 - b0)}, the exact linear-predictor gap that beta(y) averages."""
     return float(np.mean(np.exp(_read_out(nuis, y_stratum)[2])))
-
-
-def eif_record(nuis: NuisanceFit, y_stratum: int) -> EIFRecord:
-    """Evaluate the efficient influence function of beta(y).
-
-    `nuis` must be an unweighted fit with a prospective basis: its clipped
-    probabilities enter the adjustment-term ratios, and its clip count is
-    reported.  The estimator's variance is `.variance_of_mean`.
-    """
-    pi0, pi1, py = nuis.prospective()
-    rows = nuis.stratum(y_stratum)
-    data = nuis.data
-    h0 = data.h0
-    y = data.y.astype(float)
-    t = data.t.astype(float)
-
-    lor = _log_odds_ratio(pi0, pi1)
-    w = h0 / (1.0 - h0) * (1.0 - py) / py
-    ind = y if y_stratum == 1 else 1.0 - y
-    denom_h = h0 if y_stratum == 1 else 1.0 - h0
-    delta0 = (1.0 - y) * (t - pi0) / (pi0 * (1.0 - pi0))
-    delta1 = y * (t - pi1) / (pi1 * (1.0 - pi1))
-    w_pow_y = w if y_stratum == 1 else 1.0
-    w_pow_1my = 1.0 if y_stratum == 1 else w
-
-    center = float(lor[rows].mean())
-    term1 = ind / denom_h * (lor - center)
-    term2 = -delta0 / ((1.0 - h0) * w_pow_y)
-    term3 = w_pow_1my * delta1 / h0
-
-    components = np.column_stack([term1, term2, term3])
-    return EIFRecord(values=components.sum(axis=1), components=components,
-                     n_clipped=nuis.n_clipped)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ValidationError
+
 __all__ = ["RngSpec", "standard_normals", "bernoulli", "categorical", "resample_indices"]
 
 _TINY = 2.0 ** -53
@@ -29,6 +31,10 @@ class RngSpec:
     """Master seed plus the (purpose, index) -> stream derivation rule."""
 
     seed: int
+
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def derive(self, purpose: str, index: int = 0) -> np.random.Generator:
         tag = zlib.crc32(purpose.encode("utf-8"))

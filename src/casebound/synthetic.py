@@ -170,7 +170,7 @@ class MCCellSummary:
 @dataclass(frozen=True)
 class MCStudyResult:
     cells: tuple[MCCellSummary, ...]
-    estimates: dict | None = None  # (estimator, y) -> (values, ses) when kept
+    estimates: dict  # (estimator, y) -> (values, ses) of the kept replicates
 
     def cell(self, estimator: str, y_stratum: int) -> MCCellSummary:
         for c in self.cells:
@@ -183,8 +183,7 @@ _SPEC_BUILDERS = {"parametric": parametric_spec, "sieve": sieve_spec}
 
 
 def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", "sieve"),
-                 replications: int = 1000, rng: RngSpec = RngSpec(0),
-                 keep_estimates: bool = False) -> MCStudyResult:
+                 replications: int = 1000, rng: RngSpec = RngSpec(0)) -> MCStudyResult:
     """Replicate the benchmark design and summarize estimator performance.
 
     Per replicate one sample is drawn and, for each named estimator, one
@@ -214,13 +213,13 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
                 values[(name, est.y_stratum)].append(est.value)
                 ses[(name, est.y_stratum)].append(est.se)
 
+    estimates = {key: (np.asarray(values[key]), np.asarray(ses[key])) for key in values}
     z = float(ndtri(0.95))
     cells = []
     for name in estimators:
         for y in (0, 1):
             truth = design.true_beta(y)
-            v = np.asarray(values[(name, y)])
-            s = np.asarray(ses[(name, y)])
+            v, s = estimates[(name, y)]
             dev = v - truth
             med = float(np.median(v))
             cells.append(MCCellSummary(
@@ -235,7 +234,4 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
                 median_abs_dev_from_median=float(np.median(np.abs(v - med))),
                 coverage=float(np.mean(truth <= v + z * s)),
             ))
-    kept = None
-    if keep_estimates:
-        kept = {key: (np.asarray(values[key]), np.asarray(ses[key])) for key in values}
-    return MCStudyResult(cells=tuple(cells), estimates=kept)
+    return MCStudyResult(cells=tuple(cells), estimates=estimates)

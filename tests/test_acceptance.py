@@ -97,8 +97,7 @@ def test_criterion_1_demo_tables():
 def mc_study():
     start = time.perf_counter()
     result = run_mc_study(mc_defaults(), ("parametric", "sieve"),
-                          replications=1000, rng=RngSpec(SEED),
-                          keep_estimates=True)
+                          replications=1000, rng=RngSpec(SEED))
     elapsed = time.perf_counter() - start
     return result, elapsed
 

@@ -225,8 +225,6 @@ def test_bootstrap_degenerate_raises(monkeypatch):
         stats, clipped, ok = real(*args, **kwargs)
         return np.full_like(stats, 0.25), clipped, ok
 
-    monkeypatch.setattr(ar_mod, "estimate_xi_cp",
-                        lambda *a, **k: 0.25)
     monkeypatch.setattr(ar_mod, "_block", constant)
     with pytest.raises(BootstrapDegenerate):
         ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=5)

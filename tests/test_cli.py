@@ -259,6 +259,31 @@ def test_oracle_population_file(runner, tmp_path):
     assert "[PASS]" in result.output
 
 
+@pytest.mark.parametrize("text", ["", "cell,t,y0,y1,mass,x1\nA,0,0,0,0.5,1\n",
+                                  "cell,t,y0,y1,mass,x1\n0,-1,0,0,1.0,1\n"],
+                         ids=["empty", "non-integer-cell", "negative-arm"])
+def test_oracle_bad_population_file_exits_2(runner, tmp_path, text):
+    path = tmp_path / "pop.csv"
+    path.write_text(text)
+    result = runner.invoke(main, ["oracle", "--population", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize("command", ["oracle", "mc", "ar"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_negative_seed_exits_2(runner, tmp_path, command, via_env):
+    args = {"oracle": ["oracle", "--populations", "2"],
+            "mc": ["mc", "--replications", "100"],
+            "ar": ["ar", "--input", write_case_population_csv(tmp_path / "cp.csv"),
+                   "--design", "case-population", "--y-col", "y", "--t-col", "t",
+                   "--x-cols", "x1", "--B", "200"]}[command]
+    env = {"CASEBOUND_SEED": "-1"} if via_env else {}
+    result = runner.invoke(main, args if via_env else args + ["--seed", "-1"], env=env)
+    assert result.exit_code == 2, result.output
+    assert "seed must be a non-negative integer" in result.output
+
+
 def test_mc_command_deterministic(runner):
     args = ["mc", "--replications", "100", "--seed", "21",
             "--estimators", "parametric"]

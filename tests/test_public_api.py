@@ -1,7 +1,10 @@
-"""Each module's `__all__` names exactly its public functions and classes."""
+"""Each module's `__all__` names exactly its public functions and classes,
+and no module reaches into another's private names."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -25,3 +28,21 @@ def test_module_all_matches_public_names(name):
                if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == module.__name__}
     assert sorted(defined - listed) == []
+
+
+def _private_imports(path):
+    """(module, name) of every `_`-prefixed name a module imports from
+    another casebound module."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (
+                node.module or "").split(".")[0] == "casebound"):
+            for alias in node.names:
+                if alias.name.startswith("_") and alias.name != "__version__":
+                    yield node.module, alias.name
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(casebound.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_imports_a_private_name(path):
+    assert list(_private_imports(path)) == []

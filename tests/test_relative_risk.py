@@ -10,7 +10,8 @@ from casebound.errors import NuisanceProbabilityOutOfRange, ValidationError
 from casebound.fixtures import count_table, mc_defaults
 from casebound.model import Design, ObservedDataset
 from casebound.relative_risk import (
-    eif_record,
+    CLIP,
+    clip_probabilities,
     estimate_beta_combined,
     estimate_beta_plugin,
     estimate_kappa,
@@ -119,35 +120,10 @@ def test_null_data_estimates_center_at_zero():
     assert hits >= 28
 
 
-def test_eif_first_component_mean_is_exactly_zero():
-    design = mc_defaults()
-    data = draw_mc_sample(design, RngSpec(104).derive("mc-replicate", 0))
-    spec = parametric_spec(design)
-    nuis = fit_nuisances(data, spec, spec)
-    for y in (0, 1):
-        rec = eif_record(nuis, y)
-        assert abs(rec.components[:, 0].mean()) < 1e-12
-        # full mean is 0 only up to the adjustment terms' sampling noise
-        assert abs(rec.values.mean()) < 5.0 * rec.values.std() / math.sqrt(data.n)
-
-
-def test_eif_mean_vanishes_without_covariates():
-    table = count_table("top_income_case_control")
-    data = table.to_dataset(D1)
-    nuis = fit_nuisances(data, BasisSpec.empty(), BasisSpec.empty())
-    for y in (0, 1):
-        rec = eif_record(nuis, y)
-        assert abs(rec.values.mean()) < 1e-8
-        assert rec.n_clipped == 0
-
-
-def test_eif_variance_positive_and_se_sane():
+def test_plugin_se_sane():
     design = mc_defaults()
     data = draw_mc_sample(design, RngSpec(105).derive("mc-replicate", 1))
-    spec = parametric_spec(design)
-    nuis = fit_nuisances(data, spec, spec)
-    assert 0.05 < math.sqrt(eif_record(nuis, 1).variance_of_mean) < 1.0
-    est = estimate_beta_plugin(nuis, 1)
+    est = estimate_beta_plugin(fit_nuisances(data, parametric_spec(design)), 1)
     assert 0.05 < est.se < 1.0
 
 
@@ -172,7 +148,7 @@ def test_plugin_value_and_se_invariant_to_supplied_h0():
         assert abs(ests[0].se - ests[1].se) <= 1e-12
 
 
-def test_eif_rejects_bad_probabilities(monkeypatch):
+def test_fit_nuisances_rejects_bad_probabilities(monkeypatch):
     # a stratum-1 fit whose coefficients are NaN gives NaN Pi(1|1,x)
     design = mc_defaults()
     data = draw_mc_sample(design, RngSpec(106).derive("mc-replicate", 2))
@@ -189,7 +165,21 @@ def test_eif_rejects_bad_probabilities(monkeypatch):
 
     monkeypatch.setattr(rr_mod, "fit_logit", nan_second_fit)
     with pytest.raises(NuisanceProbabilityOutOfRange, match="Pi\\(1\\|1,x\\)"):
-        eif_record(fit_nuisances(data, spec, spec), 1)
+        fit_nuisances(data, spec, spec)
+
+
+def test_clip_probabilities_over_replicates_matches_each_row():
+    p = np.array([[0.0, 1e-7, 0.5, 1.0], [0.3, np.nan, 1.5, 1.0 - 1e-9]])
+    counts = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+    clipped, in_range, n_moved = clip_probabilities(p, counts)
+    for i in range(2):
+        row = clip_probabilities(p[i], counts[i])
+        assert np.array_equal(row[0], clipped[i], equal_nan=True)
+        assert np.array_equal(row[1], in_range[i]) and row[2] == n_moved[i]
+    assert clipped[0].tolist() == [CLIP, CLIP, 0.5, 1.0 - CLIP]
+    assert in_range.tolist() == [[True] * 4, [True, False, False, True]]
+    assert n_moved.tolist() == [1 + 2 + 4, 6 + 7 + 8]
+    assert clip_probabilities(p[0], None)[2] == 3
 
 
 def homogeneous_or_design() -> MCDesign:
@@ -256,16 +246,6 @@ def test_kappa_centered_on_homogeneous_odds_ratio():
         means[n_per] = float(np.mean(vals))
     assert abs(means[4000] - target) < abs(means[1000] - target)
     assert abs(means[4000] - target) < 0.08
-
-
-def test_eif_variance_dominates_naive_term_on_homogeneous_data():
-    design = homogeneous_or_design()
-    data = draw_mc_sample(design, RngSpec(109).derive("mc-replicate", 0))
-    nuis = fit_nuisances(data, parametric_spec(design), parametric_spec(design))
-    for y in (0, 1):
-        rec = eif_record(nuis, y)
-        naive = float(np.mean(rec.components[:, 0] ** 2) / data.n)
-        assert rec.variance_of_mean >= naive
 
 
 def _estimate(value, se, y):

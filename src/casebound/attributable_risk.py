@@ -76,7 +76,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
 
 from .basis import BasisSpec, CubicSplineTerm
 from .errors import BootstrapDegenerate, CaseboundError, ValidationError
@@ -86,6 +85,7 @@ from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
 from .relative_risk import NuisanceFit, clip_probabilities, design_columns, fit_nuisances, p_grid
 from .rng import RngSpec, resample_indices
+from .special import expit, ndtr, ndtri
 
 __all__ = [
     "ARCurve",
@@ -204,9 +204,11 @@ def bc_level(mu_star: np.ndarray, alpha: float, n_boot: int) -> np.ndarray:
 
 
 def _order_statistic(sorted_vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # per column, the smallest order statistic whose empirical cdf reaches its level
+    # per column, the smallest order statistic whose empirical cdf reaches its
+    # level; at mu* = 1/2 the level is 1 - alpha, so level * b is an integer
+    # in exact arithmetic, and the slack keeps its last bit from moving k
     b = sorted_vals.shape[0]
-    k = np.clip(np.ceil(levels * b).astype(np.intp), 1, b)
+    k = np.clip(np.ceil(levels * b - 1e-9).astype(np.intp), 1, b)
     return sorted_vals[k - 1, np.arange(sorted_vals.shape[1])]
 
 

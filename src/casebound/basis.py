@@ -15,8 +15,8 @@ probabilities and the treatment coefficient unchanged.
 
 Spline columns are evaluated here by de Boor's recursion, vectorised over
 the rows, in the operation order of scipy's BSpline evaluator: the values
-equal BSpline(knots, eye, 3, extrapolate=False) bit for bit, without the
-cost of importing scipy.interpolate.
+equal BSpline(knots, eye, 3, extrapolate=False) bit for bit, while the
+package itself runs on numpy alone.
 """
 
 from __future__ import annotations

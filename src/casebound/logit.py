@@ -7,15 +7,20 @@ covariance equal to the inverse observed information at the optimum, and a
 hard error on separation instead of silent shrinkage: no ridge and no
 penalty, so every fit is the unpenalised maximum likelihood estimate.
 
-Each Newton step factorises the information matrix with LAPACK's ``dpotrf``
-and solves with ``dpotrs``, called directly with the arguments that
-``scipy.linalg.cho_factor``/``cho_solve`` pass them, so the factor and every
-solve are the same to the last bit; skipping the wrappers' argument handling
-is what keeps a fit of a few collapsed rows cheap.  A non-finite gradient or
-information matrix (a finite but huge covariate can overflow X'WX) raises
-`Singular` rather than an untyped error, and the overflow itself stays
-silent: the Newton iterations run under ``np.errstate(over="ignore",
-invalid="ignore")``, so the typed error is all a caller sees.
+Each Newton step factorises the information matrix by Cholesky, which
+decides whether it is positive definite, and takes the step from an LU
+solve; the covariance is the inverse of the information at the optimum.
+These are the LAPACK gufuncs behind ``numpy.linalg.cholesky``, ``solve``
+and ``inv``, called directly, because the public functions add about 7
+microseconds of argument checks and an errstate per call (2-core x86 VM):
+the two calls of an iteration on 1,000 rows and six columns would cost a
+sixth of it.  A
+gufunc that fails returns NaN instead of raising ``LinAlgError``.  So
+information that is not positive definite, a singular solve, or a
+non-finite gradient, information matrix or step (a finite but huge
+covariate can overflow X'WX) raises `Singular`, and nothing else: the
+Newton iterations run under ``np.errstate(over="ignore", invalid="ignore")``,
+so the typed error is all a caller sees.
 
 `fit_logit_batch` runs the same Newton rule for one shared design under
 many frequency-weight rows at once (the bootstrap replicates of one
@@ -34,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit
+from numpy.linalg import _umath_linalg as _linalg
 
 from .errors import NotConverged, SeparationDetected, Singular, ValidationError
+from .special import expit
 
 __all__ = ["LogitFit", "fit_logit", "fit_logit_batch"]
 
@@ -78,14 +83,6 @@ def _loglik(eta: np.ndarray, t: np.ndarray, w: np.ndarray):
     # sum w * [t*eta - log(1 + exp(eta))] along the last axis, stable at
     # large |eta|: a scalar for one fit, one value per weight row for a batch
     return (w * (t * eta - np.logaddexp(0.0, eta))).sum(axis=-1)
-
-
-def _solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve info @ x = rhs from dpotrf's upper factor."""
-    x, status = dpotrs(chol, rhs, lower=False)
-    if status != 0:
-        raise RuntimeError(f"dpotrs: illegal value in argument {-status}")
-    return x
 
 
 def fit_logit(response: np.ndarray, design: np.ndarray,
@@ -135,7 +132,8 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     ll = _loglik(eta, t, w)
     tol = DEFAULT_TOL_SCALE * wt_total
     polished = False
-    # an overflow in X'WX or the step is reported by the finiteness checks
+    # an overflow in X'WX or the step, and a failed factorisation or solve,
+    # are reported by the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, DEFAULT_MAX_ITER + 1):
             p = expit(eta)
@@ -146,23 +144,22 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
                 raise Singular("observed information is not finite")
             if not np.isfinite(grad).all():
                 raise Singular("gradient is not finite")
-            chol, status = dpotrf(info, lower=False, overwrite_a=False, clean=False)
-            if status > 0:
+            if np.isnan(_linalg.cholesky_lo(info)[-1, -1]):
                 raise Singular("observed information is not invertible")
-            if status < 0:
-                raise RuntimeError(f"dpotrf: illegal value in argument {-status}")
             if abs(grad).max() <= tol:
                 if abs(coef).max() > bound:
                     raise SeparationDetected(
                         f"coefficients exceeded {bound:g}; data look separated")
                 if polished:
-                    cov = _solve(chol, np.eye(ncol))
+                    cov = _linalg.inv(info)
+                    if not np.isfinite(cov).all():
+                        raise Singular("observed information is not invertible")
                     cov = 0.5 * (cov + cov.T)
                     return LogitFit(coef=coef, cov=cov, iterations=it - 1,
                                     loglik=float(ll))
                 # one extra Newton step sharpens the optimum well past tol
                 polished = True
-            step = _solve(chol, grad)
+            step = _linalg.solve1(info, grad)
             if not np.isfinite(step).all():
                 raise Singular("Newton step is not finite")
             # step-halving keeps the log-likelihood non-decreasing

@@ -24,8 +24,8 @@ The bound scans evaluate their whole p-grid with one call of the
 elementwise formula kernel; only the local refinement around the best grid
 point evaluates one p at a time, with the same arithmetic.  The refinement
 is Brent's bounded search, ported from scipy.optimize.minimize_scalar
-(method="bounded") so that it returns scipy's point bit for bit without
-importing scipy.optimize.
+(method="bounded"): it returns scipy's point bit for bit, while the package
+itself runs on numpy alone.
 
 Index conventions
 -----------------
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique reads np.ma: load it with the package, not mid-scan
 
 from .errors import (
     OverlapViolation,

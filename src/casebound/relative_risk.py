@@ -37,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .basis import BasisSpec, build_basis
 from .errors import NuisanceProbabilityOutOfRange, ValidationError
 from .logit import LogitFit, fit_logit
 from .model import Design, ObservedDataset
+from .special import ndtri
 
 __all__ = [
     "BetaEstimate",

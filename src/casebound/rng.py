@@ -8,7 +8,8 @@ parallelized without changing results.
 
 Normal and categorical draws go through the generator's raw uniforms and
 fixed inverse-CDF transforms rather than distribution methods, keeping the
-streams pinned to a documented algorithm.
+streams pinned to a documented algorithm: the normal quantile is Wichura's
+AS241 (`special.ndtri`).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # noqa: F401  loaded with the package, not by the first derive
 
 from .errors import ValidationError
+from .special import ndtri
 
 __all__ = ["RngSpec", "standard_normals", "bernoulli", "categorical", "resample_indices"]
 
@@ -44,9 +46,8 @@ class RngSpec:
 
 def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normals by inverse CDF of the generator's uniforms."""
-    u = gen.random(shape)
-    u = np.where(u == 0.0, _TINY, u)
-    return ndtri(u)
+    # the uniforms are multiples of 2**-53, so the floor lifts only zeros
+    return ndtri(np.maximum(gen.random(shape), _TINY))
 
 
 def bernoulli(gen: np.random.Generator, prob: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .basis import BasisSpec
 from .errors import CaseboundError, OverlapViolation, ValidationError
@@ -23,6 +22,7 @@ from .model import Design, ObservedDataset
 from .oracle import DiscretePopulation
 from .relative_risk import estimate_beta_combined, fit_nuisances
 from .rng import RngSpec, bernoulli, categorical, standard_normals
+from .special import expit, ndtri
 
 __all__ = [
     "MCDesign",

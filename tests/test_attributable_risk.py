@@ -1,8 +1,11 @@
 import dataclasses
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 import casebound.attributable_risk as ar_mod
 from casebound.attributable_risk import (
@@ -191,6 +194,33 @@ def test_bc_level_properties():
     # clamping keeps the inverse CDF finite at the extremes
     assert np.isfinite(bc_level(0.0, 0.05, 200))
     assert np.isfinite(bc_level(1.0, 0.05, 200))
+
+
+@pytest.mark.parametrize("alpha", ["0.01", "0.05", "0.1", "0.2"])
+@pytest.mark.parametrize("B", [200, 500, 1000])
+def test_bc_order_statistic_at_median_bias_is_exact(alpha, B):
+    # at mu* = 1/2 the level is 1 - alpha, and its pick is the exact
+    # ceil((1 - alpha) B)-th order statistic whatever its last bit
+    want = math.ceil((1 - Fraction(alpha)) * B)
+    level = bc_level(np.array([0.5]), float(alpha), B)
+    ranks = np.arange(1.0, B + 1.0)[:, None]
+    assert ar_mod._order_statistic(ranks, level)[0] == want
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 6, 7])
+def test_bc_curve_equals_scipy_normal_functions(seed, monkeypatch):
+    # the ar_cc input of perfbench at --alpha 0.1, where nu * B lands on an
+    # integer at mu* = 1/2: the curve with scipy's ndtr/ndtri is the same
+    pop = random_population(RngSpec(20240501).derive("accept-ar-pop"), n_cells=2,
+                            mtr=True, mts=True)
+    data = sample_from_population(pop, Design.CASE_CONTROL, 0.5, 2400,
+                                  RngSpec(seed).derive("perfbench-ar-cc"))
+    ours, _ = ar_curve(data, LIN, LIN, pbar=0.6, alpha=0.1, B=200, seed=seed)
+    monkeypatch.setattr(ar_mod, "ndtr", scipy.special.ndtr)
+    monkeypatch.setattr(ar_mod, "ndtri", scipy.special.ndtri)
+    theirs, _ = ar_curve(data, LIN, LIN, pbar=0.6, alpha=0.1, B=200, seed=seed)
+    assert np.array_equal(ours.point, theirs.point)
+    assert np.array_equal(ours.upper, theirs.upper)
 
 
 def test_curve_deterministic_across_runs():

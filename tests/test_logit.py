@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 
 from casebound.basis import build_basis
 import casebound.logit as logit_mod
@@ -19,6 +18,7 @@ from casebound.fixtures import count_table, mc_defaults
 from casebound.logit import LogitFit, fit_logit, fit_logit_batch
 from casebound.model import Design
 from casebound.rng import RngSpec, bernoulli
+from casebound.special import expit
 from casebound.synthetic import draw_mc_sample, parametric_spec, sieve_spec
 
 
@@ -152,11 +152,24 @@ def test_non_finite_information_is_singular():
             fit_logit(t, x)
 
 
-# --- the Newton kernel against a reference copy on scipy's Cholesky wrappers ---
+# --- the Newton kernel against a reference copy of its loop ---
 
-def _reference_fit(response, design, weights=None):
-    """fit_logit's Newton loop as written on scipy.linalg.cho_factor and
-    cho_solve, with fit_logit's default tolerances; validation omitted."""
+def _numpy_factor(info):
+    """fit_logit's linear algebra through numpy.linalg's public functions,
+    which wrap the gufuncs it calls: the Cholesky test, a solve, an inverse."""
+    np.linalg.cholesky(info)
+    return (lambda rhs: np.linalg.solve(info, rhs)), (lambda: np.linalg.inv(info))
+
+
+def _scipy_factor(info):
+    """The same through scipy.linalg.cho_factor and cho_solve."""
+    chol = cho_factor(info)
+    return (lambda rhs: cho_solve(chol, rhs)), (lambda: cho_solve(chol, np.eye(len(info))))
+
+
+def _reference_fit(response, design, weights=None, factor=_numpy_factor):
+    """fit_logit's Newton loop written out, with fit_logit's default
+    tolerances and `factor` for its linear algebra; validation omitted."""
     t = np.asarray(response, dtype=float)
     design = np.asarray(design, dtype=float)
     if design.ndim == 1:
@@ -164,14 +177,13 @@ def _reference_fit(response, design, weights=None):
     n = t.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     wt_total = float(w.sum())
-    ncol = design.shape[1] + 1
     X = np.column_stack([np.ones(n), design])
 
     def loglik(eta):
         return float(np.sum(w * (t * eta - np.logaddexp(0.0, eta))))
 
     bound = 250.0
-    coef = np.zeros(ncol)
+    coef = np.zeros(X.shape[1])
     eta = X @ coef
     ll = loglik(eta)
     tol = 1e-8 * wt_total
@@ -182,18 +194,18 @@ def _reference_fit(response, design, weights=None):
         sw = w * p * (1.0 - p)
         info = (X * sw[:, None]).T @ X
         try:
-            chol = cho_factor(info)
+            solve, inverse = factor(info)
+            if np.max(np.abs(grad)) <= tol:
+                if np.max(np.abs(coef)) > bound:
+                    raise SeparationDetected("separated")
+                if polished:
+                    cov = inverse()
+                    cov = 0.5 * (cov + cov.T)
+                    return LogitFit(coef=coef, cov=cov, iterations=it - 1, loglik=ll)
+                polished = True
+            step = solve(grad)
         except np.linalg.LinAlgError:
             raise Singular("observed information is not invertible") from None
-        if np.max(np.abs(grad)) <= tol:
-            if np.max(np.abs(coef)) > bound:
-                raise SeparationDetected("separated")
-            if polished:
-                cov = cho_solve(chol, np.eye(ncol))
-                cov = 0.5 * (cov + cov.T)
-                return LogitFit(coef=coef, cov=cov, iterations=it - 1, loglik=ll)
-            polished = True
-        step = cho_solve(chol, grad)
         if not np.all(np.isfinite(step)):
             raise Singular("Newton step is not finite")
         scale = 1.0
@@ -270,16 +282,30 @@ def _assert_bit_identical(fit, ref):
 
 @pytest.mark.parametrize("name", _KERNEL_CASES)
 def test_kernel_bit_identical_to_scipy_cholesky(name):
+    # despite the id, the reference runs on the public numpy.linalg
+    # functions, which wrap the gufuncs fit_logit calls; scipy's Cholesky is
+    # compared to rounding below
     t, x, w = _kernel_case(name)
     _assert_bit_identical(fit_logit(t, x, w), _reference_fit(t, x, w))
+
+
+@pytest.mark.parametrize("name", _KERNEL_CASES)
+def test_kernel_matches_scipy_cholesky_to_rounding(name):
+    t, x, w = _kernel_case(name)
+    fit, ref = fit_logit(t, x, w), _reference_fit(t, x, w, factor=_scipy_factor)
+    assert fit.iterations == ref.iterations
+    np.testing.assert_allclose(fit.coef, ref.coef, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(fit.cov, ref.cov, rtol=0, atol=1e-12)
 
 
 def test_kernel_failure_classes_match_reference():
     x, t = _toy(seed=13, k=2)
     doubled = np.column_stack([x, x[:, 0]])
+    # singular information that the LU solve would still step through
+    proportional = np.column_stack([x[:, 0], 3.0 * x[:, 0]])
     separated_x = np.linspace(-2, 2, 40)[:, None]
     separated_t = (separated_x[:, 0] > 0).astype(int)
-    for exc, args in ((Singular, (t, doubled)),
+    for exc, args in ((Singular, (t, doubled)), (Singular, (t, proportional)),
                       (SeparationDetected, (separated_t, separated_x))):
         with pytest.raises(exc):
             _reference_fit(*args)

@@ -1,5 +1,5 @@
 """Each module's `__all__` names exactly its public functions and classes,
-and no module reaches into another's private names."""
+no module reaches into another's private names, and none imports scipy."""
 
 import ast
 import importlib
@@ -46,3 +46,22 @@ def _private_imports(path):
                          ids=lambda path: path.stem)
 def test_no_module_imports_a_private_name(path):
     assert list(_private_imports(path)) == []
+
+
+def _scipy_imports(path):
+    """Every scipy module a source file imports, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        yield from (name for name in names if name.split(".")[0] == "scipy")
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(casebound.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_imports_scipy(path):
+    # the package runs on numpy alone; scipy is a test dependency
+    assert list(_scipy_imports(path)) == []

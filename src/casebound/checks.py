@@ -207,8 +207,7 @@ def _check_ar_containment(cases) -> CheckResult:
     for pop, laws in cases:
         for law in laws.values():
             for c in range(pop.n_cells):
-                lo, hi = bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE,
-                                   step=0.01, extra_p=(pop.p0,))
+                lo, hi = bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE)
                 ar = pop.theta_ar(c)
                 t.record(max(lo - ar, ar - hi, 0.0), pop, c)
     return t.result()

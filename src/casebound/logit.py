@@ -3,9 +3,12 @@
 This is the numerical workhorse behind every retrospective and prospective
 fit in the package.  It is deliberately plain: canonical-link Newton (IRLS)
 on the Bernoulli log-likelihood, an intercept added internally, coefficient
-covariance equal to the inverse observed information at the optimum, and a
-hard error on separation instead of silent shrinkage: no ridge and no
-penalty, so every fit is the unpenalised maximum likelihood estimate.
+covariance equal to the inverse observed information at the optimum, and
+no ridge and no penalty, so every fit is the unpenalised maximum likelihood
+estimate.  Separation is refused only as far as the coefficients show it:
+`SeparationDetected` is raised once max|coef| passes
+DEFAULT_SEPARATION_BOUND (250), so a separated fit whose coefficients stop
+below that comes back converged (ROADMAP item 2).
 
 Each Newton step factorises the information matrix by Cholesky, which
 decides whether it is positive definite, and takes the step from an LU
@@ -97,8 +100,9 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
 
     Converged once the gradient max-norm is <= DEFAULT_TOL_SCALE * n
     (n = total weight) and one polish step has run; SeparationDetected once
-    max|coef| exceeds DEFAULT_SEPARATION_BOUND.  The result is a
-    deterministic function of the inputs.
+    max|coef| exceeds DEFAULT_SEPARATION_BOUND, the only separation test
+    (a separated fit that converges below it is returned).  The result is
+    a deterministic function of the inputs.
     """
     t = np.asarray(response, dtype=float)
     design = np.asarray(design, dtype=float)

@@ -20,12 +20,8 @@ too, so no caller can change them under another.  A cache lives and dies
 with its instance; nothing is memoised at module level, where a population
 (unhashable, since it holds arrays) would be kept alive for good.
 
-The bound scans evaluate their whole p-grid with one call of the
-elementwise formula kernel; only the local refinement around the best grid
-point evaluates one p at a time, with the same arithmetic.  The refinement
-is Brent's bounded search, ported from scipy.optimize.minimize_scalar
-(method="bounded"): it returns scipy's point bit for bit, while the package
-itself runs on numpy alone.
+`bounds_ar` takes the attributable-risk envelope over p in closed form,
+at the stationary point of r * Gamma_AR in r; nothing is scanned.
 
 Index conventions
 -----------------
@@ -43,7 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique reads np.ma: load it with the package, not mid-scan
+# np.median (synthetic.run_mc_study) and np.quantile (basis._quantile_knots)
+# import numpy.ma on first use: load it with the package, not mid-call
+import numpy.ma  # noqa: F401
 
 from .errors import (
     OverlapViolation,
@@ -450,129 +448,46 @@ def bounds_rr(law: ObservedLaw, cell: int, pbar: float,
     return (min(g0, gbar), max(g0, gbar))
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _bounded_min(f, a: float, b: float, xatol: float) -> tuple[float, float, int]:
-    """Minimise the scalar function f on [a, b]: Brent's golden-section and
-    parabolic search.
-
-    A port of scipy.optimize.minimize_scalar(method="bounded") on Python
-    floats, the same steps in the same order, so every iterate, the returned
-    point and the number of evaluations are scipy's bit for bit.  Returns
-    (x, f(x), evaluations); like scipy, it stops after 500 evaluations.
-    """
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = x = fulc
-    rat = e = 0.0
-    fx = float(f(x))
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = float(f(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx, num
-
-
-def _scan_max(f, pbar: float, step: float, extra: tuple[float, ...],
-              sign: float) -> float:
-    """max (sign=+1) or min (sign=-1) of f over [0, pbar], grid + local refinement.
-
-    f is elementwise: the whole grid is one call on an array.  Between the
-    best grid point's neighbours, _bounded_min (Brent's bounded search, to
-    1e-10 in p) refines it one p at a time with the same arithmetic.
-    """
-    grid = np.arange(0.0, pbar, step)
-    grid = np.concatenate([grid, [pbar], np.asarray(extra, dtype=float)])
-    grid = np.unique(np.clip(grid, 0.0, pbar))
-    vals = sign * f(grid)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, len(grid) - 1)])
-    if hi > lo:
-        _, fx, _ = _bounded_min(lambda p: -sign * f(p), lo, hi, 1e-10)
-        best = max(best, -fx)
-    return sign * best
+def _peak_r(pi0, pi1) -> float:
+    """The r in [0, 1] at which r * Gamma_AR is stationary; 1/2 when pi1 = pi0."""
+    s = math.sqrt(pi0 * pi1)
+    u = math.sqrt((1.0 - pi0) * (1.0 - pi1))
+    return pi0 * (1.0 - pi0) / (((1.0 - pi0) * s + pi0 * u) * (s + u))
 
 
 def bounds_ar(law: ObservedLaw, cell: int, pbar: float,
-              assumptions: AssumptionSet,
-              step: float = 0.001, extra_p: tuple[float, ...] = ()) -> tuple[float, float]:
+              assumptions: AssumptionSet) -> tuple[float, float]:
     """Identified interval for the causal attributable risk at one cell of
     an observed law (`project` a population to its law first).
 
-    The envelope of r(x, p) * Gamma_AR(x, p) (case-control) or of
-    r(x, p) * Gamma_AR(x, 0) (case-population) over p in [0, pbar] is
-    found by a grid scan, refined between the best grid point's neighbours
-    by Brent's bounded search to 1e-10 in p; `extra_p` forces known
-    candidate points (for example the true case share) into the scan.
+    The interval spans 0 and the extreme of the envelope over p in
+    [0, pbar]: of r(x, p) * Gamma_AR(x, p) (case-control) or of
+    r(x, p) * Gamma_AR(x, 0) (case-population).  Under monotonicity only
+    its upper end is kept, so the interval is [0, max(ext, 0)].
+
+    The extreme is exact.  r rises from 0 with p, and as a function of r
+    with A = (1-r) pi0 + r pi1, B = 1 - A, the case-control term
+    g(r) = r pi1 / A - r (1 - pi1) / B is 0 at r = 0 and r = 1, with
+    g'' = -2 (pi1 - pi0) [pi0 pi1 / A^3 + (1-pi0)(1-pi1) / B^3] of one
+    sign.  So |g| rises to its stationary point
+    r* = pi0 (1-pi0) / {[(1-pi0) s + pi0 u] (s + u)}, s = sqrt(pi0 pi1),
+    u = sqrt((1-pi0)(1-pi1)), a form that does not cancel as pi1 -> pi0,
+    and ext = g(min(r*, r(x, pbar))).  Under case-population sampling r
+    is linear in p, so ext = r(x, pbar) * Gamma_AR(x, 0).
     """
     if not 0.0 <= pbar <= 1.0:
         raise ValidationError("pbar must lie in [0, 1]")
     _check_cell(law, cell)
-    q, pi0, pi1 = law.pyx[cell], law.pi[1, 0, cell], law.pi[1, 1, cell]
+    pi0, pi1 = law.pi[1, 0, cell], law.pi[1, 1, cell]
+    r = r_formula(law.pyx[cell], law.h0, pbar, law.design)
     if law.design is Design.CASE_CONTROL:
-        f = lambda p: ar_term_formula(q, law.h0, p, law.design, pi0, pi1)
+        r = min(r, _peak_r(pi0, pi1))
+        ext = float(r * gamma_ar_formula(pi0, pi1, r))
     else:
-        g0 = gamma_ar(law, cell, 0.0)
-        f = lambda p: r_formula(q, law.h0, p, law.design) * g0
-    hi = _scan_max(f, pbar, step, extra_p, +1.0)
+        ext = float(r * gamma_ar_formula(pi0, pi1, 0.0))
     if assumptions is AssumptionSet.MONOTONE:
-        return (0.0, hi)
-    lo = _scan_max(f, pbar, step, extra_p, -1.0)
-    return (lo, hi)
+        return (0.0, max(0.0, ext))
+    return (min(0.0, ext), max(0.0, ext))
 
 
 # --- aggregated identification objects ------------------------------------------

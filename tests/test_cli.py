@@ -347,9 +347,9 @@ print(""" + _SCIPY_MODULES + """)
 
 
 def test_cli_calls_leave_scipy_optimize_interpolate_and_stats_unloaded(tmp_path):
-    # the bound scans, the spline basis and the special functions run on
-    # in-house ports, so no lazy import of scipy can hide inside a timed CLI
-    # call
+    # the spline basis and the special functions run on in-house ports and
+    # the AR envelope is closed-form, so no lazy import of scipy can hide
+    # inside a timed CLI call
     import casebound
 
     src = os.path.dirname(os.path.dirname(casebound.__file__))

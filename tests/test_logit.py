@@ -281,10 +281,10 @@ def _assert_bit_identical(fit, ref):
 
 
 @pytest.mark.parametrize("name", _KERNEL_CASES)
-def test_kernel_bit_identical_to_scipy_cholesky(name):
-    # despite the id, the reference runs on the public numpy.linalg
-    # functions, which wrap the gufuncs fit_logit calls; scipy's Cholesky is
-    # compared to rounding below
+def test_kernel_bit_identical_to_public_numpy_linalg(name):
+    # the reference runs on the public numpy.linalg functions, which wrap
+    # the gufuncs fit_logit calls; scipy's Cholesky is compared to rounding
+    # below
     t, x, w = _kernel_case(name)
     _assert_bit_identical(fit_logit(t, x, w), _reference_fit(t, x, w))
 

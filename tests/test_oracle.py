@@ -18,7 +18,6 @@ from casebound.oracle import (
     AssumptionSet,
     DiscretePopulation,
     ObservedLaw,
-    _bounded_min,
     beta_aggregate,
     beta_ar_aggregate,
     bounds_ar,
@@ -118,9 +117,8 @@ def test_law_cell_index_outside_support_is_typed(cell):
         lambda: rare_disease_slope(law, cell),
         lambda: bounds_rr(law, cell, 0.5, AssumptionSet.IGNORABILITY),
         lambda: bounds_rr(project(pop, D2, 0.5), cell, 0.5, AssumptionSet.MONOTONE),
-        lambda: bounds_ar(law, cell, 0.5, AssumptionSet.IGNORABILITY, step=0.1),
-        lambda: bounds_ar(project(pop, D2, 0.5), cell, 0.5, AssumptionSet.MONOTONE,
-                          step=0.1),
+        lambda: bounds_ar(law, cell, 0.5, AssumptionSet.IGNORABILITY),
+        lambda: bounds_ar(project(pop, D2, 0.5), cell, 0.5, AssumptionSet.MONOTONE),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="outside support"):
@@ -373,8 +371,7 @@ def test_bounds_ar_containment_random_monotone():
         for design in (D1, D2):
             law = project(pop, design, 0.5)
             for c in range(2):
-                lo, hi = bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE,
-                                   step=0.01, extra_p=(pop.p0,))
+                lo, hi = bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE)
                 assert lo == 0.0
                 assert -1e-12 <= pop.theta_ar(c) <= hi + 1e-10
 
@@ -406,7 +403,8 @@ def test_aggregation_identity_exact():
 
 
 def _per_point_scan(f, pbar, step, extra, sign):
-    # the grid scan as it was before the grid became one array call
+    # a dense grid, refined around its best point by scipy's bounded Brent
+    # search; returns (best grid value, refined value)
     grid = np.arange(0.0, pbar, step)
     grid = np.concatenate([grid, [pbar], np.asarray(extra, dtype=float)])
     grid = np.unique(np.clip(grid, 0.0, pbar))
@@ -415,82 +413,70 @@ def _per_point_scan(f, pbar, step, extra, sign):
     best = vals[k]
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
+    refined = best
     if hi > lo:
         res = minimize_scalar(lambda p: -sign * f(p), bounds=(lo, hi),
                               method="bounded", options={"xatol": 1e-10})
-        best = max(best, sign * f(float(res.x)))
-    return sign * best
+        refined = max(best, sign * f(float(res.x)))
+    return sign * best, sign * refined
 
 
 def _per_point_bounds_ar(law, cell, pbar, assumptions, step, extra_p):
+    # ((grid lo, grid hi), (refined lo, refined hi))
     if law.design is D1:
         f = lambda p: r_case_prob(law, cell, p) * gamma_ar(law, cell, p)
     else:
         g0 = gamma_ar(law, cell, 0.0)
         f = lambda p: r_case_prob(law, cell, p) * g0
     hi = _per_point_scan(f, pbar, step, extra_p, +1.0)
-    if assumptions is AssumptionSet.MONOTONE:
-        return (0.0, hi)
-    return (_per_point_scan(f, pbar, step, extra_p, -1.0), hi)
+    lo = (0.0, 0.0) if assumptions is AssumptionSet.MONOTONE else \
+        _per_point_scan(f, pbar, step, extra_p, -1.0)
+    return (lo[0], hi[0]), (lo[1], hi[1])
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 3),
-       h0=st.floats(0.05, 0.95), pbar=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
-       design=st.sampled_from([D1, D2]),
-       assumptions=st.sampled_from([AssumptionSet.MONOTONE, AssumptionSet.IGNORABILITY]),
-       step=st.sampled_from([0.25, 0.01, 0.001]), with_p0=st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_bounds_ar_scan_equals_per_point_scan_bit_for_bit(seed, n_cells, h0, pbar, design,
-                                                           assumptions, step, with_p0):
-    pop = random_population(RngSpec(seed).derive("scan-pop"), n_cells=n_cells,
-                            mtr=seed % 2 == 0, mts=seed % 2 == 0)
-    law = project(pop, design, h0)
-    extra_p = (pop.p0,) if with_p0 else ()
-    for c in range(n_cells):
-        got = bounds_ar(law, c, pbar, assumptions, step=step, extra_p=extra_p)
-        want = _per_point_bounds_ar(law, c, pbar, assumptions, step, extra_p)
-        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
-
-
-def _assert_same_as_scipy(f, lo, hi, xatol):
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    x, fx, evaluations = _bounded_min(f, lo, hi, xatol)
-    assert x.hex() == float(res.x).hex()
-    assert fx.hex() == float(res.fun).hex()
-    assert evaluations == res.nfev
-
-
-@pytest.mark.parametrize("xatol", [1e-10, 1e-5])
-@pytest.mark.parametrize("f, lo, hi", [
-    (lambda x: (x - 0.3) ** 2, 0.0, 1.0),      # interior optimum
-    (lambda x: math.cos(3.0 * x), -0.5, 2.0),  # interior, not a parabola
-    (lambda x: x, 0.2, 0.9),                   # optimum on the lower bound
-    (lambda x: -x, 0.2, 0.9),                  # optimum on the upper bound
-    (lambda x: 2.0, 0.0, 1.0),                 # constant
-], ids=["parabola", "cosine", "lower-bound", "upper-bound", "constant"])
-def test_bounded_min_equals_scipy_bit_for_bit(f, lo, hi, xatol):
-    _assert_same_as_scipy(f, lo, hi, xatol)
+def _peak_p(law, cell):
+    # the case share at which r(x, p) reaches the stationary r of r * Gamma_AR
+    pi0, pi1 = law.pi[1, 0, cell], law.pi[1, 1, cell]
+    rs = minimize_scalar(lambda r: -abs(r * gamma_ar_formula(pi0, pi1, r)),
+                         bounds=(0.0, 1.0), method="bounded",
+                         options={"xatol": 1e-12}).x
+    a = (1.0 - law.h0) * law.pyx[cell]
+    b = law.h0 * (1.0 - law.pyx[cell])
+    return rs * b / (a * (1.0 - rs) + rs * b)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 3),
        h0=st.floats(0.05, 0.95), design=st.sampled_from([D1, D2]),
-       sign=st.sampled_from([1.0, -1.0]), lo=st.floats(0.0, 0.9),
-       width=st.floats(1e-6, 1.0), xatol=st.sampled_from([1e-10, 1e-5]))
-@settings(max_examples=80, deadline=None)
-def test_bounded_min_equals_scipy_on_ar_envelopes(seed, n_cells, h0, design, sign, lo,
-                                                   width, xatol):
-    # the functions _scan_max refines: sign * r * Gamma_AR of random laws
-    pop = random_population(RngSpec(seed).derive("brent-pop"), n_cells=n_cells,
+       assumptions=st.sampled_from([AssumptionSet.MONOTONE, AssumptionSet.IGNORABILITY]),
+       where=st.sampled_from(["zero", "one", "below-peak", "above-peak"]),
+       frac=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_bounds_ar_closed_form_equals_dense_scan(seed, n_cells, h0, design, assumptions,
+                                                 where, frac):
+    pop = random_population(RngSpec(seed).derive("scan-pop"), n_cells=n_cells,
                             mtr=seed % 2 == 0, mts=seed % 2 == 0)
     law = project(pop, design, h0)
-    hi = min(lo + width, 1.0)
     for c in range(n_cells):
-        g0 = gamma_ar(law, c, 0.0)
-        if design is D1:
-            f = lambda p: -sign * r_case_prob(law, c, p) * gamma_ar(law, c, p)
-        else:
-            f = lambda p: -sign * r_case_prob(law, c, p) * g0
-        _assert_same_as_scipy(f, lo, hi, xatol)
+        # pbar at 0, at 1, or on either side of the case-control peak
+        peak = _peak_p(project(pop, D1, h0), c)
+        pbar = {"zero": 0.0, "one": 1.0, "below-peak": frac * peak,
+                "above-peak": peak + frac * (1.0 - peak)}[where]
+        got = bounds_ar(law, c, pbar, assumptions)
+        grid, refined = _per_point_bounds_ar(law, c, pbar, assumptions, 0.001, (pop.p0,))
+        np.testing.assert_allclose(got, refined, rtol=0, atol=1e-12)
+        assert got[1] >= grid[1] - 1e-15 and got[0] <= grid[0] + 1e-15
+
+
+@pytest.mark.parametrize("design", [D1, D2])
+@pytest.mark.parametrize("pbar", [0.0, 0.3, 1.0])
+def test_bounds_ar_negative_lower_end_when_pi1_below_pi0(design, pbar):
+    # pi1 < pi0 makes r * Gamma_AR negative: the lower end carries the extreme
+    law = single_cell_law(0.2, 0.6, h0=0.4, design=design)
+    _, refined = _per_point_bounds_ar(law, 0, pbar, AssumptionSet.IGNORABILITY, 0.001, ())
+    lo, hi = bounds_ar(law, 0, pbar, AssumptionSet.IGNORABILITY)
+    assert hi == 0.0 and (lo < 0.0) == (pbar > 0.0)
+    np.testing.assert_allclose((lo, hi), refined, rtol=0, atol=1e-12)
+    assert bounds_ar(law, 0, pbar, AssumptionSet.MONOTONE) == (0.0, 0.0)
 
 
 # --- persistence --------------------------------------------------------------------

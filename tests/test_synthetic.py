@@ -5,7 +5,8 @@ from scipy import stats
 from casebound.errors import EmptyStratum, ValidationError
 from casebound.fixtures import mc_defaults, top_income_population
 from casebound.model import Design
-from casebound.rng import RngSpec
+from casebound.rng import RngSpec, standard_normals
+from casebound.special import ndtri
 from casebound.synthetic import (
     MCDesign,
     draw_mc_sample,
@@ -136,3 +137,15 @@ def test_rng_streams_distinct_and_reproducible():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_standard_normals_floor_a_zero_uniform():
+    # a uniform of exactly 0 maps to ndtri(2**-53), not to -inf
+    class Zeros:
+        def random(self, shape):
+            return np.zeros(shape)
+
+    z = standard_normals(Zeros(), (3, 2))
+    assert z.shape == (3, 2) and np.isfinite(z).all()
+    assert np.array_equal(z, np.full((3, 2), ndtri(2.0 ** -53)))
+    assert z[0, 0] == pytest.approx(-8.2095, abs=1e-4)

@@ -54,16 +54,16 @@ arithmetic on every pattern, zero counts included, so on a wide table
 (a continuous covariate makes every row a pattern) it is slower than
 refitting each replicate alone.  A table where a block would hold fewer
 than `_MIN_BLOCK` replicates therefore stays on the per-replicate path.
-A replicate the block cannot settle on that common path is flagged, not
-raised: an empty stratum, a basis column constant on its support, a fit
-that is not ok (including one too ill-conditioned for two summation
-orders to agree, see `logit.PIVOT_FLOOR`), a fitted probability outside
-[0, 1].  Each flagged replicate is refitted alone by `_replicate`,
-through `fit_nuisances`, which gives its exact exception class and clip
-count.  Spline knots are the quantiles of each drawn multiset, so a
-spline basis moves with every replicate; then every replicate takes
-`_replicate`, one at a time.  The two paths agree to rounding (1e-12 in
-the tests).
+A replicate leaves that common path exactly when the kernel flags it: a
+fit that is not ok (an empty stratum, a basis column constant on the
+support and so collinear with the intercept, one too ill-conditioned for
+two summation orders to agree, see `logit.PIVOT_FLOOR`), or a fitted
+probability outside [0, 1].  Each flagged replicate is refitted alone by
+`_replicate`, through `fit_nuisances`, which gives its exact exception
+class and clip count.  Spline knots are the quantiles of each drawn
+multiset, so a spline basis moves with every replicate; then every
+replicate takes `_replicate`, one at a time.  The two paths agree to
+rounding (1e-12 in the tests).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -277,25 +277,20 @@ def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     `counts` is (replicates, patterns); `designs` holds the retrospective
     and prospective [1, basis] at every pattern.  Returns each replicate's
     statistic (as `_replicate`), its clip count and whether it stayed on
-    the common path; the statistic and clip count of a replicate that did
-    not are meaningless, and `_replicate` settles it.
+    the common path (its three fits ok, their probabilities on its support
+    in [0, 1]); the statistic and clip count of a replicate that did not
+    are meaningless, and `_replicate` settles it.
     """
     rdesign, pdesign = designs
     case = patterns[:, 0] == 1
     t = patterns[:, 1]
     support = counts > 0
-    ok = support[:, case].any(axis=1) & support[:, ~case].any(axis=1)
-    for design in designs:
-        # a basis column constant on the support is what build_basis rejects
-        cols = design[None, :, 1:]
-        hi = np.where(support[:, :, None], cols, -np.inf).max(axis=1)
-        lo = np.where(support[:, :, None], cols, np.inf).min(axis=1)
-        ok &= (hi - lo != 0).all(axis=1)
     w = counts.astype(float)
     fits = ((fit_logit_batch(t[~case], rdesign[~case], w[:, ~case]), rdesign),
             (fit_logit_batch(t[case], rdesign[case], w[:, case]), rdesign),
             (fit_logit_batch(case, pdesign, w), pdesign))
     probs = []
+    ok = np.ones(counts.shape[0], dtype=bool)
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
     for (coef, fitted), design in fits:
         clipped, in_range, n_moved = clip_probabilities(

@@ -25,16 +25,18 @@ covariate can overflow X'WX) raises `Singular`, and nothing else: the
 Newton iterations run under ``np.errstate(over="ignore", invalid="ignore")``,
 so the typed error is all a caller sees.
 
-`fit_logit_batch` runs the same Newton rule for one shared design under
-many frequency-weight rows at once (the bootstrap replicates of one
+`fit_logit_batch` runs the same Newton rule, with the same two gufuncs
+called once on the stack of information matrices, for one shared design
+under many frequency-weight rows at once (the bootstrap replicates of one
 pattern table), at `fit_logit`'s tolerance, iteration limit and
 separation bound.  It has no step-halving and no covariance.  A
 row that would need any of them, or would raise anything, leaves the
 active set with ``ok`` False instead, so a caller can refit exactly that
 row with `fit_logit`; the rows that stay are the same fits to rounding.
 It is stricter than `fit_logit` in one place: information whose Cholesky
-pivot falls below `PIVOT_FLOOR` of its diagonal also leaves, because a
-fit that converges on a flat ridge there is not reproducible to rounding.
+pivot (a squared diagonal entry of the factor) falls below `PIVOT_FLOOR`
+of its diagonal also leaves, because a fit that converges on a flat
+ridge there is not reproducible to rounding.
 """
 
 from __future__ import annotations
@@ -189,27 +191,6 @@ def _rowwise(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * cols).sum(axis=-1)
 
 
-def _cholesky_solve(info: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve info @ x = rhs for a stack of symmetric matrices by Cholesky,
-    and flag the matrices whose every pivot exceeds PIVOT_FLOOR times its
-    diagonal (False also for NaN)."""
-    m, k = rhs.shape
-    low = np.zeros_like(info)
-    pd = np.ones(m, dtype=bool)
-    for j in range(k):
-        piv = info[:, j, j] - (low[:, j, :j] ** 2).sum(axis=-1)
-        pd &= piv > PIVOT_FLOOR * info[:, j, j]
-        low[:, j, j] = np.sqrt(np.where(pd, piv, 1.0))
-        below = info[:, j + 1:, j] - (low[:, j + 1:, :j] * low[:, j, None, :j]).sum(axis=-1)
-        low[:, j + 1:, j] = below / low[:, j, j, None]
-    x = np.empty_like(rhs)
-    for j in range(k):  # forward: low @ z = rhs
-        x[:, j] = (rhs[:, j] - (low[:, j, :j] * x[:, :j]).sum(axis=-1)) / low[:, j, j]
-    for j in reversed(range(k)):  # back: low.T @ x = z
-        x[:, j] = (x[:, j] - (low[:, j + 1:, j] * x[:, j + 1:]).sum(axis=-1)) / low[:, j, j]
-    return x, pd
-
-
 def fit_logit_batch(response: np.ndarray, X: np.ndarray,
                     W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`fit_logit` of one response on one design under every weight row.
@@ -229,8 +210,8 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray,
     non-finite design, information, gradient or step, information that is
     not positive definite, the separation bound, no convergence) or would
     halve a step, and also when a Cholesky pivot of the information falls
-    below PIVOT_FLOOR times its diagonal.  Nothing is raised for a single
-    fit.
+    below PIVOT_FLOOR times its diagonal, as it does for a column constant
+    on the row's support.  Nothing is raised for a single fit.
     """
     t = np.asarray(response, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -263,8 +244,11 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray,
             p = expit(eta)
             grad = _rowwise(w * (t - p), Xt)
             info = _rowwise(w * p * (1.0 - p), outer).reshape(-1, k, k)
-            step, fine = _cholesky_solve(info, grad)
-            fine &= np.isfinite(info).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+            # a factor is NaN where the factorisation failed, and fails the floor
+            pivots = np.diagonal(_linalg.cholesky_lo(info), axis1=1, axis2=2) ** 2
+            fine = ((pivots > PIVOT_FLOOR * np.diagonal(info, axis1=1, axis2=2)).all(axis=1)
+                    & np.isfinite(info).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1))
+            step = _linalg.solve1(info, grad)
             conv = abs(grad).max(axis=1) <= tol
             fine &= ~conv | (abs(b).max(axis=1) <= DEFAULT_SEPARATION_BOUND)
             done = fine & conv & polished

@@ -538,15 +538,14 @@ def upper_bound_ar(law: ObservedLaw, p: float) -> float:
 
 
 def _floored_dirichlet(rng: np.random.Generator, shape: tuple[int, ...],
-                       floor: float = 0.02) -> np.ndarray:
+                       floor: float) -> np.ndarray:
     raw = rng.dirichlet(np.full(int(np.prod(shape)), 1.5)).reshape(shape)
     out = raw + floor
     return out / out.sum()
 
 
 def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
-                            mass: np.ndarray | None = None,
-                            support: np.ndarray | None = None) -> DiscretePopulation:
+                            mass: np.ndarray | None = None) -> DiscretePopulation:
     """Unconfounded population with given per-cell treatment and outcome margins.
 
     pt[c] = Pr(T*=1|x), q1[c] = Pr{Y*(1)=1|x}, q0[c] = Pr{Y*(0)=1|x} with
@@ -563,15 +562,13 @@ def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
     if mass is None:
         mass = np.full(n_cells, 1.0 / n_cells)
     mass = np.asarray(mass, dtype=float)
-    if support is None:
-        support = np.arange(n_cells, dtype=float)[:, None]
     pmf = np.zeros((n_cells, 2, 2, 2))
     # joint of (y0, y1): (1,1) -> q0, (0,1) -> q1 - q0, (0,0) -> 1 - q1
     for c in range(n_cells):
         joint = np.array([[1.0 - q1[c], q1[c] - q0[c]], [0.0, q0[c]]])
         pmf[c, 0] = mass[c] * (1.0 - pt[c]) * joint
         pmf[c, 1] = mass[c] * pt[c] * joint
-    return DiscretePopulation(support_x=support, pmf=pmf)
+    return DiscretePopulation(support_x=np.arange(n_cells, dtype=float)[:, None], pmf=pmf)
 
 
 _MAX_TRIES = 2000  # rejection draws before monotone selection is given up
@@ -579,16 +576,14 @@ _MAX_TRIES = 2000  # rejection draws before monotone selection is given up
 
 def random_population(rng: np.random.Generator, n_cells: int = 2, *,
                       mtr: bool = False, mts: bool = False,
-                      unconfounded: bool = False,
-                      support: np.ndarray | None = None) -> DiscretePopulation:
+                      unconfounded: bool = False) -> DiscretePopulation:
     """Draw a population with probabilities bounded away from 0 and 1.
 
     Monotone response is enforced by construction (no mass on y0 > y1),
     unconfoundedness by a product construction, and monotone selection by
     rejection when it does not already hold by construction.
     """
-    if support is None:
-        support = np.arange(n_cells, dtype=float)[:, None]
+    support = np.arange(n_cells, dtype=float)[:, None]
     if unconfounded:
         lo, hi = 0.12, 0.88
         pt = lo + (hi - lo) * rng.random(n_cells)
@@ -596,7 +591,7 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
             q1 = lo + (hi - lo) * rng.random(n_cells)
             q0 = lo + (q1 - lo) * rng.random(n_cells)
             mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)
-            return population_from_margins(pt, q1, q0, mass=mass, support=support)
+            return population_from_margins(pt, q1, q0, mass=mass)
         mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)
         pmf = np.zeros((n_cells, 2, 2, 2))
         for c in range(n_cells):

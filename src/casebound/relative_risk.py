@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 CLIP = 1e-6
+MAX_GRID_INTERVALS = 10_000  # p_grid refuses a finer grid before allocating it
 
 
 @dataclass(frozen=True)
@@ -250,6 +251,10 @@ def p_grid(pbar: float, step: float) -> np.ndarray:
         raise ValidationError("pbar must lie in (0, 1]")
     if not 0.0 < step < np.inf:
         raise ValidationError(f"grid step must be positive and finite, got {step}")
+    # the same test as round(pbar / step) > MAX_GRID_INTERVALS, taken before
+    # rounding so that a ratio that overflows to inf is refused too
+    if pbar / step > MAX_GRID_INTERVALS + 0.5:
+        raise ValidationError(f"grid step {step:g} makes more than {MAX_GRID_INTERVALS} intervals")
     m = max(int(round(pbar / step)), 1)
     return np.linspace(0.0, pbar, m + 1)
 

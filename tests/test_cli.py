@@ -133,6 +133,16 @@ def test_bad_grid_step_exits_2(runner, tmp_path, command, step):
     assert "grid step must be positive and finite" in result.output
 
 
+@pytest.mark.parametrize("command", ["rr", "ar"])
+def test_too_fine_grid_step_exits_2(runner, tmp_path, command):
+    path = write_university_csv(tmp_path / "univ.csv")
+    result = runner.invoke(main, [
+        command, "--input", path, "--design", "case-control",
+        "--y-col", "vsu", "--t-col", "private", "--grid-step", "1e-12"])
+    _assert_one_error_line(result)
+    assert "more than 10000 intervals" in result.output
+
+
 @pytest.mark.parametrize("basis", ["polyx", "spline2.5"])
 def test_bad_basis_suffix_exits_2(runner, tmp_path, basis):
     path = write_case_population_csv(tmp_path / "cp.csv")

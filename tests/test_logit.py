@@ -362,13 +362,21 @@ def _batch_case(name):
     W[0, :2] = 5.0                   # one response class
     W[1] = 0.0
     W[1, [0, -1]] = 1.0              # total weight <= J for J >= 2
-    if name == "duplicated":
+    if name == "J1":
+        # one weight row on the x=0 rows alone and one on the x=1 rows
+        # alone: the column is constant on each support, so fit_logit
+        # raises Singular
+        W = np.vstack([W, [[7.0, 0.0, 12.0, 0.0], [0.0, 30.0, 0.0, 4.0]]])
+    elif name == "duplicated":
         x = np.column_stack([x, x])
     elif name == "separated":
         W[1:] += 1.0                 # every point on the support
     elif name == "halving":
         W[2] = [6.0, 1.0, 10.0, 108.0, 97.0, 86.0]
     return t, x, W
+
+
+_BATCH_CASES = ("J1", "J2_polynomial", "J3_interactions", "duplicated", "separated", "halving")
 
 
 @pytest.mark.parametrize("name, min_ok, min_failed", [
@@ -395,6 +403,17 @@ def test_batch_matches_fit_logit_per_weight_row(name, min_ok, min_failed, monkey
         assert loop[2] is None
 
 
+def test_batch_flags_a_column_constant_on_the_support():
+    # the refusal the AR bootstrap's block leaves to the kernel: the column
+    # is collinear with the intercept there
+    t, x, W = _batch_case("J1")
+    _, ok = fit_logit_batch(t, np.column_stack([np.ones(t.size), x]), W)
+    assert not ok[-2:].any()
+    for w in W[-2:]:
+        with pytest.raises(Singular):
+            fit_logit(t[w > 0], x[w > 0], w[w > 0])
+
+
 def test_batch_zero_weight_rows_are_absent_rows():
     t, x, W = _batch_case("J3_interactions")
     X = np.column_stack([np.ones(t.size), x])
@@ -405,8 +424,9 @@ def test_batch_zero_weight_rows_are_absent_rows():
     np.testing.assert_allclose(coef_pad, coef, rtol=1e-12, atol=1e-12)
 
 
-def test_batch_rows_do_not_depend_on_their_neighbours():
-    t, x, W = _batch_case("J2_polynomial")
+@pytest.mark.parametrize("name", _BATCH_CASES)
+def test_batch_rows_do_not_depend_on_their_neighbours(name):
+    t, x, W = _batch_case(name)
     X = np.column_stack([np.ones(t.size), x])
     coef, ok = fit_logit_batch(t, X, W)
     for i in range(W.shape[0]):

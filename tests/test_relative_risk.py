@@ -16,6 +16,7 @@ from casebound.relative_risk import (
     estimate_beta_plugin,
     estimate_kappa,
     fit_nuisances,
+    p_grid,
     rr_band,
 )
 from casebound.rng import RngSpec, bernoulli
@@ -292,6 +293,14 @@ def test_band_grid_arithmetic():
     assert band.p[0] == 0.0 and band.p[-1] == pytest.approx(0.15, abs=1e-15)
     rows = list(band.rows())
     assert len(rows) == 16 and rows[0][2] == 1.0
+
+
+def test_p_grid_refuses_too_many_intervals_before_allocating():
+    assert p_grid(1.0, 1e-4).shape == (10_001,)
+    assert p_grid(0.5, 0.5 / 10_000.5).shape == (10_001,)  # rounds half to even
+    for pbar, step in ((1.0, 1.0 / 10_001), (1.0, 1e-12), (1.0, 5e-324), (0.01, 1e-9)):
+        with pytest.raises(ValidationError, match="more than 10000 intervals"):
+            p_grid(pbar, step)
 
 
 def test_band_validation():

@@ -55,14 +55,14 @@ arithmetic on every pattern, zero counts included, so on a wide table
 refitting each replicate alone.  A table where a block would hold fewer
 than `_MIN_BLOCK` replicates therefore stays on the per-replicate path.
 A replicate leaves that common path exactly when the kernel flags it: a
-fit that is not ok (an empty stratum, a basis column constant on the
-support and so collinear with the intercept, one too ill-conditioned for
-two summation orders to agree, see `logit.PIVOT_FLOOR`), or a fitted
-probability outside [0, 1].  Each flagged replicate is refitted alone by
-`_replicate`, through `fit_nuisances`, which gives its exact exception
-class and clip count.  Spline knots are the quantiles of each drawn
-multiset, so a spline basis moves with every replicate; then every
-replicate takes `_replicate`, one at a time.  The two paths agree to
+fit `fit_logit` would refuse (an empty stratum, a basis column constant on
+the support, separation), one too ill-conditioned at the optimum for two
+summation orders to agree (`logit.PIVOT_FLOOR`), or a fitted probability
+outside [0, 1]; a fit that halves a step stays.  Each flagged replicate is
+refitted alone by `_replicate`, through `fit_nuisances`, which gives its
+exact exception class and clip count.  Spline knots are the quantiles of
+each drawn multiset, so a spline basis moves with every replicate; then
+every replicate takes `_replicate`, one at a time.  The two paths agree to
 rounding (1e-12 in the tests).
 
 The bias correction counts a replicate as at or below the point
@@ -97,7 +97,7 @@ __all__ = [
     "bc_level",
 ]
 
-# the most (replicate x pattern x max(grid, k^2)) cells one block's arrays
+# the most (replicate x pattern x max(grid, k)) cells one block's arrays
 # may hold, and the fewest replicates per block for which the batch beats
 # refitting each replicate alone (see the module docstring)
 _BLOCK_CELLS = 1 << 17
@@ -345,7 +345,7 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     designs = _pattern_designs(patterns, retrospective_spec, prospective_spec)
     size = 1
     if designs is not None:
-        width = max(grid.shape[0], *(d.shape[1] ** 2 for d in designs))
+        width = max(grid.shape[0], *(d.shape[1] for d in designs))
         size = _BLOCK_CELLS // (patterns.shape[0] * width)
         if size < _MIN_BLOCK:  # too wide for the batch to pay
             designs, size = None, 1
@@ -393,8 +393,9 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
         point_raw, upper_raw, mu_star, nu_star = stat_hat, limit, mu, nu
         mode = "pointwise-bc"
 
-    point = np.clip(point_raw, 0.0, 1.0)
-    upper = np.clip(np.maximum(upper_raw, point_raw), 0.0, 1.0)
+    # + 0.0 turns the -0.0 that clipping keeps (0 * a negative statistic) into 0.0
+    point = np.clip(point_raw, 0.0, 1.0) + 0.0
+    upper = np.clip(np.maximum(upper_raw, point_raw), 0.0, 1.0) + 0.0
     curve = ARCurve(p=grid, point=point, upper=upper, mode=mode, B=B, alpha=alpha)
     diag = BootstrapDiagnostics(mu_star=mu_star, nu_star=nu_star,
                                 resample_mode=resample_mode, n_requested=B,

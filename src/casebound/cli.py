@@ -38,7 +38,7 @@ from .errors import (
 from .fixtures import FOOTNOTE_RETRO_PROBS, count_table, mc_defaults, top_income_population
 from .model import ColumnSchema, Design, ingest_csv, odds_ratio_2x2
 from .oracle import gamma, gamma_formula, load_population, project
-from .relative_risk import estimate_beta_combined, fit_nuisances, rr_band
+from .relative_risk import estimate_beta_combined, fit_nuisances, p_grid, rr_band
 from .rng import RngSpec
 from .special import ndtri
 from .synthetic import run_mc_study
@@ -238,6 +238,7 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
     def body():
         if not 0.0 < alpha <= 0.5:
             raise ValidationError("alpha must lie in (0, 0.5]")
+        p_grid(pbar, grid_step)  # refuse a bad grid before the fits
         data = _load_dataset(input_path, design, y_col, t_col, x_cols, h0)
         spec = _parse_basis(basis, data.n_covariates, interactions)
         z = ndtri(1.0 - alpha)

@@ -172,6 +172,17 @@ def test_curve_grid_has_sixteen_rows_at_pbar_015():
     assert curve.mode == "uniform-bc"
 
 
+def test_curve_has_no_negative_zero():
+    # treatment flipped, so xi < 0: p = 0 times a negative statistic is
+    # -0.0, which clipping into [0, 1] keeps
+    flipped = {(y, 1 - t, x): n for (y, t, x), n in COUNTS_D1.items()}
+    data = expand(flipped, D2)
+    assert estimate_xi_cp(fit_nuisances(data, LIN, LIN)) < 0.0
+    curve, _ = ar_curve(data, LIN, LIN, pbar=0.3, B=200, seed=4, step=0.05)
+    assert not np.signbit(curve.point).any()
+    assert not np.signbit(curve.upper).any()
+
+
 def test_case_population_upper_limit_exactly_linear():
     data = expand(COUNTS_D1, D2)
     curve, diag = ar_curve(data, LIN, LIN, pbar=0.3, B=300, seed=3, step=0.05)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import casebound.attributable_risk as attributable_risk
+import casebound.cli as cli_mod
 from casebound.cli import main
 from casebound.fixtures import count_table
 from casebound.model import ColumnSchema, Design, ObservedDataset, export_csv
@@ -134,13 +136,20 @@ def test_bad_grid_step_exits_2(runner, tmp_path, command, step):
 
 
 @pytest.mark.parametrize("command", ["rr", "ar"])
-def test_too_fine_grid_step_exits_2(runner, tmp_path, command):
+def test_too_fine_grid_step_exits_2(runner, tmp_path, command, monkeypatch):
+    # the grid is refused before any fit runs
+    fits = []
+    for module in (cli_mod, attributable_risk):
+        real = module.fit_nuisances
+        monkeypatch.setattr(module, "fit_nuisances",
+                            lambda *a, real=real, **k: fits.append(1) or real(*a, **k))
     path = write_university_csv(tmp_path / "univ.csv")
     result = runner.invoke(main, [
         command, "--input", path, "--design", "case-control",
         "--y-col", "vsu", "--t-col", "private", "--grid-step", "1e-12"])
     _assert_one_error_line(result)
     assert "more than 10000 intervals" in result.output
+    assert not fits
 
 
 @pytest.mark.parametrize("basis", ["polyx", "spline2.5"])

@@ -178,6 +178,7 @@ def _reference_fit(response, design, weights=None, factor=_numpy_factor):
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     wt_total = float(w.sum())
     X = np.column_stack([np.ones(n), design])
+    Xt = np.ascontiguousarray(X.T)
 
     def loglik(eta):
         return float(np.sum(w * (t * eta - np.logaddexp(0.0, eta))))
@@ -190,9 +191,9 @@ def _reference_fit(response, design, weights=None, factor=_numpy_factor):
     polished = False
     for it in range(1, 101):
         p = expit(eta)
-        grad = X.T @ (w * (t - p))
-        sw = w * p * (1.0 - p)
-        info = (X * sw[:, None]).T @ X
+        # fit_logit's stacked products, with a stack of one
+        grad = ((w * (t - p))[None, None, :] @ X)[0, 0]
+        info = ((Xt * (w * p * (1.0 - p)))[None] @ X)[0]
         try:
             solve, inverse = factor(info)
             if np.max(np.abs(grad)) <= tol:
@@ -211,7 +212,7 @@ def _reference_fit(response, design, weights=None, factor=_numpy_factor):
         scale = 1.0
         for _ in range(40):
             cand = coef + scale * step
-            eta_c = X @ cand
+            eta_c = (cand[None, None, :] @ Xt)[0, 0]
             ll_c = loglik(eta_c)
             if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
                 break
@@ -315,24 +316,16 @@ def test_kernel_failure_classes_match_reference():
 
 # --- the batched Newton kernel against fit_logit, one weight row at a time ---
 
-def _loop_fits(t, design, W, monkeypatch):
-    """fit_logit on each weight row's support rows: its coefficients, or None
-    where it raises or halves a step.  A fit that never halves evaluates the
-    log-likelihood once at the start and once per full step."""
-    calls = []
-    real = logit_mod._loglik
-    monkeypatch.setattr(logit_mod, "_loglik", lambda *a: calls.append(1) or real(*a))
+def _loop_fits(t, design, W):
+    """fit_logit on each weight row's support rows: its coefficients, or the
+    class of the exception it raises."""
     out = []
     for w in W:
         keep = w > 0
-        calls.clear()
         try:
-            fit = fit_logit(t[keep], design[keep], w[keep])
-        except CaseboundError:
-            out.append(None)
-            continue
-        out.append(fit.coef if len(calls) == 1 + fit.iterations else None)
-    monkeypatch.undo()
+            out.append(fit_logit(t[keep], design[keep], w[keep]).coef)
+        except CaseboundError as exc:
+            out.append(type(exc))
     return out
 
 
@@ -383,24 +376,36 @@ _BATCH_CASES = ("J1", "J2_polynomial", "J3_interactions", "duplicated", "separat
     ("J1", 40, 1), ("J2_polynomial", 40, 2), ("J3_interactions", 40, 2),
     ("duplicated", 0, 60), ("separated", 0, 50), ("halving", 40, 2)])
 def test_batch_matches_fit_logit_per_weight_row(name, min_ok, min_failed, monkeypatch):
-    # ok is never True where fit_logit raises or halves a step, and where it
-    # is True the coefficients are fit_logit's; a fit on a flat ridge (a
-    # zero-weight cell separating the rest) may leave the batch even though
-    # fit_logit converges there
+    # every row's status names the class fit_logit raises on its support
+    # rows, and where ok is True the coefficients are fit_logit's; a fit on
+    # a flat ridge (a zero-weight cell separating the rest) may leave the
+    # batch even though fit_logit converges there
     t, x, W = _batch_case(name)
-    coef, ok = fit_logit_batch(t, np.column_stack([np.ones(t.size), x]), W)
-    loop = _loop_fits(t, x, W, monkeypatch)
-    for got, fitted, want in zip(coef, ok, loop):
-        if want is None:
+    X = np.column_stack([np.ones(t.size), x])
+    coef, ok = fit_logit_batch(t, X, W)
+    _, status, _ = logit_mod._fit_rows(t.astype(float), X, W)
+    loop = _loop_fits(t, x, W)
+    for got, fitted, code, want in zip(coef, ok, status, loop):
+        if isinstance(want, type):
+            assert logit_mod._FAILURES[code][0] is want
             assert not fitted
-        elif fitted:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert code == 0
+            if fitted:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert not ok[0]
     assert not ok[1] or x.shape[1] < 2
-    assert ok.sum() >= min_ok and sum(want is None for want in loop) >= min_failed
+    assert ok.sum() >= min_ok and sum(isinstance(want, type) for want in loop) >= min_failed
     assert not coef[~ok].any()
     if name == "halving":
-        assert loop[2] is None
+        # row 2 halves a step, so it evaluates the log-likelihood more often
+        # than once at the start and once per step, and stays in the batch
+        calls = []
+        real = logit_mod._loglik
+        monkeypatch.setattr(logit_mod, "_loglik", lambda *a: calls.append(1) or real(*a))
+        keep = W[2] > 0
+        fit = fit_logit(t[keep], x[keep], W[2, keep])
+        assert len(calls) > 1 + fit.iterations and ok[2]
 
 
 def test_batch_flags_a_column_constant_on_the_support():

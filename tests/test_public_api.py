@@ -13,6 +13,7 @@ import casebound
 
 MODULES = [info.name for info in pkgutil.iter_modules(casebound.__path__)
            if hasattr(importlib.import_module(f"casebound.{info.name}"), "__all__")]
+SOURCES = sorted(pathlib.Path(casebound.__file__).parent.glob("*.py"))
 
 
 def test_package_all_resolves():
@@ -42,26 +43,30 @@ def _private_imports(path):
                     yield node.module, alias.name
 
 
-@pytest.mark.parametrize("path", sorted(pathlib.Path(casebound.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_no_module_imports_a_private_name(path):
     assert list(_private_imports(path)) == []
 
 
-def _scipy_imports(path):
-    """Every scipy module a source file imports, at any depth."""
+def _imports(path):
+    """Every module a source file imports, and every name it imports from
+    one, as dotted paths, at any depth."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        else:
-            continue
-        yield from (name for name in names if name.split(".")[0] == "scipy")
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-@pytest.mark.parametrize("path", sorted(pathlib.Path(casebound.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_no_module_imports_scipy(path):
     # the package runs on numpy alone; scipy is a test dependency
-    assert list(_scipy_imports(path)) == []
+    assert [name for name in _imports(path) if name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_only_logit_calls_the_lapack_gufuncs(path):
+    # the Newton kernel in logit.py is the one place that factorises
+    lapack = "numpy.linalg._umath_linalg" in set(_imports(path))
+    assert lapack == (path.stem == "logit")

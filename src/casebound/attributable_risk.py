@@ -35,9 +35,10 @@ a binary covariate).  Each replicate makes the same `resample_indices`
 draw as resampling the rows would and turns it into pattern counts with
 `np.bincount`; a replicate is a frequency-weighted refit of the patterns
 with its counts.  Everything the expanded resample would judge is judged
-on the replicate's support, the patterns with a nonzero count: an empty
-stratum raises EmptyStratum and a constant basis column DegenerateColumn;
-an estimated h0 is the counts-weighted share of cases; the clip count
+on the replicate's support, the patterns with a nonzero count: a constant
+basis column raises DegenerateColumn and an empty stratum `fit_logit`'s
+ValidationError (the expanded rows raise its subclass EmptyStratum); an
+estimated h0 is the counts-weighted share of cases; the clip count
 (`relative_risk.clip_probabilities`) weighs each row by its count.  A
 replicate that raises any CaseboundError is dropped and counted, as it
 would be on the expanded rows.
@@ -58,12 +59,13 @@ A replicate leaves that common path exactly when the kernel flags it: a
 fit `fit_logit` would refuse (an empty stratum, a basis column constant on
 the support, separation), one too ill-conditioned at the optimum for two
 summation orders to agree (`logit.PIVOT_FLOOR`), or a fitted probability
-outside [0, 1]; a fit that halves a step stays.  Each flagged replicate is
-refitted alone by `_replicate`, through `fit_nuisances`, which gives its
-exact exception class and clip count.  Spline knots are the quantiles of
-each drawn multiset, so a spline basis moves with every replicate; then
-every replicate takes `_replicate`, one at a time.  The two paths agree to
-rounding (1e-12 in the tests).
+outside [0, 1]; a fit that halves a step stays.  `_replicate` refits each
+flagged replicate alone, as `_block` on its support with `fit_logit` for
+the batched kernel: a failed fit raises its own class, and no PIVOT_FLOOR
+applies.  Spline knots are the quantiles of each drawn multiset, so a
+spline basis moves with every replicate; then every replicate takes
+`_replicate`, one at a time.  The two paths agree to rounding (1e-12 in
+the tests).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -78,9 +80,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, CubicSplineTerm
-from .errors import BootstrapDegenerate, CaseboundError, ValidationError
-from .logit import fit_logit  # noqa: F401  (perfbench's tracing tests wrap this binding)
-from .logit import fit_logit_batch
+from .errors import (BootstrapDegenerate, CaseboundError, NuisanceProbabilityOutOfRange,
+                     ValidationError)
+from .logit import fit_logit, fit_logit_batch
 from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
 from .relative_risk import NuisanceFit, clip_probabilities, design_columns, fit_nuisances, p_grid
@@ -123,10 +125,10 @@ def _statistic(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray
 
 
 def _fit_statistic(nuis: NuisanceFit, grid: np.ndarray | None) -> np.ndarray:
-    """`_statistic` of one fit, its rows weighted by its counts, if any."""
+    """`_statistic` of one fit, each row weighted once."""
     data = nuis.data
-    w = np.ones(data.n) if nuis.counts is None else nuis.counts.astype(float)
-    return _statistic(data.design, data.h0, data.stratum(1), *nuis.prospective(), w, grid)
+    return _statistic(data.design, data.h0, data.stratum(1), *nuis.prospective(),
+                      np.ones(data.n), grid)
 
 
 def estimate_beta_ar(nuis: NuisanceFit, p: float, y_stratum: int) -> float:
@@ -146,8 +148,7 @@ def estimate_xi_cp(nuis: NuisanceFit) -> float:
 
     (sum Y_i)^{-1} sum (1-Y_i) * [py/(1-py)] * G_AR(X_i, 0), where
     G_AR(x, 0) = pi1/pi0 - (1-pi1)/(1-pi0): the sample analog with the
-    stratum share replaced by the mean of Y.  Both sums weigh each row by
-    the fit's counts, if it has them.
+    stratum share replaced by the mean of Y.
     """
     if nuis.data.design is not Design.CASE_POPULATION:
         raise ValidationError("xi_CP is a case-population estimand")
@@ -156,8 +157,7 @@ def estimate_xi_cp(nuis: NuisanceFit) -> float:
 
 def upper_bound_curve_values(nuis: NuisanceFit, grid: np.ndarray) -> np.ndarray:
     """Untruncated UB estimates on a p-grid (case-control: per-p aggregate;
-    case-population: p times the slope estimate), the stratum means
-    weighted by the fit's counts, if it has them."""
+    case-population: p times the slope estimate)."""
     stat = _fit_statistic(nuis, grid)
     return grid * stat[0] if nuis.data.design is Design.CASE_POPULATION else stat
 
@@ -232,50 +232,45 @@ def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
     return np.bincount(inverse[idx], minlength=n_patterns)
 
 
-def _replicate_h0(data: ObservedDataset, case: np.ndarray, counts: np.ndarray):
-    """h0 of replicates with pattern counts (..., patterns): the supplied
-    value, or the counts-weighted share of cases."""
-    if not data.h0_estimated:
-        return data.h0
-    return counts[..., case].sum(axis=-1) / counts.sum(axis=-1)
+def _fit_one(t: np.ndarray, X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, bool]:
+    """`fit_logit` in the shape of `fit_logit_batch`, for a block of one
+    replicate: a fit that fails raises instead of being flagged."""
+    return fit_logit(t, X[:, 1:], W[0]).coef[None], True
 
 
 def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
                prospective_spec: BasisSpec, retrospective_spec: BasisSpec,
                grid: np.ndarray) -> tuple[np.ndarray, int]:
-    """One bootstrap replicate, refitted on the patterns with a nonzero count
-    and weighted by them: its statistic (the case-control curve over the
-    grid, or the case-population xi as a one-element array) and its clip
-    count."""
+    """One bootstrap replicate refitted alone, as `_block` on the patterns
+    with a nonzero count, spline knots from the counts: its statistic and
+    clip count, or the CaseboundError that drops it."""
     keep = counts > 0
-    c = counts[keep]
-    rows = patterns[keep]
-    y = rows[:, 0].astype(np.int8)
-    bdata = ObservedDataset(y=y, t=rows[:, 1].astype(np.int8), x=rows[:, 2:],
-                            design=data.design, h0=_replicate_h0(data, y == 1, c))
-    bnuis = fit_nuisances(bdata, retrospective_spec, prospective_spec, c)
-    return _fit_statistic(bnuis, grid), bnuis.n_clipped
+    rows, c = patterns[keep], counts[keep]
+    designs = _pattern_designs(rows, retrospective_spec, prospective_spec, c)
+    stat, n_clipped, ok = _block(data, rows, c[None], designs, grid, _fit_one)
+    if not ok[0]:
+        raise NuisanceProbabilityOutOfRange("fitted probabilities leave [0, 1] or are not finite")
+    return stat[0], int(n_clipped[0])
 
 
 def _pattern_designs(patterns: np.ndarray, retrospective_spec: BasisSpec,
-                     prospective_spec: BasisSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """The retrospective and prospective [1, basis] at every pattern, shared
-    by all replicates; None if a basis has a spline term, whose knots move
-    with each replicate's draw."""
-    specs = (retrospective_spec, prospective_spec)
-    if any(isinstance(term, CubicSplineTerm) for spec in specs for term in spec.terms):
-        return None
+                     prospective_spec: BasisSpec,
+                     counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The retrospective and prospective [1, basis] at every pattern, spline
+    knots at the quantiles of the patterns repeated `counts` times."""
     ones = np.ones((patterns.shape[0], 1))
-    return tuple(np.hstack([ones, design_columns(patterns[:, 2:], spec)]) for spec in specs)
+    return tuple(np.hstack([ones, design_columns(patterns[:, 2:], spec, counts)])
+                 for spec in (retrospective_spec, prospective_spec))
 
 
 def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
-           designs: tuple[np.ndarray, np.ndarray],
-           grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           designs: tuple[np.ndarray, np.ndarray], grid: np.ndarray,
+           fit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A block of replicates refitted together on the pattern table.
 
     `counts` is (replicates, patterns); `designs` holds the retrospective
-    and prospective [1, basis] at every pattern.  Returns each replicate's
+    and prospective [1, basis] at every pattern; `fit` is the batched
+    kernel, or `_fit_one` for `_replicate`.  Returns each replicate's
     statistic (as `_replicate`), its clip count and whether it stayed on
     the common path (its three fits ok, their probabilities on its support
     in [0, 1]); the statistic and clip count of a replicate that did not
@@ -286,9 +281,9 @@ def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     t = patterns[:, 1]
     support = counts > 0
     w = counts.astype(float)
-    fits = ((fit_logit_batch(t[~case], rdesign[~case], w[:, ~case]), rdesign),
-            (fit_logit_batch(t[case], rdesign[case], w[:, case]), rdesign),
-            (fit_logit_batch(case, pdesign, w), pdesign))
+    fits = ((fit(t[~case], rdesign[~case], w[:, ~case]), rdesign),
+            (fit(t[case], rdesign[case], w[:, case]), rdesign),
+            (fit(case, pdesign, w), pdesign))
     probs = []
     ok = np.ones(counts.shape[0], dtype=bool)
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
@@ -299,11 +294,12 @@ def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
         n_clipped += n_moved
         # off the support a value only has to keep the weighted sums finite
         probs.append(np.where(support, clipped, 0.5))
-    # the statistic of the replicates still on the common path; every
-    # probability now lies in [CLIP, 1 - CLIP], so no denominator vanishes
-    pi0, pi1, py = (prob[ok] for prob in probs)
-    vals = _statistic(data.design, _replicate_h0(data, case, counts[ok]), case,
-                      pi0, pi1, py, w[ok], grid)
+    # the statistic of the replicates still on the common path, an estimated
+    # h0 their counts-weighted share of cases; every probability now lies in
+    # [CLIP, 1 - CLIP], so no denominator vanishes
+    pi0, pi1, py, c = (a[ok] for a in (*probs, counts))
+    h0 = c[:, case].sum(axis=1) / c.sum(axis=1) if data.h0_estimated else data.h0
+    vals = _statistic(data.design, h0, case, pi0, pi1, py, w[ok], grid)
     stat = np.zeros((counts.shape[0], vals.shape[1]))
     stat[ok] = vals
     return stat, n_clipped, ok
@@ -342,10 +338,13 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     varying = np.array([True]) if cp else (grid > 0.0) & (grid < 1.0)
 
     patterns, inverse = _patterns(data)
-    designs = _pattern_designs(patterns, retrospective_spec, prospective_spec)
-    size = 1
-    if designs is not None:
-        width = max(grid.shape[0], *(d.shape[1] for d in designs))
+    # a spline basis moves with each replicate's draw, so nothing is shared
+    designs, size = None, 1
+    specs = (retrospective_spec, prospective_spec)
+    if not any(isinstance(term, CubicSplineTerm) for spec in specs for term in spec.terms):
+        designs = _pattern_designs(patterns, *specs)
+        # the statistic spans the grid only under case-control sampling
+        width = max(1 if cp else grid.shape[0], *(d.shape[1] for d in designs))
         size = _BLOCK_CELLS // (patterns.shape[0] * width)
         if size < _MIN_BLOCK:  # too wide for the batch to pay
             designs, size = None, 1
@@ -359,7 +358,7 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
                            for b in range(start, stop)])
         ok = np.zeros(stop - start, dtype=bool)
         if designs is not None:
-            stats, clipped, ok = _block(data, patterns, counts, designs, grid)
+            stats, clipped, ok = _block(data, patterns, counts, designs, grid, fit_logit_batch)
             boot[start:stop][ok] = stats[ok]
             n_clipped_boot += int(clipped[ok].sum())
         kept[start:stop] = ok

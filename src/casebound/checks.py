@@ -133,12 +133,15 @@ def run_identity_suite(seed: int = 0, n_populations: int = 200) -> list[CheckRes
 
 def check_population(pop: DiscretePopulation) -> list[CheckResult]:
     """Run the applicable identity checks on a single supplied population."""
+    # no finite-difference slope check: a one-sided difference is not exact,
+    # and its 1e-4 tolerance is tuned to the suite's random populations
     cases = _cases([pop])
     results = [
         _check_case_prob_identity(cases),
         _check_gamma_prospective_rr(cases),
         _check_bayes_or_invariance(cases),
         _check_aggregation_identity(cases),
+        _check_cp_bound_linear(cases),
     ]
     report = pop.check_assumptions()
     if report.mtr and report.mts:
@@ -148,6 +151,8 @@ def check_population(pop: DiscretePopulation) -> list[CheckResult]:
     if report.unconfounded:
         results.append(_check_rr_point_id(cases))
         results.append(_check_ar_point_id(cases))
+        if report.mtr and report.mts:
+            results.append(_check_gamma_monotone(cases))
     return results
 
 

@@ -102,8 +102,9 @@ def _load_dataset(input_path, design, y_col, t_col, x_cols, h0):
                           x=tuple(c for c in (x_cols or "").split(",") if c))
     data, report = ingest_csv(input_path, schema, Design.parse(design), h0)
     if report.n_dropped:
+        more = "..." if report.n_dropped > 10 else ""
         click.echo(f"note: dropped {report.n_dropped} incomplete rows "
-                   f"(indices {list(report.dropped_rows[:10])}...)", err=True)
+                   f"(indices {list(report.dropped_rows[:10])}{more})", err=True)
     return data
 
 

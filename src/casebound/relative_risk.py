@@ -87,10 +87,7 @@ class NuisanceFit:
     cols within strata 0 and 1.  Fitted with a prospective basis, it also
     holds pi0, pi1 (Pr(T=1|Y=y, x) for y=0, 1) and py (Pr(Y=1|x)) at every
     row, clipped into [CLIP, 1 - CLIP], and the number of values the
-    clipping touched; otherwise those are None and 0.  counts: the rows'
-    integer frequency weights, or None for one each.  The AR curve and
-    xi_CP take counts-weighted stratum means; the read-outs indexed by a
-    stratum y need an unweighted fit.
+    clipping touched; otherwise those are None and 0.
     """
 
     data: ObservedDataset
@@ -101,7 +98,6 @@ class NuisanceFit:
     pi1: np.ndarray | None = None
     py: np.ndarray | None = None
     n_clipped: int = 0
-    counts: np.ndarray | None = None
 
     def prospective(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The clipped (pi0, pi1, py) at every row."""
@@ -113,8 +109,6 @@ class NuisanceFit:
         """The stratum-y rows, for a read-out indexed by y."""
         if y_stratum not in (0, 1):
             raise ValidationError("y_stratum must be 0 or 1")
-        if self.counts is not None:
-            raise ValidationError("a stratum-y read-out needs an unweighted fit")
         return self.data.stratum(y_stratum)
 
 
@@ -144,32 +138,24 @@ def clip_probabilities(p: np.ndarray, counts: np.ndarray | None):
 
 
 def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
-                  prospective_spec: BasisSpec | None = None,
-                  counts: np.ndarray | None = None) -> NuisanceFit:
+                  prospective_spec: BasisSpec | None = None) -> NuisanceFit:
     """Fit T on the `spec` basis within each stratum and, given a
     prospective basis, Y on it, with every fitted probability evaluated at
-    every row and clipped.
-
-    `counts`, if given, are integer frequency weights: each row stands for
-    that many copies of itself, in the fits, the spline knots and the clip
-    count alike.
-    """
-    cols = design_columns(data.x, spec, counts)
+    every row and clipped."""
+    cols = design_columns(data.x, spec)
     mask0 = data.stratum(0)
     mask1 = data.stratum(1)
-    w0 = None if counts is None else counts[mask0]
-    w1 = None if counts is None else counts[mask1]
-    fit0 = fit_logit(data.t[mask0], cols[mask0], w0)
-    fit1 = fit_logit(data.t[mask1], cols[mask1], w1)
+    fit0 = fit_logit(data.t[mask0], cols[mask0])
+    fit1 = fit_logit(data.t[mask1], cols[mask1])
     if prospective_spec is None:
-        return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1, counts=counts)
-    pcols = design_columns(data.x, prospective_spec, counts)
-    pfit = fit_logit(data.y, pcols, counts)
+        return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1)
+    pcols = design_columns(data.x, prospective_spec)
+    pfit = fit_logit(data.y, pcols)
     probs = []
     n_clipped = 0
     for name, p in (("Pi(1|1,x)", fit1.predict(cols)), ("Pi(1|0,x)", fit0.predict(cols)),
                     ("Pr(Y=1|x)", pfit.predict(pcols))):
-        clipped, in_range, n_moved = clip_probabilities(p, counts)
+        clipped, in_range, n_moved = clip_probabilities(p, None)
         if not in_range.all():
             raise NuisanceProbabilityOutOfRange(
                 f"fitted {name} probabilities leave [0, 1] or are not finite")
@@ -177,7 +163,7 @@ def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
         n_clipped += int(n_moved)
     pi1, pi0, py = probs
     return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1, pi0=pi0, pi1=pi1,
-                       py=py, n_clipped=n_clipped, counts=counts)
+                       py=py, n_clipped=n_clipped)
 
 
 def _read_out(nuis: NuisanceFit, y_stratum: int):

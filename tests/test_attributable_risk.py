@@ -314,6 +314,10 @@ def expanded_replicate(data, gen, mode, pspec, rspec, grid):
     return np.array(curve), nuis.n_clipped
 
 
+def has_spline(*specs):
+    return any(isinstance(term, CubicSplineTerm) for spec in specs for term in spec.terms)
+
+
 def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
     """Each replicate three ways: the expanded rows, `_replicate`, and (for
     bases without a spline term) its row of one batched `_block`.  Returns
@@ -325,10 +329,11 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
     all_counts = np.array([ar_mod._replicate_counts(rng.derive("ar-bootstrap", b), data.y,
                                                     inverse, patterns.shape[0], mode)
                            for b in range(B)])
-    designs = ar_mod._pattern_designs(patterns, rspec, pspec)
     ok = np.zeros(B, dtype=bool)
-    if designs is not None:
-        stats, block_clipped, ok = ar_mod._block(data, patterns, all_counts, designs, grid)
+    if not has_spline(rspec, pspec):
+        designs = ar_mod._pattern_designs(patterns, rspec, pspec)
+        stats, block_clipped, ok = ar_mod._block(data, patterns, all_counts, designs, grid,
+                                                 ar_mod.fit_logit_batch)
     kept = dropped = clipped = 0
     failures = Counter()
     for b, counts in enumerate(all_counts):
@@ -336,8 +341,16 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
             want, want_clipped = expanded_replicate(data, rng.derive("ar-bootstrap", b),
                                                     mode, pspec, rspec, grid)
         except CaseboundError as exc:
-            with pytest.raises(type(exc)):
+            with pytest.raises(CaseboundError) as got:
                 ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
+            if type(exc) is EmptyStratum:
+                # the support refuses an empty stratum as invalid input too:
+                # its fit raises fit_logit's ValidationError, the parent of
+                # EmptyStratum, unless the stratum took a covariate level with
+                # it and the basis raises DegenerateColumn first
+                assert got.type in (ValidationError, DegenerateColumn)
+            else:
+                assert got.type is type(exc)
             assert not ok[b]
             failures[type(exc).__name__] += 1
             dropped += 1
@@ -416,52 +429,61 @@ def test_block_composition_invariance(data, monkeypatch):
                                                 data.y, inverse, patterns.shape[0], "iid")
                        for b in range(60)])
     designs = ar_mod._pattern_designs(patterns, LIN, LIN)
-    stats, clipped, ok = ar_mod._block(data, patterns, counts, designs, grid)
+    batch = ar_mod.fit_logit_batch
+    stats, clipped, ok = ar_mod._block(data, patterns, counts, designs, grid, batch)
     assert ok.any()
     for b in range(60):
-        alone = ar_mod._block(data, patterns, counts[b:b + 1], designs, grid)
+        alone = ar_mod._block(data, patterns, counts[b:b + 1], designs, grid, batch)
         assert alone[2][0] == ok[b]
         if ok[b]:
             assert np.array_equal(alone[0][0], stats[b]) and alone[1][0] == clipped[b]
     # and the engine's output does not depend on its block size
     want = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
-    sizes = []
-    real = ar_mod._block
-    monkeypatch.setattr(ar_mod, "_block",
-                        lambda d, p, c, *a: sizes.append(c.shape[0]) or real(d, p, c, *a))
-    # seven grid points on eight or six patterns: blocks of 17 or 23
+    sizes = record_batches(monkeypatch)
+    # seven grid points on eight case-control patterns: blocks of 17; the
+    # two design columns on six case-population patterns: blocks of 83
     monkeypatch.setattr(ar_mod, "_BLOCK_CELLS", 1000)
     got = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
-    assert sizes[0] in (17, 23) and sum(sizes) == 200
+    assert sizes[0] == (17 if data.design is D1 else 83) and sum(sizes[::3]) == 200
     assert np.array_equal(got[0].upper, want[0].upper)
     assert np.array_equal(got[1].mu_star, want[1].mu_star)
     assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
 
 
-def wide_data(n):
+def record_batches(monkeypatch):
+    """Patch the batched kernel to record the replicates of every call it
+    makes, three per block (stratum 0, stratum 1, the prospective fit)."""
+    sizes = []
+    real = ar_mod.fit_logit_batch
+    monkeypatch.setattr(ar_mod, "fit_logit_batch",
+                        lambda t, X, W: sizes.append(W.shape[0]) or real(t, X, W))
+    return sizes
+
+
+def wide_data(n, design=D1):
     # a continuous covariate: every row is its own pattern
     gen = RngSpec(11).derive("wide")
     x = np.linspace(-2.0, 2.0, n)
     y = bernoulli(gen, np.full(n, 0.5))
     t = bernoulli(gen, 1.0 / (1.0 + np.exp(-0.5 * x - 0.8 * y + 0.3)))
-    return ObservedDataset(y=y, t=t, x=x[:, None], design=D1)
+    return ObservedDataset(y=y, t=t, x=x[:, None], design=design)
 
 
-@pytest.mark.parametrize("n, pbar, batched", [(60, 1.0, True), (90, 1.0, False),
-                                              (90, 0.6, True)])
-def test_only_narrow_pattern_tables_are_batched(n, pbar, batched, monkeypatch):
-    # a replicate of n patterns on a 101- or 61-point grid holds n * 101 or
-    # n * 61 cells, so a block of _BLOCK_CELLS holds 21, 14 or 23 of them;
-    # below _MIN_BLOCK = 16 the batch would be slower than the loop
-    data = wide_data(n)
-    sizes = []
-    real = ar_mod._block
-    monkeypatch.setattr(ar_mod, "_block",
-                        lambda d, p, c, *a: sizes.append(c.shape[0]) or real(d, p, c, *a))
+@pytest.mark.parametrize("n, pbar, design, batched", [
+    (60, 1.0, D1, True), (90, 1.0, D1, False), (90, 0.6, D1, True), (90, 1.0, D2, True)],
+    ids=["60-1.0-True", "90-1.0-False", "90-0.6-True", "case-population-90-1.0-True"])
+def test_only_narrow_pattern_tables_are_batched(n, pbar, design, batched, monkeypatch):
+    # a case-control replicate of n patterns on a 101- or 61-point grid holds
+    # n * 101 or n * 61 cells, so a block of _BLOCK_CELLS holds 21, 14 or 23
+    # of them; below _MIN_BLOCK = 16 the batch would be slower than the loop.
+    # A case-population replicate has no grid axis: n * 2 cells, 728 a block
+    data = wide_data(n, design)
+    sizes = record_batches(monkeypatch)
     curve, diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
-    assert bool(sizes) is batched
+    blocks = sizes[::3]
+    assert bool(blocks) is batched
     if batched:
-        assert min(sizes[:-1]) >= ar_mod._MIN_BLOCK and sum(sizes) == 200
+        assert all(size >= ar_mod._MIN_BLOCK for size in blocks[:-1]) and sum(blocks) == 200
     monkeypatch.setattr(ar_mod, "_MIN_BLOCK", 10 ** 9)  # every table on the loop
     looped, looped_diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
     np.testing.assert_allclose(curve.upper, looped.upper, rtol=1e-12, atol=1e-12)
@@ -484,30 +506,32 @@ def test_bc_tie_counts_the_same_on_both_paths(monkeypatch):
         "stratified"), sample) for b in range(200))
     kwargs = dict(pbar=0.6, B=200, seed=7, step=0.05, resample_mode="stratified")
     batched, batched_diag = ar_curve(data, LIN, LIN, **kwargs)
-    real = ar_mod._block
+    real = ar_mod.fit_logit_batch
 
-    def no_block(*args, **kw):
-        stats, clipped, ok = real(*args, **kw)
-        return stats, clipped, np.zeros_like(ok)
+    def flag_every_row(t, X, W):
+        coef, ok = real(t, X, W)
+        return coef, np.zeros_like(ok)
 
-    monkeypatch.setattr(ar_mod, "_block", no_block)
+    monkeypatch.setattr(ar_mod, "fit_logit_batch", flag_every_row)
     looped, looped_diag = ar_curve(data, LIN, LIN, **kwargs)
     assert np.array_equal(batched_diag.mu_star, looped_diag.mu_star)
     np.testing.assert_allclose(batched.upper, looped.upper, rtol=1e-12, atol=1e-12)
     assert batched_diag.n_kept == looped_diag.n_kept
 
 
-def test_weighted_replicates_equal_expanded_rows_spline_case_population():
+def test_weighted_replicates_equal_expanded_rows_spline_case_population(monkeypatch):
     # the spline draw of the case-population benchmark: every row distinct,
     # knots per replicate, and replicates dropped on separation
     drawn = draw_mc_sample(mc_defaults(), RngSpec(20240501).derive("mc-replicate", 0))
     data = ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D2)
     rspec = BasisSpec((CubicSplineTerm(3),) + (Linear(),) * 4)
+    sizes = record_batches(monkeypatch)
     diag, _, n_batched = assert_replicates_match(data, BasisSpec.linear(5), rspec,
                                                  pbar=0.15, step=0.01, B=200, seed=1,
                                                  mode="iid")
     assert diag.n_dropped > 0 and diag.n_clipped_boot > 0
-    assert n_batched == 0  # a spline basis keeps every replicate on _replicate
+    # a spline basis keeps every replicate on _replicate
+    assert n_batched == 0 and sizes == []
 
 
 @pytest.mark.parametrize("h0", [None, 0.3])
@@ -516,12 +540,16 @@ def test_weighted_replicates_equal_expanded_rows_spline_case_population():
     (lambda pat: pat[:, 0] == 0.0, EmptyStratum),       # stratum y=1 lost
 ])
 def test_replicate_failures_match_expanded_rows(h0, kept, error):
+    # on the support, the lost stratum's fit fails with fit_logit's
+    # ValidationError, the parent class of EmptyStratum
+    replicate_error = ValidationError if error is EmptyStratum else error
     data = expand(COUNTS_D1, D1, h0)
     patterns, _ = ar_mod._patterns(data)
     counts = np.array([COUNTS_D1[(int(y), int(t), x)] for y, t, x in patterns])
     counts[~kept(patterns)] = 0
-    with pytest.raises(error):
+    with pytest.raises(replicate_error) as got:
         ar_mod._replicate(data, patterns, counts, LIN, LIN, p_grid(0.6, 0.1))
+    assert got.type is replicate_error and issubclass(error, replicate_error)
     rows = np.repeat(patterns, counts, axis=0)
     with pytest.raises(error):
         bdata = ObservedDataset(y=rows[:, 0].astype(int), t=rows[:, 1].astype(int),

@@ -6,6 +6,8 @@ from casebound import checks
 from casebound.checks import _Tally, check_population, render_report, run_identity_suite
 from casebound.errors import ValidationError
 from casebound.fixtures import top_income_population
+from casebound.oracle import random_population
+from casebound.rng import RngSpec
 
 
 def test_identity_suite_passes_on_small_run():
@@ -73,3 +75,20 @@ def test_suite_projects_each_population_once_per_design(monkeypatch):
     # 3 two-design families, 1 case-control family, 3 rare-disease scales, 1 MTS control
     assert len(keys) == n * (3 * 2 + 1 + 3 + 1)
     assert all(r.passed for r in results)
+
+
+def test_check_population_runs_every_exact_check_that_applies():
+    def names(results):
+        return " | ".join(r.name for r in results)
+
+    table = check_population(top_income_population())
+    assert all(r.passed for r in table)
+    assert "case-population AR bound is p times its slope" in names(table)
+    assert "Gamma decreasing in p" not in names(table)  # not unconfounded
+    pop = random_population(RngSpec(5).derive("pop-unconf-mtr", 0), n_cells=2,
+                            unconfounded=True, mtr=True, mts=True)
+    results = check_population(pop)
+    assert all(r.passed for r in results)
+    assert "Gamma decreasing in p" in names(results)
+    # the finite-difference slope check is not exact on an arbitrary population
+    assert "finite difference" not in names(results) + names(table)

@@ -187,6 +187,20 @@ def test_rr_missing_column_exits_2(runner, tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("n_bad, listed", [(3, "[0, 1, 2])"),
+                                           (12, "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]...)")])
+def test_dropped_rows_note_ellipsis_only_past_ten(runner, tmp_path, n_bad, listed):
+    path = tmp_path / "univ.csv"
+    write_university_csv(path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + ["1,"] * n_bad + rows) + "\n")
+    result = runner.invoke(main, [
+        "rr", "--input", str(path), "--design", "case-control",
+        "--y-col", "vsu", "--t-col", "private"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == f"note: dropped {n_bad} incomplete rows (indices {listed}\n"
+
+
 def test_rr_one_class_stratum_exits_2(runner, tmp_path):
     # no treated row among the controls: the stratum fit has one response class
     gen = RngSpec(32).derive("one-class")

@@ -210,13 +210,6 @@ def test_kappa_is_mean_exp_of_linear_predictor_gap():
             assert kappa == pytest.approx(float(np.mean(np.exp(lor))), rel=1e-14, abs=0)
 
 
-def test_weighted_fit_is_not_read_as_beta():
-    data = count_table("university_private_school").to_dataset(D1)
-    nuis = fit_nuisances(data, BasisSpec.empty(), counts=np.ones(data.n, dtype=np.intp))
-    with pytest.raises(ValidationError):
-        estimate_beta_combined(nuis, 1)
-
-
 def test_kappa_jensen_ordering():
     design = mc_defaults()
     rng = RngSpec(107)

@@ -40,13 +40,14 @@ from .oracle import (
     beta_aggregate,
     gamma,
     gamma_ar,
+    gamma_ar_formula,
     population_from_margins,
     project,
     r_case_prob,
+    r_formula,
     random_population,
     rare_disease_slope,
     upper_bound_ar,
-    xi_cp,
 )
 from .rng import RngSpec
 
@@ -260,12 +261,15 @@ def _check_aggregation_identity(cases) -> CheckResult:
 
 
 def _check_cp_bound_linear(cases) -> CheckResult:
+    # upper_bound_ar is p * xi_cp for these laws, so it is checked against
+    # the bound summed cell by cell, r(x, p) * Gamma_AR(x, 0), not its slope
     t = _Tally("case-population AR bound is p times its slope")
     for pop, laws in cases:
         law = laws[Design.CASE_POPULATION]
-        slope = xi_cp(law)
+        diff = gamma_ar_formula(law.pi[1, 0], law.pi[1, 1], 0.0)
         for p in (0.0, 0.25, 0.5, 1.0):
-            t.record(abs(upper_bound_ar(law, p) - p * slope), pop, 0)
+            cellwise = law.fxy[0] @ (r_formula(law.pyx, law.h0, p, law.design) * diff)
+            t.record(abs(upper_bound_ar(law, p) - cellwise), pop, 0)
     return t.result()
 
 

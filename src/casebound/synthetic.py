@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import CaseboundError, OverlapViolation, ValidationError
+from .errors import CaseboundError, ValidationError
 from .model import Design, ObservedDataset
-from .oracle import DiscretePopulation
+from .oracle import DiscretePopulation, project
 from .relative_risk import estimate_beta_combined, fit_nuisances
 from .rng import RngSpec, bernoulli, categorical, standard_normals
 from .special import expit, ndtri
@@ -114,33 +114,23 @@ def sample_from_population(pop: DiscretePopulation, design: Design, h0: float,
                            n: int, gen: np.random.Generator) -> ObservedDataset:
     """Bernoulli sampling from a finite population.
 
-    Y ~ Bernoulli(h0) first; given Y=y, (T, X) is drawn from the stratum law
-    the design prescribes (the case-population control stratum uses the
-    unconditional (T*, X*) law).
+    Y ~ Bernoulli(h0) first; given Y=y, (T, X) is drawn from stratum y of
+    the observed law `project(pop, design, h0)`, so the sample follows the
+    very law the bound formulas are checked against.  project refuses a
+    population without overlap and an h0 outside (0, 1) before any draw.
     """
-    if not pop.check_assumptions().overlap:
-        raise OverlapViolation("population violates overlap on some support cell")
-    if not 0.0 <= h0 <= 1.0:
-        raise ValidationError("h0 must lie in [0, 1]")
-    j = pop.joint_xty  # (cell, t, ystar)
-    weights = {1: j[:, :, 1] / j[:, :, 1].sum()}
-    if design is Design.CASE_CONTROL:
-        weights[0] = j[:, :, 0] / j[:, :, 0].sum()
-    else:
-        weights[0] = j.sum(axis=2)
+    law = project(pop, design, h0)
     y = bernoulli(gen, np.full(n, h0))
     t = np.zeros(n, dtype=np.int8)
     x = np.zeros((n, pop.support_x.shape[1]))
     for s in (0, 1):
         rows = np.flatnonzero(y == s)
-        if rows.size == 0:
-            continue
-        draws = categorical(gen, weights[s].ravel(), rows.size)
+        # the pmf in [cell, t] order, so divmod by 2 reads off (cell, t)
+        draws = categorical(gen, (law.fxy[s] * law.pi[:, s]).T.ravel(), rows.size)
         cells, treats = np.divmod(draws, 2)
         t[rows] = treats.astype(np.int8)
         x[rows] = pop.support_x[cells]
-    return ObservedDataset(y=y, t=t, x=x, design=design,
-                           h0=h0 if 0.0 < h0 < 1.0 else None)
+    return ObservedDataset(y=y, t=t, x=x, design=design, h0=h0)
 
 
 @dataclass(frozen=True)

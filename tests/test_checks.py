@@ -92,3 +92,21 @@ def test_check_population_runs_every_exact_check_that_applies():
     assert "Gamma decreasing in p" in names(results)
     # the finite-difference slope check is not exact on an arbitrary population
     assert "finite difference" not in names(results) + names(table)
+
+
+def test_cp_bound_check_catches_a_wrong_slope(monkeypatch):
+    # a slope without the (1 - h0)/h0 factor: the bound built cell by cell
+    # keeps the factor, so the check must fail
+    from casebound import oracle
+
+    def slope_without_factor(law):
+        q = law.pyx
+        diff = oracle.gamma_ar_formula(law.pi[1, 0], law.pi[1, 1], 0.0)
+        return float(law.fxy[0] @ (q / (1.0 - q) * diff))
+
+    monkeypatch.setattr(oracle, "xi_cp", slope_without_factor)
+    monkeypatch.setattr(checks, "xi_cp", slope_without_factor, raising=False)
+    pops = [random_population(RngSpec(5).derive("cp-slope", i)) for i in range(3)]
+    result = checks._check_cp_bound_linear(checks._cases(pops))
+    assert result.n_cases == 12
+    assert not result.passed

@@ -305,3 +305,11 @@ def test_band_validation():
         rr_band(_estimate(0.2, 0.1, 1), _estimate(0.1, 0.1, 0), 0.05, D1)
     with pytest.raises(ValidationError):
         rr_band(_estimate(0.1, 0.1, 1), None, 0.05, D2)
+
+
+def test_fit_nuisances_refuses_a_spec_for_other_covariates():
+    data = count_table("top_income_case_control").to_dataset(D1)
+    one_covariate = ObservedDataset(y=data.y, t=data.t, x=np.arange(data.n, dtype=float)[:, None],
+                                    design=D1)
+    with pytest.raises(ValidationError, match="spec covers 2 covariates but x has 1 columns"):
+        fit_nuisances(one_covariate, BasisSpec.linear(2))

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from casebound.errors import EmptyStratum, ValidationError
+from casebound.errors import OverlapViolation, ValidationError
 from casebound.fixtures import mc_defaults, top_income_population
 from casebound.model import Design
+from casebound.oracle import population_from_margins, project, random_population
 from casebound.rng import RngSpec, standard_normals
 from casebound.special import ndtri
 from casebound.synthetic import (
@@ -103,11 +106,55 @@ def test_sample_from_population_design2_proportions():
     assert abs(p_hat - target) < 3 * se
 
 
-def test_sample_h0_one_fails_downstream_validation():
-    pop = top_income_population()
-    with pytest.raises(EmptyStratum):
-        sample_from_population(pop, Design.CASE_CONTROL, 1.0, 50,
+@pytest.mark.parametrize("design", [Design.CASE_CONTROL, Design.CASE_POPULATION])
+def test_sample_from_population_follows_the_projected_stratum_law(design):
+    # (cell, t) frequencies of each stratum against law.fxy[s] * law.pi[:, s]
+    pop = random_population(RngSpec(11).derive("pop-sample-law"), n_cells=3)
+    law = project(pop, design, 0.5)
+    n = 40000
+    data = sample_from_population(pop, design, 0.5, n, RngSpec(12).derive("pop-sample", 3))
+    cells = data.x[:, 0].astype(int)
+    for s in (0, 1):
+        rows = data.stratum(s)
+        counts = np.zeros((2, pop.n_cells))
+        np.add.at(counts, (data.t[rows], cells[rows]), 1)
+        target = law.fxy[s] * law.pi[:, s]
+        se = np.sqrt(target * (1 - target) / rows.sum())
+        assert np.all(np.abs(counts / rows.sum() - target) < 4 * se)
+
+
+def test_sample_from_population_refuses_a_population_without_overlap():
+    pop = population_from_margins(pt=[0.0], q1=[0.4], q0=[0.2])
+    with pytest.raises(OverlapViolation):
+        sample_from_population(pop, Design.CASE_CONTROL, 0.5, 50,
                                RngSpec(7).derive("pop-sample", 2))
+
+
+@pytest.mark.parametrize("h0", [0.0, 1.0, 1.5])
+def test_sample_refuses_h0_outside_unit_interval_before_drawing(h0):
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"generator used: {name}")
+
+    with pytest.raises(ValidationError):
+        sample_from_population(top_income_population(), Design.CASE_CONTROL, h0, 50,
+                               NoDraws())
+
+
+def test_ar_cc_benchmark_input_stream_is_pinned():
+    # y, t, x bytes of the case-control draws the ar_cc benchmark reads,
+    # for its first four input seeds; any change to the sampler's stream
+    # changes this digest
+    pop = random_population(RngSpec(20240501).derive("accept-ar-pop"),
+                            n_cells=2, mtr=True, mts=True)
+    digest = hashlib.sha256()
+    for seed in range(4):
+        data = sample_from_population(pop, Design.CASE_CONTROL, 0.5, 2400,
+                                      RngSpec(seed).derive("perfbench-ar-cc"))
+        for arr, dtype in ((data.y, np.int8), (data.t, np.int8), (data.x, np.float64)):
+            digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert digest.hexdigest() == (
+        "89e14d9d0a814d732cf8662c696beec8d5c5c121fc4130b90ad330de9a739a2a")
 
 
 def test_run_mc_study_deterministic_and_sane():

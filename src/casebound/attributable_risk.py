@@ -14,9 +14,10 @@ bias-corrected percentile bootstrap: pointwise per p in the case-control
 design, and a single corrected limit scaled by p (hence uniform) in the
 case-population design.
 
-Every estimate is a read-out of one nuisance fit per data set,
+Every public estimate is a read-out of one nuisance fit per data set,
 `relative_risk.fit_nuisances` with both bases, and takes only that fit and
-its own index: the clipped fitted probabilities (`NuisanceFit.prospective`)
+its own index (`ar_curve` refits the sample as a bootstrap replicate, see
+below): the clipped fitted probabilities (`NuisanceFit.prospective`)
 enter r(x, p) * G_AR(x, p) through `oracle.ar_term_formula`, the same
 kernel the finite-population reference evaluates per cell.  Its
 convex-combination denominators make UB(0) = 0 and (case-control)
@@ -41,7 +42,12 @@ ValidationError (the expanded rows raise its subclass EmptyStratum); an
 estimated h0 is the counts-weighted share of cases; the clip count
 (`relative_risk.clip_probabilities`) weighs each row by its count.  A
 replicate that raises any CaseboundError is dropped and counted, as it
-would be on the expanded rows.
+would be on the expanded rows.  The sample itself is the replicate whose
+counts are the pattern multiplicities: `ar_curve` takes the point
+statistic and its clip count from `_replicate` with those counts.  Spline
+knots from them are the sample quantiles and the counts-weighted share of
+cases is the sample's, so this is the read-out of `fit_nuisances` on the
+rows up to rounding (1e-12 in the tests).
 
 Unless a basis has a spline term, the bases are the same for every
 replicate, so they are built once on the pattern table and `_block`
@@ -85,7 +91,7 @@ from .errors import (BootstrapDegenerate, CaseboundError, NuisanceProbabilityOut
 from .logit import fit_logit, fit_logit_batch
 from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
-from .relative_risk import NuisanceFit, clip_probabilities, design_columns, fit_nuisances, p_grid
+from .relative_risk import NuisanceFit, clip_probabilities, design_columns, p_grid
 from .rng import RngSpec, resample_indices
 from .special import expit, ndtr, ndtri
 
@@ -215,8 +221,14 @@ def _order_statistic(sorted_vals: np.ndarray, levels: np.ndarray) -> np.ndarray:
 def _patterns(data: ObservedDataset) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (y, t, x) rows of the sample, and the pattern of every row."""
     rows = np.column_stack([data.y, data.t, data.x])
-    patterns, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return patterns, inverse.reshape(-1)
+    # np.unique(rows, axis=0) without its structured sort: lexicographic
+    # order, y the first key, and a mark where each run of equal rows starts
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
 
 
 def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
@@ -311,7 +323,9 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
              resample_mode: str = "iid") -> tuple[ARCurve, BootstrapDiagnostics]:
     """Attributable-risk upper-bound curve with BC bootstrap limits.
 
-    The point estimate is read off one fit of the sample.  Replicate b
+    The point estimate is the replicate whose counts are the sample's
+    pattern multiplicities, refitted as every replicate is; a sample whose
+    fit fails raises before any draw.  Replicate b
     draws from the stream ("ar-bootstrap", b) the indices that resampling
     the rows would (i.i.d., or within each stratum) and refits the sample's
     distinct (y, t, x) rows with the drawn counts as frequency weights,
@@ -331,13 +345,13 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
         raise ValidationError(f"unknown resample mode {resample_mode!r}")
     rng = seed if isinstance(seed, RngSpec) else RngSpec(seed)
 
-    nuis = fit_nuisances(data, retrospective_spec, prospective_spec)
-    stat_hat = _fit_statistic(nuis, grid)  # the bootstrapped statistic at the sample
+    patterns, inverse = _patterns(data)
+    # the bootstrapped statistic at the sample, counts its multiplicities
+    stat_hat, n_clipped_point = _replicate(data, patterns, np.bincount(inverse),
+                                           prospective_spec, retrospective_spec, grid)
     cp = data.design is Design.CASE_POPULATION
     # the columns that can vary: xi, or the curve off its ends, 0 by construction
     varying = np.array([True]) if cp else (grid > 0.0) & (grid < 1.0)
-
-    patterns, inverse = _patterns(data)
     # a spline basis moves with each replicate's draw, so nothing is shared
     designs, size = None, 1
     specs = (retrospective_spec, prospective_spec)
@@ -399,6 +413,6 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     diag = BootstrapDiagnostics(mu_star=mu_star, nu_star=nu_star,
                                 resample_mode=resample_mode, n_requested=B,
                                 n_kept=n_kept, n_dropped=n_dropped,
-                                n_clipped_point=nuis.n_clipped,
+                                n_clipped_point=n_clipped_point,
                                 n_clipped_boot=n_clipped_boot)
     return curve, diag

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,7 +220,9 @@ def ingest_csv(path, schema: ColumnSchema, design: Design,
 
     y and t columns must contain literal 0/1; covariate columns are parsed
     as decimal reals.  Rows with any missing or unparsable covariate field
-    are rejected (never imputed) and reported by index.
+    are rejected (never imputed) and reported by index; blank lines are
+    skipped unreported.  A mapped column named twice in the header is
+    refused.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -232,10 +235,14 @@ def ingest_csv(path, schema: ColumnSchema, design: Design,
         for name in (schema.y, schema.t, *schema.x):
             if name not in header:
                 raise MissingColumn(f"column {name!r} not found in {path}")
+            if header.count(name) > 1:
+                raise ValidationError(f"column {name!r} appears more than once in {path}")
             col_idx[name] = header.index(name)
 
         ys, ts, xs, dropped = [], [], [], []
         for i, row in enumerate(reader):
+            if not row:  # a blank line is no record
+                continue
             try:
                 y = _parse_binary_field(row[col_idx[schema.y]])
                 t = _parse_binary_field(row[col_idx[schema.t]])
@@ -257,7 +264,7 @@ def ingest_csv(path, schema: ColumnSchema, design: Design,
                 except (IndexError, ValueError):
                     ok = False
                     break
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     ok = False
                     break
                 xrow.append(v)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casebound.attributable_risk as ar_mod
 from casebound.attributable_risk import (
@@ -273,15 +275,20 @@ def test_bootstrap_degenerate_raises(monkeypatch):
 
 def test_failed_replicates_dropped_and_counted(monkeypatch):
     data = expand(COUNTS_D1, D1)
-    real = ar_mod._block
+    real, real_replicate = ar_mod._block, ar_mod._replicate
+    multiplicities = np.bincount(ar_mod._patterns(data)[1])
 
-    def flaky_block(*args, **kwargs):
-        stats, clipped, ok = real(*args, **kwargs)
-        ok = ok.copy()
-        ok[[2, 3, 4]] = False  # three replicates leave the common path
+    def flaky_block(*args):
+        stats, clipped, ok = real(*args)
+        if args[-1] is ar_mod.fit_logit_batch:  # the bootstrap's block, not a lone refit
+            ok = ok.copy()
+            ok[[2, 3, 4]] = False  # three replicates leave the common path
         return stats, clipped, ok
 
-    def failing_replicate(*args, **kwargs):
+    def failing_replicate(data, patterns, counts, *args):
+        # the sample is the replicate whose counts are its multiplicities
+        if np.array_equal(counts, multiplicities):
+            return real_replicate(data, patterns, counts, *args)
         raise SeparationDetected("synthetic failure")
 
     monkeypatch.setattr(ar_mod, "_block", flaky_block)
@@ -556,3 +563,115 @@ def test_replicate_failures_match_expanded_rows(h0, kept, error):
                                 x=rows[:, 2:], design=D1,
                                 h0=None if data.h0_estimated else data.h0)
         fit_nuisances(bdata, LIN, LIN)
+
+
+# --- the sample as the replicate whose counts are its multiplicities ---------
+
+
+def ar_cc_input():
+    # the input of the ar_cc benchmark workload at seed 1: 2400 rows, 8 patterns
+    pop = random_population(RngSpec(20240501).derive("accept-ar-pop"), n_cells=2,
+                            mtr=True, mts=True)
+    drawn = sample_from_population(pop, D1, 0.5, 2400, RngSpec(1).derive("perfbench-ar-cc"))
+    return ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D1, h0=0.5)
+
+
+SPLINE5 = BasisSpec((CubicSplineTerm(3),) + (Linear(),) * 4)
+
+
+def spline_draw(seed):
+    # an n = 2000 draw of the MC design read as case-population data; seed
+    # 20240501 is the ar_cp_spline benchmark input
+    drawn = draw_mc_sample(mc_defaults(), RngSpec(seed).derive("mc-replicate", 0))
+    return ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D2)
+
+
+@pytest.mark.parametrize("make, pspec, rspec, pbar", [
+    (lambda: expand(COUNTS_D1, D1), LIN, LIN, 0.6),
+    (lambda: expand(COUNTS_D1, D1, 0.3), LIN, LIN, 0.6),
+    (lambda: expand(COUNTS_D1, D2), LIN, LIN, 0.3),
+    (lambda: expand(COUNTS_D1, D2, 0.3), LIN, LIN, 0.3),
+    (ar_cc_input, LIN, LIN, 0.6),
+    (lambda: spline_draw(20240501), BasisSpec.linear(5), SPLINE5, 0.15),
+], ids=["d1", "d1-h0", "d2", "d2-h0", "ar_cc", "ar_cp_spline"])
+def test_point_equals_the_row_wise_read_out(make, pspec, rspec, pbar):
+    data = make()
+    curve, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=200, seed=4)
+    nuis = fit_nuisances(data, rspec, pspec)
+    want = np.clip(upper_bound_curve_values(nuis, curve.p), 0.0, 1.0)
+    np.testing.assert_allclose(curve.point, want, rtol=1e-12, atol=1e-12)
+    assert diag.n_clipped_point == nuis.n_clipped
+
+
+def test_sample_fit_fails_as_the_rows_fail(monkeypatch):
+    # forty spline draws: the sample's refit on its pattern table raises
+    # exactly where the row-wise nuisance fit does, and the same class
+    grid = p_grid(0.15, 0.01)
+    pspec = BasisSpec.linear(5)
+    separated = []
+    for s in range(40):
+        data = spline_draw(s)
+        patterns, inverse = ar_mod._patterns(data)
+        try:
+            fit_nuisances(data, SPLINE5, pspec)
+        except CaseboundError as exc:
+            with pytest.raises(CaseboundError) as got:
+                ar_mod._replicate(data, patterns, np.bincount(inverse), pspec, SPLINE5, grid)
+            assert got.type is type(exc)
+            separated.append((s, type(exc)))
+            continue
+        ar_mod._replicate(data, patterns, np.bincount(inverse), pspec, SPLINE5, grid)
+    assert separated == [(1, SeparationDetected)]
+    draws = []
+    monkeypatch.setattr(ar_mod, "_replicate_counts", lambda *a: draws.append(1))
+    with pytest.raises(SeparationDetected):
+        ar_curve(spline_draw(1), pspec, SPLINE5, pbar=0.15, B=200, seed=0)
+    assert draws == []
+
+
+def assert_patterns_are_unique_rows(data):
+    rows = np.column_stack([data.y, data.t, data.x])
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    patterns, inverse = ar_mod._patterns(data)
+    assert np.array_equal(patterns, want) and np.array_equal(inverse, want_inverse.ravel())
+    assert np.array_equal(patterns[inverse], rows)
+
+
+@pytest.mark.parametrize("make", [ar_cc_input, lambda: spline_draw(20240501),
+                                  lambda: fragile_data(D1)],
+                         ids=["ar_cc", "ar_cp_spline", "fragile"])
+def test_patterns_equal_unique_rows(make):
+    assert_patterns_are_unique_rows(make())
+
+
+@st.composite
+def repeated_rows(draw):
+    k = draw(st.integers(0, 2))
+    row = st.tuples(st.integers(0, 1), st.integers(0, 1),
+                    st.tuples(*[st.sampled_from([-1.5, 0.0, 0.25, 2.0])] * k))
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = [(0, 0, (0.0,) * k), (1, 1, (0.0,) * k)] + draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return rows, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_rows())
+def test_patterns_equal_unique_rows_on_repeated_rows(table):
+    rows, k = table
+    data = ObservedDataset(y=np.array([r[0] for r in rows]), t=np.array([r[1] for r in rows]),
+                           x=np.array([r[2] for r in rows], dtype=float).reshape(len(rows), k),
+                           design=D1)
+    assert_patterns_are_unique_rows(data)
+
+
+def test_patterns_merge_signed_zeros():
+    # -0.0 == 0.0, so both signs are one pattern, as in np.unique; which sign
+    # stands for it is not specified, so the rows are compared by value
+    data = ObservedDataset(y=np.array([0, 1, 0, 1]), t=np.array([1, 0, 1, 0]),
+                           x=np.array([[-0.0], [0.0], [0.0], [-0.0]]), design=D1)
+    patterns, inverse = ar_mod._patterns(data)
+    want, want_inverse = np.unique(np.column_stack([data.y, data.t, data.x]), axis=0,
+                                   return_inverse=True)
+    assert patterns.shape == (2, 3) and (patterns == want).all()
+    assert np.array_equal(inverse, want_inverse.ravel()) and list(inverse) == [0, 1, 0, 1]

@@ -137,11 +137,12 @@ def test_bad_grid_step_exits_2(runner, tmp_path, command, step):
 
 @pytest.mark.parametrize("command", ["rr", "ar"])
 def test_too_fine_grid_step_exits_2(runner, tmp_path, command, monkeypatch):
-    # the grid is refused before any fit runs
+    # the grid is refused before any fit runs; every ar fit, the sample's
+    # included, goes through attributable_risk.fit_logit
     fits = []
-    for module in (cli_mod, attributable_risk):
-        real = module.fit_nuisances
-        monkeypatch.setattr(module, "fit_nuisances",
+    for module, name in ((cli_mod, "fit_nuisances"), (attributable_risk, "fit_logit")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *a, real=real, **k: fits.append(1) or real(*a, **k))
     path = write_university_csv(tmp_path / "univ.csv")
     result = runner.invoke(main, [
@@ -199,6 +200,31 @@ def test_dropped_rows_note_ellipsis_only_past_ten(runner, tmp_path, n_bad, liste
         "--y-col", "vsu", "--t-col", "private"])
     assert result.exit_code == 0, result.output
     assert result.stderr == f"note: dropped {n_bad} incomplete rows (indices {listed}\n"
+
+
+def test_duplicated_mapped_column_exits_2(runner, tmp_path):
+    # a header naming x1 twice: neither copy may be read silently
+    path = tmp_path / "dup.csv"
+    write_case_population_csv(path, n=200)
+    header, *rows = path.read_text().splitlines()
+    assert header == "y,t,x1"
+    path.write_text("\n".join(["y,t,x1,x1"] + [f"{row},0.5" for row in rows]) + "\n")
+    result = runner.invoke(main, [
+        "ar", "--input", str(path), "--design", "case-population",
+        "--y-col", "y", "--t-col", "t", "--x-cols", "x1", "--h0", "0.3"])
+    _assert_one_error_line(result)
+    assert "column 'x1' appears more than once" in result.output
+
+
+def test_trailing_blank_line_is_not_a_dropped_row(runner, tmp_path):
+    path = tmp_path / "univ.csv"
+    write_university_csv(path)
+    path.write_text(path.read_text() + "\n")
+    result = runner.invoke(main, [
+        "rr", "--input", str(path), "--design", "case-control",
+        "--y-col", "vsu", "--t-col", "private"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
 
 
 def test_rr_one_class_stratum_exits_2(runner, tmp_path):

@@ -153,6 +153,27 @@ def test_ingest_drops_incomplete_rows_and_reports_indices(tmp_path):
     assert report.dropped_rows == (1, 3, 4)
 
 
+def test_ingest_skips_blank_lines_without_moving_indices(tmp_path):
+    # a blank line is no record: it is not reported, but it keeps its index,
+    # so the rows after it are reported where the reader counted them
+    text = "y,t,x\n1,0,1.5\n\n0,1,\n0,1,2.0\n1,1,0.5\n\n"
+    path = _write(tmp_path / "blank.csv", text)
+    data, report = ingest_csv(path, ColumnSchema(y="y", t="t", x=("x",)),
+                              Design.CASE_CONTROL)
+    assert data.n == 3
+    assert report.dropped_rows == (2,)
+
+
+def test_ingest_refuses_a_mapped_column_named_twice(tmp_path):
+    path = _write(tmp_path / "dup.csv", "y,t,x1,x1\n1,0,1.0,2.0\n0,1,3.0,4.0\n")
+    with pytest.raises(ValidationError, match="'x1' appears more than once"):
+        ingest_csv(path, ColumnSchema(y="y", t="t", x=("x1",)), Design.CASE_CONTROL)
+    # a repeated column the schema does not map is never read
+    path = _write(tmp_path / "other.csv", "y,t,z,z\n1,0,a,b\n0,1,c,d\n")
+    data, _ = ingest_csv(path, ColumnSchema(y="y", t="t"), Design.CASE_CONTROL)
+    assert data.n == 2
+
+
 def test_ingest_error_cases(tmp_path):
     path = _write(tmp_path / "a.csv", "y,t\n1,0\n0,1\n")
     with pytest.raises(MissingColumn):

@@ -111,17 +111,30 @@ def _load_dataset(input_path, design, y_col, t_col, x_cols, h0):
 def _emit(doc: dict, text: str, fmt: str) -> None:
     if fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, **doc}
-        click.echo(json.dumps(doc, indent=2, default=_jsonable))
+        click.echo(json.dumps(_jsonable(doc), indent=2, allow_nan=False))
     else:
         click.echo(text)
 
 
 def _jsonable(obj):
+    """obj in JSON's types; JSON has no infinity, so a non-finite float is null."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return np.where(np.isfinite(obj), obj, None).tolist()
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _exp(value: float) -> float:
+    """exp(value), or +inf where it overflows."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
 
 
 def _write_grid(path: pathlib.Path, header: list[str], rows) -> None:
@@ -258,13 +271,13 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
                 f"stratum y={y}:",
                 f"  beta({y})            {est.value:10.4f}   (se {est.se:.4f})",
                 f"  {100 * (1 - alpha):.0f}% CI            [0, {max(ub_log, 0.0):.4f}]",
-                f"  exp[beta({y})]       {math.exp(est.value):10.4f}",
-                f"  {100 * (1 - alpha):.0f}% CI            [1, {math.exp(max(ub_log, 0.0)):.4f}]",
+                f"  exp[beta({y})]       {_exp(est.value):10.4f}",
+                f"  {100 * (1 - alpha):.0f}% CI            [1, {_exp(max(ub_log, 0.0)):.4f}]",
             ]
             report[f"beta{y}"] = {"value": est.value, "se": est.se,
                                   "ci_log": [0.0, max(ub_log, 0.0)],
-                                  "exp_value": math.exp(est.value),
-                                  "ci_level": [1.0, math.exp(max(ub_log, 0.0))]}
+                                  "exp_value": _exp(est.value),
+                                  "ci_level": [1.0, _exp(max(ub_log, 0.0))]}
         if out is not None:
             outdir = _out_dir(out)
             _write_grid(outdir / "rr_band.csv", ["p", "point", "lower", "upper"],
@@ -343,10 +356,7 @@ def oracle(seed, populations, population_path, strict, fmt):
             results = run_identity_suite(seed=seed, n_populations=populations)
         _emit({"command": "oracle",
                "results": [{"name": r.name, "cases": r.n_cases,
-                            "failures": r.n_failures,
-                            # JSON has no infinity; a non-finite error reads null
-                            "worst_error": (r.worst_error if math.isfinite(r.worst_error)
-                                            else None)}
+                            "failures": r.n_failures, "worst_error": r.worst_error}
                            for r in results]},
               render_report(results), fmt)
         if strict and any(not r.passed for r in results):
@@ -378,10 +388,10 @@ def mc(replications, seed, estimators, out, fmt):
         if out is not None:
             outdir = _out_dir(out)
             with open(outdir / "mc_summary.json", "w") as fh:
-                json.dump({"schema_version": SCHEMA_VERSION, "seed": seed,
-                           "replications": replications,
-                           "cells": [c.__dict__ for c in result.cells]},
-                          fh, indent=2, default=_jsonable)
+                json.dump(_jsonable({"schema_version": SCHEMA_VERSION, "seed": seed,
+                                     "replications": replications,
+                                     "cells": [c.__dict__ for c in result.cells]}),
+                          fh, indent=2, allow_nan=False)
             lines.append(f"summary written to {outdir / 'mc_summary.json'}")
         _emit({"command": "mc", "seed": seed, "replications": replications,
                "cells": [c.__dict__ for c in result.cells]}, "\n".join(lines), fmt)

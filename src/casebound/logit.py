@@ -10,19 +10,25 @@ estimate.  Separation is refused only as far as the coefficients show it:
 DEFAULT_SEPARATION_BOUND (250), so a separated fit whose coefficients stop
 below that comes back converged (ROADMAP item 2).
 
-One Newton loop, `_newton`, fits one design under a stack of weight rows.
-Each row halves its own steps and leaves with its own status: ok, or the
-reason `fit_logit` would raise (`_FAILURES`).  The information (X' * sw) @ X,
-the gradient and the linear predictor are stacked products, one BLAS call
-per row, so a row's fit does not depend on which rows share the call.
-`fit_logit` is the loop on one row, `fit_logit_batch` on many (bootstrap
-replicates).  The Cholesky test, the step and the covariance are the LAPACK
-gufuncs behind ``numpy.linalg.cholesky``, ``solve`` and ``inv``, called
-directly to skip about 7 us of checks per call (2-core x86 VM).  A failed gufunc
-returns NaN, and the loop runs under ``np.errstate(over="ignore",
-invalid="ignore")``: information that is not positive definite, or a
-non-finite gradient, information or step (a huge covariate can overflow
-X'WX), fails the row as `Singular`, the only error a caller sees.
+One check, `_checked`, raises what no weight row can be fitted on: lengths
+that differ, a non-binary response, negative or non-finite weights, a
+non-finite design.  One Newton loop, `_newton`, fits one design under a
+stack of weight rows and gives every other refusal as a row status, the
+reason `fit_logit` would raise (`_FAILURES`): one response class or total
+weight <= J, set before the loop so that only the other rows iterate, then
+separation, a failed factorisation or step, or no convergence.  The front
+ends differ only in raising a status (`fit_logit`, one row) or flagging it
+(`fit_logit_batch`, bootstrap replicates) and in PIVOT_FLOOR.  Each row
+halves its own steps; the information (X' * sw) @ X, the gradient and the
+linear predictor are stacked products, one BLAS call per row, so a row's
+fit does not depend on which rows share the call.  The Cholesky test, the
+step and the covariance are the LAPACK gufuncs behind
+``numpy.linalg.cholesky``, ``solve`` and ``inv``, called directly to skip
+about 7 us of checks per call (2-core x86 VM).  A failed gufunc returns NaN,
+and the loop runs under ``np.errstate(over="ignore", invalid="ignore")``:
+information that is not positive definite, or a non-finite gradient,
+information or step (a huge covariate can overflow X'WX), fails the row as
+`Singular`.
 
 `PIVOT_FLOOR` decides only whether a batched row stays on the common path:
 it is ok only when every Cholesky pivot of its information at the optimum
@@ -52,17 +58,18 @@ PIVOT_FLOOR = 1e-6
 
 # a row's status: 0 once converged, else an index into _FAILURES, the
 # exception fit_logit raises for that reason
-_FAILURES = (None, (Singular, "observed information is not finite"),
+_FAILURES = (None, (SeparationDetected,
+                    f"coefficients exceeded {DEFAULT_SEPARATION_BOUND:g}; data look separated"),
+             (Singular, "observed information is not finite"),
              (Singular, "gradient is not finite"),
              (Singular, "observed information is not invertible"),
              (Singular, "Newton step is not finite"),
-             (SeparationDetected,
-              f"coefficients exceeded {DEFAULT_SEPARATION_BOUND:g}; data look separated"),
              (NotConverged, f"no convergence in {DEFAULT_MAX_ITER} Newton iterations"),
-             (ValidationError, "need both response classes and total weight > J"))
-_INFO, _GRAD, _NOT_PD, _STEP, _SEPARATED, _NOT_CONVERGED, _INVALID = range(1, 8)
+             (ValidationError, "both response classes must be present"),
+             (ValidationError, "need total weight > J"))
+_SEPARATED, _INFO, _GRAD, _NOT_PD, _STEP, _NOT_CONVERGED, _ONE_CLASS, _TOO_FEW = range(1, 9)
 # a row's status before a step, by the first test it fails in order; -1 stays
-_LEAVE_CODES = np.array([_INFO, _GRAD, _NOT_PD, 0, _STEP, -1], dtype=np.int8)
+_LEAVE_CODES = np.array([_SEPARATED, _INFO, _GRAD, _NOT_PD, 0, _STEP, -1], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -93,20 +100,48 @@ def _loglik(eta: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w * (t * eta - np.logaddexp(0.0, eta))).sum(axis=-1)
 
 
+def _separated(b: np.ndarray) -> np.ndarray:
+    # the separation rule, on each row of coefficients
+    return abs(b).max(axis=1) > DEFAULT_SEPARATION_BOUND
+
+
+def _checked(response, X, W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """response, the (n, k) design X (intercept included) and the (m, n) weight
+    rows W as float arrays, or the ValidationError both front ends raise."""
+    t, X, W = (np.asarray(a, dtype=float) for a in (response, X, W))
+    if X.ndim != 2 or t.shape != X.shape[:1] or W.ndim != 2 or W.shape[1] != X.shape[0]:
+        raise ValidationError("response, design and weight rows differ in length")
+    if not ((t == 0) | (t == 1)).all():
+        raise ValidationError("response must be binary")
+    if (W < 0).any() or not np.isfinite(W).all():
+        raise ValidationError("weights must be nonnegative finite, one per row")
+    if not np.isfinite(X).all():
+        raise ValidationError("design contains non-finite values")
+    return t, X, W
+
+
 def _newton(t: np.ndarray, X: np.ndarray, W: np.ndarray):
-    """Fits of the binary t on the (n, k) design X (intercept included) under
-    each row of the (m, n) weights W, each with both classes and total weight
-    > k - 1: the (m, k) coefficients, (m,) statuses, and the information,
-    log-likelihood and Newton steps at the optimum, valid where the status
-    is 0.  A fit converges once max|gradient| <= DEFAULT_TOL_SCALE * total
-    weight and one polish step has run."""
+    """Fits of the checked binary t on the (n, k) design X (intercept
+    included) under each row of the (m, n) weights W: the (m, k)
+    coefficients, (m,) statuses, and the information, log-likelihood and
+    Newton steps at the optimum, valid where the status is 0.  A fit
+    converges once max|gradient| <= DEFAULT_TOL_SCALE * total weight and one
+    polish step has run."""
     m, k = W.shape[0], X.shape[1]
     coef, info_at = np.zeros((m, k)), np.zeros((m, k, k))
     ll_at, steps, status = np.zeros(m), np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.int8)
-    t, rows = t[None], np.arange(m)  # t as a row: one fit's products do not broadcast
-    w, b, eta = W, np.zeros((m, k)), np.zeros(W.shape)
-    ll = _loglik(eta, t, w)
-    tol, polished = DEFAULT_TOL_SCALE * W.sum(axis=1), np.zeros(m, dtype=bool)
+    total, pos = W.sum(axis=1), (W * t).sum(axis=1)
+    status[total <= k - 1] = _TOO_FEW
+    status[(pos <= 0) | (pos >= total)] = _ONE_CLASS
+    rows, w, tol = np.arange(m), W, DEFAULT_TOL_SCALE * total
+    if np.count_nonzero(status):  # copy only when some row is refused
+        rows = np.flatnonzero(status == 0)
+        if not rows.size:
+            return coef, status, info_at, ll_at, steps
+        w, tol = W[rows], tol[rows]
+    t = t[None]  # t as a row: one fit's products do not broadcast
+    b, eta = np.zeros((rows.size, k)), np.zeros(w.shape)
+    ll, polished = _loglik(eta, t, w), np.zeros(rows.size, dtype=bool)
     Xt = np.ascontiguousarray(X.T)
     # overflows and failed gufuncs are caught by the finiteness test, and
     # count_nonzero is the cheapest test of a mask
@@ -124,13 +159,16 @@ def _newton(t: np.ndarray, X: np.ndarray, W: np.ndarray):
             # a failed factor is NaN, a non-finite information or gradient entry
             # leaves one in the factor or the step; the exact tests clear overflows
             bad = ~np.isfinite(factor.sum(axis=(1, 2)) + step.sum(axis=1))
+            # one scalar max spares the row-wise test while no row is separated
+            if abs(b).max() > DEFAULT_SEPARATION_BOUND:
+                bad |= _separated(b)
             leave = done | bad
             if np.count_nonzero(leave):
                 if np.count_nonzero(bad):
                     code = _LEAVE_CODES[np.array([
-                        ~np.isfinite(info).all(axis=(1, 2)), ~np.isfinite(grad).all(axis=1),
-                        np.isnan(factor[:, -1, -1]), done, ~np.isfinite(step).all(axis=1),
-                        np.ones_like(done)]).argmax(axis=0)]
+                        _separated(b), ~np.isfinite(info).all(axis=(1, 2)),
+                        ~np.isfinite(grad).all(axis=1), np.isnan(factor[:, -1, -1]), done,
+                        ~np.isfinite(step).all(axis=1), np.ones_like(done)]).argmax(axis=0)]
                     leave = code >= 0
                     status[rows[leave]] = code[leave]
                 out = rows[leave]
@@ -158,15 +196,9 @@ def _newton(t: np.ndarray, X: np.ndarray, W: np.ndarray):
                     ll_c[h] = _loglik(eta_c[h], t, w[h])
                     short[h] = ~(ll_c[h] >= least[h])
             b, eta, ll = cand, eta_c, ll_c
-            if abs(b).max() > DEFAULT_SEPARATION_BOUND:
-                sep = abs(b).max(axis=1) > DEFAULT_SEPARATION_BOUND
-                status[rows[sep]] = _SEPARATED
-                if sep.all():
-                    break
-                rows, w, tol, b, eta, ll, polished = (
-                    a[~sep] for a in (rows, w, tol, b, eta, ll, polished))
         else:
-            status[rows] = _NOT_CONVERGED
+            # no loop top follows the last step, so its separation is read here
+            status[rows] = np.where(_separated(b), _SEPARATED, _NOT_CONVERGED)
     return coef, status, info_at, ll_at, steps
 
 
@@ -186,31 +218,12 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     (a separated fit that converges below it is returned).  The result is
     a deterministic function of the inputs.
     """
-    t = np.asarray(response, dtype=float)
     design = np.asarray(design, dtype=float)
     if design.ndim == 1:
         design = design[:, None]
-    n = t.shape[0]
-    if design.shape[0] != n:
-        raise ValidationError("response and design row counts differ")
-    if not ((t == 0) | (t == 1)).all():
-        raise ValidationError("response must be binary")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != t.shape or (w < 0).any() or not np.isfinite(w).all():
-            raise ValidationError("weights must be nonnegative finite, one per row")
-    wt_total, pos = float(w.sum()), float((w * t).sum())
-    if pos <= 0 or pos >= wt_total:
-        raise ValidationError("both response classes must be present")
-    if wt_total <= design.shape[1]:
-        raise ValidationError(f"need n > J ({wt_total} rows, J={design.shape[1]})")
-    X = np.column_stack([np.ones(n), design])
-    if not np.isfinite(X).all():
-        raise ValidationError("design contains non-finite values")
-
-    coef, status, info, ll, steps = _newton(t, X, w[None])
+    X = np.column_stack([np.ones(design.shape[0]), design])
+    W = np.ones((1, X.shape[0])) if weights is None else np.asarray(weights, dtype=float)[None]
+    coef, status, info, ll, steps = _newton(*_checked(response, X, W))
     if status[0]:
         exc, message = _FAILURES[status[0]]
         raise exc(message)
@@ -222,24 +235,6 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
                     loglik=float(ll[0]))
 
 
-def _fit_rows(t: np.ndarray, X: np.ndarray, W: np.ndarray):
-    """`fit_logit_batch` on checked arrays, with each row's status (_INVALID
-    where fit_logit refuses the input) between the coefficients and ok."""
-    m, k = W.shape[0], X.shape[1]
-    wt_total, pos = W.sum(axis=1), (W * t).sum(axis=1)
-    rows = np.flatnonzero((pos > 0) & (pos < wt_total) & (wt_total > k - 1)
-                          & np.isfinite(X).all())
-    coef, info = np.zeros((m, k)), np.zeros((m, k, k))
-    status = np.full(m, _INVALID, dtype=np.int8)
-    if rows.size:
-        coef[rows], status[rows], info[rows] = _newton(t, X, W[rows])[:3]
-    ok = status == 0
-    pivots = np.diagonal(_linalg.cholesky_lo(info[ok]), axis1=1, axis2=2) ** 2
-    ok[ok] = (pivots > PIVOT_FLOOR * np.diagonal(info[ok], axis1=1, axis2=2)).all(axis=1)
-    coef[~ok] = 0.0
-    return coef, status, ok
-
-
 def fit_logit_batch(response: np.ndarray, X: np.ndarray,
                     W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`fit_logit` of one response on the (n, k) design X, intercept column
@@ -248,15 +243,11 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray,
     a (B,) mask `ok`: True where `fit_logit` would converge and every
     Cholesky pivot of the information at the optimum clears PIVOT_FLOOR
     times its diagonal, which a column constant on the row's support does
-    not.  A row that is not ok has zero coefficients; nothing is raised for
-    a single fit."""
-    t, X, W = (np.asarray(a, dtype=float) for a in (response, X, W))
-    n, _ = X.shape
-    if t.shape != (n,) or W.ndim != 2 or W.shape[1] != n:
-        raise ValidationError("response, design and weight rows differ in length")
-    if not ((t == 0) | (t == 1)).all():
-        raise ValidationError("response must be binary")
-    if (W < 0).any() or not np.isfinite(W).all():
-        raise ValidationError("weights must be nonnegative finite, one per row")
-    coef, _, ok = _fit_rows(t, X, W)
+    not.  A row that is not ok has zero coefficients.  Only `_checked`'s
+    input refusals, a non-finite design among them, raise."""
+    coef, status, info = _newton(*_checked(response, X, W))[:3]
+    ok = status == 0
+    pivots = np.diagonal(_linalg.cholesky_lo(info[ok]), axis1=1, axis2=2) ** 2
+    ok[ok] = (pivots > PIVOT_FLOOR * np.diagonal(info[ok], axis1=1, axis2=2)).all(axis=1)
+    coef[~ok] = 0.0
     return coef, ok

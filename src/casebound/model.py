@@ -214,6 +214,26 @@ def _parse_binary_field(raw: str) -> int | None:
     raise NonBinaryOutcome(f"expected literal 0/1, got {raw!r}")
 
 
+def _parse_record(row: list[str], ycol: int, tcol: int, xcols: list[int]) -> tuple | None:
+    """(y, t, covariates) of one CSV row, or None to drop it: a field is
+    missing, y or t is blank, or a covariate is not a finite decimal real."""
+    try:
+        y, t = _parse_binary_field(row[ycol]), _parse_binary_field(row[tcol])
+        if y is None or t is None:
+            return None
+        xrow = []
+        for c in xcols:
+            v = float(row[c])
+            if not math.isfinite(v):
+                return None
+            xrow.append(v)
+    except NonBinaryOutcome:  # a ValueError, but refused rather than dropped
+        raise
+    except (IndexError, ValueError):
+        return None
+    return y, t, xrow
+
+
 def ingest_csv(path, schema: ColumnSchema, design: Design,
                h0: float | None = None) -> tuple[ObservedDataset, IngestReport]:
     """Read a header-first CSV into a validated dataset.
@@ -222,61 +242,36 @@ def ingest_csv(path, schema: ColumnSchema, design: Design,
     as decimal reals.  Rows with any missing or unparsable covariate field
     are rejected (never imputed) and reported by index; blank lines are
     skipped unreported.  A mapped column named twice in the header is
-    refused.
+    refused.  A UTF-8 byte-order mark, as spreadsheets write, is skipped.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        col_idx = {}
+        cols = []
         for name in (schema.y, schema.t, *schema.x):
             if name not in header:
                 raise MissingColumn(f"column {name!r} not found in {path}")
             if header.count(name) > 1:
                 raise ValidationError(f"column {name!r} appears more than once in {path}")
-            col_idx[name] = header.index(name)
+            cols.append(header.index(name))
 
-        ys, ts, xs, dropped = [], [], [], []
+        ycol, tcol, *xcols = cols
+        records, dropped = [], []
         for i, row in enumerate(reader):
-            if not row:  # a blank line is no record
-                continue
-            try:
-                y = _parse_binary_field(row[col_idx[schema.y]])
-                t = _parse_binary_field(row[col_idx[schema.t]])
-            except IndexError:
-                dropped.append(i)
-                continue
-            if y is None or t is None:
-                dropped.append(i)
-                continue
-            xrow = []
-            ok = True
-            for name in schema.x:
-                try:
-                    raw = row[col_idx[name]].strip()
-                    if raw == "":
-                        ok = False
-                        break
-                    v = float(raw)
-                except (IndexError, ValueError):
-                    ok = False
-                    break
-                if not math.isfinite(v):
-                    ok = False
-                    break
-                xrow.append(v)
-            if not ok:
-                dropped.append(i)
-                continue
-            ys.append(y)
-            ts.append(t)
-            xs.append(xrow)
+            if row:  # a blank line is no record
+                record = _parse_record(row, ycol, tcol, xcols)
+                if record is None:
+                    dropped.append(i)
+                else:
+                    records.append(record)
 
-    if not ys:
+    if not records:
         raise EmptyStratum(f"{path}: no valid rows after ingestion")
+    ys, ts, xs = zip(*records)
     x = np.asarray(xs, dtype=float).reshape(len(ys), len(schema.x))
     data = ObservedDataset(y=np.asarray(ys), t=np.asarray(ts), x=x,
                            design=design, h0=h0)

@@ -265,7 +265,8 @@ def rr_band(beta0: BetaEstimate, beta1: BetaEstimate | None, alpha: float,
     else:
         u = float(ndtri(1.0 - alpha) * beta0.se)
         log_point = np.full_like(grid, beta0.value)
-    point = np.maximum(np.exp(log_point), 1.0)
-    upper = np.maximum(np.exp(log_point + u), 1.0)
+    with np.errstate(over="ignore"):  # an overflowed limit is +inf
+        point = np.maximum(np.exp(log_point), 1.0)
+        upper = np.maximum(np.exp(log_point + u), 1.0)
     return RRBand(p=grid, point=point, lower=np.ones_like(grid), upper=upper,
                   alpha=alpha, design=design, halfwidth=u)

@@ -183,6 +183,8 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
     """
     if replications < 100:
         raise ValidationError("use at least 100 replications")
+    if not estimators:
+        raise ValidationError("name at least one estimator")
     unknown = set(estimators) - set(_SPEC_BUILDERS)
     if unknown:
         raise ValidationError(f"unknown estimators: {sorted(unknown)}")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -243,6 +244,39 @@ def test_rr_one_class_stratum_exits_2(runner, tmp_path):
     assert "both response classes must be present" in result.output
 
 
+def test_rr_reads_a_utf8_byte_order_mark(runner, tmp_path):
+    plain = pathlib.Path(write_university_csv(tmp_path / "univ.csv"))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    results = [runner.invoke(main, ["rr", "--input", str(path), "--design", "case-control",
+                                    "--y-col", "vsu", "--t-col", "private"])
+               for path in (plain, bom)]
+    assert results[1].exit_code == 0, results[1].output
+    assert results[1].output == results[0].output
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_rr_overflowing_limit_prints_inf_and_null(runner, tmp_path):
+    # both stratum fits are separated but stop below the coefficient bound,
+    # with se about 3e4, so the exp-scale upper limits overflow
+    path = tmp_path / "four.csv"
+    path.write_text("y,t,x1\n0,1,0.5\n1,0,1.5\n0,0,0.2\n1,1,0.9\n")
+    args = ["rr", "--input", str(path), "--design", "case-control",
+            "--y-col", "y", "--t-col", "t", "--x-cols", "x1"]
+    table = runner.invoke(main, args)
+    assert table.exit_code == 0, table.output
+    assert table.stderr == "" and table.stdout.count("[1, inf]") == 2
+    result = runner.invoke(main, args + ["--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    doc = json.loads(result.stdout, parse_constant=_refuse_constant)
+    assert [doc["estimates"][b]["ci_level"][1] for b in ("beta0", "beta1")] == [None, None]
+    assert None in doc["band"]["upper"]
+
+
 def test_rr_overflowing_information_exits_3(runner, tmp_path):
     # finite covariates whose squares overflow the stratum fits' X'WX
     path = tmp_path / "huge.csv"
@@ -362,6 +396,15 @@ def test_mc_writes_summary(runner, tmp_path):
     doc = json.loads((out / "mc_summary.json").read_text())
     assert doc["schema_version"] == 1
     assert len(doc["cells"]) == 2
+
+
+def test_mc_without_estimators_exits_2_before_any_draw(runner, monkeypatch):
+    import casebound.synthetic as synthetic
+    draws = []
+    monkeypatch.setattr(synthetic, "draw_mc_sample", lambda *args: draws.append(args))
+    result = runner.invoke(main, ["mc", "--replications", "100", "--estimators", ","])
+    assert result.exit_code == 2, result.output
+    assert "name at least one estimator" in result.output and not draws
 
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

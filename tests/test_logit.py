@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -167,7 +168,7 @@ def _scipy_factor(info):
     return (lambda rhs: cho_solve(chol, rhs)), (lambda: cho_solve(chol, np.eye(len(info))))
 
 
-def _reference_fit(response, design, weights=None, factor=_numpy_factor):
+def _reference_fit(response, design, weights=None, factor=_numpy_factor, max_iter=100):
     """fit_logit's Newton loop written out, with fit_logit's default
     tolerances and `factor` for its linear algebra; validation omitted."""
     t = np.asarray(response, dtype=float)
@@ -189,7 +190,7 @@ def _reference_fit(response, design, weights=None, factor=_numpy_factor):
     ll = loglik(eta)
     tol = 1e-8 * wt_total
     polished = False
-    for it in range(1, 101):
+    for it in range(1, max_iter + 1):
         p = expit(eta)
         # fit_logit's stacked products, with a stack of one
         grad = ((w * (t - p))[None, None, :] @ X)[0, 0]
@@ -314,6 +315,89 @@ def test_kernel_failure_classes_match_reference():
             fit_logit(*args)
 
 
+def test_separation_on_the_last_allowed_step_is_separation(monkeypatch):
+    # the step that carries a coefficient past the bound may be the last one
+    # the iteration limit allows: the fit is still separated, as in the
+    # reference loop, which tests each step as it is taken
+    x = np.linspace(-2, 2, 40)[:, None]
+    t = (x[:, 0] > 0).astype(int)
+    seen = set()
+    for max_iter in range(1, 30):
+        monkeypatch.setattr(logit_mod, "DEFAULT_MAX_ITER", max_iter)
+        with pytest.raises(CaseboundError) as want:
+            _reference_fit(t, x, max_iter=max_iter)
+        with pytest.raises(type(want.value)):
+            fit_logit(t, x)
+        seen.add(type(want.value))
+    assert seen == {NotConverged, SeparationDetected}
+
+
+# --- one checked entry: every refusal, from both front ends ---
+
+_INPUT_REFUSALS = ("lengths differ", "non-binary response", "negative weight",
+                   "non-finite weight", "non-finite design")
+_DATA_REFUSALS = {"one response class": ValidationError,
+                  "total weight <= J": ValidationError,
+                  "separated": SeparationDetected,
+                  "collinear columns": Singular,
+                  "information overflows": Singular,
+                  "no convergence": NotConverged}
+
+
+def _refused_case(name):
+    """(response, two slope columns, one weight row) that fit_logit refuses."""
+    x, t = _toy(seed=43, n=30, k=2)
+    w = np.ones(30)
+    if name == "lengths differ":
+        t = t[:-1]
+    elif name == "non-binary response":
+        t = 2 * t
+    elif name == "negative weight":
+        w[3] = -1.0
+    elif name == "non-finite weight":
+        w[3] = np.nan
+    elif name == "non-finite design":
+        x[3, 1] = np.inf
+    elif name == "one response class":
+        t = np.zeros_like(t)
+    elif name == "total weight <= J":
+        w = np.zeros(30)
+        w[[np.argmin(t), np.argmax(t)]] = 1.0  # one row of each class
+    elif name == "separated":
+        # on a narrow range, so that the slopes pass the bound before the
+        # gradient test stops them
+        x[:, 0] = np.linspace(-0.02, 0.02, 30)
+        t = (x[:, 0] > 0).astype(int)
+    elif name == "collinear columns":
+        x[:, 1] = 3.0 * x[:, 0]
+    elif name == "information overflows":
+        x = 1e200 * x
+    return t, x, w
+
+
+@pytest.mark.parametrize("name", _INPUT_REFUSALS + tuple(_DATA_REFUSALS))
+def test_every_refusal_is_one_rule_for_both_front_ends(name, monkeypatch):
+    # an input refusal raises the same error from both front ends; a data
+    # refusal flags the batch row, and its status names what fit_logit raises
+    if name == "no convergence":
+        monkeypatch.setattr(logit_mod, "DEFAULT_MAX_ITER", 2)
+    t, x, w = _refused_case(name)
+    X = np.column_stack([np.ones(x.shape[0]), x])
+    if name in _INPUT_REFUSALS:
+        with pytest.raises(ValidationError) as batch:
+            fit_logit_batch(t, X, w[None])
+        with pytest.raises(ValidationError, match=re.escape(str(batch.value))):
+            fit_logit(t, x, w)
+        return
+    coef, ok = fit_logit_batch(t, X, np.vstack([w, w]))
+    assert not ok.any() and not coef.any()
+    status = logit_mod._newton(*logit_mod._checked(t, X, w[None]))[1]
+    exc, message = logit_mod._FAILURES[status[0]]
+    assert exc is _DATA_REFUSALS[name]
+    with pytest.raises(exc, match=re.escape(message)):
+        fit_logit(t, x, w)
+
+
 # --- the batched Newton kernel against fit_logit, one weight row at a time ---
 
 def _loop_fits(t, design, W):
@@ -383,7 +467,7 @@ def test_batch_matches_fit_logit_per_weight_row(name, min_ok, min_failed, monkey
     t, x, W = _batch_case(name)
     X = np.column_stack([np.ones(t.size), x])
     coef, ok = fit_logit_batch(t, X, W)
-    _, status, _ = logit_mod._fit_rows(t.astype(float), X, W)
+    status = logit_mod._newton(t.astype(float), X, W)[1]
     loop = _loop_fits(t, x, W)
     for got, fitted, code, want in zip(coef, ok, status, loop):
         if isinstance(want, type):

@@ -151,6 +151,26 @@ def test_ingest_drops_incomplete_rows_and_reports_indices(tmp_path):
                               Design.CASE_CONTROL)
     assert data.n == 3
     assert report.dropped_rows == (1, 3, 4)
+    # a short row, nan, inf and a whitespace-only covariate are dropped too
+    text = "y,t,x\n1,0\n0,1,nan\n1,0,1.5\n1,1,inf\n0,0,  \n0,1,2.0\n1,1,-inf\n"
+    path = _write(tmp_path / "messier.csv", text)
+    data, report = ingest_csv(path, ColumnSchema(y="y", t="t", x=("x",)),
+                              Design.CASE_CONTROL)
+    assert data.x[:, 0].tolist() == [1.5, 2.0]
+    assert report.dropped_rows == (0, 1, 3, 4, 6)
+
+
+def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a BOM before the first header
+    text = "y,t,x\n1,0,1.5\n0,1,2.0\n1,1,0.5\n0,0,1.0\n"
+    schema = ColumnSchema(y="y", t="t", x=("x",))
+    plain, _ = ingest_csv(_write(tmp_path / "plain.csv", text), schema, Design.CASE_CONTROL)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    bom, _ = ingest_csv(tmp_path / "bom.csv", schema, Design.CASE_CONTROL)
+    for field in ("y", "t", "x"):
+        assert np.array_equal(getattr(bom, field), getattr(plain, field))
+    export_csv(bom, tmp_path / "out.csv", schema)
+    assert (tmp_path / "out.csv").read_bytes().startswith(b"y,t,x")
 
 
 def test_ingest_skips_blank_lines_without_moving_indices(tmp_path):

@@ -279,6 +279,15 @@ def test_band_truncated_at_one():
     assert np.all(band.upper >= 1.0)
 
 
+def test_band_overflow_is_an_infinite_limit_not_a_warning():
+    # separated stratum fits that stop below the bound have se of about 3e4;
+    # exp of the upper limit overflows, silently under tier-1's error filter
+    band = rr_band(_estimate(54.4, 3.2e4, 0), _estimate(-103.1, 3.8e4, 1), 0.05, D1)
+    assert np.isinf(band.upper).all() and np.isfinite(band.point).all()
+    band = rr_band(_estimate(0.3, 1e4, 0), None, 0.05, D2)
+    assert np.isinf(band.upper).all() and np.isfinite(band.point).all()
+
+
 def test_band_grid_arithmetic():
     band = rr_band(_estimate(0.1, 0.1, 0), _estimate(0.2, 0.1, 1), 0.05, D1,
                    pbar=0.15, step=0.01)

@@ -15,8 +15,6 @@ from .attributable_risk import (
     ARCurve,
     BootstrapDiagnostics,
     ar_curve,
-    estimate_beta_ar,
-    estimate_xi_cp,
 )
 from .basis import BasisSpec, CubicSplineTerm, Linear, Polynomial, build_basis
 from .errors import CaseboundError, ValidationError
@@ -58,7 +56,7 @@ from .synthetic import MCDesign, draw_mc_sample, run_mc_study, sample_from_popul
 
 __all__ = [
     "__version__",
-    "ARCurve", "BootstrapDiagnostics", "ar_curve", "estimate_beta_ar", "estimate_xi_cp",
+    "ARCurve", "BootstrapDiagnostics", "ar_curve",
     "BasisSpec", "CubicSplineTerm", "Linear", "Polynomial", "build_basis",
     "CaseboundError", "ValidationError",
     "LogitFit", "fit_logit",

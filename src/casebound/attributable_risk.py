@@ -14,21 +14,16 @@ bias-corrected percentile bootstrap: pointwise per p in the case-control
 design, and a single corrected limit scaled by p (hence uniform) in the
 case-population design.
 
-Every public estimate is a read-out of one nuisance fit per data set,
-`relative_risk.fit_nuisances` with both bases, and takes only that fit and
-its own index (`ar_curve` refits the sample as a bootstrap replicate, see
-below): the clipped fitted probabilities (`NuisanceFit.prospective`)
-enter r(x, p) * G_AR(x, p) through `oracle.ar_term_formula`, the same
-kernel the finite-population reference evaluates per cell.  Its
-convex-combination denominators make UB(0) = 0 and (case-control)
-UB(1) = 0 hold exactly in floating point, matching the estimand, which
-vanishes at both ends.
-
-One function, `_statistic`, is the only place where the design selects
-the bootstrapped statistic: the case-control curve, one (grid x rows)
-array of those terms averaged within each stratum, or the case-population
-xi.  It works over leading replicate axes, so the sample, a refitted
-replicate and a block of replicates all read it.
+The statistic is implemented once.  `_statistic` evaluates the
+case-control curve, one (grid x rows) array of r(x, p) * G_AR(x, p)
+averaged within each stratum, or the case-population xi, from fitted
+probabilities clipped into [CLIP, 1 - CLIP]; the term is
+`oracle.ar_term_formula`, the same kernel the finite-population reference
+evaluates per cell.  Its convex-combination denominators make UB(0) = 0
+and (case-control) UB(1) = 0 hold exactly in floating point, matching the
+estimand, which vanishes at both ends.  `_block` fits those probabilities
+on the pattern table and is the only caller of `_statistic`; the sample, a
+refitted replicate and a block of replicates all read it.
 
 The bootstrap does not rebuild resampled data sets.  The sample is
 collapsed once to a pattern table, its distinct (y, t, x) rows (eight for
@@ -46,8 +41,8 @@ would be on the expanded rows.  The sample itself is the replicate whose
 counts are the pattern multiplicities: `ar_curve` takes the point
 statistic and its clip count from `_replicate` with those counts.  Spline
 knots from them are the sample quantiles and the counts-weighted share of
-cases is the sample's, so this is the read-out of `fit_nuisances` on the
-rows up to rounding (1e-12 in the tests).
+cases is the sample's, so this is the statistic of the rows fitted
+unweighted, up to rounding (1e-12 in the tests).
 
 Unless a basis has a spline term, the bases are the same for every
 replicate, so they are built once on the pattern table and `_block`
@@ -91,16 +86,13 @@ from .errors import (BootstrapDegenerate, CaseboundError, NuisanceProbabilityOut
 from .logit import fit_logit, fit_logit_batch
 from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
-from .relative_risk import NuisanceFit, clip_probabilities, design_columns, p_grid
+from .relative_risk import clip_probabilities, design_columns, p_grid
 from .rng import RngSpec, resample_indices
 from .special import expit, ndtr, ndtri
 
 __all__ = [
     "ARCurve",
     "BootstrapDiagnostics",
-    "estimate_beta_ar",
-    "estimate_xi_cp",
-    "upper_bound_curve_values",
     "ar_curve",
     "bc_level",
 ]
@@ -117,7 +109,9 @@ def _statistic(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray
     """The bootstrapped statistic from probabilities and weights at the rows
     (last axis; any leading axes are replicates, h0 a scalar or one per
     replicate): the case-control UB over the grid, with w-weighted stratum
-    means, or the case-population xi as one column (the grid unused)."""
+    means, or the case-population xi as one column (the grid unused),
+    (sum Y)^{-1} sum (1 - Y) * py / (1 - py) * G_AR(X, 0), the sample
+    analog with the stratum share replaced by the mean of Y."""
     if design is Design.CASE_POPULATION:
         bracket = py / (1.0 - py) * gamma_ar_formula(pi0, pi1, 0.0)
         y = case.astype(float)
@@ -128,44 +122,6 @@ def _statistic(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray
     mean0, mean1 = ((np.ascontiguousarray(vals[..., m]) * w[..., None, m]).sum(axis=-1)
                     / w[..., m].sum(axis=-1)[..., None] for m in (~case, case))
     return (1.0 - grid) * mean0 + grid * mean1
-
-
-def _fit_statistic(nuis: NuisanceFit, grid: np.ndarray | None) -> np.ndarray:
-    """`_statistic` of one fit, each row weighted once."""
-    data = nuis.data
-    return _statistic(data.design, data.h0, data.stratum(1), *nuis.prospective(),
-                      np.ones(data.n), grid)
-
-
-def estimate_beta_ar(nuis: NuisanceFit, p: float, y_stratum: int) -> float:
-    """Stratum mean of r(X, p) * G_AR(X, p) under case-control sampling."""
-    data = nuis.data
-    if data.design is not Design.CASE_CONTROL:
-        raise ValidationError("beta_AR(p, y) is a case-control estimand")
-    rows = nuis.stratum(y_stratum)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must lie in [0, 1]")
-    pi0, pi1, py = nuis.prospective()
-    return float(ar_term_formula(py, data.h0, p, data.design, pi0, pi1)[rows].mean())
-
-
-def estimate_xi_cp(nuis: NuisanceFit) -> float:
-    """Case-population slope estimate.
-
-    (sum Y_i)^{-1} sum (1-Y_i) * [py/(1-py)] * G_AR(X_i, 0), where
-    G_AR(x, 0) = pi1/pi0 - (1-pi1)/(1-pi0): the sample analog with the
-    stratum share replaced by the mean of Y.
-    """
-    if nuis.data.design is not Design.CASE_POPULATION:
-        raise ValidationError("xi_CP is a case-population estimand")
-    return float(_fit_statistic(nuis, None)[0])
-
-
-def upper_bound_curve_values(nuis: NuisanceFit, grid: np.ndarray) -> np.ndarray:
-    """Untruncated UB estimates on a p-grid (case-control: per-p aggregate;
-    case-population: p times the slope estimate)."""
-    stat = _fit_statistic(nuis, grid)
-    return grid * stat[0] if nuis.data.design is Design.CASE_POPULATION else stat
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,22 +215,28 @@ def _parse_binary_field(raw: str) -> int | None:
     raise NonBinaryOutcome(f"expected literal 0/1, got {raw!r}")
 
 
+# an ASCII decimal real: `float` alone also reads digit-group underscores
+# ("1_000"), non-ASCII digits, "nan" and "inf"
+_DECIMAL = re.compile(r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*", re.ASCII)
+
+
 def _parse_record(row: list[str], ycol: int, tcol: int, xcols: list[int]) -> tuple | None:
     """(y, t, covariates) of one CSV row, or None to drop it: a field is
-    missing, y or t is blank, or a covariate is not a finite decimal real."""
+    missing, y or t is blank, or a covariate is not a finite ASCII decimal
+    real."""
     try:
         y, t = _parse_binary_field(row[ycol]), _parse_binary_field(row[tcol])
         if y is None or t is None:
             return None
         xrow = []
         for c in xcols:
+            if not _DECIMAL.fullmatch(row[c]):
+                return None
             v = float(row[c])
-            if not math.isfinite(v):
+            if not math.isfinite(v):  # a literal beyond the float range
                 return None
             xrow.append(v)
-    except NonBinaryOutcome:  # a ValueError, but refused rather than dropped
-        raise
-    except (IndexError, ValueError):
+    except IndexError:
         return None
     return y, t, xrow
 

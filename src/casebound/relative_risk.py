@@ -18,12 +18,9 @@ read off it, and a read-out takes only the fit and its own index:
   stratum, its level-scale influence-function se ran at 1.64-2.27 times
   the MC sd.
 
-The attributable-risk estimators also need the prospective fit of Y and
-the fitted probabilities clipped into [CLIP, 1 - CLIP], which
-`fit_nuisances` adds when a prospective basis is given;
-`NuisanceFit.prospective` hands them out.  The clip and its count are
-`clip_probabilities`, which the batched AR bootstrap applies to a whole
-block of replicates at once.
+The attributable-risk statistic is not read off this fit: it lives only
+in `attributable_risk._statistic`, which `_block` feeds from its own fits
+on the pattern table, clipped and counted by `clip_probabilities`.
 
 The relative-risk band is indexed by the unknown true case probability p:
 exp{p*b1 + (1-p)*b0} plus a conservative uniform critical value under
@@ -39,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, build_basis
-from .errors import NuisanceProbabilityOutOfRange, ValidationError
+from .errors import ValidationError
 from .logit import LogitFit, fit_logit
 from .model import Design, ObservedDataset
 from .special import ndtri
@@ -84,26 +81,13 @@ class NuisanceFit:
 
     data: the data set it was fitted to; cols: the intercept-safe
     retrospective basis at every row; fit0, fit1: the logistic fits of T on
-    cols within strata 0 and 1.  Fitted with a prospective basis, it also
-    holds pi0, pi1 (Pr(T=1|Y=y, x) for y=0, 1) and py (Pr(Y=1|x)) at every
-    row, clipped into [CLIP, 1 - CLIP], and the number of values the
-    clipping touched; otherwise those are None and 0.
+    cols within strata 0 and 1.
     """
 
     data: ObservedDataset
     cols: np.ndarray
     fit0: LogitFit
     fit1: LogitFit
-    pi0: np.ndarray | None = None
-    pi1: np.ndarray | None = None
-    py: np.ndarray | None = None
-    n_clipped: int = 0
-
-    def prospective(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The clipped (pi0, pi1, py) at every row."""
-        if self.py is None:
-            raise ValidationError("this read-out needs a fit with a prospective basis")
-        return self.pi0, self.pi1, self.py
 
     def stratum(self, y_stratum: int) -> np.ndarray:
         """The stratum-y rows, for a read-out indexed by y."""
@@ -121,47 +105,26 @@ def design_columns(x: np.ndarray, spec: BasisSpec,
     return cols[:, mask]
 
 
-def clip_probabilities(p: np.ndarray, counts: np.ndarray | None):
+def clip_probabilities(p: np.ndarray, counts: np.ndarray):
     """Fitted probabilities at the rows (last axis; any leading axes are
     replicates) clipped into [CLIP, 1 - CLIP].
 
     Returns the clipped values, whether each value was finite and in
     [0, 1], and per leading index the number of values the clip moved,
-    each row weighted by its count if `counts` is given.
+    each row weighted by its count.
     """
     in_range = np.isfinite(p) & (p >= 0.0) & (p <= 1.0)
     clipped = np.clip(p, CLIP, 1.0 - CLIP)
-    moved = clipped != p
-    return clipped, in_range, (moved if counts is None else counts * moved).sum(axis=-1)
+    return clipped, in_range, (counts * (clipped != p)).sum(axis=-1)
 
 
-def fit_nuisances(data: ObservedDataset, spec: BasisSpec,
-                  prospective_spec: BasisSpec | None = None) -> NuisanceFit:
-    """Fit T on the `spec` basis within each stratum and, given a
-    prospective basis, Y on it, with every fitted probability evaluated at
-    every row and clipped."""
+def fit_nuisances(data: ObservedDataset, spec: BasisSpec) -> NuisanceFit:
+    """Fit T on the `spec` basis within each stratum."""
     cols = design_columns(data.x, spec)
     mask0 = data.stratum(0)
     mask1 = data.stratum(1)
-    fit0 = fit_logit(data.t[mask0], cols[mask0])
-    fit1 = fit_logit(data.t[mask1], cols[mask1])
-    if prospective_spec is None:
-        return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1)
-    pcols = design_columns(data.x, prospective_spec)
-    pfit = fit_logit(data.y, pcols)
-    probs = []
-    n_clipped = 0
-    for name, p in (("Pi(1|1,x)", fit1.predict(cols)), ("Pi(1|0,x)", fit0.predict(cols)),
-                    ("Pr(Y=1|x)", pfit.predict(pcols))):
-        clipped, in_range, n_moved = clip_probabilities(p, None)
-        if not in_range.all():
-            raise NuisanceProbabilityOutOfRange(
-                f"fitted {name} probabilities leave [0, 1] or are not finite")
-        probs.append(clipped)
-        n_clipped += int(n_moved)
-    pi1, pi0, py = probs
-    return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1, pi0=pi0, pi1=pi1,
-                       py=py, n_clipped=n_clipped)
+    return NuisanceFit(data=data, cols=cols, fit0=fit_logit(data.t[mask0], cols[mask0]),
+                       fit1=fit_logit(data.t[mask1], cols[mask1]))
 
 
 def _read_out(nuis: NuisanceFit, y_stratum: int):

@@ -10,33 +10,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casebound.attributable_risk as ar_mod
-from casebound.attributable_risk import (
-    ar_curve,
-    bc_level,
-    estimate_beta_ar,
-    estimate_xi_cp,
-    upper_bound_curve_values,
-)
+from casebound.attributable_risk import ar_curve, bc_level
 from casebound.basis import BasisSpec, CubicSplineTerm, Linear
 from casebound.errors import (
     BootstrapDegenerate,
     CaseboundError,
     DegenerateColumn,
     EmptyStratum,
+    NuisanceProbabilityOutOfRange,
     SeparationDetected,
     ValidationError,
 )
 from casebound.fixtures import mc_defaults
+from casebound.logit import fit_logit
 from casebound.model import Design, ObservedDataset
 from casebound.oracle import (
     ObservedLaw,
+    ar_term_formula,
     beta_ar_aggregate,
+    gamma_ar_formula,
     kappa_aggregate,
     random_population,
     upper_bound_ar,
     xi_cp,
 )
-from casebound.relative_risk import estimate_kappa, fit_nuisances, p_grid
+from casebound.relative_risk import (
+    clip_probabilities,
+    design_columns,
+    estimate_kappa,
+    fit_nuisances,
+    p_grid,
+)
 from casebound.rng import RngSpec, bernoulli, resample_indices
 from casebound.synthetic import draw_mc_sample, parametric_spec, sample_from_population
 
@@ -74,22 +78,75 @@ def law_from_counts(counts, design):
     return ObservedLaw(design=design, h0=h0, pi=pi, fxy=fxy)
 
 
+def rowwise_probabilities(data, rspec, pspec):
+    """The row-wise reference for the AR engine, independent of
+    `_statistic`: the two stratum fits and the prospective fit on every row,
+    unweighted, their (pi0, pi1, py) at every row clipped, and how many
+    values the clip moved."""
+    nuis = fit_nuisances(data, rspec)
+    pcols = design_columns(data.x, pspec)
+    pfit = fit_logit(data.y, pcols)
+    probs, n_clipped = [], 0
+    for name, p in (("Pi(1|0,x)", nuis.fit0.predict(nuis.cols)),
+                    ("Pi(1|1,x)", nuis.fit1.predict(nuis.cols)),
+                    ("Pr(Y=1|x)", pfit.predict(pcols))):
+        clipped, in_range, n_moved = clip_probabilities(p, np.ones(data.n))
+        if not in_range.all():
+            raise NuisanceProbabilityOutOfRange(
+                f"fitted {name} probabilities leave [0, 1] or are not finite")
+        probs.append(clipped)
+        n_clipped += int(n_moved)
+    return tuple(probs), n_clipped
+
+
+def rowwise_beta_ar(data, probs, p, y_stratum):
+    """Stratum mean of r(X, p) * G_AR(X, p) at one p."""
+    pi0, pi1, py = probs
+    terms = ar_term_formula(py, data.h0, p, data.design, pi0, pi1)
+    return float(terms[data.stratum(y_stratum)].mean())
+
+
+def rowwise_statistic(data, rspec, pspec, grid):
+    """The untruncated statistic the row-wise way, and its clip count: the
+    case-control UB one p of the grid at a time, or the case-population xi,
+    (sum Y)^{-1} sum (1 - Y) * py / (1 - py) * G_AR(X, 0), as one value."""
+    probs, n_clipped = rowwise_probabilities(data, rspec, pspec)
+    if data.design is D2:
+        pi0, pi1, py = probs
+        y = data.y.astype(float)
+        xi = np.sum((1.0 - y) * py / (1.0 - py) * gamma_ar_formula(pi0, pi1, 0.0)) / np.sum(y)
+        return np.array([xi]), n_clipped
+    return np.array([(1.0 - p) * rowwise_beta_ar(data, probs, p, 0)
+                     + p * rowwise_beta_ar(data, probs, p, 1) for p in grid]), n_clipped
+
+
+def sample_statistic(data, pspec, rspec, grid=None):
+    """The engine's untruncated statistic of the sample and its clip count:
+    the replicate whose counts are the pattern multiplicities."""
+    patterns, inverse = ar_mod._patterns(data)
+    return ar_mod._replicate(data, patterns, np.bincount(inverse), pspec, rspec, grid)
+
+
 def test_beta_ar_zero_at_endpoints():
-    nuis = fit_nuisances(expand(COUNTS_D1, D1), LIN, LIN)
+    data = expand(COUNTS_D1, D1)
+    curve, _ = sample_statistic(data, LIN, LIN, np.array([0.0, 1.0]))
+    assert curve.tolist() == [0.0, 0.0]
+    probs, _ = rowwise_probabilities(data, LIN, LIN)
     for y in (0, 1):
-        assert estimate_beta_ar(nuis, 0.0, y) == 0.0
-        assert estimate_beta_ar(nuis, 1.0, y) == 0.0
+        assert rowwise_beta_ar(data, probs, 0.0, y) == 0.0
+        assert rowwise_beta_ar(data, probs, 1.0, y) == 0.0
 
 
 def test_beta_ar_matches_oracle_on_exact_expansion():
-    nuis = fit_nuisances(expand(COUNTS_D1, D1), LIN, LIN)
+    data = expand(COUNTS_D1, D1)
     law = law_from_counts(COUNTS_D1, D1)
+    probs, _ = rowwise_probabilities(data, LIN, LIN)
     for p in (0.2, 0.55, 0.9):
         for y in (0, 1):
-            est = estimate_beta_ar(nuis, p, y)
+            est = rowwise_beta_ar(data, probs, p, y)
             assert est == pytest.approx(beta_ar_aggregate(law, p, y), abs=1e-8)
     grid = np.linspace(0.0, 1.0, 11)
-    curve = upper_bound_curve_values(nuis, grid)
+    curve, _ = sample_statistic(data, LIN, LIN, grid)
     oracle = [upper_bound_ar(law, p) for p in grid]
     np.testing.assert_allclose(curve, oracle, atol=1e-8)
 
@@ -108,49 +165,31 @@ def test_curve_point_invariant_to_row_order():
     shuffled = ObservedDataset(y=data.y[perm], t=data.t[perm], x=data.x[perm],
                                design=data.design)
     spec = parametric_spec(design)
-    grid = np.linspace(0.0, 1.0, 21)
-    shuffled_nuis, nuis = fit_nuisances(shuffled, spec, spec), fit_nuisances(data, spec, spec)
-    np.testing.assert_allclose(upper_bound_curve_values(shuffled_nuis, grid),
-                               upper_bound_curve_values(nuis, grid),
-                               rtol=0, atol=1e-12)
+    kwargs = dict(pbar=1.0, B=200, seed=1, step=0.05)
+    curve, _ = ar_curve(data, spec, spec, **kwargs)
+    shuffled_curve, _ = ar_curve(shuffled, spec, spec, **kwargs)
+    assert curve.p.shape[0] == 21 and (curve.point > 0.0).sum() > 10
+    np.testing.assert_allclose(shuffled_curve.point, curve.point, rtol=0, atol=1e-12)
 
 
 def test_xi_cp_matches_oracle_on_exact_expansion():
     data = expand(COUNTS_D1, D2)
     law = law_from_counts(COUNTS_D1, D2)
-    nuis = fit_nuisances(data, LIN, LIN)
-    assert estimate_xi_cp(nuis) == pytest.approx(xi_cp(law), abs=1e-8)
+    xi, _ = sample_statistic(data, LIN, LIN)
+    assert xi[0] == pytest.approx(xi_cp(law), abs=1e-8)
 
 
 def test_xi_cp_zero_when_strata_probabilities_agree():
-    data = expand(COUNTS_D1, D2)
-    nuis = fit_nuisances(data, LIN, LIN)
-    same = dataclasses.replace(nuis, pi1=nuis.pi0)
-    assert estimate_xi_cp(same) == 0.0
-
-
-def test_read_outs_need_a_prospective_fit():
-    # a fit without a prospective basis has no Pr(Y=1|x) to read
-    grid = p_grid(0.5, 0.1)
-    for design in (D1, D2):
-        nuis = fit_nuisances(expand(COUNTS_D1, design), LIN)
-        with pytest.raises(ValidationError, match="prospective basis"):
-            upper_bound_curve_values(nuis, grid)
-    with pytest.raises(ValidationError, match="prospective basis"):
-        estimate_beta_ar(fit_nuisances(expand(COUNTS_D1, D1), LIN), 0.5, 0)
-    with pytest.raises(ValidationError, match="prospective basis"):
-        estimate_xi_cp(fit_nuisances(expand(COUNTS_D1, D2), LIN))
+    # both strata hold the same (t, x) counts, so their fits are the same
+    # computation and Pi(1|0,x) equals Pi(1|1,x) to the last bit
+    same = {(y, t, x): n for (_, t, x), n in COUNTS_D1.items() for y in (0, 1)}
+    xi, _ = sample_statistic(expand(same, D2), LIN, LIN)
+    assert xi[0] == 0.0
 
 
 def test_design_contracts():
-    data1 = expand(COUNTS_D1, D1)
-    data2 = expand(COUNTS_D1, D2)
     with pytest.raises(ValidationError):
-        estimate_beta_ar(fit_nuisances(data2, LIN, LIN), 0.5, 0)
-    with pytest.raises(ValidationError):
-        estimate_xi_cp(fit_nuisances(data1, LIN, LIN))
-    with pytest.raises(ValidationError):
-        ar_curve(data1, LIN, LIN, pbar=0.5, B=50)  # B too small
+        ar_curve(expand(COUNTS_D1, D1), LIN, LIN, pbar=0.5, B=50)  # B too small
 
 
 def test_curve_endpoint_zeros_and_grid():
@@ -179,7 +218,7 @@ def test_curve_has_no_negative_zero():
     # -0.0, which clipping into [0, 1] keeps
     flipped = {(y, 1 - t, x): n for (y, t, x), n in COUNTS_D1.items()}
     data = expand(flipped, D2)
-    assert estimate_xi_cp(fit_nuisances(data, LIN, LIN)) < 0.0
+    assert sample_statistic(data, LIN, LIN)[0][0] < 0.0
     curve, _ = ar_curve(data, LIN, LIN, pbar=0.3, B=200, seed=4, step=0.05)
     assert not np.signbit(curve.point).any()
     assert not np.signbit(curve.upper).any()
@@ -298,6 +337,47 @@ def test_failed_replicates_dropped_and_counted(monkeypatch):
     assert diag.n_kept == 197
 
 
+def nan_stratum_one_fits(monkeypatch, replicates):
+    """Patch the lone-refit `fit_logit` so that the stratum-1 fit of each
+    listed refit returns NaN coefficients.  Refit 0 is the sample and refit
+    b + 1 bootstrap replicate b; `_block` fits stratum 0, stratum 1 and the
+    prospective model in that order, three calls a refit."""
+    calls = []
+
+    def fit(t, X, W):
+        result = fit_logit(t, X, W)
+        calls.append(1)
+        refit, which = divmod(len(calls) - 1, 3)
+        if which == 1 and refit in replicates:
+            return dataclasses.replace(result, coef=np.full_like(result.coef, np.nan))
+        return result
+
+    monkeypatch.setattr(ar_mod, "fit_logit", fit)
+    return calls
+
+
+def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
+    # NaN coefficients give NaN fitted Pi(1|1,x), a typed refusal
+    nan_stratum_one_fits(monkeypatch, {0})
+    draws = []
+    monkeypatch.setattr(ar_mod, "_replicate_counts", lambda *a: draws.append(1))
+    with pytest.raises(NuisanceProbabilityOutOfRange, match="leave \\[0, 1\\]"):
+        ar_curve(expand(COUNTS_D1, D1), LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
+    assert draws == []
+
+
+def test_replicates_with_bad_probabilities_are_dropped(monkeypatch):
+    # every replicate refitted alone, so that each makes three fit_logit calls
+    monkeypatch.setattr(ar_mod, "_MIN_BLOCK", 10 ** 9)
+    data = expand(COUNTS_D1, D1)
+    _, clean = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
+    assert clean.n_dropped == 0
+    calls = nan_stratum_one_fits(monkeypatch, {3, 50, 200})
+    _, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
+    assert len(calls) == 3 * 201
+    assert (diag.n_dropped, diag.n_kept) == (3, 197)
+
+
 # --- the weighted replicate engine against the expanded rows -----------------
 
 
@@ -313,12 +393,7 @@ def expanded_replicate(data, gen, mode, pspec, rspec, grid):
     bdata = ObservedDataset(y=data.y[idx], t=data.t[idx], x=data.x[idx],
                             design=data.design,
                             h0=None if data.h0_estimated else data.h0)
-    nuis = fit_nuisances(bdata, rspec, pspec)
-    if data.design is D2:
-        return np.array([estimate_xi_cp(nuis)]), nuis.n_clipped
-    curve = [(1.0 - p) * estimate_beta_ar(nuis, p, 0)
-             + p * estimate_beta_ar(nuis, p, 1) for p in grid]
-    return np.array(curve), nuis.n_clipped
+    return rowwise_statistic(bdata, rspec, pspec, grid)
 
 
 def has_spline(*specs):
@@ -562,7 +637,7 @@ def test_replicate_failures_match_expanded_rows(h0, kept, error):
         bdata = ObservedDataset(y=rows[:, 0].astype(int), t=rows[:, 1].astype(int),
                                 x=rows[:, 2:], design=D1,
                                 h0=None if data.h0_estimated else data.h0)
-        fit_nuisances(bdata, LIN, LIN)
+        rowwise_statistic(bdata, LIN, LIN, p_grid(0.6, 0.1))
 
 
 # --- the sample as the replicate whose counts are its multiplicities ---------
@@ -597,15 +672,16 @@ def spline_draw(seed):
 def test_point_equals_the_row_wise_read_out(make, pspec, rspec, pbar):
     data = make()
     curve, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=200, seed=4)
-    nuis = fit_nuisances(data, rspec, pspec)
-    want = np.clip(upper_bound_curve_values(nuis, curve.p), 0.0, 1.0)
-    np.testing.assert_allclose(curve.point, want, rtol=1e-12, atol=1e-12)
-    assert diag.n_clipped_point == nuis.n_clipped
+    want, n_clipped = rowwise_statistic(data, rspec, pspec, curve.p)
+    if data.design is D2:
+        want = curve.p * want[0]
+    np.testing.assert_allclose(curve.point, np.clip(want, 0.0, 1.0), rtol=1e-12, atol=1e-12)
+    assert diag.n_clipped_point == n_clipped
 
 
 def test_sample_fit_fails_as_the_rows_fail(monkeypatch):
     # forty spline draws: the sample's refit on its pattern table raises
-    # exactly where the row-wise nuisance fit does, and the same class
+    # exactly where the row-wise reference does, and the same class
     grid = p_grid(0.15, 0.01)
     pspec = BasisSpec.linear(5)
     separated = []
@@ -613,7 +689,7 @@ def test_sample_fit_fails_as_the_rows_fail(monkeypatch):
         data = spline_draw(s)
         patterns, inverse = ar_mod._patterns(data)
         try:
-            fit_nuisances(data, SPLINE5, pspec)
+            rowwise_statistic(data, SPLINE5, pspec, grid)
         except CaseboundError as exc:
             with pytest.raises(CaseboundError) as got:
                 ar_mod._replicate(data, patterns, np.bincount(inverse), pspec, SPLINE5, grid)

@@ -126,7 +126,7 @@ def test_h0_estimated_from_sample():
 
 
 def _write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -151,13 +151,16 @@ def test_ingest_drops_incomplete_rows_and_reports_indices(tmp_path):
                               Design.CASE_CONTROL)
     assert data.n == 3
     assert report.dropped_rows == (1, 3, 4)
-    # a short row, nan, inf and a whitespace-only covariate are dropped too
-    text = "y,t,x\n1,0\n0,1,nan\n1,0,1.5\n1,1,inf\n0,0,  \n0,1,2.0\n1,1,-inf\n"
+    # a short row, nan, inf, a whitespace-only covariate, digit-group
+    # underscores and non-ASCII digits (which Python's float reads as 1000
+    # and 12) are dropped too
+    text = ("y,t,x\n1,0\n0,1,nan\n1,0,1.5\n1,1,inf\n0,0,  \n0,1,2.0\n1,1,-inf\n"
+            "0,1,1_000\n1,0,\u0661\u0662\n0,0, -2.5e-1 \n")
     path = _write(tmp_path / "messier.csv", text)
     data, report = ingest_csv(path, ColumnSchema(y="y", t="t", x=("x",)),
                               Design.CASE_CONTROL)
-    assert data.x[:, 0].tolist() == [1.5, 2.0]
-    assert report.dropped_rows == (0, 1, 3, 4, 6)
+    assert data.x[:, 0].tolist() == [1.5, 2.0, -0.25]
+    assert report.dropped_rows == (0, 1, 3, 4, 6, 7, 8)
 
 
 def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):

@@ -70,3 +70,28 @@ def test_only_logit_calls_the_lapack_gufuncs(path):
     # the Newton kernel in logit.py is the one place that factorises
     lapack = "numpy.linalg._umath_linalg" in set(_imports(path))
     assert lapack == (path.stem == "logit")
+
+
+AR_KERNELS = {"ar_term_formula", "gamma_ar_formula"}
+
+
+def _kernel_users(path):
+    """The top-level definitions of a source file (functions, and classes
+    with their methods) whose bodies name an AR kernel of oracle.py."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        if names & AR_KERNELS:
+            yield path.stem, getattr(node, "name", "<module>")
+
+
+def test_one_attributable_risk_statistic():
+    # outside oracle.py, the only code that evaluates r * Gamma_AR or xi is
+    # attributable_risk._statistic; the identity suite's use is the oracle
+    # checking its own bound cell by cell on a population law
+    users = sorted(user for path in SOURCES if path.stem != "oracle"
+                   for user in _kernel_users(path))
+    assert users == [("attributable_risk", "_statistic"),
+                     ("checks", "_check_cp_bound_linear")]

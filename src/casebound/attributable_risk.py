@@ -15,15 +15,15 @@ design, and a single corrected limit scaled by p (hence uniform) in the
 case-population design.
 
 The statistic is implemented once.  `_statistic` evaluates the
-case-control curve, one (grid x rows) array of r(x, p) * G_AR(x, p)
-averaged within each stratum, or the case-population xi, from fitted
+case-control curve, per stratum one (grid x rows) array of r(x, p) *
+G_AR(x, p) averaged over the stratum, or the case-population xi, from fitted
 probabilities clipped into [CLIP, 1 - CLIP]; the term is
 `oracle.ar_term_formula`, the same kernel the finite-population reference
 evaluates per cell.  Its convex-combination denominators make UB(0) = 0
 and (case-control) UB(1) = 0 hold exactly in floating point, matching the
 estimand, which vanishes at both ends.  `_block` fits those probabilities
-on the pattern table and is the only caller of `_statistic`; the sample, a
-refitted replicate and a block of replicates all read it.
+on each replicate's patterns and is the only caller of `_statistic`; the
+sample, a refitted replicate and a block of replicates all read it.
 
 The bootstrap does not rebuild resampled data sets.  The sample is
 collapsed once to a pattern table, its distinct (y, t, x) rows (eight for
@@ -44,29 +44,38 @@ knots from them are the sample quantiles and the counts-weighted share of
 cases is the sample's, so this is the statistic of the rows fitted
 unweighted, up to rounding (1e-12 in the tests).
 
-Unless a basis has a spline term, the bases are the same for every
-replicate, so they are built once on the pattern table and `_block`
-refits a whole block of replicates as three batched Newton fits
-(`logit.fit_logit_batch`: stratum 0, stratum 1, the prospective fit), with
-the curve or xi of every replicate read off one (replicate x grid x
-pattern) array.  A block holds as many replicates as fit in
-`_BLOCK_CELLS` cells, so memory does not grow with B.  The batch pays
-only while the pattern table is narrow: it does every replicate's
-arithmetic on every pattern, zero counts included, so on a wide table
-(a continuous covariate makes every row a pattern) it is slower than
-refitting each replicate alone.  A table where a block would hold fewer
-than `_MIN_BLOCK` replicates therefore stays on the per-replicate path.
-A replicate leaves that common path exactly when the kernel flags it: a
-fit `fit_logit` would refuse (an empty stratum, a basis column constant on
-the support, separation), one too ill-conditioned at the optimum for two
-summation orders to agree (`logit.PIVOT_FLOOR`), or a fitted probability
-outside [0, 1]; a fit that halves a step stays.  `_replicate` refits each
-flagged replicate alone, as `_block` on its support with `fit_logit` for
-the batched kernel: a failed fit raises its own class, and no PIVOT_FLOOR
-applies.  Spline knots are the quantiles of each drawn multiset, so a
-spline basis moves with every replicate; then every replicate takes
-`_replicate`, one at a time.  The two paths agree to rounding (1e-12 in
-the tests).
+`ar_curve` refits the replicates in blocks, each replicate on its own
+support.  Its patterns are packed stratum by stratum in pattern order and
+padded, with patterns it did not draw (count zero), to a width per
+stratum that is fixed for the whole run (`_Layout`, `_pack`): min(P_s,
+E_s + _WIDTH_SDS * sd_s), where P_s is the stratum's number of patterns,
+E_s = sum_j [1 - (1 - m_j / n)^n] the expected number of distinct
+patterns a draw takes from multiplicities m_j (n the stratum's size under
+stratified resampling) and sd_s = sqrt(sum_j q_j (1 - q_j)) for those
+chances q_j.  On a narrow table (eight patterns of a binary covariate)
+that is the whole table; where every row is a pattern it is about 0.71
+of the stratum.  The width is fixed because the BLAS sums of a fit depend
+on its length: padding the same replicate to different widths moves the
+last bits of its coefficients, so a width per block would make a
+replicate's statistic depend on the other replicates of its block.  The
+designs are gathered from the pattern table's [1, basis], built once;
+only a spline block, whose knots are the quantiles of each drawn
+multiset, is rebuilt per replicate on its support.  A block is three
+batched Newton fits in the stacked layout (`logit.fit_logit_batch`:
+stratum 0, stratum 1, the prospective fit), and the curve or xi of every
+replicate is read off (replicate x grid x packed row) arrays.  A block
+holds as many replicates as fit in `_BLOCK_CELLS` cells of both packed
+designs or of such an array, so memory does not grow with B.  A replicate
+leaves the block for `_replicate`, alone, when its support is wider than
+the packed width, when its spline block raises, or when the kernel flags
+it: a fit `fit_logit` would refuse (an empty stratum, a basis column
+constant on the support, separation), one too ill-conditioned at the
+optimum for two summation orders to agree (`logit.PIVOT_FLOOR`), or a
+fitted probability outside [0, 1]; a fit that halves a step stays.
+`_replicate` refits it as `_block` on its support with `fit_logit` for the
+batched kernel: a failed fit raises its own class, and no PIVOT_FLOOR
+applies.  The two paths agree to rounding (1e-12 in the tests, 1e-10 with
+a spline basis, whose design is ill-conditioned).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -97,11 +106,12 @@ __all__ = [
     "bc_level",
 ]
 
-# the most (replicate x pattern x max(grid, k)) cells one block's arrays
-# may hold, and the fewest replicates per block for which the batch beats
-# refitting each replicate alone (see the module docstring)
+# the most (replicate x packed row x max(grid, design columns)) cells one
+# block's arrays may hold, and the standard deviations of a draw's distinct
+# patterns that the packed width of a stratum adds to their mean (see the
+# module docstring)
 _BLOCK_CELLS = 1 << 17
-_MIN_BLOCK = 16
+_WIDTH_SDS = 5.0
 
 
 def _statistic(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray,
@@ -116,11 +126,13 @@ def _statistic(design: Design, h0, case: np.ndarray, pi0, pi1, py, w: np.ndarray
         bracket = py / (1.0 - py) * gamma_ar_formula(pi0, pi1, 0.0)
         y = case.astype(float)
         return (np.sum((1.0 - y) * bracket * w, axis=-1) / np.sum(y * w, axis=-1))[..., None]
-    vals = ar_term_formula(py[..., None, :], np.asarray(h0)[..., None, None], grid[:, None],
-                           design, pi0[..., None, :], pi1[..., None, :])
-    # C order keeps each row's sum the pairwise sum of a one-p loop
-    mean0, mean1 = ((np.ascontiguousarray(vals[..., m]) * w[..., None, m]).sum(axis=-1)
-                    / w[..., m].sum(axis=-1)[..., None] for m in (~case, case))
+    h0 = np.asarray(h0)[..., None, None]
+    # one stratum at a time keeps the (grid x rows) arrays small, and each
+    # row's sum the pairwise sum of a one-p loop
+    mean0, mean1 = ((ar_term_formula(py[..., None, m], h0, grid[:, None], design,
+                                     pi0[..., None, m], pi1[..., None, m])
+                     * w[..., None, m]).sum(axis=-1) / w[..., m].sum(axis=-1)[..., None]
+                    for m in (~case, case))
     return (1.0 - grid) * mean0 + grid * mean1
 
 
@@ -203,7 +215,7 @@ def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
 def _fit_one(t: np.ndarray, X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, bool]:
     """`fit_logit` in the shape of `fit_logit_batch`, for a block of one
     replicate: a fit that fails raises instead of being flagged."""
-    return fit_logit(t, X[:, 1:], W[0]).coef[None], True
+    return fit_logit(t[0], X[0, :, 1:], W[0]).coef[None], True
 
 
 def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
@@ -215,7 +227,8 @@ def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     keep = counts > 0
     rows, c = patterns[keep], counts[keep]
     designs = _pattern_designs(rows, retrospective_spec, prospective_spec, c)
-    stat, n_clipped, ok = _block(data, rows, c[None], designs, grid, _fit_one)
+    stat, n_clipped, ok = _block(data, np.count_nonzero(rows[:, 0] == 0), rows[None, :, 1],
+                                 c[None], tuple(d[None] for d in designs), grid, _fit_one)
     if not ok[0]:
         raise NuisanceProbabilityOutOfRange("fitted probabilities leave [0, 1] or are not finite")
     return stat[0], int(n_clipped[0])
@@ -231,27 +244,30 @@ def _pattern_designs(patterns: np.ndarray, retrospective_spec: BasisSpec,
                  for spec in (retrospective_spec, prospective_spec))
 
 
-def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
+def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
            designs: tuple[np.ndarray, np.ndarray], grid: np.ndarray,
            fit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block of replicates refitted together on the pattern table.
+    """A block of replicates refitted together, each on its own rows.
 
-    `counts` is (replicates, patterns); `designs` holds the retrospective
-    and prospective [1, basis] at every pattern; `fit` is the batched
-    kernel, or `_fit_one` for `_replicate`.  Returns each replicate's
-    statistic (as `_replicate`), its clip count and whether it stayed on
-    the common path (its three fits ok, their probabilities on its support
-    in [0, 1]); the statistic and clip count of a replicate that did not
-    are meaningless, and `_replicate` settles it.
+    Every replicate has the same number of rows, the first n0 of them in
+    stratum 0 and the rest in stratum 1; `t` and `counts` are (replicates,
+    rows), a zero count dropping a row; `designs` hold the retrospective
+    and prospective [1, basis] at each replicate's rows, (replicates, rows,
+    k); `fit` is the batched kernel, or `_fit_one` for `_replicate`.
+    Returns each replicate's statistic (as `_replicate`), its clip count
+    and whether it stayed on the common path (its three fits ok, their
+    probabilities on its support in [0, 1]); the statistic and clip count
+    of a replicate that did not are meaningless, and `_replicate` settles
+    it.
     """
     rdesign, pdesign = designs
-    case = patterns[:, 0] == 1
-    t = patterns[:, 1]
+    case = np.arange(counts.shape[1]) >= n0
     support = counts > 0
     w = counts.astype(float)
-    fits = ((fit(t[~case], rdesign[~case], w[:, ~case]), rdesign),
-            (fit(t[case], rdesign[case], w[:, case]), rdesign),
-            (fit(case, pdesign, w), pdesign))
+    s0, s1 = slice(None, n0), slice(n0, None)
+    fits = ((fit(t[:, s0], rdesign[:, s0], w[:, s0]), rdesign),
+            (fit(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
+            (fit(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
     probs = []
     ok = np.ones(counts.shape[0], dtype=bool)
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
@@ -273,6 +289,97 @@ def _block(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     return stat, n_clipped, ok
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What every block of one `ar_curve` run shares: the pattern table, the
+    retrospective and prospective [1, basis] on it, per design the spline
+    block that each replicate rebuilds (None without one), and the fixed
+    width of each stratum (see the module docstring)."""
+
+    patterns: np.ndarray
+    tables: tuple[np.ndarray, np.ndarray]
+    splines: tuple
+    widths: tuple[int, int]
+
+
+def _spline_block(spec: BasisSpec):
+    """The covariates of the spline terms of `spec`, a spec of those terms
+    alone and the columns of [1, basis] that its design columns fill, or
+    None when `spec` has no spline term."""
+    covs = [i for i, term in enumerate(spec.terms) if isinstance(term, CubicSplineTerm)]
+    if not covs:
+        return None
+    sizes = [term.n_terms() for term in spec.terms]
+    # the term of every basis column, the interactions one more term at the
+    # end, as the intercept-safe mask keeps them
+    term_of = np.repeat(np.arange(len(sizes) + 1), sizes + [spec.n_columns - sum(sizes)])
+    cols = 1 + np.flatnonzero(np.isin(term_of[spec.intercept_safe_mask()], covs))
+    return np.array(covs), BasisSpec(tuple(spec.terms[i] for i in covs)), cols
+
+
+def _widths(multiplicities: np.ndarray, case: np.ndarray, mode: str) -> tuple[int, int]:
+    """Per stratum, the packed width of a run: min(P_s, E_s + _WIDTH_SDS *
+    sd_s), E_s = sum_j q_j the expected number of distinct patterns a draw
+    takes, q_j = 1 - (1 - m_j / n)^n the chance that pattern j is drawn (n
+    the stratum's size under stratified resampling), sd_s = sqrt(sum_j q_j
+    (1 - q_j))."""
+    widths = []
+    for m in (multiplicities[~case], multiplicities[case]):
+        n = m.sum() if mode == "stratified" else multiplicities.sum()
+        q = 1.0 - (1.0 - m / n) ** n
+        widths.append(min(m.size, int(np.ceil(q.sum() + _WIDTH_SDS
+                                              * np.sqrt(np.sum(q * (1.0 - q)))))))
+    return widths[0], widths[1]
+
+
+def _layout(patterns: np.ndarray, multiplicities: np.ndarray, specs: tuple[BasisSpec, BasisSpec],
+            mode: str) -> _Layout:
+    """The layout of a run on `patterns` with the sample's `multiplicities`;
+    `specs` is (retrospective, prospective)."""
+    return _Layout(patterns=patterns, tables=_pattern_designs(patterns, *specs, multiplicities),
+                   splines=tuple(_spline_block(spec) for spec in specs),
+                   widths=_widths(multiplicities, patterns[:, 0] == 1, mode))
+
+
+def _pack(counts: np.ndarray, n0: int, widths: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each replicate's support, stratum by stratum in pattern order, padded
+    to the fixed widths with patterns it did not draw: the (replicates,
+    width) pattern indices, and whether a stratum's support is wider."""
+    idx, wide = [], np.zeros(counts.shape[0], dtype=bool)
+    for lo, hi, width in ((0, n0, widths[0]), (n0, counts.shape[1], widths[1])):
+        absent = counts[:, lo:hi] == 0
+        wide |= (hi - lo) - absent.sum(axis=1) > width
+        idx.append(lo + np.argsort(absent, axis=1, kind="stable")[:, :width])
+    return np.hstack(idx), wide
+
+
+def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
+                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_block` with the batched kernel on a block of replicates' (replicates,
+    patterns) counts, each replicate packed on its own support: designs
+    gathered from the pattern table, each spline block rebuilt on the
+    support with knots from its counts.  A replicate whose support is wider
+    than the layout or whose spline block raises gets zero counts, which the
+    kernel refuses, so it leaves the common path."""
+    patterns = layout.patterns
+    n0 = np.count_nonzero(patterns[:, 0] == 0)
+    idx, alone = _pack(counts, n0, layout.widths)
+    w = np.take_along_axis(counts, idx, axis=1)
+    designs = tuple(table[idx] for table in layout.tables)
+    rebuilt = [(design, *spline) for design, spline in zip(designs, layout.splines)
+               if spline is not None]
+    for i in np.flatnonzero(~alone) if rebuilt else ():
+        on = np.flatnonzero(w[i])
+        rows = patterns[idx[i, on]]
+        try:
+            for design, covs, spec, cols in rebuilt:
+                design[i, on[:, None], cols] = design_columns(rows[:, 2 + covs], spec, w[i, on])
+        except CaseboundError:
+            alone[i] = True
+    w[alone] = 0
+    return _block(data, layout.widths[0], patterns[idx, 1], w, designs, grid, fit_logit_batch)
+
+
 def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
              retrospective_spec: BasisSpec, pbar: float, alpha: float = 0.05,
              B: int = 1000, seed: int | RngSpec = 0, step: float = 0.01,
@@ -285,9 +392,9 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     draws from the stream ("ar-bootstrap", b) the indices that resampling
     the rows would (i.i.d., or within each stratum) and refits the sample's
     distinct (y, t, x) rows with the drawn counts as frequency weights,
-    which is the expanded resample up to rounding; unless a basis has a
-    spline term or the pattern table is wide, a block of replicates is
-    refitted at once (see the module docstring).  Replicates whose refit
+    which is the expanded resample up to rounding; blocks of replicates
+    are refitted at once, each replicate on its own support (see the module
+    docstring).  Replicates whose refit
     fails (separation, an empty stratum, a constant basis column, ...) are
     dropped and counted.  Point estimates and limits are truncated into
     [0, 1].  Identical (data, specs, B, seed) give identical output.
@@ -302,22 +409,19 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     rng = seed if isinstance(seed, RngSpec) else RngSpec(seed)
 
     patterns, inverse = _patterns(data)
+    multiplicities = np.bincount(inverse)
     # the bootstrapped statistic at the sample, counts its multiplicities
-    stat_hat, n_clipped_point = _replicate(data, patterns, np.bincount(inverse),
+    stat_hat, n_clipped_point = _replicate(data, patterns, multiplicities,
                                            prospective_spec, retrospective_spec, grid)
     cp = data.design is Design.CASE_POPULATION
     # the columns that can vary: xi, or the curve off its ends, 0 by construction
     varying = np.array([True]) if cp else (grid > 0.0) & (grid < 1.0)
-    # a spline basis moves with each replicate's draw, so nothing is shared
-    designs, size = None, 1
-    specs = (retrospective_spec, prospective_spec)
-    if not any(isinstance(term, CubicSplineTerm) for spec in specs for term in spec.terms):
-        designs = _pattern_designs(patterns, *specs)
-        # the statistic spans the grid only under case-control sampling
-        width = max(1 if cp else grid.shape[0], *(d.shape[1] for d in designs))
-        size = _BLOCK_CELLS // (patterns.shape[0] * width)
-        if size < _MIN_BLOCK:  # too wide for the batch to pay
-            designs, size = None, 1
+    layout = _layout(patterns, multiplicities, (retrospective_spec, prospective_spec),
+                     resample_mode)
+    # a block holds both designs at once; the statistic spans the grid only
+    # under case-control sampling
+    width = max(1 if cp else grid.shape[0], sum(d.shape[1] for d in layout.tables))
+    size = max(1, _BLOCK_CELLS // (sum(layout.widths) * width))
     boot = np.empty((B, stat_hat.shape[0]))  # each replicate's statistic
     kept = np.zeros(B, dtype=bool)
     n_clipped_boot = 0
@@ -326,11 +430,9 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
         counts = np.array([_replicate_counts(rng.derive("ar-bootstrap", b), data.y, inverse,
                                              patterns.shape[0], resample_mode)
                            for b in range(start, stop)])
-        ok = np.zeros(stop - start, dtype=bool)
-        if designs is not None:
-            stats, clipped, ok = _block(data, patterns, counts, designs, grid, fit_logit_batch)
-            boot[start:stop][ok] = stats[ok]
-            n_clipped_boot += int(clipped[ok].sum())
+        stats, clipped, ok = _refit_block(data, layout, counts, grid)
+        boot[start:stop][ok] = stats[ok]
+        n_clipped_boot += int(clipped[ok].sum())
         kept[start:stop] = ok
         for i in np.flatnonzero(~ok):
             try:

@@ -366,9 +366,16 @@ def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
     assert draws == []
 
 
+def every_replicate_alone(monkeypatch):
+    """The per-replicate reference: the batched kernel flags every row, so
+    `ar_curve` refits each replicate alone with `_replicate`."""
+    monkeypatch.setattr(ar_mod, "fit_logit_batch", lambda t, X, W: (
+        np.zeros((W.shape[0], X.shape[-1])), np.zeros(W.shape[0], dtype=bool)))
+
+
 def test_replicates_with_bad_probabilities_are_dropped(monkeypatch):
     # every replicate refitted alone, so that each makes three fit_logit calls
-    monkeypatch.setattr(ar_mod, "_MIN_BLOCK", 10 ** 9)
+    every_replicate_alone(monkeypatch)
     data = expand(COUNTS_D1, D1)
     _, clean = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert clean.n_dropped == 0
@@ -400,22 +407,39 @@ def has_spline(*specs):
     return any(isinstance(term, CubicSplineTerm) for spec in specs for term in spec.terms)
 
 
+# a replicate's statistic from its packed block against the same replicate
+# refitted alone, relative to max(1, |value|): 1e-12 on linear bases.  A
+# spline design is ill-conditioned (covariance condition numbers 1e4-1e8):
+# over the spline inputs of these tests (the two of
+# test_block_statistic_equals_the_lone_refit, the ar_cp_spline input and
+# that of test_spline_replicates_are_refitted_in_blocks) the two agreed to
+# 2.6e-12 at worst, so the bound is that times about 40, the 1e-10 of the
+# benchmark's references
+LINEAR_TOL, SPLINE_TOL = 1e-12, 1e-10
+
+
+def block_statistics(data, pspec, rspec, grid, all_counts, mode, size=25):
+    """`_refit_block` on the replicates' counts in blocks of `size`, with the
+    layout `ar_curve` would use: statistics, clip counts and ok flags."""
+    patterns, inverse = ar_mod._patterns(data)
+    layout = ar_mod._layout(patterns, np.bincount(inverse), (rspec, pspec), mode)
+    parts = [ar_mod._refit_block(data, layout, all_counts[i:i + size], grid)
+             for i in range(0, all_counts.shape[0], size)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
-    """Each replicate three ways: the expanded rows, `_replicate`, and (for
-    bases without a spline term) its row of one batched `_block`.  Returns
-    the diagnostics, the exception classes of the dropped replicates and
-    how many replicates the block settled."""
+    """Each replicate three ways: the expanded rows, `_replicate`, and its
+    row of a packed block.  Returns the diagnostics, the exception classes
+    of the dropped replicates and how many replicates the block settled."""
     grid = p_grid(pbar, step)
     patterns, inverse = ar_mod._patterns(data)
     rng = RngSpec(seed)
     all_counts = np.array([ar_mod._replicate_counts(rng.derive("ar-bootstrap", b), data.y,
                                                     inverse, patterns.shape[0], mode)
                            for b in range(B)])
-    ok = np.zeros(B, dtype=bool)
-    if not has_spline(rspec, pspec):
-        designs = ar_mod._pattern_designs(patterns, rspec, pspec)
-        stats, block_clipped, ok = ar_mod._block(data, patterns, all_counts, designs, grid,
-                                                 ar_mod.fit_logit_batch)
+    stats, block_clipped, ok = block_statistics(data, pspec, rspec, grid, all_counts, mode)
+    tol = SPLINE_TOL if has_spline(rspec, pspec) else LINEAR_TOL
     kept = dropped = clipped = 0
     failures = Counter()
     for b, counts in enumerate(all_counts):
@@ -441,7 +465,7 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert got_clipped == want_clipped
         if ok[b]:
-            np.testing.assert_allclose(stats[b], got, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stats[b], got, rtol=tol, atol=tol)
             assert block_clipped[b] == got_clipped
         kept += 1
         clipped += got_clipped
@@ -502,34 +526,19 @@ def test_real_replicate_failures_leave_the_block(design):
     assert 0 < n_batched <= diag.n_kept
 
 
-@pytest.mark.parametrize("data", [expand(COUNTS_D1, D1), fragile_data(D2)],
-                         ids=["counts_d1", "fragile"])
-def test_block_composition_invariance(data, monkeypatch):
-    grid = p_grid(0.6, 0.1)
-    patterns, inverse = ar_mod._patterns(data)
-    counts = np.array([ar_mod._replicate_counts(RngSpec(5).derive("ar-bootstrap", b),
-                                                data.y, inverse, patterns.shape[0], "iid")
-                       for b in range(60)])
-    designs = ar_mod._pattern_designs(patterns, LIN, LIN)
-    batch = ar_mod.fit_logit_batch
-    stats, clipped, ok = ar_mod._block(data, patterns, counts, designs, grid, batch)
-    assert ok.any()
-    for b in range(60):
-        alone = ar_mod._block(data, patterns, counts[b:b + 1], designs, grid, batch)
-        assert alone[2][0] == ok[b]
-        if ok[b]:
-            assert np.array_equal(alone[0][0], stats[b]) and alone[1][0] == clipped[b]
-    # and the engine's output does not depend on its block size
-    want = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
-    sizes = record_batches(monkeypatch)
-    # seven grid points on eight case-control patterns: blocks of 17; the
-    # two design columns on six case-population patterns: blocks of 83
-    monkeypatch.setattr(ar_mod, "_BLOCK_CELLS", 1000)
-    got = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=5, step=0.1)
-    assert sizes[0] == (17 if data.design is D1 else 83) and sum(sizes[::3]) == 200
-    assert np.array_equal(got[0].upper, want[0].upper)
-    assert np.array_equal(got[1].mu_star, want[1].mu_star)
-    assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
+def wide_data(n, design=D1, spline=False):
+    # a continuous covariate: every row is its own pattern; a second one,
+    # for a spline term beside the linear one
+    gen = RngSpec(11).derive("wide")
+    x = np.linspace(-2.0, 2.0, n)
+    y = bernoulli(gen, np.full(n, 0.5))
+    z = RngSpec(11).derive("wide-z").normal(size=n)
+    t = bernoulli(gen, 1.0 / (1.0 + np.exp(-0.5 * x - 0.8 * y + 0.3 - 0.4 * spline * z)))
+    return ObservedDataset(y=y, t=t, x=np.column_stack([z, x] if spline else [x]),
+                           design=design)
+
+
+SPLINE_LIN = BasisSpec((CubicSplineTerm(3), Linear()))
 
 
 def record_batches(monkeypatch):
@@ -542,36 +551,127 @@ def record_batches(monkeypatch):
     return sizes
 
 
-def wide_data(n, design=D1):
-    # a continuous covariate: every row is its own pattern
-    gen = RngSpec(11).derive("wide")
-    x = np.linspace(-2.0, 2.0, n)
-    y = bernoulli(gen, np.full(n, 0.5))
-    t = bernoulli(gen, 1.0 / (1.0 + np.exp(-0.5 * x - 0.8 * y + 0.3)))
-    return ObservedDataset(y=y, t=t, x=x[:, None], design=design)
+@pytest.mark.parametrize("data, rspec, sizes", [
+    (expand(COUNTS_D1, D1), LIN, 17), (fragile_data(D2), LIN, 41),
+    (wide_data(300, D2, spline=True), SPLINE_LIN, 1), (wide_data(300), LIN, 1)],
+    ids=["counts_d1", "fragile", "spline", "wide"])
+def test_block_composition_invariance(data, rspec, sizes, monkeypatch):
+    # a replicate's packed rows do not depend on its block, so neither do
+    # the bits of its statistic
+    pspec = BasisSpec.linear(data.n_covariates)
+    grid = p_grid(0.6, 0.1)
+    patterns, inverse = ar_mod._patterns(data)
+    counts = np.array([ar_mod._replicate_counts(RngSpec(5).derive("ar-bootstrap", b),
+                                                data.y, inverse, patterns.shape[0], "iid")
+                       for b in range(60)])
+    layout = ar_mod._layout(patterns, np.bincount(inverse), (rspec, pspec), "iid")
+    stats, clipped, ok = ar_mod._refit_block(data, layout, counts, grid)
+    assert ok.any()
+    for b in range(60):
+        alone = ar_mod._refit_block(data, layout, counts[b:b + 1], grid)
+        assert alone[2][0] == ok[b]
+        if ok[b]:
+            assert np.array_equal(alone[0][0], stats[b]) and alone[1][0] == clipped[b]
+    # and the engine's output does not depend on its block size
+    want = ar_curve(data, pspec, rspec, pbar=0.6, B=200, seed=5, step=0.1)
+    recorded = record_batches(monkeypatch)
+    # seven grid points on eight case-control patterns: blocks of 17; four
+    # design columns on six case-population patterns: blocks of 41; the
+    # wide tables pack about 250 rows, so every block holds one replicate
+    monkeypatch.setattr(ar_mod, "_BLOCK_CELLS", 1000)
+    got = ar_curve(data, pspec, rspec, pbar=0.6, B=200, seed=5, step=0.1)
+    assert recorded[0] == sizes and sum(recorded[::3]) == 200
+    assert np.array_equal(got[0].upper, want[0].upper)
+    assert np.array_equal(got[1].mu_star, want[1].mu_star)
+    assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
 
 
-@pytest.mark.parametrize("n, pbar, design, batched", [
-    (60, 1.0, D1, True), (90, 1.0, D1, False), (90, 0.6, D1, True), (90, 1.0, D2, True)],
-    ids=["60-1.0-True", "90-1.0-False", "90-0.6-True", "case-population-90-1.0-True"])
-def test_only_narrow_pattern_tables_are_batched(n, pbar, design, batched, monkeypatch):
-    # a case-control replicate of n patterns on a 101- or 61-point grid holds
-    # n * 101 or n * 61 cells, so a block of _BLOCK_CELLS holds 21, 14 or 23
-    # of them; below _MIN_BLOCK = 16 the batch would be slower than the loop.
-    # A case-population replicate has no grid axis: n * 2 cells, 728 a block
+@pytest.mark.parametrize("n, pbar, design", [
+    (60, 1.0, D1), (90, 1.0, D1), (90, 0.6, D1), (90, 1.0, D2)],
+    ids=["60-1.0", "90-1.0", "90-0.6", "case-population-90-1.0"])
+def test_pattern_tables_of_any_width_are_batched(n, pbar, design, monkeypatch):
+    # every row its own pattern: each replicate is packed on its support,
+    # and the engine equals the per-replicate reference
     data = wide_data(n, design)
     sizes = record_batches(monkeypatch)
     curve, diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
-    blocks = sizes[::3]
-    assert bool(blocks) is batched
-    if batched:
-        assert all(size >= ar_mod._MIN_BLOCK for size in blocks[:-1]) and sum(blocks) == 200
-    monkeypatch.setattr(ar_mod, "_MIN_BLOCK", 10 ** 9)  # every table on the loop
+    assert sum(sizes[::3]) == 200
+    every_replicate_alone(monkeypatch)
     looped, looped_diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
     np.testing.assert_allclose(curve.upper, looped.upper, rtol=1e-12, atol=1e-12)
     assert np.array_equal(diag.mu_star, looped_diag.mu_star)
     assert (diag.n_kept, diag.n_clipped_boot) == (looped_diag.n_kept,
                                                   looped_diag.n_clipped_boot)
+
+
+@pytest.mark.parametrize("design", [D1, D2])
+@pytest.mark.parametrize("rspec", [SPLINE_LIN, BasisSpec.linear(2)], ids=["spline3", "linear"])
+def test_block_statistic_equals_the_lone_refit(rspec, design):
+    # each replicate kept in a packed block has the statistic of its lone
+    # refit; a replicate the block flags raises alone or is settled there
+    data = wide_data(400, design, spline=True)
+    pspec = BasisSpec.linear(2)
+    grid = p_grid(0.6, 0.1)
+    patterns, inverse = ar_mod._patterns(data)
+    counts = np.array([ar_mod._replicate_counts(RngSpec(9).derive("ar-bootstrap", b),
+                                                data.y, inverse, patterns.shape[0], "iid")
+                       for b in range(100)])
+    stats, clipped, ok = block_statistics(data, pspec, rspec, grid, counts, "iid")
+    assert ok.sum() > 90
+    tol = SPLINE_TOL if has_spline(rspec) else LINEAR_TOL
+    for b in np.flatnonzero(ok):
+        got, got_clipped = ar_mod._replicate(data, patterns, counts[b], pspec, rspec, grid)
+        np.testing.assert_allclose(stats[b], got, rtol=tol, atol=tol)
+        assert clipped[b] == got_clipped
+
+
+def test_a_replicate_wider_than_the_layout_is_refitted_alone(monkeypatch):
+    # with no margin over the expected number of distinct patterns, about
+    # half the draws take more in a stratum than the packed width holds
+    data = wide_data(300)
+    want = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=3)
+    monkeypatch.setattr(ar_mod, "_WIDTH_SDS", 0.0)
+    patterns, inverse = ar_mod._patterns(data)
+    layout = ar_mod._layout(patterns, np.bincount(inverse), (LIN, LIN), "iid")
+    counts = np.array([ar_mod._replicate_counts(RngSpec(3).derive("ar-bootstrap", b),
+                                                data.y, inverse, patterns.shape[0], "iid")
+                       for b in range(200)])
+    wide = ar_mod._pack(counts, np.count_nonzero(patterns[:, 0] == 0), layout.widths)[1]
+    assert 20 < wide.sum() < 180
+    alone = []
+    real = ar_mod._replicate
+    monkeypatch.setattr(ar_mod, "_replicate", lambda data, patterns, counts, *a: (
+        alone.append(counts) or real(data, patterns, counts, *a)))
+    got = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=3)
+    # the sample, then every wide replicate in draw order
+    assert np.array_equal(np.array(alone[1:]), counts[wide])
+    np.testing.assert_allclose(got[0].upper, want[0].upper, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(got[1].mu_star, want[1].mu_star)
+    assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
+
+
+def test_spline_replicates_are_refitted_in_blocks(monkeypatch):
+    # a spline basis: ar_curve refits alone, with fit_logit, only the sample
+    # and the replicates the block flags, and its blocks hold all B
+    data = wide_data(600, D2, spline=True)
+    blocks, alone, lone_fits = [], [], []
+    real_batch, real_replicate, real_fit = (ar_mod.fit_logit_batch, ar_mod._replicate,
+                                            ar_mod.fit_logit)
+
+    def batch(t, X, W):
+        coef, ok = real_batch(t, X, W)
+        blocks.append(ok)
+        return coef, ok
+
+    monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
+    monkeypatch.setattr(ar_mod, "_replicate", lambda *a: alone.append(1) or real_replicate(*a))
+    monkeypatch.setattr(ar_mod, "fit_logit", lambda *a: lone_fits.append(1) or real_fit(*a))
+    _, diag = ar_curve(data, BasisSpec.linear(2), SPLINE_LIN, pbar=0.6, B=200, seed=1)
+    assert sum(ok.size for ok in blocks[::3]) == 200
+    flagged = sum(int((~(s0 & s1 & p)).sum()) for s0, s1, p in zip(*[iter(blocks)] * 3))
+    assert len(alone) == 1 + flagged and flagged < 20
+    assert len(alone) <= len(lone_fits) <= 3 * len(alone)
+    assert diag.n_kept >= 200 - flagged
 
 
 def test_bc_tie_counts_the_same_on_both_paths(monkeypatch):
@@ -588,32 +688,25 @@ def test_bc_tie_counts_the_same_on_both_paths(monkeypatch):
         "stratified"), sample) for b in range(200))
     kwargs = dict(pbar=0.6, B=200, seed=7, step=0.05, resample_mode="stratified")
     batched, batched_diag = ar_curve(data, LIN, LIN, **kwargs)
-    real = ar_mod.fit_logit_batch
-
-    def flag_every_row(t, X, W):
-        coef, ok = real(t, X, W)
-        return coef, np.zeros_like(ok)
-
-    monkeypatch.setattr(ar_mod, "fit_logit_batch", flag_every_row)
+    every_replicate_alone(monkeypatch)
     looped, looped_diag = ar_curve(data, LIN, LIN, **kwargs)
     assert np.array_equal(batched_diag.mu_star, looped_diag.mu_star)
     np.testing.assert_allclose(batched.upper, looped.upper, rtol=1e-12, atol=1e-12)
     assert batched_diag.n_kept == looped_diag.n_kept
 
 
-def test_weighted_replicates_equal_expanded_rows_spline_case_population(monkeypatch):
+def test_weighted_replicates_equal_expanded_rows_spline_case_population():
     # the spline draw of the case-population benchmark: every row distinct,
     # knots per replicate, and replicates dropped on separation
     drawn = draw_mc_sample(mc_defaults(), RngSpec(20240501).derive("mc-replicate", 0))
     data = ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D2)
     rspec = BasisSpec((CubicSplineTerm(3),) + (Linear(),) * 4)
-    sizes = record_batches(monkeypatch)
     diag, _, n_batched = assert_replicates_match(data, BasisSpec.linear(5), rspec,
                                                  pbar=0.15, step=0.01, B=200, seed=1,
                                                  mode="iid")
     assert diag.n_dropped > 0 and diag.n_clipped_boot > 0
-    # a spline basis keeps every replicate on _replicate
-    assert n_batched == 0 and sizes == []
+    # the block settles most replicates of a spline basis too
+    assert diag.n_kept - 10 <= n_batched <= diag.n_kept
 
 
 @pytest.mark.parametrize("h0", [None, 0.3])

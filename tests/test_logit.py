@@ -467,7 +467,7 @@ def test_batch_matches_fit_logit_per_weight_row(name, min_ok, min_failed, monkey
     t, x, W = _batch_case(name)
     X = np.column_stack([np.ones(t.size), x])
     coef, ok = fit_logit_batch(t, X, W)
-    status = logit_mod._newton(t.astype(float), X, W)[1]
+    status = logit_mod._newton(*logit_mod._checked(t, X, W))[1]
     loop = _loop_fits(t, x, W)
     for got, fitted, code, want in zip(coef, ok, status, loop):
         if isinstance(want, type):
@@ -541,3 +541,68 @@ def test_batch_input_contracts():
         fit_logit_batch([0, 1, 0, 1], X, -np.ones((2, 4)))
     with pytest.raises(ValidationError):
         fit_logit_batch([0, 1, 0, 1], X, np.ones((2, 3)))
+
+
+# --- the stacked layout: a design and a response per weight row ---------------
+
+@pytest.mark.parametrize("eta", [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8,
+                                 745.2, -745.2, math.inf, -math.inf, math.nan])
+def test_softplus_matches_logaddexp_to_an_ulp(eta):
+    # tier-1 turns a RuntimeWarning into an error, so none is raised here;
+    # np.logaddexp itself warns at NaN
+    got = logit_mod._softplus(np.array([eta]))[0]
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(0.0, eta)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want or abs(got - want) <= np.spacing(abs(want))
+
+
+def _stacked_case():
+    """Six weight rows, each with its own order of the toy rows and its own
+    second column; row 0 has one response class and row 1 is separated."""
+    x, t = _toy(seed=3, n=40, k=2)
+    gen = RngSpec(5).derive("stacked")
+    T, X, W = [], [], []
+    for i in range(6):
+        perm = gen.permutation(40)
+        xi = x[perm].copy()
+        if i == 1:
+            xi[:, 1] = np.where(t[perm] == 1, 0.01, -0.01) * (1.0 + gen.random(40))
+        T.append(t[perm])
+        X.append(np.column_stack([np.ones(40), xi]))
+        W.append(gen.integers(0, 5, 40) * (t[perm] == 0 if i == 0 else 1.0))
+    return np.array(T), np.array(X), np.array(W, dtype=float)
+
+
+def test_stacked_rows_are_their_own_shared_fits():
+    # each stacked row fits as its design and response alone would, to the
+    # bit, and as fit_logit on its support to rounding
+    T, X, W = _stacked_case()
+    coef, ok = fit_logit_batch(T, X, W)
+    status = logit_mod._newton(*logit_mod._checked(T, X, W))[1]
+    assert not ok[:2].any() and ok[2:].all()
+    assert logit_mod._FAILURES[status[0]][0] is ValidationError
+    assert logit_mod._FAILURES[status[1]][0] is SeparationDetected
+    for i in range(6):
+        alone, ok_alone = fit_logit_batch(T[i], X[i], W[i:i + 1])
+        assert ok_alone[0] == ok[i] and np.array_equal(alone[0], coef[i])
+        keep = W[i] > 0
+        if ok[i]:
+            want = fit_logit(T[i][keep], X[i][keep, 1:], W[i][keep]).coef
+            np.testing.assert_allclose(coef[i], want, rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_input_contracts():
+    T, X, W = _stacked_case()
+    with pytest.raises(ValidationError, match="differ in length"):
+        fit_logit_batch(T, X[:5], W)           # a design per row, one missing
+    with pytest.raises(ValidationError, match="differ in length"):
+        fit_logit_batch(T[:, :39], X, W)       # a response shorter than the rows
+    with pytest.raises(ValidationError, match="binary"):
+        fit_logit_batch(2 * T, X, W)
+    bad = X.copy()
+    bad[3, 7, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        fit_logit_batch(T, bad, W)

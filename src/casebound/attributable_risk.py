@@ -65,17 +65,15 @@ batched Newton fits in the stacked layout (`logit.fit_logit_batch`:
 stratum 0, stratum 1, the prospective fit), and the curve or xi of every
 replicate is read off (replicate x grid x packed row) arrays.  A block
 holds as many replicates as fit in `_BLOCK_CELLS` cells of both packed
-designs or of such an array, so memory does not grow with B.  A replicate
-leaves the block for `_replicate`, alone, when its support is wider than
-the packed width, when its spline block raises, or when the kernel flags
-it: a fit `fit_logit` would refuse (an empty stratum, a basis column
-constant on the support, separation), one too ill-conditioned at the
-optimum for two summation orders to agree (`logit.PIVOT_FLOOR`), or a
-fitted probability outside [0, 1]; a fit that halves a step stays.
-`_replicate` refits it as `_block` on its support with `fit_logit` for the
-batched kernel: a failed fit raises its own class, and no PIVOT_FLOOR
-applies.  The two paths agree to rounding (1e-12 in the tests, 1e-10 with
-a spline basis, whose design is ill-conditioned).
+designs or of such an array, so memory does not grow with B.  The block
+judges each replicate once, in the order in which `_replicate` raises:
+the error of its spline block, DegenerateColumn (`build_basis`'s rule on
+the support), a nonzero kernel status of its three fits, then a fitted
+probability outside [0, 1]; a fit that halves a step stays.  Only the
+sample and a replicate wider than the packed width are refitted alone, by
+`_replicate`: `_block` with `fit_logit`, which raises, as the kernel.  The
+two paths agree to rounding (1e-12 in the tests, 1e-10 with a spline
+basis, whose design is ill-conditioned).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -90,8 +88,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, CubicSplineTerm
-from .errors import (BootstrapDegenerate, CaseboundError, NuisanceProbabilityOutOfRange,
-                     ValidationError)
+from .errors import (BootstrapDegenerate, CaseboundError, DegenerateColumn,
+                     NuisanceProbabilityOutOfRange, ValidationError)
 from .logit import fit_logit, fit_logit_batch
 from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
@@ -212,10 +210,10 @@ def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
     return np.bincount(inverse[idx], minlength=n_patterns)
 
 
-def _fit_one(t: np.ndarray, X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, bool]:
+def _fit_one(t: np.ndarray, X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`fit_logit` in the shape of `fit_logit_batch`, for a block of one
-    replicate: a fit that fails raises instead of being flagged."""
-    return fit_logit(t[0], X[0, :, 1:], W[0]).coef[None], True
+    replicate: a fit that fails raises instead of returning its status."""
+    return fit_logit(t[0], X[0, :, 1:], W[0]).coef[None], np.zeros(1, dtype=np.int8)
 
 
 def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
@@ -227,9 +225,10 @@ def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
     keep = counts > 0
     rows, c = patterns[keep], counts[keep]
     designs = _pattern_designs(rows, retrospective_spec, prospective_spec, c)
-    stat, n_clipped, ok = _block(data, np.count_nonzero(rows[:, 0] == 0), rows[None, :, 1],
-                                 c[None], tuple(d[None] for d in designs), grid, _fit_one)
-    if not ok[0]:
+    stat, n_clipped, _, in_range = _block(data, np.count_nonzero(rows[:, 0] == 0),
+                                          rows[None, :, 1], c[None],
+                                          tuple(d[None] for d in designs), grid, _fit_one)
+    if not in_range[0]:
         raise NuisanceProbabilityOutOfRange("fitted probabilities leave [0, 1] or are not finite")
     return stat[0], int(n_clipped[0])
 
@@ -246,7 +245,7 @@ def _pattern_designs(patterns: np.ndarray, retrospective_spec: BasisSpec,
 
 def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
            designs: tuple[np.ndarray, np.ndarray], grid: np.ndarray,
-           fit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           fit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A block of replicates refitted together, each on its own rows.
 
     Every replicate has the same number of rows, the first n0 of them in
@@ -254,11 +253,11 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
     rows), a zero count dropping a row; `designs` hold the retrospective
     and prospective [1, basis] at each replicate's rows, (replicates, rows,
     k); `fit` is the batched kernel, or `_fit_one` for `_replicate`.
-    Returns each replicate's statistic (as `_replicate`), its clip count
-    and whether it stayed on the common path (its three fits ok, their
-    probabilities on its support in [0, 1]); the statistic and clip count
-    of a replicate that did not are meaningless, and `_replicate` settles
-    it.
+    Returns each replicate's statistic (as `_replicate`), its clip count,
+    the (replicates, 3) kernel statuses of its fits (stratum 0, stratum 1,
+    the prospective fit) and whether their probabilities on its support lie
+    in [0, 1]; the statistic and clip count of a replicate with a nonzero
+    status or a probability outside [0, 1] are meaningless.
     """
     rdesign, pdesign = designs
     case = np.arange(counts.shape[1]) >= n0
@@ -269,34 +268,37 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
             (fit(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
             (fit(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
     probs = []
-    ok = np.ones(counts.shape[0], dtype=bool)
+    in_range = np.ones(counts.shape[0], dtype=bool)
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
-    for (coef, fitted), design in fits:
-        clipped, in_range, n_moved = clip_probabilities(
+    for (coef, _), design in fits:
+        clipped, valid, n_moved = clip_probabilities(
             expit((coef[:, None, :] * design).sum(axis=-1)), counts)
-        ok &= fitted & (in_range | ~support).all(axis=1)
+        in_range &= (valid | ~support).all(axis=1)
         n_clipped += n_moved
         # off the support a value only has to keep the weighted sums finite
         probs.append(np.where(support, clipped, 0.5))
-    # the statistic of the replicates still on the common path, an estimated
-    # h0 their counts-weighted share of cases; every probability now lies in
+    # the statistic of the replicates that are kept, an estimated h0 their
+    # counts-weighted share of cases; every probability now lies in
     # [CLIP, 1 - CLIP], so no denominator vanishes
+    status = np.column_stack([fit_status for (_, fit_status), _ in fits])
+    ok = in_range & ~status.any(axis=1)
     pi0, pi1, py, c = (a[ok] for a in (*probs, counts))
     h0 = c[:, case].sum(axis=1) / c.sum(axis=1) if data.h0_estimated else data.h0
     vals = _statistic(data.design, h0, case, pi0, pi1, py, w[ok], grid)
     stat = np.zeros((counts.shape[0], vals.shape[1]))
     stat[ok] = vals
-    return stat, n_clipped, ok
+    return stat, n_clipped, status, in_range
 
 
 @dataclass(frozen=True)
 class _Layout:
     """What every block of one `ar_curve` run shares: the pattern table, the
-    retrospective and prospective [1, basis] on it, per design the spline
-    block that each replicate rebuilds (None without one), and the fixed
-    width of each stratum (see the module docstring)."""
+    retrospective and prospective specs and [1, basis] on the table, per
+    design the spline block that each replicate rebuilds (None without
+    one), and the fixed width of each stratum (see the module docstring)."""
 
     patterns: np.ndarray
+    specs: tuple[BasisSpec, BasisSpec]
     tables: tuple[np.ndarray, np.ndarray]
     splines: tuple
     widths: tuple[int, int]
@@ -336,7 +338,8 @@ def _layout(patterns: np.ndarray, multiplicities: np.ndarray, specs: tuple[Basis
             mode: str) -> _Layout:
     """The layout of a run on `patterns` with the sample's `multiplicities`;
     `specs` is (retrospective, prospective)."""
-    return _Layout(patterns=patterns, tables=_pattern_designs(patterns, *specs, multiplicities),
+    return _Layout(patterns=patterns, specs=specs,
+                   tables=_pattern_designs(patterns, *specs, multiplicities),
                    splines=tuple(_spline_block(spec) for spec in specs),
                    widths=_widths(multiplicities, patterns[:, 0] == 1, mode))
 
@@ -354,30 +357,47 @@ def _pack(counts: np.ndarray, n0: int, widths: tuple[int, int]) -> tuple[np.ndar
 
 
 def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
-                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`_block` with the batched kernel on a block of replicates' (replicates,
     patterns) counts, each replicate packed on its own support: designs
     gathered from the pattern table, each spline block rebuilt on the
-    support with knots from its counts.  A replicate whose support is wider
-    than the layout or whose spline block raises gets zero counts, which the
-    kernel refuses, so it leaves the common path."""
+    support with knots from its counts.  Returns each replicate's statistic,
+    clip count and fit statuses as `_block`, and None or the class of the
+    CaseboundError that drops it otherwise (see the module docstring), or
+    `_replicate`'s for one wider than the layout.  A replicate refused
+    before its fits, or wider, gets zero counts, which the kernel refuses."""
     patterns = layout.patterns
-    n0 = np.count_nonzero(patterns[:, 0] == 0)
-    idx, alone = _pack(counts, n0, layout.widths)
+    idx, wide = _pack(counts, np.count_nonzero(patterns[:, 0] == 0), layout.widths)
     w = np.take_along_axis(counts, idx, axis=1)
-    designs = tuple(table[idx] for table in layout.tables)
-    rebuilt = [(design, *spline) for design, spline in zip(designs, layout.splines)
-               if spline is not None]
-    for i in np.flatnonzero(~alone) if rebuilt else ():
-        on = np.flatnonzero(w[i])
-        rows = patterns[idx[i, on]]
+    on, designs = w > 0, tuple(table[idx] for table in layout.tables)
+    error = np.full(counts.shape[0], None, dtype=object)
+    # each design judged as `_pattern_designs` builds it: its spline block,
+    # then build_basis's rule, no basis column constant on the support
+    for design, spline in zip(designs, layout.splines):
+        if spline is not None:
+            covs, spec, cols = spline
+            for i in np.flatnonzero(~wide & np.equal(error, None)):
+                sup = np.flatnonzero(w[i])
+                try:
+                    design[i, sup[:, None], cols] = design_columns(
+                        patterns[idx[i, sup]][:, 2 + covs], spec, w[i, sup])
+                except CaseboundError as exc:
+                    error[i] = type(exc)
+        at_one = design[np.arange(w.shape[0]), on.argmax(axis=1)][:, None]
+        varies = ((design != at_one) & on[..., None]).any(axis=1)
+        error[~varies[:, 1:].all(axis=1) & ~wide & np.equal(error, None)] = DegenerateColumn
+    w[wide | ~np.equal(error, None)] = 0
+    stats, clipped, status, in_range = _block(data, layout.widths[0], patterns[idx, 1], w,
+                                              designs, grid, fit_logit_batch)
+    error[~(status.any(axis=1) | in_range)] = NuisanceProbabilityOutOfRange
+    for i in np.flatnonzero(wide):
         try:
-            for design, covs, spec, cols in rebuilt:
-                design[i, on[:, None], cols] = design_columns(rows[:, 2 + covs], spec, w[i, on])
-        except CaseboundError:
-            alone[i] = True
-    w[alone] = 0
-    return _block(data, layout.widths[0], patterns[idx, 1], w, designs, grid, fit_logit_batch)
+            stats[i], clipped[i] = _replicate(data, patterns, counts[i], *layout.specs[::-1], grid)
+        except CaseboundError as exc:
+            error[i] = type(exc)
+        else:
+            status[i] = 0
+    return stats, clipped, status, error
 
 
 def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
@@ -430,19 +450,11 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
         counts = np.array([_replicate_counts(rng.derive("ar-bootstrap", b), data.y, inverse,
                                              patterns.shape[0], resample_mode)
                            for b in range(start, stop)])
-        stats, clipped, ok = _refit_block(data, layout, counts, grid)
+        stats, clipped, status, error = _refit_block(data, layout, counts, grid)
+        ok = ~status.any(axis=1) & np.equal(error, None)
         boot[start:stop][ok] = stats[ok]
         n_clipped_boot += int(clipped[ok].sum())
         kept[start:stop] = ok
-        for i in np.flatnonzero(~ok):
-            try:
-                stat, n_clipped = _replicate(data, patterns, counts[i], prospective_spec,
-                                             retrospective_spec, grid)
-            except CaseboundError:
-                continue
-            boot[start + i] = stat
-            kept[start + i] = True
-            n_clipped_boot += n_clipped
     boot = boot[kept]  # (n_kept, n_grid), or (n_kept, 1) for xi
     n_kept = boot.shape[0]
     n_dropped = B - n_kept

@@ -22,8 +22,8 @@ or stacked, one per row, (m, n) and (m, n, k), so that each bootstrap
 replicate is fitted on its own rows.  `_checked` gives both a leading row
 axis, of length one when shared, and the loop compacts a per-row array
 with the weights as rows leave it (`_by_row`).  The front ends differ
-only in raising a status (`fit_logit`, one row) or flagging it
-(`fit_logit_batch`, bootstrap replicates) and in PIVOT_FLOOR.  Each row
+only in raising a status (`fit_logit`, one row) or returning it
+(`fit_logit_batch`, bootstrap replicates).  Each row
 halves its own steps; the information (X' * sw) @ X, the gradient and the
 linear predictor are stacked products, one BLAS call per row, so a row's
 fit does not depend on which rows share the call.  The log-likelihood's
@@ -37,11 +37,6 @@ returns NaN, and the loop runs under ``np.errstate(over="ignore",
 invalid="ignore")``: information that is not positive definite, or a
 non-finite gradient, information or step (a huge covariate can overflow
 X'WX), fails the row as `Singular`.
-
-`PIVOT_FLOOR` decides only whether a batched row stays on the common path:
-it is ok only when every Cholesky pivot of its information at the optimum
-clears PIVOT_FLOOR of its diagonal.  Below that the optimum sits on a flat
-ridge that is not reproducible to rounding, and the caller refits it alone.
 """
 
 from __future__ import annotations
@@ -59,10 +54,6 @@ __all__ = ["LogitFit", "fit_logit", "fit_logit_batch"]
 DEFAULT_TOL_SCALE = 1e-8
 DEFAULT_MAX_ITER = 100
 DEFAULT_SEPARATION_BOUND = 250.0
-# near separation or collinearity the optimum sits on a flat ridge whose
-# coefficients move with the last bit of 1 - p: two summation orders agree
-# to about 1e-8 there, against 1e-14 above this pivot floor
-PIVOT_FLOOR = 1e-6
 
 # a row's status: 0 once converged, else an index into _FAILURES, the
 # exception fit_logit raises for that reason
@@ -266,15 +257,11 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray,
     """`fit_logit` under every row of the (B, n) nonnegative frequency
     weights W (a zero drops a row from that fit), of one response on the
     (n, k) design X, intercept column included, or of a response and a
-    design per weight row, (B, n) and (B, n, k).  Returns the (B, k) coefficients and
-    a (B,) mask `ok`: True where `fit_logit` would converge and every
-    Cholesky pivot of the information at the optimum clears PIVOT_FLOOR
-    times its diagonal, which a column constant on the row's support does
-    not.  A row that is not ok has zero coefficients.  Only `_checked`'s
-    input refusals, a non-finite design among them, raise."""
-    coef, status, info = _newton(*_checked(response, X, W))[:3]
-    ok = status == 0
-    pivots = np.diagonal(_linalg.cholesky_lo(info[ok]), axis1=1, axis2=2) ** 2
-    ok[ok] = (pivots > PIVOT_FLOOR * np.diagonal(info[ok], axis1=1, axis2=2)).all(axis=1)
-    coef[~ok] = 0.0
-    return coef, ok
+    design per weight row, (B, n) and (B, n, k).  Returns the (B, k)
+    coefficients and the (B,) statuses: 0 where `fit_logit` would return,
+    else the index in `_FAILURES` of what it would raise.  A row with a
+    nonzero status has zero coefficients.  Only `_checked`'s input
+    refusals, a non-finite design among them, raise."""
+    coef, status = _newton(*_checked(response, X, W))[:2]
+    coef[status != 0] = 0.0
+    return coef, status

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casebound.attributable_risk as ar_mod
+import casebound.logit as logit_mod
 from casebound.attributable_risk import ar_curve, bc_level
 from casebound.basis import BasisSpec, CubicSplineTerm, Linear
 from casebound.errors import (
@@ -304,8 +305,8 @@ def test_bootstrap_degenerate_raises(monkeypatch):
     real = ar_mod._block
 
     def constant(*args, **kwargs):
-        stats, clipped, ok = real(*args, **kwargs)
-        return np.full_like(stats, 0.25), clipped, ok
+        stats, *rest = real(*args, **kwargs)
+        return np.full_like(stats, 0.25), *rest
 
     monkeypatch.setattr(ar_mod, "_block", constant)
     with pytest.raises(BootstrapDegenerate):
@@ -314,51 +315,34 @@ def test_bootstrap_degenerate_raises(monkeypatch):
 
 def test_failed_replicates_dropped_and_counted(monkeypatch):
     data = expand(COUNTS_D1, D1)
-    real, real_replicate = ar_mod._block, ar_mod._replicate
-    multiplicities = np.bincount(ar_mod._patterns(data)[1])
+    real = ar_mod._block
 
     def flaky_block(*args):
-        stats, clipped, ok = real(*args)
-        if args[-1] is ar_mod.fit_logit_batch:  # the bootstrap's block, not a lone refit
-            ok = ok.copy()
-            ok[[2, 3, 4]] = False  # three replicates leave the common path
-        return stats, clipped, ok
-
-    def failing_replicate(data, patterns, counts, *args):
-        # the sample is the replicate whose counts are its multiplicities
-        if np.array_equal(counts, multiplicities):
-            return real_replicate(data, patterns, counts, *args)
-        raise SeparationDetected("synthetic failure")
+        stats, clipped, status, in_range = real(*args)
+        if args[-1] is ar_mod.fit_logit_batch:  # the bootstrap's block, not the sample
+            status = status.copy()
+            status[[2, 3, 4], 1] = 1  # three replicates' stratum-1 fits fail
+        return stats, clipped, status, in_range
 
     monkeypatch.setattr(ar_mod, "_block", flaky_block)
-    monkeypatch.setattr(ar_mod, "_replicate", failing_replicate)
     curve, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert diag.n_dropped == 3
     assert diag.n_kept == 197
 
 
-def nan_stratum_one_fits(monkeypatch, replicates):
-    """Patch the lone-refit `fit_logit` so that the stratum-1 fit of each
-    listed refit returns NaN coefficients.  Refit 0 is the sample and refit
-    b + 1 bootstrap replicate b; `_block` fits stratum 0, stratum 1 and the
-    prospective model in that order, three calls a refit."""
+def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
+    # NaN coefficients of the sample's stratum-1 fit, the second of its three
+    # fit_logit calls, give NaN fitted Pi(1|1,x), a typed refusal
     calls = []
 
     def fit(t, X, W):
-        result = fit_logit(t, X, W)
         calls.append(1)
-        refit, which = divmod(len(calls) - 1, 3)
-        if which == 1 and refit in replicates:
+        result = fit_logit(t, X, W)
+        if len(calls) == 2:
             return dataclasses.replace(result, coef=np.full_like(result.coef, np.nan))
         return result
 
     monkeypatch.setattr(ar_mod, "fit_logit", fit)
-    return calls
-
-
-def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
-    # NaN coefficients give NaN fitted Pi(1|1,x), a typed refusal
-    nan_stratum_one_fits(monkeypatch, {0})
     draws = []
     monkeypatch.setattr(ar_mod, "_replicate_counts", lambda *a: draws.append(1))
     with pytest.raises(NuisanceProbabilityOutOfRange, match="leave \\[0, 1\\]"):
@@ -366,23 +350,61 @@ def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
     assert draws == []
 
 
-def every_replicate_alone(monkeypatch):
-    """The per-replicate reference: the batched kernel flags every row, so
-    `ar_curve` refits each replicate alone with `_replicate`."""
-    monkeypatch.setattr(ar_mod, "fit_logit_batch", lambda t, X, W: (
-        np.zeros((W.shape[0], X.shape[-1])), np.zeros(W.shape[0], dtype=bool)))
+def assert_matches_lone_refits(data, pspec, rspec, monkeypatch, **kwargs):
+    """The per-replicate reference: `ar_curve` against the same run with
+    every replicate refitted alone by `_replicate` and dropped on a
+    CaseboundError."""
+    curve, diag = ar_curve(data, pspec, rspec, **kwargs)
+
+    def refit_alone(data, layout, counts, grid):
+        stats = np.zeros((counts.shape[0], 1 if data.design is D2 else grid.size))
+        clipped = np.zeros(counts.shape[0], dtype=np.int64)
+        error = np.full(counts.shape[0], None, dtype=object)
+        for b, c in enumerate(counts):
+            try:
+                stats[b], clipped[b] = ar_mod._replicate(data, layout.patterns, c, pspec,
+                                                         rspec, grid)
+            except CaseboundError as exc:
+                error[b] = type(exc)
+        return stats, clipped, np.zeros((counts.shape[0], 3), dtype=np.int8), error
+
+    monkeypatch.setattr(ar_mod, "_refit_block", refit_alone)
+    looped, looped_diag = ar_curve(data, pspec, rspec, **kwargs)
+    assert np.array_equal(diag.mu_star, looped_diag.mu_star)
+    np.testing.assert_allclose(curve.upper, looped.upper, rtol=1e-12, atol=1e-12)
+    assert (diag.n_kept, diag.n_clipped_boot) == (looped_diag.n_kept,
+                                                  looped_diag.n_clipped_boot)
 
 
 def test_replicates_with_bad_probabilities_are_dropped(monkeypatch):
-    # every replicate refitted alone, so that each makes three fit_logit calls
-    every_replicate_alone(monkeypatch)
+    # NaN coefficients of the batched stratum-1 fit, with status 0, give NaN
+    # fitted Pi(1|1,x) in the 3rd, 50th and 200th replicates
     data = expand(COUNTS_D1, D1)
     _, clean = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert clean.n_dropped == 0
-    calls = nan_stratum_one_fits(monkeypatch, {3, 50, 200})
+    bad = [2, 49, 199]
+    real_batch, real_refit = ar_mod.fit_logit_batch, ar_mod._refit_block
+    sizes, errors = [], []
+
+    def batch(t, X, W):
+        # one block of all 200: stratum 0, stratum 1, the prospective fit
+        coef, status = real_batch(t, X, W)
+        sizes.append(W.shape[0])
+        if len(sizes) == 2:
+            coef[bad] = np.nan
+        return coef, status
+
+    def refit(*args):
+        out = real_refit(*args)
+        errors.extend(out[3])
+        return out
+
+    monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
+    monkeypatch.setattr(ar_mod, "_refit_block", refit)
     _, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
-    assert len(calls) == 3 * 201
-    assert (diag.n_dropped, diag.n_kept) == (3, 197)
+    assert sizes == [200] * 3 and (diag.n_dropped, diag.n_kept) == (3, 197)
+    assert {b: e for b, e in enumerate(errors) if e is not None} == dict.fromkeys(
+        bad, NuisanceProbabilityOutOfRange)
 
 
 # --- the weighted replicate engine against the expanded rows -----------------
@@ -408,7 +430,8 @@ def has_spline(*specs):
 
 
 # a replicate's statistic from its packed block against the same replicate
-# refitted alone, relative to max(1, |value|): 1e-12 on linear bases.  A
+# refitted alone, relative to max(1, |value|): 1e-12 on linear bases.  The
+# block is the only verdict, so every replicate it keeps is compared.  A
 # spline design is ill-conditioned (covariance condition numbers 1e4-1e8):
 # over the spline inputs of these tests (the two of
 # test_block_statistic_equals_the_lone_refit, the ar_cp_spline input and
@@ -420,25 +443,32 @@ LINEAR_TOL, SPLINE_TOL = 1e-12, 1e-10
 
 def block_statistics(data, pspec, rspec, grid, all_counts, mode, size=25):
     """`_refit_block` on the replicates' counts in blocks of `size`, with the
-    layout `ar_curve` would use: statistics, clip counts and ok flags."""
+    layout `ar_curve` would use: statistics, clip counts, and the class that
+    drops each replicate, or None where the block keeps it."""
     patterns, inverse = ar_mod._patterns(data)
     layout = ar_mod._layout(patterns, np.bincount(inverse), (rspec, pspec), mode)
     parts = [ar_mod._refit_block(data, layout, all_counts[i:i + size], grid)
              for i in range(0, all_counts.shape[0], size)]
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    stats, clipped, status, error = (np.concatenate(a) for a in zip(*parts))
+    # an error comes before the fits or after them all; otherwise the
+    # first nonzero status, in fit order, names what `_replicate` raises
+    reason = [e if e is not None or not s.any() else logit_mod._FAILURES[s[s != 0][0]][0]
+              for s, e in zip(status, error)]
+    return stats, clipped, reason
 
 
 def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
     """Each replicate three ways: the expanded rows, `_replicate`, and its
-    row of a packed block.  Returns the diagnostics, the exception classes
-    of the dropped replicates and how many replicates the block settled."""
+    row of a packed block, which keeps it exactly where the expanded rows
+    fit and otherwise drops it with their class.  Returns the diagnostics
+    and the exception classes of the dropped replicates."""
     grid = p_grid(pbar, step)
     patterns, inverse = ar_mod._patterns(data)
     rng = RngSpec(seed)
     all_counts = np.array([ar_mod._replicate_counts(rng.derive("ar-bootstrap", b), data.y,
                                                     inverse, patterns.shape[0], mode)
                            for b in range(B)])
-    stats, block_clipped, ok = block_statistics(data, pspec, rspec, grid, all_counts, mode)
+    stats, block_clipped, reason = block_statistics(data, pspec, rspec, grid, all_counts, mode)
     tol = SPLINE_TOL if has_spline(rspec, pspec) else LINEAR_TOL
     kept = dropped = clipped = 0
     failures = Counter()
@@ -457,22 +487,22 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
                 assert got.type in (ValidationError, DegenerateColumn)
             else:
                 assert got.type is type(exc)
-            assert not ok[b]
+            assert reason[b] is got.type
             failures[type(exc).__name__] += 1
             dropped += 1
             continue
         got, got_clipped = ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert got_clipped == want_clipped
-        if ok[b]:
-            np.testing.assert_allclose(stats[b], got, rtol=tol, atol=tol)
-            assert block_clipped[b] == got_clipped
+        assert reason[b] is None
+        np.testing.assert_allclose(stats[b], got, rtol=tol, atol=tol)
+        assert block_clipped[b] == got_clipped
         kept += 1
         clipped += got_clipped
     _, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=B, seed=seed, step=step,
                        resample_mode=mode)
     assert (diag.n_kept, diag.n_dropped, diag.n_clipped_boot) == (kept, dropped, clipped)
-    return diag, failures, int(ok.sum())
+    return diag, failures
 
 
 @pytest.mark.parametrize("mode", ["iid", "stratified"])
@@ -480,16 +510,16 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
 def test_weighted_replicates_equal_expanded_rows_case_control(h0, mode):
     data = expand(COUNTS_D1, D1, h0)
     assert data.h0_estimated is (h0 is None)
-    diag, _, n_batched = assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.1,
-                                                 B=200, seed=7, mode=mode)
-    assert n_batched == diag.n_kept == 200
+    diag, _ = assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.1, B=200, seed=7,
+                                      mode=mode)
+    assert diag.n_kept == 200
 
 
 def test_weighted_replicates_equal_expanded_rows_case_population_linear():
     data = expand(COUNTS_D1, D2)
-    diag, _, n_batched = assert_replicates_match(data, LIN, LIN, pbar=0.3, step=0.05,
-                                                 B=200, seed=8, mode="iid")
-    assert n_batched == diag.n_kept == 200
+    diag, _ = assert_replicates_match(data, LIN, LIN, pbar=0.3, step=0.05, B=200, seed=8,
+                                      mode="iid")
+    assert diag.n_kept == 200
 
 
 def test_weighted_replicates_equal_expanded_rows_ar_cc_input():
@@ -498,9 +528,9 @@ def test_weighted_replicates_equal_expanded_rows_ar_cc_input():
                             mtr=True, mts=True)
     drawn = sample_from_population(pop, D1, 0.5, 2400, RngSpec(1).derive("perfbench-ar-cc"))
     data = ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D1, h0=0.5)
-    diag, _, n_batched = assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.05,
-                                                 B=200, seed=1, mode="iid")
-    assert n_batched == diag.n_kept == 200
+    diag, _ = assert_replicates_match(data, LIN, LIN, pbar=0.6, step=0.05, B=200, seed=1,
+                                      mode="iid")
+    assert diag.n_kept == 200
 
 
 # sixteen rows: three cases, and a single covariate level x=1 among controls
@@ -518,12 +548,11 @@ def fragile_data(design):
 
 @pytest.mark.parametrize("design", [D1, D2])
 def test_real_replicate_failures_leave_the_block(design):
-    diag, failures, n_batched = assert_replicates_match(
+    diag, failures = assert_replicates_match(
         fragile_data(design), LIN, LIN, pbar=0.6, step=0.1, B=200, seed=3, mode="iid")
     for name in ("EmptyStratum", "DegenerateColumn", "ValidationError"):
         assert failures[name] > 0, failures
-    assert diag.n_dropped == sum(failures.values())
-    assert 0 < n_batched <= diag.n_kept
+    assert diag.n_dropped == sum(failures.values()) and diag.n_kept > 0
 
 
 def wide_data(n, design=D1, spline=False):
@@ -565,11 +594,12 @@ def test_block_composition_invariance(data, rspec, sizes, monkeypatch):
                                                 data.y, inverse, patterns.shape[0], "iid")
                        for b in range(60)])
     layout = ar_mod._layout(patterns, np.bincount(inverse), (rspec, pspec), "iid")
-    stats, clipped, ok = ar_mod._refit_block(data, layout, counts, grid)
+    stats, clipped, status, error = ar_mod._refit_block(data, layout, counts, grid)
+    ok = ~status.any(axis=1) & np.equal(error, None)
     assert ok.any()
     for b in range(60):
         alone = ar_mod._refit_block(data, layout, counts[b:b + 1], grid)
-        assert alone[2][0] == ok[b]
+        assert np.array_equal(alone[2][0], status[b]) and alone[3][0] is error[b]
         if ok[b]:
             assert np.array_equal(alone[0][0], stats[b]) and alone[1][0] == clipped[b]
     # and the engine's output does not depend on its block size
@@ -594,21 +624,15 @@ def test_pattern_tables_of_any_width_are_batched(n, pbar, design, monkeypatch):
     # and the engine equals the per-replicate reference
     data = wide_data(n, design)
     sizes = record_batches(monkeypatch)
-    curve, diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
+    assert_matches_lone_refits(data, LIN, LIN, monkeypatch, pbar=pbar, B=200, seed=2)
     assert sum(sizes[::3]) == 200
-    every_replicate_alone(monkeypatch)
-    looped, looped_diag = ar_curve(data, LIN, LIN, pbar=pbar, B=200, seed=2)
-    np.testing.assert_allclose(curve.upper, looped.upper, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(diag.mu_star, looped_diag.mu_star)
-    assert (diag.n_kept, diag.n_clipped_boot) == (looped_diag.n_kept,
-                                                  looped_diag.n_clipped_boot)
 
 
 @pytest.mark.parametrize("design", [D1, D2])
 @pytest.mark.parametrize("rspec", [SPLINE_LIN, BasisSpec.linear(2)], ids=["spline3", "linear"])
 def test_block_statistic_equals_the_lone_refit(rspec, design):
     # each replicate kept in a packed block has the statistic of its lone
-    # refit; a replicate the block flags raises alone or is settled there
+    # refit, and one the block drops raises the same class alone
     data = wide_data(400, design, spline=True)
     pspec = BasisSpec.linear(2)
     grid = p_grid(0.6, 0.1)
@@ -616,10 +640,15 @@ def test_block_statistic_equals_the_lone_refit(rspec, design):
     counts = np.array([ar_mod._replicate_counts(RngSpec(9).derive("ar-bootstrap", b),
                                                 data.y, inverse, patterns.shape[0], "iid")
                        for b in range(100)])
-    stats, clipped, ok = block_statistics(data, pspec, rspec, grid, counts, "iid")
-    assert ok.sum() > 90
+    stats, clipped, reason = block_statistics(data, pspec, rspec, grid, counts, "iid")
+    assert reason.count(None) > 90
     tol = SPLINE_TOL if has_spline(rspec) else LINEAR_TOL
-    for b in np.flatnonzero(ok):
+    for b in range(100):
+        if reason[b] is not None:
+            with pytest.raises(reason[b]) as got:
+                ar_mod._replicate(data, patterns, counts[b], pspec, rspec, grid)
+            assert got.type is reason[b]
+            continue
         got, got_clipped = ar_mod._replicate(data, patterns, counts[b], pspec, rspec, grid)
         np.testing.assert_allclose(stats[b], got, rtol=tol, atol=tol)
         assert clipped[b] == got_clipped
@@ -651,27 +680,30 @@ def test_a_replicate_wider_than_the_layout_is_refitted_alone(monkeypatch):
 
 
 def test_spline_replicates_are_refitted_in_blocks(monkeypatch):
-    # a spline basis: ar_curve refits alone, with fit_logit, only the sample
-    # and the replicates the block flags, and its blocks hold all B
-    data = wide_data(600, D2, spline=True)
-    blocks, alone, lone_fits = [], [], []
+    # a spline basis: ar_curve refits alone, with fit_logit, only the sample,
+    # its blocks hold all B, and a replicate a fit status fails is dropped
+    # there; on the ar_cp_spline input some replicates separate
     real_batch, real_replicate, real_fit = (ar_mod.fit_logit_batch, ar_mod._replicate,
                                             ar_mod.fit_logit)
+    for data, pspec, rspec, pbar, separated in [
+            (wide_data(600, D2, spline=True), BasisSpec.linear(2), SPLINE_LIN, 0.6, False),
+            (spline_draw(20240501), BasisSpec.linear(5), SPLINE5, 0.15, True)]:
+        blocks, alone, lone_fits = [], [], []
 
-    def batch(t, X, W):
-        coef, ok = real_batch(t, X, W)
-        blocks.append(ok)
-        return coef, ok
+        def batch(t, X, W):
+            coef, status = real_batch(t, X, W)
+            blocks.append(status)
+            return coef, status
 
-    monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
-    monkeypatch.setattr(ar_mod, "_replicate", lambda *a: alone.append(1) or real_replicate(*a))
-    monkeypatch.setattr(ar_mod, "fit_logit", lambda *a: lone_fits.append(1) or real_fit(*a))
-    _, diag = ar_curve(data, BasisSpec.linear(2), SPLINE_LIN, pbar=0.6, B=200, seed=1)
-    assert sum(ok.size for ok in blocks[::3]) == 200
-    flagged = sum(int((~(s0 & s1 & p)).sum()) for s0, s1, p in zip(*[iter(blocks)] * 3))
-    assert len(alone) == 1 + flagged and flagged < 20
-    assert len(alone) <= len(lone_fits) <= 3 * len(alone)
-    assert diag.n_kept >= 200 - flagged
+        monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
+        monkeypatch.setattr(ar_mod, "_replicate",
+                            lambda *a: alone.append(1) or real_replicate(*a))
+        monkeypatch.setattr(ar_mod, "fit_logit", lambda *a: lone_fits.append(1) or real_fit(*a))
+        _, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=200, seed=1)
+        assert sum(status.size for status in blocks[::3]) == 200
+        failed = sum(np.count_nonzero(s0 | s1 | p) for s0, s1, p in zip(*[iter(blocks)] * 3))
+        assert len(alone) == 1 and len(lone_fits) == 3
+        assert diag.n_dropped == failed and bool(failed) == separated
 
 
 def test_bc_tie_counts_the_same_on_both_paths(monkeypatch):
@@ -686,13 +718,8 @@ def test_bc_tie_counts_the_same_on_both_paths(monkeypatch):
     assert any(np.array_equal(ar_mod._replicate_counts(
         RngSpec(7).derive("ar-bootstrap", b), data.y, inverse, patterns.shape[0],
         "stratified"), sample) for b in range(200))
-    kwargs = dict(pbar=0.6, B=200, seed=7, step=0.05, resample_mode="stratified")
-    batched, batched_diag = ar_curve(data, LIN, LIN, **kwargs)
-    every_replicate_alone(monkeypatch)
-    looped, looped_diag = ar_curve(data, LIN, LIN, **kwargs)
-    assert np.array_equal(batched_diag.mu_star, looped_diag.mu_star)
-    np.testing.assert_allclose(batched.upper, looped.upper, rtol=1e-12, atol=1e-12)
-    assert batched_diag.n_kept == looped_diag.n_kept
+    assert_matches_lone_refits(data, LIN, LIN, monkeypatch, pbar=0.6, B=200, seed=7, step=0.05,
+                               resample_mode="stratified")
 
 
 def test_weighted_replicates_equal_expanded_rows_spline_case_population():
@@ -701,12 +728,10 @@ def test_weighted_replicates_equal_expanded_rows_spline_case_population():
     drawn = draw_mc_sample(mc_defaults(), RngSpec(20240501).derive("mc-replicate", 0))
     data = ObservedDataset(y=drawn.y, t=drawn.t, x=drawn.x, design=D2)
     rspec = BasisSpec((CubicSplineTerm(3),) + (Linear(),) * 4)
-    diag, _, n_batched = assert_replicates_match(data, BasisSpec.linear(5), rspec,
-                                                 pbar=0.15, step=0.01, B=200, seed=1,
-                                                 mode="iid")
+    diag, failures = assert_replicates_match(data, BasisSpec.linear(5), rspec, pbar=0.15,
+                                             step=0.01, B=200, seed=1, mode="iid")
     assert diag.n_dropped > 0 and diag.n_clipped_boot > 0
-    # the block settles most replicates of a spline basis too
-    assert diag.n_kept - 10 <= n_batched <= diag.n_kept
+    assert failures == {"SeparationDetected": diag.n_dropped}
 
 
 @pytest.mark.parametrize("h0", [None, 0.3])

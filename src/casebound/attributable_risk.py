@@ -23,7 +23,7 @@ evaluates per cell.  Its convex-combination denominators make UB(0) = 0
 and (case-control) UB(1) = 0 hold exactly in floating point, matching the
 estimand, which vanishes at both ends.  `_block` fits those probabilities
 on each replicate's patterns and is the only caller of `_statistic`; the
-sample, a refitted replicate and a block of replicates all read it.
+sample and every replicate are rows of its blocks.
 
 The bootstrap does not rebuild resampled data sets.  The sample is
 collapsed once to a pattern table, its distinct (y, t, x) rows (eight for
@@ -32,17 +32,18 @@ draw as resampling the rows would and turns it into pattern counts with
 `np.bincount`; a replicate is a frequency-weighted refit of the patterns
 with its counts.  Everything the expanded resample would judge is judged
 on the replicate's support, the patterns with a nonzero count: a constant
-basis column raises DegenerateColumn and an empty stratum `fit_logit`'s
+basis column gives DegenerateColumn and an empty stratum `fit_logit`'s
 ValidationError (the expanded rows raise its subclass EmptyStratum); an
 estimated h0 is the counts-weighted share of cases; the clip count
 (`relative_risk.clip_probabilities`) weighs each row by its count.  A
-replicate that raises any CaseboundError is dropped and counted, as it
-would be on the expanded rows.  The sample itself is the replicate whose
-counts are the pattern multiplicities: `ar_curve` takes the point
-statistic and its clip count from `_replicate` with those counts.  Spline
-knots from them are the sample quantiles and the counts-weighted share of
-cases is the sample's, so this is the statistic of the rows fitted
-unweighted, up to rounding (1e-12 in the tests).
+replicate judged to fail with any CaseboundError is dropped and counted,
+as it would be on the expanded rows.  The sample itself is the replicate
+whose counts are the pattern multiplicities: `ar_curve` takes the point
+statistic and its clip count from `_refit_block` on a block of that one
+replicate, and raises its verdict.  Spline knots from them are the sample
+quantiles and the counts-weighted share of cases is the sample's, so this
+is the statistic of the rows fitted unweighted, up to rounding (1e-12 in
+the tests).
 
 `ar_curve` refits the replicates in blocks, each replicate on its own
 support.  Its patterns are packed stratum by stratum in pattern order and
@@ -66,14 +67,18 @@ stratum 0, stratum 1, the prospective fit), and the curve or xi of every
 replicate is read off (replicate x grid x packed row) arrays.  A block
 holds as many replicates as fit in `_BLOCK_CELLS` cells of both packed
 designs or of such an array, so memory does not grow with B.  The block
-judges each replicate once, in the order in which `_replicate` raises:
-the error of its spline block, DegenerateColumn (`build_basis`'s rule on
-the support), a nonzero kernel status of its three fits, then a fitted
-probability outside [0, 1]; a fit that halves a step stays.  Only the
-sample and a replicate wider than the packed width are refitted alone, by
-`_replicate`: `_block` with `fit_logit`, which raises, as the kernel.  The
-two paths agree to rounding (1e-12 in the tests, 1e-10 with a spline
-basis, whose design is ill-conditioned).
+gives each replicate one verdict, None or the CaseboundError that drops
+it, the first of: the error of its spline block, DegenerateColumn
+(`build_basis`'s rule on the support), what `fit_logit` would raise for
+the first nonzero kernel status of its three fits (`logit.status_error`),
+then NuisanceProbabilityOutOfRange for a fitted probability outside [0,
+1]; a fit that halves a step stays.  A replicate whose support in a
+stratum is wider than the packed width, the sample among them when the
+width is less than the table's, is refitted alone by the same routine, as
+a block of one packed at its own support's widths.  A replicate padded in
+a block and refitted alone differ only by the padding's effect on the
+BLAS sums (1e-12 in the tests, 1e-10 with a spline basis, whose design is
+ill-conditioned).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -83,14 +88,15 @@ not be decided by the last bit of either path's rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import BasisSpec, CubicSplineTerm
 from .errors import (BootstrapDegenerate, CaseboundError, DegenerateColumn,
                      NuisanceProbabilityOutOfRange, ValidationError)
-from .logit import fit_logit, fit_logit_batch
+# fit_logit is bound here only for the benchmark's tracer, which wraps it
+from .logit import fit_logit, fit_logit_batch, status_error  # noqa: F401
 from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
 from .relative_risk import clip_probabilities, design_columns, p_grid
@@ -210,53 +216,20 @@ def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
     return np.bincount(inverse[idx], minlength=n_patterns)
 
 
-def _fit_one(t: np.ndarray, X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`fit_logit` in the shape of `fit_logit_batch`, for a block of one
-    replicate: a fit that fails raises instead of returning its status."""
-    return fit_logit(t[0], X[0, :, 1:], W[0]).coef[None], np.zeros(1, dtype=np.int8)
-
-
-def _replicate(data: ObservedDataset, patterns: np.ndarray, counts: np.ndarray,
-               prospective_spec: BasisSpec, retrospective_spec: BasisSpec,
-               grid: np.ndarray) -> tuple[np.ndarray, int]:
-    """One bootstrap replicate refitted alone, as `_block` on the patterns
-    with a nonzero count, spline knots from the counts: its statistic and
-    clip count, or the CaseboundError that drops it."""
-    keep = counts > 0
-    rows, c = patterns[keep], counts[keep]
-    designs = _pattern_designs(rows, retrospective_spec, prospective_spec, c)
-    stat, n_clipped, _, in_range = _block(data, np.count_nonzero(rows[:, 0] == 0),
-                                          rows[None, :, 1], c[None],
-                                          tuple(d[None] for d in designs), grid, _fit_one)
-    if not in_range[0]:
-        raise NuisanceProbabilityOutOfRange("fitted probabilities leave [0, 1] or are not finite")
-    return stat[0], int(n_clipped[0])
-
-
-def _pattern_designs(patterns: np.ndarray, retrospective_spec: BasisSpec,
-                     prospective_spec: BasisSpec,
-                     counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The retrospective and prospective [1, basis] at every pattern, spline
-    knots at the quantiles of the patterns repeated `counts` times."""
-    ones = np.ones((patterns.shape[0], 1))
-    return tuple(np.hstack([ones, design_columns(patterns[:, 2:], spec, counts)])
-                 for spec in (retrospective_spec, prospective_spec))
-
-
 def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
-           designs: tuple[np.ndarray, np.ndarray], grid: np.ndarray,
-           fit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A block of replicates refitted together, each on its own rows.
+           designs: tuple[np.ndarray, np.ndarray],
+           grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A block of replicates refitted together by `fit_logit_batch`, each on
+    its own rows.
 
     Every replicate has the same number of rows, the first n0 of them in
     stratum 0 and the rest in stratum 1; `t` and `counts` are (replicates,
     rows), a zero count dropping a row; `designs` hold the retrospective
     and prospective [1, basis] at each replicate's rows, (replicates, rows,
-    k); `fit` is the batched kernel, or `_fit_one` for `_replicate`.
-    Returns each replicate's statistic (as `_replicate`), its clip count,
-    the (replicates, 3) kernel statuses of its fits (stratum 0, stratum 1,
-    the prospective fit) and whether their probabilities on its support lie
-    in [0, 1]; the statistic and clip count of a replicate with a nonzero
+    k).  Returns each replicate's statistic, its clip count, the
+    (replicates, 3) kernel statuses of its fits (stratum 0, stratum 1, the
+    prospective fit) and whether their probabilities on its support lie in
+    [0, 1]; the statistic and clip count of a replicate with a nonzero
     status or a probability outside [0, 1] are meaningless.
     """
     rdesign, pdesign = designs
@@ -264,9 +237,9 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
     support = counts > 0
     w = counts.astype(float)
     s0, s1 = slice(None, n0), slice(n0, None)
-    fits = ((fit(t[:, s0], rdesign[:, s0], w[:, s0]), rdesign),
-            (fit(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
-            (fit(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
+    fits = ((fit_logit_batch(t[:, s0], rdesign[:, s0], w[:, s0]), rdesign),
+            (fit_logit_batch(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
+            (fit_logit_batch(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
     probs = []
     in_range = np.ones(counts.shape[0], dtype=bool)
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
@@ -293,12 +266,11 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
 @dataclass(frozen=True)
 class _Layout:
     """What every block of one `ar_curve` run shares: the pattern table, the
-    retrospective and prospective specs and [1, basis] on the table, per
-    design the spline block that each replicate rebuilds (None without
-    one), and the fixed width of each stratum (see the module docstring)."""
+    retrospective and prospective [1, basis] on the table, per design the
+    spline block that each replicate rebuilds (None without one), and the
+    fixed width of each stratum (see the module docstring)."""
 
     patterns: np.ndarray
-    specs: tuple[BasisSpec, BasisSpec]
     tables: tuple[np.ndarray, np.ndarray]
     splines: tuple
     widths: tuple[int, int]
@@ -337,9 +309,14 @@ def _widths(multiplicities: np.ndarray, case: np.ndarray, mode: str) -> tuple[in
 def _layout(patterns: np.ndarray, multiplicities: np.ndarray, specs: tuple[BasisSpec, BasisSpec],
             mode: str) -> _Layout:
     """The layout of a run on `patterns` with the sample's `multiplicities`;
-    `specs` is (retrospective, prospective)."""
-    return _Layout(patterns=patterns, specs=specs,
-                   tables=_pattern_designs(patterns, *specs, multiplicities),
+    `specs` is (retrospective, prospective), and the basis on the table has
+    spline knots at the quantiles of the patterns repeated that often, so
+    a constant column or bad knots of the sample raise here."""
+    ones = np.ones((patterns.shape[0], 1))
+    return _Layout(patterns=patterns,
+                   tables=tuple(np.hstack([ones, design_columns(patterns[:, 2:], spec,
+                                                                multiplicities)])
+                                for spec in specs),
                    splines=tuple(_spline_block(spec) for spec in specs),
                    widths=_widths(multiplicities, patterns[:, 0] == 1, mode))
 
@@ -357,47 +334,53 @@ def _pack(counts: np.ndarray, n0: int, widths: tuple[int, int]) -> tuple[np.ndar
 
 
 def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
-                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_block` with the batched kernel on a block of replicates' (replicates,
-    patterns) counts, each replicate packed on its own support: designs
-    gathered from the pattern table, each spline block rebuilt on the
-    support with knots from its counts.  Returns each replicate's statistic,
-    clip count and fit statuses as `_block`, and None or the class of the
-    CaseboundError that drops it otherwise (see the module docstring), or
-    `_replicate`'s for one wider than the layout.  A replicate refused
-    before its fits, or wider, gets zero counts, which the kernel refuses."""
+                 grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_block` on a block of replicates' (replicates, patterns) counts, each
+    replicate packed on its own support: designs gathered from the pattern
+    table, each spline block rebuilt on the support with knots from its
+    counts.  Returns each replicate's statistic and clip count, and its
+    verdict: None, or the CaseboundError that drops it, the first of its
+    spline block's error, DegenerateColumn (a basis column constant on its
+    support), the `status_error` of its first failed fit and
+    NuisanceProbabilityOutOfRange.  A replicate refused before its fits
+    gets zero counts, which the kernel refuses; one wider than the layout
+    is refitted alone, as a block of one at its own widths."""
     patterns = layout.patterns
-    idx, wide = _pack(counts, np.count_nonzero(patterns[:, 0] == 0), layout.widths)
+    n0 = np.count_nonzero(patterns[:, 0] == 0)
+    idx, wide = _pack(counts, n0, layout.widths)
     w = np.take_along_axis(counts, idx, axis=1)
     on, designs = w > 0, tuple(table[idx] for table in layout.tables)
-    error = np.full(counts.shape[0], None, dtype=object)
-    # each design judged as `_pattern_designs` builds it: its spline block,
-    # then build_basis's rule, no basis column constant on the support
+    verdict = np.full(counts.shape[0], None, dtype=object)
+    # each design judged as `_layout` builds it: its spline block, then
+    # build_basis's rule, no basis column constant on the support
     for design, spline in zip(designs, layout.splines):
         if spline is not None:
             covs, spec, cols = spline
-            for i in np.flatnonzero(~wide & np.equal(error, None)):
+            for i in np.flatnonzero(~wide & np.equal(verdict, None)):
                 sup = np.flatnonzero(w[i])
                 try:
                     design[i, sup[:, None], cols] = design_columns(
                         patterns[idx[i, sup]][:, 2 + covs], spec, w[i, sup])
                 except CaseboundError as exc:
-                    error[i] = type(exc)
+                    verdict[i] = exc
         at_one = design[np.arange(w.shape[0]), on.argmax(axis=1)][:, None]
         varies = ((design != at_one) & on[..., None]).any(axis=1)
-        error[~varies[:, 1:].all(axis=1) & ~wide & np.equal(error, None)] = DegenerateColumn
-    w[wide | ~np.equal(error, None)] = 0
+        verdict[~varies[:, 1:].all(axis=1) & ~wide & np.equal(verdict, None)] = DegenerateColumn(
+            "a basis column is constant on the replicate's support")
+    w[wide | ~np.equal(verdict, None)] = 0
     stats, clipped, status, in_range = _block(data, layout.widths[0], patterns[idx, 1], w,
-                                              designs, grid, fit_logit_batch)
-    error[~(status.any(axis=1) | in_range)] = NuisanceProbabilityOutOfRange
+                                              designs, grid)
+    for i in np.flatnonzero((status.any(axis=1) | ~in_range) & ~wide & np.equal(verdict, None)):
+        failed = status[i][status[i] != 0]
+        verdict[i] = status_error(failed[0]) if failed.size else NuisanceProbabilityOutOfRange(
+            "fitted probabilities leave [0, 1] or are not finite")
     for i in np.flatnonzero(wide):
-        try:
-            stats[i], clipped[i] = _replicate(data, patterns, counts[i], *layout.specs[::-1], grid)
-        except CaseboundError as exc:
-            error[i] = type(exc)
-        else:
-            status[i] = 0
-    return stats, clipped, status, error
+        support = counts[i] > 0
+        own = replace(layout, widths=(int(np.count_nonzero(support[:n0])),
+                                      int(np.count_nonzero(support[n0:]))))
+        stats[i], clipped[i], verdict[i] = (a[0] for a in _refit_block(data, own,
+                                                                       counts[i:i + 1], grid))
+    return stats, clipped, verdict
 
 
 def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
@@ -407,17 +390,18 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     """Attributable-risk upper-bound curve with BC bootstrap limits.
 
     The point estimate is the replicate whose counts are the sample's
-    pattern multiplicities, refitted as every replicate is; a sample whose
-    fit fails raises before any draw.  Replicate b
-    draws from the stream ("ar-bootstrap", b) the indices that resampling
-    the rows would (i.i.d., or within each stratum) and refits the sample's
-    distinct (y, t, x) rows with the drawn counts as frequency weights,
-    which is the expanded resample up to rounding; blocks of replicates
-    are refitted at once, each replicate on its own support (see the module
-    docstring).  Replicates whose refit
-    fails (separation, an empty stratum, a constant basis column, ...) are
-    dropped and counted.  Point estimates and limits are truncated into
-    [0, 1].  Identical (data, specs, B, seed) give identical output.
+    pattern multiplicities, a block of one of `_refit_block`, the routine
+    every replicate is refitted by; a sample whose fit fails raises its
+    verdict before any draw.  Replicate b draws from the stream
+    ("ar-bootstrap", b) the indices that resampling the rows would
+    (i.i.d., or within each stratum) and refits the sample's distinct (y,
+    t, x) rows with the drawn counts as frequency weights, which is the
+    expanded resample up to rounding; blocks of replicates are refitted at
+    once, each replicate on its own support (see the module docstring).
+    Replicates whose refit fails (separation, an empty stratum, a constant
+    basis column, ...) are dropped and counted.  Point estimates and limits
+    are truncated into [0, 1].  Identical (data, specs, B, seed) give
+    identical output.
     """
     if B < 200:
         raise ValidationError("use at least 200 bootstrap replications")
@@ -430,14 +414,17 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
 
     patterns, inverse = _patterns(data)
     multiplicities = np.bincount(inverse)
-    # the bootstrapped statistic at the sample, counts its multiplicities
-    stat_hat, n_clipped_point = _replicate(data, patterns, multiplicities,
-                                           prospective_spec, retrospective_spec, grid)
+    layout = _layout(patterns, multiplicities, (retrospective_spec, prospective_spec),
+                     resample_mode)
+    # the bootstrapped statistic at the sample, the replicate whose counts
+    # are its multiplicities
+    stats, clipped, verdict = _refit_block(data, layout, multiplicities[None], grid)
+    if verdict[0] is not None:
+        raise verdict[0]
+    stat_hat, n_clipped_point = stats[0], int(clipped[0])
     cp = data.design is Design.CASE_POPULATION
     # the columns that can vary: xi, or the curve off its ends, 0 by construction
     varying = np.array([True]) if cp else (grid > 0.0) & (grid < 1.0)
-    layout = _layout(patterns, multiplicities, (retrospective_spec, prospective_spec),
-                     resample_mode)
     # a block holds both designs at once; the statistic spans the grid only
     # under case-control sampling
     width = max(1 if cp else grid.shape[0], sum(d.shape[1] for d in layout.tables))
@@ -450,8 +437,8 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
         counts = np.array([_replicate_counts(rng.derive("ar-bootstrap", b), data.y, inverse,
                                              patterns.shape[0], resample_mode)
                            for b in range(start, stop)])
-        stats, clipped, status, error = _refit_block(data, layout, counts, grid)
-        ok = ~status.any(axis=1) & np.equal(error, None)
+        stats, clipped, verdict = _refit_block(data, layout, counts, grid)
+        ok = np.equal(verdict, None)
         boot[start:stop][ok] = stats[ok]
         n_clipped_boot += int(clipped[ok].sum())
         kept[start:stop] = ok

@@ -23,7 +23,8 @@ replicate is fitted on its own rows.  `_checked` gives both a leading row
 axis, of length one when shared, and the loop compacts a per-row array
 with the weights as rows leave it (`_by_row`).  The front ends differ
 only in raising a status (`fit_logit`, one row) or returning it
-(`fit_logit_batch`, bootstrap replicates).  Each row
+(`fit_logit_batch`, bootstrap replicates); `status_error` turns a
+returned status into the exception `fit_logit` raises for it.  Each row
 halves its own steps; the information (X' * sw) @ X, the gradient and the
 linear predictor are stacked products, one BLAS call per row, so a row's
 fit does not depend on which rows share the call.  The log-likelihood's
@@ -46,10 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg as _linalg
 
-from .errors import NotConverged, SeparationDetected, Singular, ValidationError
+from .errors import (CaseboundError, NotConverged, SeparationDetected, Singular,
+                     ValidationError)
 from .special import expit
 
-__all__ = ["LogitFit", "fit_logit", "fit_logit_batch"]
+__all__ = ["LogitFit", "fit_logit", "fit_logit_batch", "status_error"]
 
 DEFAULT_TOL_SCALE = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -242,14 +244,20 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     W = np.ones((1, X.shape[0])) if weights is None else np.asarray(weights, dtype=float)[None]
     coef, status, info, ll, steps = _newton(*_checked(response, X, W))
     if status[0]:
-        exc, message = _FAILURES[status[0]]
-        raise exc(message)
+        raise status_error(status[0])
     with np.errstate(over="ignore", invalid="ignore"):
         cov = _linalg.inv(info[0])
     if not np.isfinite(cov).all():
-        raise Singular(_FAILURES[_NOT_PD][1])
+        raise status_error(_NOT_PD)
     return LogitFit(coef=coef[0], cov=0.5 * (cov + cov.T), iterations=int(steps[0]),
                     loglik=float(ll[0]))
+
+
+def status_error(code: int) -> CaseboundError:
+    """The exception `fit_logit` raises for a nonzero row status of
+    `fit_logit_batch`."""
+    exc, message = _FAILURES[code]
+    return exc(message)
 
 
 def fit_logit_batch(response: np.ndarray, X: np.ndarray,
@@ -259,7 +267,7 @@ def fit_logit_batch(response: np.ndarray, X: np.ndarray,
     (n, k) design X, intercept column included, or of a response and a
     design per weight row, (B, n) and (B, n, k).  Returns the (B, k)
     coefficients and the (B,) statuses: 0 where `fit_logit` would return,
-    else the index in `_FAILURES` of what it would raise.  A row with a
+    else the code whose `status_error` is what it would raise.  A row with a
     nonzero status has zero coefficients.  Only `_checked`'s input
     refusals, a non-finite design among them, raise."""
     coef, status = _newton(*_checked(response, X, W))[:2]

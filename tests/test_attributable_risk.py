@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casebound.attributable_risk as ar_mod
-import casebound.logit as logit_mod
 from casebound.attributable_risk import ar_curve, bc_level
 from casebound.basis import BasisSpec, CubicSplineTerm, Linear
 from casebound.errors import (
@@ -121,11 +120,31 @@ def rowwise_statistic(data, rspec, pspec, grid):
                      + p * rowwise_beta_ar(data, probs, p, 1) for p in grid]), n_clipped
 
 
+def at_own_widths(layout, counts):
+    """`layout` packed at the widths of one replicate's support, as
+    `_refit_block` packs a replicate wider than the layout."""
+    n0 = np.count_nonzero(layout.patterns[:, 0] == 0)
+    return dataclasses.replace(layout, widths=(np.count_nonzero(counts[:n0]),
+                                               np.count_nonzero(counts[n0:])))
+
+
+def lone_refit(data, counts, pspec, rspec, grid=None):
+    """One replicate's (patterns,) counts refitted alone, a block of one
+    packed at its own support's widths: its untruncated statistic and clip
+    count, or its verdict raised."""
+    patterns, inverse = ar_mod._patterns(data)
+    layout = ar_mod._layout(patterns, np.bincount(inverse), (rspec, pspec), "iid")
+    stats, clipped, verdict = ar_mod._refit_block(data, at_own_widths(layout, counts),
+                                                  counts[None], grid)
+    if verdict[0] is not None:
+        raise verdict[0]
+    return stats[0], int(clipped[0])
+
+
 def sample_statistic(data, pspec, rspec, grid=None):
     """The engine's untruncated statistic of the sample and its clip count:
     the replicate whose counts are the pattern multiplicities."""
-    patterns, inverse = ar_mod._patterns(data)
-    return ar_mod._replicate(data, patterns, np.bincount(inverse), pspec, rspec, grid)
+    return lone_refit(data, np.bincount(ar_mod._patterns(data)[1]), pspec, rspec, grid)
 
 
 def test_beta_ar_zero_at_endpoints():
@@ -319,7 +338,7 @@ def test_failed_replicates_dropped_and_counted(monkeypatch):
 
     def flaky_block(*args):
         stats, clipped, status, in_range = real(*args)
-        if args[-1] is ar_mod.fit_logit_batch:  # the bootstrap's block, not the sample
+        if args[3].shape[0] > 1:  # the bootstrap's block, not the sample's block of one
             status = status.copy()
             status[[2, 3, 4], 1] = 1  # three replicates' stratum-1 fits fail
         return stats, clipped, status, in_range
@@ -331,18 +350,18 @@ def test_failed_replicates_dropped_and_counted(monkeypatch):
 
 
 def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
-    # NaN coefficients of the sample's stratum-1 fit, the second of its three
-    # fit_logit calls, give NaN fitted Pi(1|1,x), a typed refusal
+    # NaN coefficients of the sample's stratum-1 fit, the second of its
+    # block's three fit_logit_batch calls, give NaN fitted Pi(1|1,x), a
+    # typed refusal
     calls = []
+    real = ar_mod.fit_logit_batch
 
-    def fit(t, X, W):
+    def batch(t, X, W):
         calls.append(1)
-        result = fit_logit(t, X, W)
-        if len(calls) == 2:
-            return dataclasses.replace(result, coef=np.full_like(result.coef, np.nan))
-        return result
+        coef, status = real(t, X, W)
+        return (np.full_like(coef, np.nan) if len(calls) == 2 else coef), status
 
-    monkeypatch.setattr(ar_mod, "fit_logit", fit)
+    monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
     draws = []
     monkeypatch.setattr(ar_mod, "_replicate_counts", lambda *a: draws.append(1))
     with pytest.raises(NuisanceProbabilityOutOfRange, match="leave \\[0, 1\\]"):
@@ -352,21 +371,17 @@ def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
 
 def assert_matches_lone_refits(data, pspec, rspec, monkeypatch, **kwargs):
     """The per-replicate reference: `ar_curve` against the same run with
-    every replicate refitted alone by `_replicate` and dropped on a
-    CaseboundError."""
+    every replicate refitted alone, a block of one at its own support's
+    widths, and dropped on its verdict.  Returns the replicates of each
+    batched kernel call of the first run."""
+    sizes = record_batches(monkeypatch)
     curve, diag = ar_curve(data, pspec, rspec, **kwargs)
+    engine_sizes = sizes.copy()
+    real = ar_mod._refit_block
 
     def refit_alone(data, layout, counts, grid):
-        stats = np.zeros((counts.shape[0], 1 if data.design is D2 else grid.size))
-        clipped = np.zeros(counts.shape[0], dtype=np.int64)
-        error = np.full(counts.shape[0], None, dtype=object)
-        for b, c in enumerate(counts):
-            try:
-                stats[b], clipped[b] = ar_mod._replicate(data, layout.patterns, c, pspec,
-                                                         rspec, grid)
-            except CaseboundError as exc:
-                error[b] = type(exc)
-        return stats, clipped, np.zeros((counts.shape[0], 3), dtype=np.int8), error
+        parts = [real(data, at_own_widths(layout, c), c[None], grid) for c in counts]
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
     monkeypatch.setattr(ar_mod, "_refit_block", refit_alone)
     looped, looped_diag = ar_curve(data, pspec, rspec, **kwargs)
@@ -374,6 +389,7 @@ def assert_matches_lone_refits(data, pspec, rspec, monkeypatch, **kwargs):
     np.testing.assert_allclose(curve.upper, looped.upper, rtol=1e-12, atol=1e-12)
     assert (diag.n_kept, diag.n_clipped_boot) == (looped_diag.n_kept,
                                                   looped_diag.n_clipped_boot)
+    return engine_sizes
 
 
 def test_replicates_with_bad_probabilities_are_dropped(monkeypatch):
@@ -384,26 +400,28 @@ def test_replicates_with_bad_probabilities_are_dropped(monkeypatch):
     assert clean.n_dropped == 0
     bad = [2, 49, 199]
     real_batch, real_refit = ar_mod.fit_logit_batch, ar_mod._refit_block
-    sizes, errors = [], []
+    sizes, verdicts = [], []
 
     def batch(t, X, W):
-        # one block of all 200: stratum 0, stratum 1, the prospective fit
+        # the sample's block of one, then one block of all 200: stratum 0,
+        # stratum 1, the prospective fit
         coef, status = real_batch(t, X, W)
         sizes.append(W.shape[0])
-        if len(sizes) == 2:
+        if len(sizes) == 5:
             coef[bad] = np.nan
         return coef, status
 
     def refit(*args):
         out = real_refit(*args)
-        errors.extend(out[3])
+        verdicts.extend(out[2])
         return out
 
     monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
     monkeypatch.setattr(ar_mod, "_refit_block", refit)
     _, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
-    assert sizes == [200] * 3 and (diag.n_dropped, diag.n_kept) == (3, 197)
-    assert {b: e for b, e in enumerate(errors) if e is not None} == dict.fromkeys(
+    assert sizes == [1] * 3 + [200] * 3 and (diag.n_dropped, diag.n_kept) == (3, 197)
+    assert verdicts[0] is None
+    assert {b: type(v) for b, v in enumerate(verdicts[1:]) if v is not None} == dict.fromkeys(
         bad, NuisanceProbabilityOutOfRange)
 
 
@@ -430,35 +448,34 @@ def has_spline(*specs):
 
 
 # a replicate's statistic from its packed block against the same replicate
-# refitted alone, relative to max(1, |value|): 1e-12 on linear bases.  The
-# block is the only verdict, so every replicate it keeps is compared.  A
-# spline design is ill-conditioned (covariance condition numbers 1e4-1e8):
-# over the spline inputs of these tests (the two of
-# test_block_statistic_equals_the_lone_refit, the ar_cp_spline input and
-# that of test_spline_replicates_are_refitted_in_blocks) the two agreed to
-# 2.6e-12 at worst, so the bound is that times about 40, the 1e-10 of the
+# refitted alone, a block of one at its own support's widths, relative to
+# max(1, |value|): 1e-12 on linear bases.  The two differ only in the
+# padding, whose length moves the BLAS sums.  The block is the only
+# verdict, so every replicate it keeps is compared.  A spline design is
+# ill-conditioned (covariance condition numbers 1e4-1e8): over the spline
+# inputs of these tests (the two of test_block_statistic_equals_the_lone_refit,
+# the ar_cp_spline input and that of
+# test_spline_replicates_are_refitted_in_blocks) the two agreed to 5.5e-12 at
+# worst (on the last), so the bound is that times about 20, the 1e-10 of the
 # benchmark's references
 LINEAR_TOL, SPLINE_TOL = 1e-12, 1e-10
 
 
 def block_statistics(data, pspec, rspec, grid, all_counts, mode, size=25):
     """`_refit_block` on the replicates' counts in blocks of `size`, with the
-    layout `ar_curve` would use: statistics, clip counts, and the class that
-    drops each replicate, or None where the block keeps it."""
+    layout `ar_curve` would use: statistics, clip counts, and the class of
+    the verdict that drops each replicate, or None where the block keeps
+    it."""
     patterns, inverse = ar_mod._patterns(data)
     layout = ar_mod._layout(patterns, np.bincount(inverse), (rspec, pspec), mode)
     parts = [ar_mod._refit_block(data, layout, all_counts[i:i + size], grid)
              for i in range(0, all_counts.shape[0], size)]
-    stats, clipped, status, error = (np.concatenate(a) for a in zip(*parts))
-    # an error comes before the fits or after them all; otherwise the
-    # first nonzero status, in fit order, names what `_replicate` raises
-    reason = [e if e is not None or not s.any() else logit_mod._FAILURES[s[s != 0][0]][0]
-              for s, e in zip(status, error)]
-    return stats, clipped, reason
+    stats, clipped, verdict = (np.concatenate(a) for a in zip(*parts))
+    return stats, clipped, [None if v is None else type(v) for v in verdict]
 
 
 def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
-    """Each replicate three ways: the expanded rows, `_replicate`, and its
+    """Each replicate three ways: the expanded rows, `lone_refit`, and its
     row of a packed block, which keeps it exactly where the expanded rows
     fit and otherwise drops it with their class.  Returns the diagnostics
     and the exception classes of the dropped replicates."""
@@ -478,7 +495,7 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
                                                     mode, pspec, rspec, grid)
         except CaseboundError as exc:
             with pytest.raises(CaseboundError) as got:
-                ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
+                lone_refit(data, counts, pspec, rspec, grid)
             if type(exc) is EmptyStratum:
                 # the support refuses an empty stratum as invalid input too:
                 # its fit raises fit_logit's ValidationError, the parent of
@@ -491,7 +508,7 @@ def assert_replicates_match(data, pspec, rspec, pbar, step, B, seed, mode):
             failures[type(exc).__name__] += 1
             dropped += 1
             continue
-        got, got_clipped = ar_mod._replicate(data, patterns, counts, pspec, rspec, grid)
+        got, got_clipped = lone_refit(data, counts, pspec, rspec, grid)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert got_clipped == want_clipped
         assert reason[b] is None
@@ -580,11 +597,11 @@ def record_batches(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("data, rspec, sizes", [
-    (expand(COUNTS_D1, D1), LIN, 17), (fragile_data(D2), LIN, 41),
-    (wide_data(300, D2, spline=True), SPLINE_LIN, 1), (wide_data(300), LIN, 1)],
+@pytest.mark.parametrize("data, rspec, sizes, sample_blocks", [
+    (expand(COUNTS_D1, D1), LIN, 17, 1), (fragile_data(D2), LIN, 41, 1),
+    (wide_data(300, D2, spline=True), SPLINE_LIN, 1, 2), (wide_data(300), LIN, 1, 2)],
     ids=["counts_d1", "fragile", "spline", "wide"])
-def test_block_composition_invariance(data, rspec, sizes, monkeypatch):
+def test_block_composition_invariance(data, rspec, sizes, sample_blocks, monkeypatch):
     # a replicate's packed rows do not depend on its block, so neither do
     # the bits of its statistic
     pspec = BasisSpec.linear(data.n_covariates)
@@ -594,12 +611,12 @@ def test_block_composition_invariance(data, rspec, sizes, monkeypatch):
                                                 data.y, inverse, patterns.shape[0], "iid")
                        for b in range(60)])
     layout = ar_mod._layout(patterns, np.bincount(inverse), (rspec, pspec), "iid")
-    stats, clipped, status, error = ar_mod._refit_block(data, layout, counts, grid)
-    ok = ~status.any(axis=1) & np.equal(error, None)
+    stats, clipped, verdict = ar_mod._refit_block(data, layout, counts, grid)
+    ok = np.equal(verdict, None)
     assert ok.any()
     for b in range(60):
         alone = ar_mod._refit_block(data, layout, counts[b:b + 1], grid)
-        assert np.array_equal(alone[2][0], status[b]) and alone[3][0] is error[b]
+        assert type(alone[2][0]) is type(verdict[b]) and str(alone[2][0]) == str(verdict[b])
         if ok[b]:
             assert np.array_equal(alone[0][0], stats[b]) and alone[1][0] == clipped[b]
     # and the engine's output does not depend on its block size
@@ -607,10 +624,14 @@ def test_block_composition_invariance(data, rspec, sizes, monkeypatch):
     recorded = record_batches(monkeypatch)
     # seven grid points on eight case-control patterns: blocks of 17; four
     # design columns on six case-population patterns: blocks of 41; the
-    # wide tables pack about 250 rows, so every block holds one replicate
+    # wide tables pack about 250 rows, so every block holds one replicate.
+    # The sample comes first, a block of one; on a wide table it is wider
+    # than the layout, so its layout's block, which fits nothing, is
+    # followed by its own
     monkeypatch.setattr(ar_mod, "_BLOCK_CELLS", 1000)
     got = ar_curve(data, pspec, rspec, pbar=0.6, B=200, seed=5, step=0.1)
-    assert recorded[0] == sizes and sum(recorded[::3]) == 200
+    sample, boot = recorded[:3 * sample_blocks], recorded[3 * sample_blocks:]
+    assert sample == [1] * len(sample) and boot[0] == sizes and sum(boot[::3]) == 200
     assert np.array_equal(got[0].upper, want[0].upper)
     assert np.array_equal(got[1].mu_star, want[1].mu_star)
     assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
@@ -623,9 +644,10 @@ def test_pattern_tables_of_any_width_are_batched(n, pbar, design, monkeypatch):
     # every row its own pattern: each replicate is packed on its support,
     # and the engine equals the per-replicate reference
     data = wide_data(n, design)
-    sizes = record_batches(monkeypatch)
-    assert_matches_lone_refits(data, LIN, LIN, monkeypatch, pbar=pbar, B=200, seed=2)
-    assert sum(sizes[::3]) == 200
+    sizes = assert_matches_lone_refits(data, LIN, LIN, monkeypatch, pbar=pbar, B=200, seed=2)
+    # at most 90 rows the layout holds a whole stratum: the sample is a
+    # block of one, and no replicate is refitted alone
+    assert sizes[:3] == [1] * 3 and sum(sizes[3::3]) == 200
 
 
 @pytest.mark.parametrize("design", [D1, D2])
@@ -646,10 +668,10 @@ def test_block_statistic_equals_the_lone_refit(rspec, design):
     for b in range(100):
         if reason[b] is not None:
             with pytest.raises(reason[b]) as got:
-                ar_mod._replicate(data, patterns, counts[b], pspec, rspec, grid)
+                lone_refit(data, counts[b], pspec, rspec, grid)
             assert got.type is reason[b]
             continue
-        got, got_clipped = ar_mod._replicate(data, patterns, counts[b], pspec, rspec, grid)
+        got, got_clipped = lone_refit(data, counts[b], pspec, rspec, grid)
         np.testing.assert_allclose(stats[b], got, rtol=tol, atol=tol)
         assert clipped[b] == got_clipped
 
@@ -668,11 +690,17 @@ def test_a_replicate_wider_than_the_layout_is_refitted_alone(monkeypatch):
     wide = ar_mod._pack(counts, np.count_nonzero(patterns[:, 0] == 0), layout.widths)[1]
     assert 20 < wide.sum() < 180
     alone = []
-    real = ar_mod._replicate
-    monkeypatch.setattr(ar_mod, "_replicate", lambda data, patterns, counts, *a: (
-        alone.append(counts) or real(data, patterns, counts, *a)))
+    real = ar_mod._refit_block
+
+    def refit(data, run_layout, counts, grid):
+        if run_layout.widths != layout.widths:
+            alone.append(counts[0])
+        return real(data, run_layout, counts, grid)
+
+    monkeypatch.setattr(ar_mod, "_refit_block", refit)
     got = ar_curve(data, LIN, LIN, pbar=0.6, B=200, seed=3)
     # the sample, then every wide replicate in draw order
+    assert np.array_equal(alone[0], np.bincount(inverse))
     assert np.array_equal(np.array(alone[1:]), counts[wide])
     np.testing.assert_allclose(got[0].upper, want[0].upper, rtol=1e-12, atol=1e-12)
     assert np.array_equal(got[1].mu_star, want[1].mu_star)
@@ -680,15 +708,15 @@ def test_a_replicate_wider_than_the_layout_is_refitted_alone(monkeypatch):
 
 
 def test_spline_replicates_are_refitted_in_blocks(monkeypatch):
-    # a spline basis: ar_curve refits alone, with fit_logit, only the sample,
-    # its blocks hold all B, and a replicate a fit status fails is dropped
-    # there; on the ar_cp_spline input some replicates separate
-    real_batch, real_replicate, real_fit = (ar_mod.fit_logit_batch, ar_mod._replicate,
-                                            ar_mod.fit_logit)
+    # a spline basis: ar_curve refits alone only the sample, wider than the
+    # layout, its blocks hold all B, a replicate a fit status fails is
+    # dropped there, and no fit goes through fit_logit; on the ar_cp_spline
+    # input some replicates separate
+    real_batch, real_fit = ar_mod.fit_logit_batch, ar_mod.fit_logit
     for data, pspec, rspec, pbar, separated in [
             (wide_data(600, D2, spline=True), BasisSpec.linear(2), SPLINE_LIN, 0.6, False),
             (spline_draw(20240501), BasisSpec.linear(5), SPLINE5, 0.15, True)]:
-        blocks, alone, lone_fits = [], [], []
+        blocks, lone_fits = [], []
 
         def batch(t, X, W):
             coef, status = real_batch(t, X, W)
@@ -696,13 +724,14 @@ def test_spline_replicates_are_refitted_in_blocks(monkeypatch):
             return coef, status
 
         monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
-        monkeypatch.setattr(ar_mod, "_replicate",
-                            lambda *a: alone.append(1) or real_replicate(*a))
         monkeypatch.setattr(ar_mod, "fit_logit", lambda *a: lone_fits.append(1) or real_fit(*a))
         _, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=200, seed=1)
-        assert sum(status.size for status in blocks[::3]) == 200
-        failed = sum(np.count_nonzero(s0 | s1 | p) for s0, s1, p in zip(*[iter(blocks)] * 3))
-        assert len(alone) == 1 and len(lone_fits) == 3
+        # the sample: its layout's block of one, which fits nothing, and its own
+        sample, boot = blocks[:6], blocks[6:]
+        assert [status.size for status in sample] == [1] * 6
+        assert sum(status.size for status in boot[::3]) == 200
+        failed = sum(np.count_nonzero(s0 | s1 | p) for s0, s1, p in zip(*[iter(boot)] * 3))
+        assert lone_fits == []
         assert diag.n_dropped == failed and bool(failed) == separated
 
 
@@ -748,7 +777,7 @@ def test_replicate_failures_match_expanded_rows(h0, kept, error):
     counts = np.array([COUNTS_D1[(int(y), int(t), x)] for y, t, x in patterns])
     counts[~kept(patterns)] = 0
     with pytest.raises(replicate_error) as got:
-        ar_mod._replicate(data, patterns, counts, LIN, LIN, p_grid(0.6, 0.1))
+        lone_refit(data, counts, LIN, LIN, p_grid(0.6, 0.1))
     assert got.type is replicate_error and issubclass(error, replicate_error)
     rows = np.repeat(patterns, counts, axis=0)
     with pytest.raises(error):
@@ -805,16 +834,15 @@ def test_sample_fit_fails_as_the_rows_fail(monkeypatch):
     separated = []
     for s in range(40):
         data = spline_draw(s)
-        patterns, inverse = ar_mod._patterns(data)
         try:
             rowwise_statistic(data, SPLINE5, pspec, grid)
         except CaseboundError as exc:
             with pytest.raises(CaseboundError) as got:
-                ar_mod._replicate(data, patterns, np.bincount(inverse), pspec, SPLINE5, grid)
+                sample_statistic(data, pspec, SPLINE5, grid)
             assert got.type is type(exc)
             separated.append((s, type(exc)))
             continue
-        ar_mod._replicate(data, patterns, np.bincount(inverse), pspec, SPLINE5, grid)
+        sample_statistic(data, pspec, SPLINE5, grid)
     assert separated == [(1, SeparationDetected)]
     draws = []
     monkeypatch.setattr(ar_mod, "_replicate_counts", lambda *a: draws.append(1))

@@ -139,19 +139,24 @@ def test_bad_grid_step_exits_2(runner, tmp_path, command, step):
 @pytest.mark.parametrize("command", ["rr", "ar"])
 def test_too_fine_grid_step_exits_2(runner, tmp_path, command, monkeypatch):
     # the grid is refused before any fit runs; every ar fit, the sample's
-    # included, goes through attributable_risk.fit_logit
+    # included, goes through attributable_risk.fit_logit_batch
     fits = []
-    for module, name in ((cli_mod, "fit_nuisances"), (attributable_risk, "fit_logit")):
+    for module, name in ((cli_mod, "fit_nuisances"), (attributable_risk, "fit_logit_batch")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, **k: fits.append(1) or real(*a, **k))
     path = write_university_csv(tmp_path / "univ.csv")
-    result = runner.invoke(main, [
-        command, "--input", path, "--design", "case-control",
-        "--y-col", "vsu", "--t-col", "private", "--grid-step", "1e-12"])
+    args = [command, "--input", path, "--design", "case-control",
+            "--y-col", "vsu", "--t-col", "private"]
+    result = runner.invoke(main, args + ["--grid-step", "1e-12"])
     _assert_one_error_line(result)
     assert "more than 10000 intervals" in result.output
     assert not fits
+    # the control: the same counters see the fits on a valid grid
+    result = runner.invoke(main, args + ["--grid-step", "0.1", "--B", "200"]
+                           if command == "ar" else args + ["--grid-step", "0.1"])
+    assert result.exit_code == 0, result.output
+    assert fits
 
 
 @pytest.mark.parametrize("basis", ["polyx", "spline2.5"])
@@ -277,17 +282,19 @@ def test_rr_overflowing_limit_prints_inf_and_null(runner, tmp_path):
     assert None in doc["band"]["upper"]
 
 
-def test_rr_overflowing_information_exits_3(runner, tmp_path):
-    # finite covariates whose squares overflow the stratum fits' X'WX
+@pytest.mark.parametrize("command", ["rr", "ar"])
+def test_rr_overflowing_information_exits_3(runner, tmp_path, command):
+    # finite covariates whose squares overflow the stratum fits' X'WX; ar
+    # refuses the sample's fit, its block of one, before any draw
     path = tmp_path / "huge.csv"
     path.write_text("y,t,x1\n1,0,1e200\n1,1,-2e200\n1,0,3e200\n1,1,-1e200\n"
                     "0,0,2e200\n0,1,-3e200\n0,1,1e200\n0,0,-2e200\n")
     with np.errstate(over="ignore"):
         result = runner.invoke(main, [
-            "rr", "--input", str(path), "--design", "case-control",
+            command, "--input", str(path), "--design", "case-control",
             "--y-col", "y", "--t-col", "t", "--x-cols", "x1"])
     assert result.exit_code == 3, result.output
-    assert "error: observed information is not finite" in result.output
+    assert result.output == "error: observed information is not finite\n"
 
 
 def test_rr_overflow_prints_only_the_typed_error(tmp_path):

@@ -75,16 +75,23 @@ def test_only_logit_calls_the_lapack_gufuncs(path):
 AR_KERNELS = {"ar_term_formula", "gamma_ar_formula"}
 
 
-def _kernel_users(path):
+def _definitions(path):
     """The top-level definitions of a source file (functions, and classes
-    with their methods) whose bodies name an AR kernel of oracle.py."""
+    with their methods, by name; any other statement as "<module>") and
+    the names and attributes each one's body mentions, imports left out."""
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            yield getattr(node, "name", "<module>"), node, names
+
+
+def _kernel_users(path):
+    """The top-level definitions of a source file whose bodies name an AR
+    kernel of oracle.py."""
+    for name, _, names in _definitions(path):
         if names & AR_KERNELS:
-            yield path.stem, getattr(node, "name", "<module>")
+            yield path.stem, name
 
 
 def test_one_attributable_risk_statistic():
@@ -95,3 +102,15 @@ def test_one_attributable_risk_statistic():
                    for user in _kernel_users(path))
     assert users == [("attributable_risk", "_statistic"),
                      ("checks", "_check_cp_bound_linear")]
+
+
+def test_one_refit_path():
+    # attributable_risk.py refits the sample and every replicate through
+    # _refit_block, whose blocks alone call _block and fit_logit_batch: no
+    # definition names fit_logit, and only _refit_block calls _block
+    path = next(path for path in SOURCES if path.stem == "attributable_risk")
+    defs = list(_definitions(path))
+    assert [name for name, _, names in defs if "fit_logit" in names] == []
+    assert [name for name, node, _ in defs
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "_block" for n in ast.walk(node))] == ["_refit_block"]

@@ -62,9 +62,9 @@ replicate's statistic depend on the other replicates of its block.  The
 designs are gathered from the pattern table's [1, basis], built once;
 only a spline block, whose knots are the quantiles of each drawn
 multiset, is rebuilt per replicate on its support.  A block is three
-batched Newton fits in the stacked layout (`logit.fit_logit_batch`:
-stratum 0, stratum 1, the prospective fit), and the curve or xi of every
-replicate is read off (replicate x grid x packed row) arrays.  A block
+batched Newton fits (`logit.fit_logit_batch`: stratum 0, stratum 1, the
+prospective fit), and the curve or xi of every replicate is read off
+(replicate x grid x packed row) arrays.  A block
 holds as many replicates as fit in `_BLOCK_CELLS` cells of both packed
 designs or of such an array, so memory does not grow with B.  The block
 gives each replicate one verdict, None or the CaseboundError that drops
@@ -74,11 +74,11 @@ the first nonzero kernel status of its three fits (`logit.status_error`),
 then NuisanceProbabilityOutOfRange for a fitted probability outside [0,
 1]; a fit that halves a step stays.  A replicate whose support in a
 stratum is wider than the packed width, the sample among them when the
-width is less than the table's, is refitted alone by the same routine, as
-a block of one packed at its own support's widths.  A replicate padded in
-a block and refitted alone differ only by the padding's effect on the
-BLAS sums (1e-12 in the tests, 1e-10 with a spline basis, whose design is
-ill-conditioned).
+width is less than the table's, never enters a block of the others: the
+same routine fits it alone, as a block of one packed at its own support's
+widths.  A replicate padded in a block and refitted alone differ only by
+the padding's effect on the BLAS sums (1e-12 in the tests, 1e-10 with a
+spline basis, whose design is ill-conditioned).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -344,10 +344,21 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
     support), the `status_error` of its first failed fit and
     NuisanceProbabilityOutOfRange.  A replicate refused before its fits
     gets zero counts, which the kernel refuses; one wider than the layout
-    is refitted alone, as a block of one at its own widths."""
+    never enters the block and is fitted alone, as a block of one at its
+    own widths."""
     patterns = layout.patterns
     n0 = np.count_nonzero(patterns[:, 0] == 0)
     idx, wide = _pack(counts, n0, layout.widths)
+    if wide.any():
+        # the others as one block, and each wide replicate as its own
+        narrow = np.flatnonzero(~wide)
+        parts = [(narrow, _refit_block(data, layout, counts[narrow], grid))] if narrow.size else []
+        for i in np.flatnonzero(wide):
+            own = replace(layout, widths=(int(np.count_nonzero(counts[i, :n0])),
+                                          int(np.count_nonzero(counts[i, n0:]))))
+            parts.append(([i], _refit_block(data, own, counts[i:i + 1], grid)))
+        order = np.argsort(np.concatenate([rows for rows, _ in parts]))
+        return tuple(np.concatenate([part[j] for _, part in parts])[order] for j in range(3))
     w = np.take_along_axis(counts, idx, axis=1)
     on, designs = w > 0, tuple(table[idx] for table in layout.tables)
     verdict = np.full(counts.shape[0], None, dtype=object)
@@ -356,7 +367,7 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
     for design, spline in zip(designs, layout.splines):
         if spline is not None:
             covs, spec, cols = spline
-            for i in np.flatnonzero(~wide & np.equal(verdict, None)):
+            for i in np.flatnonzero(np.equal(verdict, None)):
                 sup = np.flatnonzero(w[i])
                 try:
                     design[i, sup[:, None], cols] = design_columns(
@@ -365,21 +376,15 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
                     verdict[i] = exc
         at_one = design[np.arange(w.shape[0]), on.argmax(axis=1)][:, None]
         varies = ((design != at_one) & on[..., None]).any(axis=1)
-        verdict[~varies[:, 1:].all(axis=1) & ~wide & np.equal(verdict, None)] = DegenerateColumn(
+        verdict[~varies[:, 1:].all(axis=1) & np.equal(verdict, None)] = DegenerateColumn(
             "a basis column is constant on the replicate's support")
-    w[wide | ~np.equal(verdict, None)] = 0
+    w[~np.equal(verdict, None)] = 0
     stats, clipped, status, in_range = _block(data, layout.widths[0], patterns[idx, 1], w,
                                               designs, grid)
-    for i in np.flatnonzero((status.any(axis=1) | ~in_range) & ~wide & np.equal(verdict, None)):
+    for i in np.flatnonzero((status.any(axis=1) | ~in_range) & np.equal(verdict, None)):
         failed = status[i][status[i] != 0]
         verdict[i] = status_error(failed[0]) if failed.size else NuisanceProbabilityOutOfRange(
             "fitted probabilities leave [0, 1] or are not finite")
-    for i in np.flatnonzero(wide):
-        support = counts[i] > 0
-        own = replace(layout, widths=(int(np.count_nonzero(support[:n0])),
-                                      int(np.count_nonzero(support[n0:]))))
-        stats[i], clipped[i], verdict[i] = (a[0] for a in _refit_block(data, own,
-                                                                       counts[i:i + 1], grid))
     return stats, clipped, verdict
 
 

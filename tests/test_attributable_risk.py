@@ -597,11 +597,11 @@ def record_batches(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("data, rspec, sizes, sample_blocks", [
-    (expand(COUNTS_D1, D1), LIN, 17, 1), (fragile_data(D2), LIN, 41, 1),
-    (wide_data(300, D2, spline=True), SPLINE_LIN, 1, 2), (wide_data(300), LIN, 1, 2)],
+@pytest.mark.parametrize("data, rspec, sizes", [
+    (expand(COUNTS_D1, D1), LIN, 17), (fragile_data(D2), LIN, 41),
+    (wide_data(300, D2, spline=True), SPLINE_LIN, 1), (wide_data(300), LIN, 1)],
     ids=["counts_d1", "fragile", "spline", "wide"])
-def test_block_composition_invariance(data, rspec, sizes, sample_blocks, monkeypatch):
+def test_block_composition_invariance(data, rspec, sizes, monkeypatch):
     # a replicate's packed rows do not depend on its block, so neither do
     # the bits of its statistic
     pspec = BasisSpec.linear(data.n_covariates)
@@ -626,12 +626,11 @@ def test_block_composition_invariance(data, rspec, sizes, sample_blocks, monkeyp
     # design columns on six case-population patterns: blocks of 41; the
     # wide tables pack about 250 rows, so every block holds one replicate.
     # The sample comes first, a block of one; on a wide table it is wider
-    # than the layout, so its layout's block, which fits nothing, is
-    # followed by its own
+    # than the layout and is fitted at its own widths alone
     monkeypatch.setattr(ar_mod, "_BLOCK_CELLS", 1000)
     got = ar_curve(data, pspec, rspec, pbar=0.6, B=200, seed=5, step=0.1)
-    sample, boot = recorded[:3 * sample_blocks], recorded[3 * sample_blocks:]
-    assert sample == [1] * len(sample) and boot[0] == sizes and sum(boot[::3]) == 200
+    sample, boot = recorded[:3], recorded[3:]
+    assert sample == [1] * 3 and boot[0] == sizes and sum(boot[::3]) == 200
     assert np.array_equal(got[0].upper, want[0].upper)
     assert np.array_equal(got[1].mu_star, want[1].mu_star)
     assert (got[1].n_kept, got[1].n_clipped_boot) == (want[1].n_kept, want[1].n_clipped_boot)
@@ -726,9 +725,9 @@ def test_spline_replicates_are_refitted_in_blocks(monkeypatch):
         monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
         monkeypatch.setattr(ar_mod, "fit_logit", lambda *a: lone_fits.append(1) or real_fit(*a))
         _, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=200, seed=1)
-        # the sample: its layout's block of one, which fits nothing, and its own
-        sample, boot = blocks[:6], blocks[6:]
-        assert [status.size for status in sample] == [1] * 6
+        # the sample, wider than the layout: its own block of one alone
+        sample, boot = blocks[:3], blocks[3:]
+        assert [status.size for status in sample] == [1] * 3
         assert sum(status.size for status in boot[::3]) == 200
         failed = sum(np.count_nonzero(s0 | s1 | p) for s0, s1, p in zip(*[iter(boot)] * 3))
         assert lone_fits == []

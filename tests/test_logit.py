@@ -41,6 +41,14 @@ def test_intercept_only_closed_form():
     assert fit.cov[0, 0] == pytest.approx(1.0 / (100 * 0.3 * 0.7), rel=1e-8)
 
 
+def test_predict_reads_a_design_as_fit_logit_does():
+    x, t = _toy(seed=2, n=50, k=1)
+    fit = fit_logit(t, x[:, 0])
+    np.testing.assert_array_equal(fit.predict(x[:, 0]), fit.predict(x))
+    with pytest.raises(ValidationError, match="1 columns"):
+        fit.predict(np.column_stack([x, x]))
+
+
 def test_saturated_two_by_two_reproduces_log_odds_ratio():
     table = count_table("top_income_case_control")
     data = table.to_dataset(Design.CASE_CONTROL)
@@ -179,15 +187,14 @@ def _reference_fit(response, design, weights=None, factor=_numpy_factor, max_ite
     n = t.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     wt_total = float(w.sum())
-    X = np.column_stack([np.ones(n), design])
-    Xt = np.ascontiguousarray(X.T)
+    X = np.column_stack([np.ones(n), design])[None]
 
     def loglik(eta):
         return float(np.sum(w * (t * eta - np.logaddexp(0.0, eta))))
 
     bound = 250.0
-    coef = np.zeros(X.shape[1])
-    eta = X @ coef
+    coef = np.zeros(X.shape[2])
+    eta = np.zeros(n)
     ll = loglik(eta)
     tol = 1e-8 * wt_total
     polished = False
@@ -195,7 +202,7 @@ def _reference_fit(response, design, weights=None, factor=_numpy_factor, max_ite
         p = expit(eta)
         # fit_logit's stacked products, with a stack of one
         grad = ((w * (t - p))[None, None, :] @ X)[0, 0]
-        info = ((Xt * (w * p * (1.0 - p)))[None] @ X)[0]
+        info = (X.transpose(0, 2, 1) @ (X * (w * p * (1.0 - p))[None, :, None]))[0]
         try:
             solve, inverse = factor(info)
             if np.max(np.abs(grad)) <= tol:
@@ -214,7 +221,7 @@ def _reference_fit(response, design, weights=None, factor=_numpy_factor, max_ite
         scale = 1.0
         for _ in range(40):
             cand = coef + scale * step
-            eta_c = (cand[None, None, :] @ Xt)[0, 0]
+            eta_c = (X @ cand[None, :, None])[0, :, 0]
             ll_c = loglik(eta_c)
             if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
                 break
@@ -386,11 +393,11 @@ def test_every_refusal_is_one_rule_for_both_front_ends(name, monkeypatch):
     X = np.column_stack([np.ones(x.shape[0]), x])
     if name in _INPUT_REFUSALS:
         with pytest.raises(ValidationError) as batch:
-            fit_logit_batch(t, X, w[None])
+            fit_logit_batch(t[None], X[None], w[None])
         with pytest.raises(ValidationError, match=re.escape(str(batch.value))):
             fit_logit(t, x, w)
         return
-    coef, status = fit_logit_batch(t, X, np.vstack([w, w]))
+    coef, status = _batch_shared(t, X, np.vstack([w, w]))
     assert status.all() and status[0] == status[1] and not coef.any()
     exc, message = logit_mod._FAILURES[status[0]]
     assert exc is _DATA_REFUSALS[name]
@@ -399,6 +406,14 @@ def test_every_refusal_is_one_rule_for_both_front_ends(name, monkeypatch):
 
 
 # --- the batched Newton kernel against fit_logit, one weight row at a time ---
+
+def _batch_shared(t, X, W):
+    """fit_logit_batch of the (n,) response t on the (n, k) design X under
+    every row of the weights W: both broadcast to one per weight row."""
+    W = np.asarray(W, dtype=float)
+    return fit_logit_batch(np.broadcast_to(t, W.shape),
+                           np.broadcast_to(X, W.shape + X.shape[1:]), W)
+
 
 def _loop_fits(t, design, W):
     """fit_logit on each weight row's support rows: its coefficients, or the
@@ -474,7 +489,7 @@ def test_batch_matches_fit_logit_per_weight_row(name, min_ok, min_failed, monkey
     # fit_logit raises
     t, x, W = _batch_case(name)
     X = np.column_stack([np.ones(t.size), x])
-    coef, status = fit_logit_batch(t, X, W)
+    coef, status = _batch_shared(t, X, W)
     loop = _loop_fits(t, x, W)
     for i, (got, code, want) in enumerate(zip(coef, status, loop)):
         if isinstance(want, type):
@@ -508,7 +523,7 @@ def test_batch_flags_a_column_constant_on_the_support():
     # the refusal the AR bootstrap's block leaves to the kernel: the column
     # is collinear with the intercept there
     t, x, W = _batch_case("J1")
-    _, status = fit_logit_batch(t, np.column_stack([np.ones(t.size), x]), W)
+    _, status = _batch_shared(t, np.column_stack([np.ones(t.size), x]), W)
     assert [logit_mod._FAILURES[code][0] for code in status[-2:]] == [Singular, Singular]
     for w in W[-2:]:
         with pytest.raises(Singular):
@@ -518,9 +533,9 @@ def test_batch_flags_a_column_constant_on_the_support():
 def test_batch_zero_weight_rows_are_absent_rows():
     t, x, W = _batch_case("J3_interactions")
     X = np.column_stack([np.ones(t.size), x])
-    coef, status = fit_logit_batch(t[:6], X[:6], W[:, :6])
+    coef, status = _batch_shared(t[:6], X[:6], W[:, :6])
     padded = np.hstack([W[:, :6], np.zeros((60, 2))])
-    coef_pad, status_pad = fit_logit_batch(t, X, padded)
+    coef_pad, status_pad = _batch_shared(t, X, padded)
     assert np.array_equal(status, status_pad) and np.count_nonzero(status == 0) >= 40
     np.testing.assert_allclose(coef_pad, coef, rtol=1e-12, atol=1e-12)
 
@@ -529,9 +544,9 @@ def test_batch_zero_weight_rows_are_absent_rows():
 def test_batch_rows_do_not_depend_on_their_neighbours(name):
     t, x, W = _batch_case(name)
     X = np.column_stack([np.ones(t.size), x])
-    coef, status = fit_logit_batch(t, X, W)
+    coef, status = _batch_shared(t, X, W)
     for i in range(W.shape[0]):
-        alone, status_alone = fit_logit_batch(t, X, W[i:i + 1])
+        alone, status_alone = _batch_shared(t, X, W[i:i + 1])
         assert status_alone[0] == status[i]
         assert np.array_equal(alone[0], coef[i])
 
@@ -541,21 +556,26 @@ def test_batch_overflow_is_a_flag_not_a_warning():
     t = np.array([0, 1, 0, 1, 0, 1, 1, 0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coef, status = fit_logit_batch(t, np.column_stack([np.ones(8), x]), np.ones((3, 8)))
+        coef, status = _batch_shared(t, np.column_stack([np.ones(8), x]), np.ones((3, 8)))
     assert status.all() and not coef.any()
 
 
 def test_batch_input_contracts():
+    t = np.array([0, 1, 0, 1])
     X = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
-    with pytest.raises(ValidationError):
-        fit_logit_batch([0, 1, 2, 1], X, np.ones((2, 4)))
-    with pytest.raises(ValidationError):
-        fit_logit_batch([0, 1, 0, 1], X, -np.ones((2, 4)))
-    with pytest.raises(ValidationError):
-        fit_logit_batch([0, 1, 0, 1], X, np.ones((2, 3)))
+    T, Xs = np.stack([t, t]), np.stack([X, X])
+    with pytest.raises(ValidationError, match="binary"):
+        fit_logit_batch(2 * T, Xs, np.ones((2, 4)))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        fit_logit_batch(T, Xs, -np.ones((2, 4)))
+    with pytest.raises(ValidationError, match="differ in length"):
+        fit_logit_batch(T, Xs, np.ones((2, 3)))
+    # one response and design under every weight row is not a layout
+    with pytest.raises(ValidationError, match="differ in length"):
+        fit_logit_batch(t, X, np.ones((2, 4)))
 
 
-# --- the stacked layout: a design and a response per weight row ---------------
+# --- a design and a response per weight row -----------------------------------
 
 @pytest.mark.parametrize("eta", [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8,
                                  745.2, -745.2, math.inf, -math.inf, math.nan])
@@ -588,16 +608,16 @@ def _stacked_case():
     return np.array(T), np.array(X), np.array(W, dtype=float)
 
 
-def test_stacked_rows_are_their_own_shared_fits():
-    # each stacked row fits as its design and response alone would, to the
-    # bit, and as fit_logit on its support to rounding
+def test_stacked_rows_are_their_own_fits():
+    # each stacked row fits as that row alone would, to the bit, and as
+    # fit_logit on its support to rounding
     T, X, W = _stacked_case()
     coef, status = fit_logit_batch(T, X, W)
     assert not status[2:].any()
     assert logit_mod._FAILURES[status[0]][0] is ValidationError
     assert logit_mod._FAILURES[status[1]][0] is SeparationDetected
     for i in range(6):
-        alone, status_alone = fit_logit_batch(T[i], X[i], W[i:i + 1])
+        alone, status_alone = fit_logit_batch(T[i:i + 1], X[i:i + 1], W[i:i + 1])
         assert status_alone[0] == status[i] and np.array_equal(alone[0], coef[i])
         keep = W[i] > 0
         if not status[i]:

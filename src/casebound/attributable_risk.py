@@ -245,7 +245,7 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
     for (coef, _), design in fits:
         clipped, valid, n_moved = clip_probabilities(
-            expit((coef[:, None, :] * design).sum(axis=-1)), counts)
+            expit((design @ coef[:, :, None])[:, :, 0]), counts)
         in_range &= (valid | ~support).all(axis=1)
         n_clipped += n_moved
         # off the support a value only has to keep the weighted sums finite

@@ -98,8 +98,7 @@ def _parse_basis(text: str, k: int, interactions: bool) -> BasisSpec:
 
 
 def _load_dataset(input_path, design, y_col, t_col, x_cols, h0):
-    schema = ColumnSchema(y=y_col, t=t_col,
-                          x=tuple(c for c in (x_cols or "").split(",") if c))
+    schema = ColumnSchema(y=y_col, t=t_col, x=tuple((x_cols or "").split(",")))
     data, report = ingest_csv(input_path, schema, Design.parse(design), h0)
     if report.n_dropped:
         more = "..." if report.n_dropped > 10 else ""

@@ -180,14 +180,20 @@ def odds_ratio_2x2(table: CountTable2x2) -> float:
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Column mapping for CSV ingestion: names of y, t and covariate columns."""
+    """Column mapping for CSV ingestion: names of y, t and covariate columns.
+
+    Names are stripped, as header names are, and an empty covariate name is
+    dropped.
+    """
 
     y: str
     t: str
     x: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
+        object.__setattr__(self, "y", self.y.strip())
+        object.__setattr__(self, "t", self.t.strip())
+        object.__setattr__(self, "x", tuple(c.strip() for c in self.x if c.strip()))
         names = (self.y, self.t) + self.x
         if len(set(names)) != len(names):
             raise ValidationError("schema maps the same column to multiple roles")

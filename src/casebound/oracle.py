@@ -39,9 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# np.median (synthetic.run_mc_study) and np.quantile (basis._quantile_knots)
-# import numpy.ma on first use: load it with the package, not mid-call
-import numpy.ma  # noqa: F401
 
 from .errors import (
     OverlapViolation,
@@ -234,18 +231,22 @@ class DiscretePopulation:
             q = self._potential_probs
             overlap = bool(((q > 0) & (q < 1)).all())
         mtr = bool(self.pmf[:, :, 1, 0].sum() <= _ASSUMPTION_TOL)
-        # by_arm[c, arm, t] = Pr{Y*(t)=1 | T*=arm, X*=x}; an empty arm leaves
-        # it undefined, and then neither assumption can be verified
-        denom = self.pmf.sum(axis=(2, 3))
-        if (denom <= 0).any():
-            return AssumptionReport(overlap=overlap, unconfounded=False, mtr=mtr, mts=False)
-        num = np.stack([self.pmf[:, :, 1, :].sum(axis=2),
-                        self.pmf[:, :, :, 1].sum(axis=2)], axis=2)
-        by_arm = num / denom[:, :, None]
-        by1, by0 = by_arm[:, 1], by_arm[:, 0]
-        unconf = bool((np.abs(by1 - by0) <= _ASSUMPTION_TOL).all())
-        mts = bool((by1 >= by0 - _ASSUMPTION_TOL).all())
+        unconf, mts = _selection(self.pmf)
         return AssumptionReport(overlap=overlap, unconfounded=unconf, mtr=mtr, mts=mts)
+
+
+def _selection(pmf: np.ndarray) -> tuple[bool, bool]:
+    """Unconfoundedness and monotone selection of a pmf, by enumeration."""
+    # by_arm[c, arm, t] = Pr{Y*(t)=1 | T*=arm, X*=x}; an empty arm leaves
+    # it undefined, and then neither assumption can be verified
+    denom = pmf.sum(axis=(2, 3))
+    if (denom <= 0).any():
+        return False, False
+    num = np.stack([pmf[:, :, 1, :].sum(axis=2), pmf[:, :, :, 1].sum(axis=2)], axis=2)
+    by_arm = num / denom[:, :, None]
+    by1, by0 = by_arm[:, 1], by_arm[:, 0]
+    return (bool((np.abs(by1 - by0) <= _ASSUMPTION_TOL).all()),
+            bool((by1 >= by0 - _ASSUMPTION_TOL).all()))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -606,10 +607,9 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
             pmf = pmf.copy()
             pmf[:, :, 1, 0] = 0.0
             pmf /= pmf.sum()
-        pop = DiscretePopulation(support_x=support, pmf=pmf)
-        if mts and not pop.check_assumptions().mts:
+        if mts and not _selection(pmf)[1]:
             continue
-        return pop
+        return DiscretePopulation(support_x=support, pmf=pmf)
     raise ValidationError(f"no admissible population found in {_MAX_TRIES} draws")
 
 

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import casebound.attributable_risk as attributable_risk
 import casebound.cli as cli_mod
 from casebound.cli import main
+from casebound.errors import ValidationError
 from casebound.fixtures import count_table
 from casebound.model import ColumnSchema, Design, ObservedDataset, export_csv
 from casebound.rng import RngSpec, bernoulli
@@ -220,6 +221,30 @@ def test_duplicated_mapped_column_exits_2(runner, tmp_path):
         "--y-col", "y", "--t-col", "t", "--x-cols", "x1", "--h0", "0.3"])
     _assert_one_error_line(result)
     assert "column 'x1' appears more than once" in result.output
+
+
+def test_spaces_in_x_cols_are_stripped(runner, tmp_path):
+    # header names are stripped, so the names they are matched with are too
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((300, 2))
+    t = (rng.random(300) < 1 / (1 + np.exp(-x[:, 0]))).astype(int)
+    y = (rng.random(300) < 0.5).astype(int)
+    path = tmp_path / "two.csv"
+    export_csv(ObservedDataset(y=y, t=t, x=x, design=Design.CASE_CONTROL),
+               path, ColumnSchema(y="y", t="t", x=("x1", "x2")))
+    outputs = []
+    for x_cols in ("x1,x2", "x1, x2", " x1 ,x2,"):
+        result = runner.invoke(main, [
+            "rr", "--input", str(path), "--design", "case-control",
+            "--y-col", " y", "--t-col", "t ", "--x-cols", x_cols])
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_column_schema_refuses_a_name_repeated_after_stripping():
+    with pytest.raises(ValidationError, match="multiple roles"):
+        ColumnSchema(y="y", t="t", x=("x1", " x1"))
 
 
 def test_trailing_blank_line_is_not_a_dropped_row(runner, tmp_path):
@@ -468,6 +493,50 @@ def test_cli_calls_leave_scipy_optimize_interpolate_and_stats_unloaded(tmp_path)
                          env=env, check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
+
+
+_RUN_WITHOUT_NUMPY_MA = """
+import sys
+import numpy as np
+from click.testing import CliRunner
+from casebound.cli import main
+from casebound.fixtures import count_table
+from casebound.model import ColumnSchema, Design, ObservedDataset, export_csv
+
+rr_path, ar_path = sys.argv[1:]
+export_csv(count_table("university_private_school").to_dataset(Design.CASE_CONTROL),
+           rr_path, ColumnSchema(y="vsu", t="private"))
+rng = np.random.default_rng(5)
+x = rng.standard_normal(400)
+t = (rng.random(400) < 1 / (1 + np.exp(-0.8 * x))).astype(int)
+y = (rng.random(400) < 0.4).astype(int)
+export_csv(ObservedDataset(y=y, t=t, x=x, design=Design.CASE_CONTROL),
+           ar_path, ColumnSchema(y="y", t="t", x=("x1",)))
+runner = CliRunner()
+for args in (["rr", "--input", rr_path, "--design", "case-control",
+              "--y-col", "vsu", "--t-col", "private"],
+             ["ar", "--input", ar_path, "--design", "case-control", "--y-col", "y",
+              "--t-col", "t", "--x-cols", "x1", "--pbar", "0.6", "--B", "200"],
+             ["mc", "--replications", "100"],
+             ["oracle", "--populations", "2"]):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, (args, result.output)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_calls_leave_numpy_ma_unloaded(tmp_path):
+    # importing numpy.ma costs start-up time and about 1 MB of memory, and
+    # np.median was the only call of these commands that needed it; the key
+    # is matched exactly, since numpy.matrixlib shares its prefix
+    import casebound
+
+    src = os.path.dirname(os.path.dirname(casebound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_NUMPY_MA,
+                          str(tmp_path / "rr.csv"), str(tmp_path / "ar.csv")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

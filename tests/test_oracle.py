@@ -85,6 +85,46 @@ def test_mtr_population_theta_within_odds_ratio_bound():
             assert 0.0 <= pop.theta_ar(c) <= 1.0
 
 
+def _mts_draw_building_every_population(rng, n_cells, mtr):
+    # the draw as it was: build each candidate population, then ask it
+    support = np.arange(n_cells, dtype=float)[:, None]
+    for tries in range(1, 2001):
+        raw = rng.dirichlet(np.full(n_cells * 8, 1.5)).reshape(n_cells, 2, 2, 2)
+        pmf = (raw + 0.02) / (raw + 0.02).sum()
+        if mtr:
+            pmf = pmf.copy()
+            pmf[:, :, 1, 0] = 0.0
+            pmf /= pmf.sum()
+        pop = DiscretePopulation(support_x=support, pmf=pmf)
+        if pop.check_assumptions().mts:
+            return pop, tries
+    raise AssertionError("no admissible population")
+
+
+@pytest.mark.parametrize("n_cells, mtr", [(2, False), (2, True), (3, True)])
+def test_mts_draw_is_judged_on_its_array(monkeypatch, n_cells, mtr):
+    import casebound.oracle as oracle
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return DiscretePopulation(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "DiscretePopulation", counting)
+    tries = 0
+    for seed in range(50):
+        old, n = _mts_draw_building_every_population(
+            RngSpec(seed).derive("mts-draw"), n_cells, mtr)
+        tries += n
+        new = random_population(RngSpec(seed).derive("mts-draw"), n_cells,
+                                mtr=mtr, mts=True)
+        assert new.pmf.tobytes() == old.pmf.tobytes()
+        assert new.check_assumptions().mts
+    assert tries > 50  # draws were rejected, and built no population
+    assert len(built) == 50
+
+
 def test_check_assumptions_flags():
     pmf = np.zeros((1, 2, 2, 2))
     pmf[0, 0, 1, 0] = 0.5  # mass on a harmed unit: y0=1, y1=0

@@ -1,7 +1,11 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from casebound.errors import OverlapViolation, ValidationError
@@ -12,6 +16,7 @@ from casebound.rng import RngSpec, standard_normals
 from casebound.special import ndtri
 from casebound.synthetic import (
     MCDesign,
+    _median,
     draw_mc_sample,
     run_mc_study,
     sample_from_population,
@@ -155,6 +160,25 @@ def test_ar_cc_benchmark_input_stream_is_pinned():
             digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     assert digest.hexdigest() == (
         "89e14d9d0a814d732cf8662c696beec8d5c5c121fc4130b90ad330de9a739a2a")
+
+
+_MEDIAN_ENTRIES = st.floats() | st.sampled_from([0.0, -0.0, float("nan"), -float("nan")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60).flatmap(lambda n: arrays(np.float64, n, elements=_MEDIAN_ENTRIES)))
+def test_median_is_np_median_byte_for_byte(v):
+    # signed zeros, infinities, NaN payloads and the empty-slice warnings
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        got = _median(v)
+    with warnings.catch_warnings(record=True) as numpy_s:
+        warnings.simplefilter("always")
+        want = np.median(v)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert ([(w.category, str(w.message)) for w in ours]
+            == [(w.category, str(w.message)) for w in numpy_s])
 
 
 def test_run_mc_study_deterministic_and_sane():

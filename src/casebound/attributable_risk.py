@@ -59,26 +59,27 @@ of the stratum.  The width is fixed because the BLAS sums of a fit depend
 on its length: padding the same replicate to different widths moves the
 last bits of its coefficients, so a width per block would make a
 replicate's statistic depend on the other replicates of its block.  The
-designs are gathered from the pattern table's [1, basis], built once;
-only a spline block, whose knots are the quantiles of each drawn
-multiset, is rebuilt per replicate on its support.  A block is three
-batched Newton fits (`logit.fit_logit_batch`: stratum 0, stratum 1, the
-prospective fit), and the curve or xi of every replicate is read off
-(replicate x grid x packed row) arrays.  A block
-holds as many replicates as fit in `_BLOCK_CELLS` cells of both packed
-designs or of such an array, so memory does not grow with B.  The block
-gives each replicate one verdict, None or the CaseboundError that drops
-it, the first of: the error of its spline block, DegenerateColumn
-(`build_basis`'s rule on the support), what `fit_logit` would raise for
-the first nonzero kernel status of its three fits (`logit.status_error`),
-then NuisanceProbabilityOutOfRange for a fitted probability outside [0,
-1]; a fit that halves a step stays.  A replicate whose support in a
-stratum is wider than the packed width, the sample among them when the
-width is less than the table's, never enters a block of the others: the
-same routine fits it alone, as a block of one packed at its own support's
-widths.  A replicate padded in a block and refitted alone differ only by
-the padding's effect on the BLAS sums (1e-12 in the tests, 1e-10 with a
-spline basis, whose design is ill-conditioned).
+designs are gathered from the pattern table's [1, basis], built once; a
+design with a spline term, whose knots are the quantiles of each drawn
+multiset, is rebuilt whole per replicate on its support by
+`design_columns`, as on the table.  A block is three batched Newton fits
+(`logit.fit_logit_batch`: stratum 0, stratum 1, the prospective fit), and
+the curve or xi of every replicate is read off (replicate x grid x packed
+row) arrays.  A block holds as many replicates as fit in `_BLOCK_CELLS`
+cells of both packed designs or of such an array, so memory does not grow
+with B.  The block gives each replicate one verdict, None or the
+CaseboundError that drops it, the first of: `build_basis`'s refusal of a
+spline design rebuilt on its support, DegenerateColumn (a basis column
+constant on the support, `basis.constant_columns`), what `fit_logit`
+would raise for the first nonzero kernel status of its three fits
+(`logit.status_error`), then NuisanceProbabilityOutOfRange for a fitted
+probability outside [0, 1]; a fit that halves a step stays.  A replicate
+whose support in a stratum is wider than the packed width, the sample
+among them when the width is less than the table's, never enters a block
+of the others: the same routine fits it alone, as a block of one packed
+at its own support's widths.  A replicate padded in a block and refitted
+alone differ only by the padding's effect on the BLAS sums (1e-12 in the
+tests, 1e-10 with a spline basis, whose design is ill-conditioned).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -92,7 +93,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisSpec, CubicSplineTerm
+from .basis import BasisSpec, CubicSplineTerm, constant_columns
 from .errors import (BootstrapDegenerate, CaseboundError, DegenerateColumn,
                      NuisanceProbabilityOutOfRange, ValidationError)
 # fit_logit is bound here only for the benchmark's tracer, which wraps it
@@ -266,29 +267,15 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
 @dataclass(frozen=True)
 class _Layout:
     """What every block of one `ar_curve` run shares: the pattern table, the
-    retrospective and prospective [1, basis] on the table, per design the
-    spline block that each replicate rebuilds (None without one), and the
-    fixed width of each stratum (see the module docstring)."""
+    retrospective and prospective [1, basis] on the table, per design its
+    spec when a spline term makes each replicate rebuild it (None
+    otherwise), and the fixed width of each stratum (see the module
+    docstring)."""
 
     patterns: np.ndarray
     tables: tuple[np.ndarray, np.ndarray]
-    splines: tuple
+    splines: tuple[BasisSpec | None, BasisSpec | None]
     widths: tuple[int, int]
-
-
-def _spline_block(spec: BasisSpec):
-    """The covariates of the spline terms of `spec`, a spec of those terms
-    alone and the columns of [1, basis] that its design columns fill, or
-    None when `spec` has no spline term."""
-    covs = [i for i, term in enumerate(spec.terms) if isinstance(term, CubicSplineTerm)]
-    if not covs:
-        return None
-    sizes = [term.n_terms() for term in spec.terms]
-    # the term of every basis column, the interactions one more term at the
-    # end, as the intercept-safe mask keeps them
-    term_of = np.repeat(np.arange(len(sizes) + 1), sizes + [spec.n_columns - sum(sizes)])
-    cols = 1 + np.flatnonzero(np.isin(term_of[spec.intercept_safe_mask()], covs))
-    return np.array(covs), BasisSpec(tuple(spec.terms[i] for i in covs)), cols
 
 
 def _widths(multiplicities: np.ndarray, case: np.ndarray, mode: str) -> tuple[int, int]:
@@ -317,7 +304,9 @@ def _layout(patterns: np.ndarray, multiplicities: np.ndarray, specs: tuple[Basis
                    tables=tuple(np.hstack([ones, design_columns(patterns[:, 2:], spec,
                                                                 multiplicities)])
                                 for spec in specs),
-                   splines=tuple(_spline_block(spec) for spec in specs),
+                   splines=tuple(spec if any(isinstance(term, CubicSplineTerm)
+                                             for term in spec.terms) else None
+                                 for spec in specs),
                    widths=_widths(multiplicities, patterns[:, 0] == 1, mode))
 
 
@@ -337,11 +326,12 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
                  grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_block` on a block of replicates' (replicates, patterns) counts, each
     replicate packed on its own support: designs gathered from the pattern
-    table, each spline block rebuilt on the support with knots from its
-    counts.  Returns each replicate's statistic and clip count, and its
-    verdict: None, or the CaseboundError that drops it, the first of its
-    spline block's error, DegenerateColumn (a basis column constant on its
-    support), the `status_error` of its first failed fit and
+    table, a design with a spline term rebuilt whole on the support by
+    `design_columns`, with knots from its counts.  Returns each replicate's
+    statistic and clip count, and its verdict: None, or the CaseboundError
+    that drops it, the first of `build_basis`'s refusal of a rebuilt
+    design, DegenerateColumn (`constant_columns` on its support), the
+    `status_error` of its first failed fit and
     NuisanceProbabilityOutOfRange.  A replicate refused before its fits
     gets zero counts, which the kernel refuses; one wider than the layout
     never enters the block and is fitted alone, as a block of one at its
@@ -362,21 +352,18 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
     w = np.take_along_axis(counts, idx, axis=1)
     on, designs = w > 0, tuple(table[idx] for table in layout.tables)
     verdict = np.full(counts.shape[0], None, dtype=object)
-    # each design judged as `_layout` builds it: its spline block, then
-    # build_basis's rule, no basis column constant on the support
-    for design, spline in zip(designs, layout.splines):
-        if spline is not None:
-            covs, spec, cols = spline
+    # each design judged as `_layout` builds it: a spline design rebuilt on
+    # the support with build_basis's refusals, then no column constant there
+    for design, spec in zip(designs, layout.splines):
+        if spec is not None:
             for i in np.flatnonzero(np.equal(verdict, None)):
                 sup = np.flatnonzero(w[i])
                 try:
-                    design[i, sup[:, None], cols] = design_columns(
-                        patterns[idx[i, sup]][:, 2 + covs], spec, w[i, sup])
+                    design[i, sup, 1:] = design_columns(patterns[idx[i, sup], 2:], spec, w[i, sup])
                 except CaseboundError as exc:
                     verdict[i] = exc
-        at_one = design[np.arange(w.shape[0]), on.argmax(axis=1)][:, None]
-        varies = ((design != at_one) & on[..., None]).any(axis=1)
-        verdict[~varies[:, 1:].all(axis=1) & np.equal(verdict, None)] = DegenerateColumn(
+        verdict[constant_columns(design[..., 1:], on).any(axis=1)
+                & np.equal(verdict, None)] = DegenerateColumn(
             "a basis column is constant on the replicate's support")
     w[~np.equal(verdict, None)] = 0
     stats, clipped, status, in_range = _block(data, layout.widths[0], patterns[idx, 1], w,
@@ -453,7 +440,7 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     if n_kept < 2:
         raise BootstrapDegenerate(f"only {n_kept} of {B} bootstrap replicates survived")
 
-    if np.all(boot[:, varying] == boot[0, varying]):
+    if varying.any() and np.all(boot[:, varying] == boot[0, varying]):
         raise BootstrapDegenerate("all bootstrap estimates are identical")
     # a replicate that ties with the sample up to rounding counts as below it
     tie = 1e-12 * np.maximum(1.0, np.abs(stat_hat))

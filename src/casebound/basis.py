@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import DegenerateColumn, ValidationError
 
-__all__ = ["Linear", "Polynomial", "CubicSplineTerm", "BasisSpec", "build_basis"]
+__all__ = ["Linear", "Polynomial", "CubicSplineTerm", "BasisSpec", "build_basis",
+           "constant_columns"]
 
 _SPLINE_ORDER = 4  # cubic
 
@@ -231,10 +232,19 @@ def build_basis(x: np.ndarray, spec: BasisSpec,
     out = np.column_stack(blocks) if blocks else np.empty((n, 0))
     if out.shape[1] != spec.n_columns:
         raise AssertionError("basis column count mismatch")
-    if out.shape[1]:
-        ptp = out.max(axis=0) - out.min(axis=0)
-        if np.any(ptp == 0):
-            j = int(np.argmax(ptp == 0))
-            raise DegenerateColumn(
-                f"basis column {spec.column_names()[j]!r} is constant")
+    constant = constant_columns(out, np.ones(n, dtype=bool))
+    if constant.any():
+        raise DegenerateColumn(
+            f"basis column {spec.column_names()[int(np.argmax(constant))]!r} is constant")
     return out
+
+
+def constant_columns(cols: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Per leading index, which columns of a (..., n, J) array take one
+    value on the rows where the (..., n) mask `on` holds, a (..., J) mask.
+
+    Each column is compared with its value at the first row on, so `on`
+    must hold at least one row.
+    """
+    first = np.take_along_axis(cols, on.argmax(axis=-1)[..., None, None], axis=-2)
+    return ~((cols != first) & on[..., None]).any(axis=-2)

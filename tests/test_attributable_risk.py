@@ -332,6 +332,15 @@ def test_bootstrap_degenerate_raises(monkeypatch):
         ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=5)
 
 
+def test_case_control_grid_without_interior_point_is_zero():
+    # p_grid(1, 1) is [0, 1], where the bound is 0 by construction: no
+    # column can vary, so equal replicates are not degenerate
+    curve, diag = ar_curve(expand(COUNTS_D1, D1), LIN, LIN, pbar=1.0, B=200, seed=1, step=1.0)
+    assert curve.p.tolist() == [0.0, 1.0]
+    assert curve.point.tolist() == curve.upper.tolist() == [0.0, 0.0]
+    assert diag.n_kept == 200
+
+
 def test_failed_replicates_dropped_and_counted(monkeypatch):
     data = expand(COUNTS_D1, D1)
     real = ar_mod._block
@@ -759,6 +768,17 @@ def test_weighted_replicates_equal_expanded_rows_spline_case_population():
     diag, failures = assert_replicates_match(data, BasisSpec.linear(5), rspec, pbar=0.15,
                                              step=0.01, B=200, seed=1, mode="iid")
     assert diag.n_dropped > 0 and diag.n_clipped_boot > 0
+    assert failures == {"SeparationDetected": diag.n_dropped}
+
+
+def test_weighted_replicates_equal_expanded_rows_spline_second_with_interactions():
+    # a spline term after a linear one, beside their interaction: a
+    # replicate's rebuilt spline columns land between the linear and the
+    # interaction columns of [1, basis]
+    spec = BasisSpec((Linear(), CubicSplineTerm(3)), interactions=True)
+    diag, failures = assert_replicates_match(wide_data(300, D1, spline=True), spec, spec,
+                                             pbar=0.6, step=0.1, B=200, seed=3, mode="iid")
+    assert diag.n_kept > 0
     assert failures == {"SeparationDetected": diag.n_dropped}
 
 

@@ -10,6 +10,7 @@ from casebound.basis import (
     Linear,
     Polynomial,
     build_basis,
+    constant_columns,
 )
 from casebound.errors import DegenerateColumn, ValidationError
 from casebound.rng import RngSpec
@@ -73,9 +74,29 @@ def test_mixed_spec_column_layout():
 
 
 def test_degenerate_column_rejected():
-    x = np.column_stack([np.ones(20), np.arange(20.0)])
-    with pytest.raises(DegenerateColumn):
-        build_basis(x, BasisSpec.linear(2))
+    # the message names the constant column, first or second
+    for j in (0, 1):
+        x = np.column_stack([np.arange(20.0), np.arange(20.0)])
+        x[:, j] = 1.0
+        with pytest.raises(DegenerateColumn, match=f"'x{j + 1}'"):
+            build_basis(x, BasisSpec.linear(2))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 12),
+       j=st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_constant_columns_equal_ptp_on_the_rows_on(seed, m, n, j):
+    # columns of three levels tie often, and some are forced constant on
+    # the rows on while the rows off keep other values
+    gen = RngSpec(seed).derive("constant-columns")
+    cols = gen.integers(0, 3, size=(m, n, j)).astype(float)
+    on = gen.random((m, n)) < 0.5
+    on[np.arange(m), gen.integers(0, n, size=m)] = True
+    forced = gen.random((m, j)) < 0.5
+    for i in range(m):
+        cols[i][np.ix_(on[i], forced[i])] = gen.normal(size=forced[i].sum())
+    want = np.array([np.ptp(cols[i][on[i]], axis=0) == 0 for i in range(m)])
+    assert np.array_equal(constant_columns(cols, on), want)
 
 
 def test_spline_on_nearly_constant_covariate_rejected():

@@ -358,6 +358,18 @@ def test_ar_case_population_grid(runner, tmp_path):
     assert diag["mode"] == "uniform-bc"
 
 
+def test_ar_case_control_grid_without_interior_point(runner, tmp_path):
+    # --pbar 1 --grid-step 1 gives the grid [0, 1], where the bound is 0
+    path = write_university_csv(tmp_path / "u.csv")
+    result = runner.invoke(main, [
+        "ar", "--input", path, "--design", "case-control", "--y-col", "vsu",
+        "--t-col", "private", "--pbar", "1", "--grid-step", "1", "--B", "200",
+        "--format", "json"])
+    assert result.exit_code == 0, result.output
+    curve = json.loads(result.output)["curve"]
+    assert curve == {"p": [0.0, 1.0], "point": [0.0, 0.0], "upper": [0.0, 0.0]}
+
+
 def test_ar_rejects_small_bootstrap(runner, tmp_path):
     path = write_case_population_csv(tmp_path / "cp.csv")
     result = runner.invoke(main, [

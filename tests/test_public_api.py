@@ -114,3 +114,16 @@ def test_one_refit_path():
     assert [name for name, node, _ in defs
             if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                    and n.func.id == "_block" for n in ast.walk(node))] == ["_refit_block"]
+
+
+def test_one_constant_column_rule():
+    # a constant basis column is refused by build_basis on the rows and by
+    # _refit_block on a replicate's support, both through
+    # basis.constant_columns; attributable_risk.py maps no basis columns of
+    # its own
+    users = {(path.stem, name): names for path in SOURCES if path.stem != "errors"
+             for name, _, names in _definitions(path) if "DegenerateColumn" in names}
+    assert sorted(users) == [("attributable_risk", "_refit_block"), ("basis", "build_basis")]
+    assert all("constant_columns" in names for names in users.values())
+    path = next(path for path in SOURCES if path.stem == "attributable_risk")
+    assert [name for name, _, names in _definitions(path) if "intercept_safe_mask" in names] == []

@@ -65,7 +65,7 @@ multiset, is rebuilt whole per replicate on its support by
 `design_columns`, as on the table.  A block is three batched Newton fits
 (`logit.fit_logit_batch`: stratum 0, stratum 1, the prospective fit), and
 the curve or xi of every replicate is read off (replicate x grid x packed
-row) arrays.  A block holds as many replicates as fit in `_BLOCK_CELLS`
+row) arrays.  A block holds as many replicates as fit in `BLOCK_CELLS`
 cells of both packed designs or of such an array, so memory does not grow
 with B.  The block gives each replicate one verdict, None or the
 CaseboundError that drops it, the first of: `build_basis`'s refusal of a
@@ -97,7 +97,7 @@ from .basis import BasisSpec, CubicSplineTerm, constant_columns
 from .errors import (BootstrapDegenerate, CaseboundError, DegenerateColumn,
                      NuisanceProbabilityOutOfRange, ValidationError)
 # fit_logit is bound here only for the benchmark's tracer, which wraps it
-from .logit import fit_logit, fit_logit_batch, status_error  # noqa: F401
+from .logit import BLOCK_CELLS, fit_logit, fit_logit_batch, status_error  # noqa: F401
 from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
 from .relative_risk import clip_probabilities, design_columns, p_grid
@@ -111,11 +111,10 @@ __all__ = [
     "bc_level",
 ]
 
-# the most (replicate x packed row x max(grid, design columns)) cells one
-# block's arrays may hold, and the standard deviations of a draw's distinct
-# patterns that the packed width of a stratum adds to their mean (see the
-# module docstring)
-_BLOCK_CELLS = 1 << 17
+# the standard deviations of a draw's distinct patterns that the packed
+# width of a stratum adds to their mean (see the module docstring); a block
+# holds at most BLOCK_CELLS (replicate x packed row x max(grid, design
+# columns)) cells
 _WIDTH_SDS = 5.0
 
 
@@ -420,7 +419,7 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     # a block holds both designs at once; the statistic spans the grid only
     # under case-control sampling
     width = max(1 if cp else grid.shape[0], sum(d.shape[1] for d in layout.tables))
-    size = max(1, _BLOCK_CELLS // (sum(layout.widths) * width))
+    size = max(1, BLOCK_CELLS // (sum(layout.widths) * width))
     boot = np.empty((B, stat_hat.shape[0]))  # each replicate's statistic
     kept = np.zeros(B, dtype=bool)
     n_clipped_boot = 0

@@ -389,7 +389,8 @@ def mc(replications, seed, estimators, out, fmt):
             with open(outdir / "mc_summary.json", "w") as fh:
                 json.dump(_jsonable({"schema_version": SCHEMA_VERSION, "seed": seed,
                                      "replications": replications,
-                                     "cells": [c.__dict__ for c in result.cells]}),
+                                     "cells": [c.__dict__ for c in result.cells],
+                                     "failures": result.failures}),
                           fh, indent=2, allow_nan=False)
             lines.append(f"summary written to {outdir / 'mc_summary.json'}")
         _emit({"command": "mc", "seed": seed, "replications": replications,

@@ -18,18 +18,22 @@ would raise (`_FAILURES`): one response class or total weight <= J, set
 before the loop so that only the other rows iterate, then separation, a
 failed factorisation or step, or no convergence.  Every weight row has its
 own response and design, (m, n) and (m, n, k), so that each bootstrap
-replicate is fitted on its own rows; `fit_logit` is a stack of one.  The
-loop holds that one design array and compacts it with the weights as rows
-leave.  The front ends differ only in raising a status (`fit_logit`, one
-row) or returning it (`fit_logit_batch`, bootstrap replicates);
-`status_error` turns a returned status into the exception `fit_logit`
-raises for it.  Each row halves its own steps; the information X' @ (X *
-sw), with X' a transposed view, the gradient and the linear predictor X @
-b are stacked products, one BLAS call per row, so a row's fit does not
-depend on which rows share the call.  The log-likelihood's
-log(1 + exp(eta)) is max(eta, 0) + log1p(exp(-|eta|)), which is
-``np.logaddexp(0, eta)`` to an ulp or two without numpy's scalar loop for
-it: 0.13 ms against 0.77 ms on a (32, 660) array (2-core x86 VM).
+replicate and each MC stratum is fitted on its own rows.  The loop holds
+that one design array and compacts it with the weights as rows leave.
+The front ends differ only in what they give per row.  `fit_logits` (the
+MC study's blocks of stratum fits) returns each row's `LogitFit` or the
+exception `fit_logit` raises for it, and `fit_logit` is `fit_logits` on a
+stack of one that raises.  `fit_logit_batch` (bootstrap replicates)
+returns the coefficients and statuses alone, and `status_error` turns a
+status into that exception.  The covariance is read out in `fit_logits`
+alone: inv(information) at the optimum, `Singular` where that inverse is
+not finite, then 0.5 (cov + cov').  Each row halves its own steps; the
+information X' @ (X * sw), with X' a transposed view, the gradient and
+the linear predictor X @ b are stacked products, one BLAS call per row,
+so a row's fit does not depend on which rows share the call.  The
+log-likelihood's log(1 + exp(eta)) is max(eta, 0) + log1p(exp(-|eta|)),
+which is ``np.logaddexp(0, eta)`` to an ulp or two without numpy's scalar
+loop for it: 0.13 ms against 0.77 ms on a (32, 660) array (2-core x86 VM).
 The Cholesky test, the step and the covariance are the LAPACK gufuncs
 behind ``numpy.linalg.cholesky``, ``solve`` and ``inv``, called directly
 to skip about 7 us of checks per call (2-core x86 VM).  A failed gufunc
@@ -50,11 +54,14 @@ from .errors import (CaseboundError, NotConverged, SeparationDetected, Singular,
                      ValidationError)
 from .special import expit
 
-__all__ = ["LogitFit", "fit_logit", "fit_logit_batch", "status_error"]
+__all__ = ["LogitFit", "fit_logit", "fit_logit_batch", "fit_logits", "status_error"]
 
 DEFAULT_TOL_SCALE = 1e-8
 DEFAULT_MAX_ITER = 100
 DEFAULT_SEPARATION_BOUND = 250.0
+# the most (fit x row x column) cells a caller stacks into one block of
+# fits: the bound on a block's design array, 1 MiB of float64
+BLOCK_CELLS = 1 << 17
 
 # a row's status: 0 once converged, else an index into _FAILURES, the
 # exception fit_logit raises for that reason
@@ -235,16 +242,31 @@ def fit_logit(response: np.ndarray, design: np.ndarray,
     X = np.column_stack([np.ones(design.shape[0]), design])
     w = np.ones(X.shape[0]) if weights is None else weights
     # a stack of one fit
-    coef, status, info, ll, steps = _newton(*_checked(
-        *(np.asarray(a)[None] for a in (response, X, w))))
-    if status[0]:
-        raise status_error(status[0])
+    fit = fit_logits(*(np.asarray(a)[None] for a in (response, X, w)))[0]
+    if isinstance(fit, CaseboundError):
+        raise fit
+    return fit
+
+
+def fit_logits(response: np.ndarray, X: np.ndarray,
+               W: np.ndarray) -> list[LogitFit | CaseboundError]:
+    """`fit_logit` on each row of a stack: the (m, n) responses on the
+    (m, n, k) designs, intercept column included, under the (m, n)
+    nonnegative frequency weights (a zero drops a row from that fit).
+    Returns per row the `LogitFit` `fit_logit` returns or the exception it
+    raises; only `_checked`'s input refusals raise here.  The covariance is
+    inv(information) at the optimum, symmetrised; a row whose inverse is
+    not finite is refused as `Singular`."""
+    coef, status, info, ll, steps = _newton(*_checked(response, X, W))
+    ok = status == 0
+    cov = np.zeros_like(info)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = _linalg.inv(info[0])
-    if not np.isfinite(cov).all():
-        raise status_error(_NOT_PD)
-    return LogitFit(coef=coef[0], cov=0.5 * (cov + cov.T), iterations=int(steps[0]),
-                    loglik=float(ll[0]))
+        cov[ok] = _linalg.inv(info[ok])
+    status[ok & ~np.isfinite(cov).all(axis=(1, 2))] = _NOT_PD
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return [status_error(code) if code else
+            LogitFit(coef=coef[i], cov=cov[i], iterations=int(steps[i]), loglik=float(ll[i]))
+            for i, code in enumerate(status)]
 
 
 def status_error(code: int) -> CaseboundError:

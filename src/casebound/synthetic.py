@@ -5,6 +5,16 @@ to calibrate the estimators (strata of equal size, five covariates, both
 stratum aggregates equal to 0.5 under the defaults), plus exact sampling
 from any finite DiscretePopulation under either design.
 
+The study fits its replicates in blocks.  `mc_nuisance_fits` draws a block
+of replicates and, per basis, writes each replicate's [1, basis] into one
+(replicates, 2 n_per_stratum, k) array.  A draw holds its cases first and
+its controls second, n_per_stratum rows each, so that array is, without a
+copy, the (2 replicates, n_per_stratum, k) stack of every replicate's two
+stratum designs, and `logit.fit_logits` fits the whole stack in one Newton
+call.  A block holds as many replicates as keep the widest basis's array
+within `logit.BLOCK_CELLS` cells (three at the defaults, 1 MiB), and each
+replicate's fits equal `fit_nuisances`'s bit for bit.
+
 All draws flow through documented inverse-CDF transforms of generator
 uniforms (see rng.py): identical seeds give byte-identical datasets and
 summary tables across runs.
@@ -12,15 +22,18 @@ summary tables across runs.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisSpec
 from .errors import CaseboundError, ValidationError
+from .logit import BLOCK_CELLS, fit_logits
 from .model import Design, ObservedDataset
 from .oracle import DiscretePopulation, project
-from .relative_risk import estimate_beta_combined, fit_nuisances
+from .relative_risk import NuisanceFit, design_columns, estimate_beta_combined
 from .rng import RngSpec, bernoulli, categorical, standard_normals
 from .special import expit, ndtri
 
@@ -30,6 +43,7 @@ __all__ = [
     "sample_from_population",
     "MCCellSummary",
     "MCStudyResult",
+    "mc_nuisance_fits",
     "run_mc_study",
     "parametric_spec",
     "sieve_spec",
@@ -161,6 +175,7 @@ class MCCellSummary:
 class MCStudyResult:
     cells: tuple[MCCellSummary, ...]
     estimates: dict  # (estimator, y) -> (values, ses) of the kept replicates
+    failures: dict  # estimator -> {exception class name: dropped replicates}
 
     def cell(self, estimator: str, y_stratum: int) -> MCCellSummary:
         for c in self.cells:
@@ -185,14 +200,64 @@ def _median(v: np.ndarray) -> np.floating:
     return part[-1] if n and np.isnan(part[-1]) else med
 
 
+def _verdict(data: ObservedDataset, cols: np.ndarray, refusal, fit0, fit1):
+    """A replicate's `NuisanceFit`, or the first refusal in the order
+    `fit_nuisances` meets them: its basis's, then its stratum-0 and its
+    stratum-1 fit's."""
+    for verdict in (refusal, fit0, fit1):
+        if isinstance(verdict, CaseboundError):
+            return verdict
+    return NuisanceFit(data=data, cols=cols, fit0=fit0, fit1=fit1)
+
+
+def mc_nuisance_fits(design: MCDesign, specs: tuple[BasisSpec, ...], replications: int,
+                     rng: RngSpec) -> Iterator[tuple[NuisanceFit | CaseboundError, ...]]:
+    """Per replicate r, drawn from `rng.derive("mc-replicate", r)`, one
+    entry per basis: the `NuisanceFit` `fit_nuisances` returns on the draw,
+    or the exception it raises.
+
+    The replicates are fitted in blocks (see the module docstring): one
+    `fit_logits` call per block and basis fits both strata of every
+    replicate, whose verdict is then `_verdict`'s.  A fit's `cols` is a
+    view of its block.
+    """
+    n = design.n_per_stratum
+    widths = [1 + int(spec.intercept_safe_mask().sum()) for spec in specs]
+    size = max(1, BLOCK_CELLS // (2 * n * max(widths)))
+    for start in range(0, replications, size):
+        draws = [draw_mc_sample(design, rng.derive("mc-replicate", r))
+                 for r in range(start, min(replications, start + size))]
+        b = len(draws)
+        t = np.array([data.t for data in draws], dtype=float).reshape(2 * b, n)
+        per_spec = []
+        for spec, k in zip(specs, widths):
+            X, W = np.empty((b, 2 * n, k)), np.ones((2 * b, n))
+            X[:, :, 0] = 1.0
+            refused = {}
+            for i, data in enumerate(draws):
+                try:
+                    X[i, :, 1:] = design_columns(data.x, spec)
+                except CaseboundError as exc:
+                    refused[i] = exc
+                    X[i], W[2 * i:2 * i + 2] = 0.0, 0.0
+            fits = fit_logits(t, X.reshape(2 * b, n, k), W)
+            # row 2i is replicate i's cases (stratum 1), row 2i + 1 its controls
+            per_spec.append([_verdict(data, X[i, :, 1:], refused.get(i), fits[2 * i + 1],
+                                      fits[2 * i]) for i, data in enumerate(draws)])
+        yield from zip(*per_spec)
+
+
 def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", "sieve"),
                  replications: int = 1000, rng: RngSpec = RngSpec(0)) -> MCStudyResult:
     """Replicate the benchmark design and summarize estimator performance.
 
     Per replicate one sample is drawn and, for each named estimator, one
     pair of stratum fits yields both stratum aggregates with the combined
-    (interacted-fit) standard errors.  Replicates where a fit fails are
-    dropped per estimator and counted.
+    (interacted-fit) standard errors.  The fits come from
+    `mc_nuisance_fits`, one Newton call per block of replicates and
+    estimator, so the study holds one block's designs at a time.
+    Replicates where a fit or a read-out fails are dropped per estimator
+    and counted by exception class.
     """
     if replications < 100:
         raise ValidationError("use at least 100 replications")
@@ -201,22 +266,25 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
     unknown = set(estimators) - set(_SPEC_BUILDERS)
     if unknown:
         raise ValidationError(f"unknown estimators: {sorted(unknown)}")
-    specs = {name: _SPEC_BUILDERS[name](design) for name in estimators}
+    specs = tuple(_SPEC_BUILDERS[name](design) for name in estimators)
     values = {(name, y): [] for name in estimators for y in (0, 1)}
     ses = {(name, y): [] for name in estimators for y in (0, 1)}
-    failures = {name: 0 for name in estimators}
-    for r in range(replications):
-        data = draw_mc_sample(design, rng.derive("mc-replicate", r))
-        for name in estimators:
+    failures = {name: Counter() for name in estimators}
+    for replicate in mc_nuisance_fits(design, specs, replications, rng):
+        for name, nuis in zip(estimators, replicate):
             try:
-                nuis = fit_nuisances(data, specs[name])
+                if isinstance(nuis, CaseboundError):
+                    raise nuis
                 fits = [estimate_beta_combined(nuis, y) for y in (0, 1)]
-            except CaseboundError:
-                failures[name] += 1
+            except CaseboundError as exc:
+                failures[name][type(exc).__name__] += 1
                 continue
             for est in fits:
                 values[(name, est.y_stratum)].append(est.value)
                 ses[(name, est.y_stratum)].append(est.se)
+        # held past a block's last replicate, a fit would keep its block
+        # alive through the next block's fits
+        del replicate, nuis
 
     estimates = {key: (np.asarray(values[key]), np.asarray(ses[key])) for key in values}
     z = float(ndtri(0.95))
@@ -229,7 +297,7 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
             med = float(_median(v))
             cells.append(MCCellSummary(
                 estimator=name, y_stratum=y, truth=truth,
-                n_replicates=v.size, n_failed=failures[name],
+                n_replicates=v.size, n_failed=failures[name].total(),
                 mean_bias=float(dev.mean()),
                 median_bias=float(_median(dev)),
                 rmse=float(np.sqrt(np.mean(dev ** 2))),
@@ -239,4 +307,5 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
                 median_abs_dev_from_median=float(_median(np.abs(v - med))),
                 coverage=float(np.mean(truth <= v + z * s)),
             ))
-    return MCStudyResult(cells=tuple(cells), estimates=estimates)
+    return MCStudyResult(cells=tuple(cells), estimates=estimates,
+                         failures={name: dict(c) for name, c in failures.items()})

@@ -27,14 +27,15 @@ from casebound.attributable_risk import ar_curve, bc_level
 from casebound.basis import BasisSpec
 from casebound.checks import run_identity_suite
 from casebound.cli import main as cli_main
+from casebound.errors import CaseboundError
 from casebound.fixtures import benchmark_estimates, count_table, mc_defaults, \
     top_income_population
 from casebound.model import ColumnSchema, Design, export_csv
 from casebound.oracle import gamma, project, random_population, upper_bound_ar
 from casebound.relative_risk import estimate_beta_combined, estimate_beta_plugin, fit_nuisances
 from casebound.rng import RngSpec
-from casebound.synthetic import draw_mc_sample, parametric_spec, run_mc_study, \
-    sample_from_population
+from casebound.synthetic import draw_mc_sample, mc_nuisance_fits, parametric_spec, \
+    run_mc_study, sample_from_population
 
 SEED = 20240501
 _REPORT_LINES = []
@@ -207,14 +208,13 @@ def test_criterion_4_estimator_equivalence(interacted_fit):
 
 @pytest.fixture(scope="session")
 def eif_replications():
+    # the plug-in read-out off the replication study's own blocked fits
     design = mc_defaults()
-    spec = parametric_spec(design)
-    rng = RngSpec(SEED)
     values = {0: [], 1: []}
     ses = {0: [], 1: []}
-    for r in range(1000):
-        data = draw_mc_sample(design, rng.derive("mc-replicate", r))
-        nuis = fit_nuisances(data, spec)
+    for (nuis,) in mc_nuisance_fits(design, (parametric_spec(design),), 1000, RngSpec(SEED)):
+        if isinstance(nuis, CaseboundError):
+            raise nuis
         for y in (0, 1):
             est = estimate_beta_plugin(nuis, y)
             values[y].append(est.value)

@@ -636,7 +636,7 @@ def test_block_composition_invariance(data, rspec, sizes, monkeypatch):
     # wide tables pack about 250 rows, so every block holds one replicate.
     # The sample comes first, a block of one; on a wide table it is wider
     # than the layout and is fitted at its own widths alone
-    monkeypatch.setattr(ar_mod, "_BLOCK_CELLS", 1000)
+    monkeypatch.setattr(ar_mod, "BLOCK_CELLS", 1000)
     got = ar_curve(data, pspec, rspec, pbar=0.6, B=200, seed=5, step=0.1)
     sample, boot = recorded[:3], recorded[3:]
     assert sample == [1] * 3 and boot[0] == sizes and sum(boot[::3]) == 200

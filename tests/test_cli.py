@@ -440,6 +440,11 @@ def test_mc_writes_summary(runner, tmp_path):
     doc = json.loads((out / "mc_summary.json").read_text())
     assert doc["schema_version"] == 1
     assert len(doc["cells"]) == 2
+    # the drops by class are in the summary file, not on stdout
+    assert doc["failures"] == {"parametric": {}}
+    printed = runner.invoke(main, ["mc", "--replications", "100", "--seed", "22",
+                                   "--estimators", "parametric", "--format", "json"])
+    assert "failures" not in json.loads(printed.output)
 
 
 def test_mc_without_estimators_exits_2_before_any_draw(runner, monkeypatch):

@@ -16,7 +16,7 @@ from casebound.errors import (
     ValidationError,
 )
 from casebound.fixtures import count_table, mc_defaults
-from casebound.logit import LogitFit, fit_logit, fit_logit_batch
+from casebound.logit import LogitFit, fit_logit, fit_logit_batch, fit_logits
 from casebound.model import Design
 from casebound.relative_risk import clip_probabilities
 from casebound.rng import RngSpec, bernoulli
@@ -528,6 +528,62 @@ def test_batch_flags_a_column_constant_on_the_support():
     for w in W[-2:]:
         with pytest.raises(Singular):
             fit_logit(t[w > 0], x[w > 0], w[w > 0])
+
+
+@pytest.mark.parametrize("name", _BATCH_CASES)
+def test_fit_logits_rows_are_fit_logit_bit_for_bit(name):
+    # each row of the stacked front end is fit_logit under that weight row:
+    # the same coefficients, covariance, iterations and log-likelihood, or
+    # an exception of the class and message fit_logit raises
+    t, x, W = _batch_case(name)
+    X = np.column_stack([np.ones(t.size), x])
+    fits = fit_logits(np.tile(t, (W.shape[0], 1)), np.tile(X, (W.shape[0], 1, 1)), W)
+    assert len(fits) == W.shape[0]
+    n_fitted = 0
+    for w, got in zip(W, fits):
+        try:
+            want = fit_logit(t, x, w)
+        except CaseboundError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        n_fitted += 1
+        assert isinstance(got, LogitFit)
+        assert got.coef.tobytes() == want.coef.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+        assert (got.iterations, got.loglik) == (want.iterations, want.loglik)
+    assert n_fitted >= (0 if name in ("duplicated", "separated") else 40)
+
+
+def test_fit_logits_refuses_a_row_whose_inverse_is_not_finite(monkeypatch):
+    # the covariance read-out's own refusal: that row is Singular with
+    # fit_logit's message, and the other rows keep their fits
+    t, x, W = _batch_case("J2_polynomial")
+    X = np.column_stack([np.ones(t.size), x])
+    args = (np.tile(t, (W.shape[0], 1)), np.tile(X, (W.shape[0], 1, 1)), W)
+    want = fit_logits(*args)
+    row = next(i for i, fit in enumerate(want) if isinstance(fit, LogitFit))
+    real = logit_mod._linalg
+
+    def inv(info):
+        cov = real.inv(info)
+        cov[0, 0, 0] = np.nan  # the first row that converged
+        return cov
+
+    monkeypatch.setattr(logit_mod, "_linalg", type("LinalgStub", (), {
+        "cholesky_lo": staticmethod(real.cholesky_lo), "solve1": staticmethod(real.solve1),
+        "inv": staticmethod(inv)}))
+    got = fit_logits(*args)
+    assert type(got[row]) is Singular
+    assert str(got[row]) == "observed information is not invertible"
+    with pytest.raises(Singular, match="not invertible"):
+        keep = W[row] > 0
+        fit_logit(t[keep], x[keep], W[row, keep])
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i != row:
+            assert type(g) is type(w)
+            if isinstance(w, LogitFit):
+                assert g.coef.tobytes() == w.coef.tobytes()
+                assert g.cov.tobytes() == w.cov.tobytes()
 
 
 def test_batch_zero_weight_rows_are_absent_rows():

@@ -127,3 +127,16 @@ def test_one_constant_column_rule():
     assert all("constant_columns" in names for names in users.values())
     path = next(path for path in SOURCES if path.stem == "attributable_risk")
     assert [name for name, _, names in _definitions(path) if "intercept_safe_mask" in names] == []
+
+
+def test_one_mc_fitting_path_and_one_covariance_read_out():
+    # synthetic.py fits its replicates through logit.fit_logits alone, and
+    # inv(information) is read out in one definition of logit.py
+    path = next(path for path in SOURCES if path.stem == "synthetic")
+    assert [name for name, _, names in _definitions(path)
+            if names & {"fit_nuisances", "fit_logit"}] == []
+    path = next(path for path in SOURCES if path.stem == "logit")
+    assert [name for name, node, _ in _definitions(path)
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "inv" and isinstance(n.func.value, ast.Name)
+                   and n.func.value.id == "_linalg" for n in ast.walk(node))] == ["fit_logits"]

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,16 +10,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from casebound.errors import OverlapViolation, ValidationError
+import casebound.relative_risk as relative_risk
+import casebound.synthetic as synthetic
+from casebound.errors import CaseboundError, DegenerateColumn, OverlapViolation, ValidationError
 from casebound.fixtures import mc_defaults, top_income_population
 from casebound.model import Design
 from casebound.oracle import population_from_margins, project, random_population
+from casebound.relative_risk import estimate_beta_combined, fit_nuisances
 from casebound.rng import RngSpec, standard_normals
 from casebound.special import ndtri
 from casebound.synthetic import (
     MCDesign,
     _median,
     draw_mc_sample,
+    parametric_spec,
     run_mc_study,
     sample_from_population,
     sieve_spec,
@@ -197,6 +203,87 @@ def test_run_mc_study_deterministic_and_sane():
         run_mc_study(design, ("parametric",), replications=10, rng=RngSpec(8))
     with pytest.raises(ValidationError):
         run_mc_study(design, ("oracle",), replications=100, rng=RngSpec(8))
+
+
+def _looped_study(design, replications, rng):
+    """run_mc_study's kept values and ses per (estimator, stratum) and its
+    drops per estimator by class, from `fit_nuisances` on one replicate at
+    a time."""
+    specs = {"parametric": parametric_spec(design), "sieve": sieve_spec(design)}
+    estimates = {(name, y): ([], []) for name in specs for y in (0, 1)}
+    failures = {name: Counter() for name in specs}
+    for r in range(replications):
+        data = draw_mc_sample(design, rng.derive("mc-replicate", r))
+        for name, spec in specs.items():
+            try:
+                nuis = fit_nuisances(data, spec)
+                fits = [estimate_beta_combined(nuis, y) for y in (0, 1)]
+            except CaseboundError as exc:
+                failures[name][type(exc).__name__] += 1
+                continue
+            for est in fits:
+                estimates[(name, est.y_stratum)][0].append(est.value)
+                estimates[(name, est.y_stratum)][1].append(est.se)
+    return estimates, {name: dict(c) for name, c in failures.items()}
+
+
+def _assert_study_is_the_loop(design, replications, rng):
+    got = run_mc_study(design, replications=replications, rng=rng)
+    estimates, failures = _looped_study(design, replications, rng)
+    assert got.failures == failures
+    for (name, y), (values, ses) in estimates.items():
+        v, s = got.estimates[(name, y)]
+        assert v.tobytes() == np.asarray(values).tobytes()
+        assert s.tobytes() == np.asarray(ses).tobytes()
+        assert got.cell(name, y).n_failed == sum(failures[name].values())
+    return got
+
+
+@pytest.mark.parametrize("n", [12, 30, 60, None], ids=["n12", "n30", "n60", "defaults"])
+def test_blocked_study_is_the_per_replicate_loop(n, monkeypatch):
+    # bit for bit, drops included; 101 replicates leave the last block
+    # partial, and every block is one kernel call per estimator holding both
+    # strata of each of its replicates
+    design = mc_defaults() if n is None else MCDesign(n_per_stratum=n)
+    stacks = []
+    real = synthetic.fit_logits
+    monkeypatch.setattr(synthetic, "fit_logits",
+                        lambda t, X, W: stacks.append(X.shape) or real(t, X, W))
+    # at n = 12 every sieve replicate is dropped, and its empty summary warns
+    with pytest.warns(RuntimeWarning) if n == 12 else contextlib.nullcontext():
+        got = _assert_study_is_the_loop(design, 101, RngSpec(5))
+    n_rows = design.n_per_stratum
+    size = max(1, synthetic.BLOCK_CELLS // (2 * n_rows * 21))
+    blocks = [min(size, 101 - start) for start in range(0, 101, size)]
+    assert stacks == [(2 * b, n_rows, k) for b in blocks for k in (6, 21)]
+    if n is None:
+        assert size == 3 and len(blocks) == 34
+    if n == 12:
+        assert got.cell("sieve", 0).n_replicates == 0
+
+
+def test_mc_drops_are_counted_by_class_and_estimator():
+    result = run_mc_study(MCDesign(n_per_stratum=30), replications=101, rng=RngSpec(5))
+    assert result.failures == {
+        "parametric": {"SeparationDetected": 6, "ValidationError": 1},
+        "sieve": {"SeparationDetected": 8, "ValidationError": 1}}
+    assert [c.n_failed for c in result.cells] == [7, 7, 9, 9]
+
+
+def test_a_basis_refusal_drops_a_replicate_before_its_fits(monkeypatch):
+    # a refused basis is the replicate's verdict, ahead of any fit's, as in
+    # fit_nuisances; the other replicates of its block keep their fits
+    real = relative_risk.build_basis
+
+    def refusing(x, spec, counts=None):
+        if x[0, 0] > 1.0:
+            raise DegenerateColumn("refused for the test")
+        return real(x, spec, counts)
+
+    monkeypatch.setattr(relative_risk, "build_basis", refusing)
+    got = _assert_study_is_the_loop(MCDesign(n_per_stratum=30), 101, RngSpec(5))
+    assert got.failures["parametric"]["DegenerateColumn"] > 20
+    assert got.failures["sieve"]["DegenerateColumn"] > 20
 
 
 def test_rng_streams_distinct_and_reproducible():

@@ -13,6 +13,13 @@ each spline block is an exact reparameterization (the dropped function is an
 affine combination of the intercept and the retained ones), leaving fitted
 probabilities and the treatment coefficient unchanged.
 
+A spline term with m inner knots places them at the probabilities
+k / (m + 1), k = 1..m, by numpy's default linear quantile (Hyndman & Fan
+1996, type 7) of the column, each row repeated as often as its count when
+counts are given; the boundary knots are the column's min and max.  The
+quantiles are read off the sorted column and its cumulative counts, so no
+row is expanded and np.quantile, which imports numpy.ma, is not called.
+
 Spline columns are evaluated here by de Boor's recursion, vectorised over
 the rows, in the operation order of scipy's BSpline evaluator: the values
 equal BSpline(knots, eye, 3, extrapolate=False) bit for bit, while the
@@ -144,18 +151,33 @@ class BasisSpec:
         return names
 
 
-def _quantile_knots(col: np.ndarray, m: int, counts: np.ndarray | None) -> np.ndarray:
-    lo, hi = col.min(), col.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValidationError("spline covariate has non-finite values")
-    probs = np.arange(1, m + 1) / (m + 1)
-    knots = np.quantile(col if counts is None else np.repeat(col, counts), probs)
-    full = np.concatenate([[lo], knots, [hi]])
-    if np.any(np.diff(full) <= 0):
-        raise ValidationError(
-            "spline knot sequence is not strictly increasing; the covariate "
-            "has too few distinct values for the requested number of knots")
-    return knots
+def _linear_quantiles(col: np.ndarray, counts: np.ndarray | None,
+                      probs: np.ndarray) -> np.ndarray:
+    """np.quantile(np.repeat(col, counts), probs) bit for bit, read off col
+    sorted once and the cumulative counts in that order (unit counts when
+    `counts` is None), without expanding the rows.
+
+    This is numpy's linear method (Hyndman & Fan 1996, type 7) in numpy's
+    own operation order: the virtual index (N - 1) * q of the N expanded
+    rows has neighbours floor and floor + 1, both the last row once the
+    index reaches N - 1; row j of the expanded sorted sample is the value
+    whose cumulative count first passes j.  Ties carry equal values, so
+    the sort need not be stable; only a zero knot among tied 0.0 and -0.0
+    may take the other sign, as np.quantile's own does when the rows are
+    permuted.
+    """
+    order = np.argsort(col)
+    cum = np.cumsum(np.ones(col.shape[0], dtype=np.int64) if counts is None else counts[order])
+    last = cum[-1] - 1
+    index = last * probs
+    below = np.floor(index)
+    top = index >= last
+    prev, nxt = col[order[np.searchsorted(cum, np.where(top, last, [below, below + 1]),
+                                          "right")]]
+    # numpy's gamma counts from the index -1 it gives the last row
+    gamma = index - np.where(top, -1, below)
+    diff = nxt - prev
+    return np.where(gamma >= 0.5, nxt - diff * (1 - gamma), prev + diff * gamma)
 
 
 def _spline_columns(col: np.ndarray, term: CubicSplineTerm,
@@ -168,8 +190,15 @@ def _spline_columns(col: np.ndarray, term: CubicSplineTerm,
     at once, each product and sum in the order of scipy's evaluator
     (FITPACK's fpbspl), which is what makes the values bit-identical.
     """
-    inner = _quantile_knots(col, term.inner_knots, counts)
     lo, hi = col.min(), col.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError("spline covariate has non-finite values")
+    m = term.inner_knots
+    inner = _linear_quantiles(col, counts, np.arange(1, m + 1) / (m + 1))
+    if np.any(np.diff(np.concatenate([[lo], inner, [hi]])) <= 0):
+        raise ValidationError(
+            "spline knot sequence is not strictly increasing; the covariate "
+            "has too few distinct values for the requested number of knots")
     k = _SPLINE_ORDER - 1
     t = np.concatenate([[lo] * _SPLINE_ORDER, inner, [hi] * _SPLINE_ORDER])
     n, nbasis = col.shape[0], term.n_terms()
@@ -204,9 +233,12 @@ def build_basis(x: np.ndarray, spec: BasisSpec,
 
     Columns are ordered by (covariate index, term index), then interaction
     pairs in lexicographic order.  Raises DegenerateColumn if any column is
-    constant.  `counts`, if given, holds each row's integer frequency: the
-    spline knots are then the quantiles of the rows repeated that often, so
-    the basis equals that of the expanded sample row for row.
+    constant.  A spline term with m inner knots puts them at the linear
+    (Hyndman & Fan type 7) quantiles k / (m + 1), k = 1..m, of the column,
+    between boundary knots at its min and max.  `counts`, if given, holds
+    each row's integer frequency: the knots are then the quantiles of the
+    rows repeated that often, read off cumulative counts without repeating
+    them, so the basis equals that of the expanded sample row for row.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -171,6 +171,11 @@ class MCCellSummary:
     coverage: float
 
 
+# a cell with no kept replicate: its statistics, the fields after the
+# labels and counts, are all undefined
+_NO_STATISTICS = {f.name: float("nan") for f in fields(MCCellSummary)[5:]}
+
+
 @dataclass(frozen=True)
 class MCStudyResult:
     cells: tuple[MCCellSummary, ...]
@@ -257,7 +262,8 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
     `mc_nuisance_fits`, one Newton call per block of replicates and
     estimator, so the study holds one block's designs at a time.
     Replicates where a fit or a read-out fails are dropped per estimator
-    and counted by exception class.
+    and counted by exception class; an estimator that keeps none gets NaN
+    statistics, without a warning.
     """
     if replications < 100:
         raise ValidationError("use at least 100 replications")
@@ -293,6 +299,11 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
         for y in (0, 1):
             truth = design.true_beta(y)
             v, s = estimates[(name, y)]
+            if not v.size:
+                # numpy's mean of an empty array would warn
+                cells.append(MCCellSummary(name, y, truth, 0, failures[name].total(),
+                                           **_NO_STATISTICS))
+                continue
             dev = v - truth
             med = float(_median(v))
             cells.append(MCCellSummary(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
@@ -9,6 +9,7 @@ from casebound.basis import (
     CubicSplineTerm,
     Linear,
     Polynomial,
+    _linear_quantiles,
     build_basis,
     constant_columns,
 )
@@ -130,6 +131,39 @@ def _scipy_spline_columns(col, m, counts=None):
     lo, hi = col.min(), col.max()
     knots = np.concatenate([[lo] * 4, inner, [hi] * 4])
     return BSpline(knots, np.eye(m + 4), 3, extrapolate=False)(col)
+
+
+@st.composite
+def _weighted_columns(draw):
+    """A column of 1 to 60 finite values drawn from a pool, so that values
+    tie, and either None or integer counts with zeros, at least one positive."""
+    n = draw(st.integers(1, 60))
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=n))
+    col = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    counts = draw(st.none() | st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                  .filter(any).map(np.array))
+    return col, counts
+
+
+@given(_weighted_columns(), st.integers(1, 6))
+# one row: numpy's index past the last row sets the sign of a zero knot
+@example((np.array([-0.0]), None), 2)
+@example((np.array([-0.0, 1.0]), np.array([1, 0])), 1)
+@settings(max_examples=400, deadline=None)
+def test_knots_from_cumulative_counts_are_np_quantile_of_the_repeated_rows(weighted, m):
+    col, counts = weighted
+    probs = np.arange(1, m + 1) / (m + 1)
+    # a spread past the float range overflows both ways alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _linear_quantiles(col, counts, probs)
+        want = np.quantile(col if counts is None else np.repeat(col, counts), probs)
+    assert np.array_equal(got, want, equal_nan=True)
+    # ties between 0.0 and -0.0 may sort either way, in np.quantile's
+    # partition as in the sort, so only then may a zero knot's sign differ
+    zeros = np.signbit(col[col == 0])
+    if zeros.all() or not zeros.any():
+        assert got.tobytes() == want.tobytes()
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 400), m=st.integers(1, 8),

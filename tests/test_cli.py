@@ -534,6 +534,11 @@ for args in (["rr", "--input", rr_path, "--design", "case-control",
               "--y-col", "vsu", "--t-col", "private"],
              ["ar", "--input", ar_path, "--design", "case-control", "--y-col", "y",
               "--t-col", "t", "--x-cols", "x1", "--pbar", "0.6", "--B", "200"],
+             ["ar", "--input", ar_path, "--design", "case-control", "--y-col", "y",
+              "--t-col", "t", "--x-cols", "x1", "--retro-basis", "spline3",
+              "--pbar", "0.6", "--B", "200"],
+             ["rr", "--input", ar_path, "--design", "case-control", "--y-col", "y",
+              "--t-col", "t", "--x-cols", "x1", "--basis", "spline3"],
              ["mc", "--replications", "100"],
              ["oracle", "--populations", "2"]):
     result = runner.invoke(main, args)
@@ -543,9 +548,10 @@ print("numpy.ma" in sys.modules)
 
 
 def test_cli_calls_leave_numpy_ma_unloaded(tmp_path):
-    # importing numpy.ma costs start-up time and about 1 MB of memory, and
-    # np.median was the only call of these commands that needed it; the key
-    # is matched exactly, since numpy.matrixlib shares its prefix
+    # importing numpy.ma costs start-up time and about 1 MB of memory; the
+    # spline knots and the MC medians are computed without np.quantile and
+    # np.median, which load it.  The key is matched exactly, since
+    # numpy.matrixlib shares its prefix
     import casebound
 
     src = os.path.dirname(os.path.dirname(casebound.__file__))

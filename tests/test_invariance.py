@@ -59,9 +59,10 @@ def assert_close(got, want):
     assert np.all(np.abs(got - want) <= REL_TOL * np.maximum(1.0, np.abs(want))), (got, want)
 
 
-# Spline knots are np.quantile's (linear interpolation) at 1/4, 1/2 and 3/4,
-# which equal those of the doubled rows only when n/4 is an integer; the
-# totals drawn here (1000, 1200, 2000) are multiples of 4.
+# Spline knots are basis._linear_quantiles' (np.quantile's linear
+# interpolation) at 1/4, 1/2 and 3/4, which equal those of the doubled rows
+# only when n/4 is an integer; the totals drawn here (1000, 1200, 2000) are
+# multiples of 4.
 SEEDS = st.integers(0, 2 ** 32 - 1)
 SAMPLES = st.builds(case_control_draw, SEEDS, st.sampled_from([600, 1000]), st.integers(1, 2))
 

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import warnings
 from collections import Counter
@@ -249,9 +248,8 @@ def test_blocked_study_is_the_per_replicate_loop(n, monkeypatch):
     real = synthetic.fit_logits
     monkeypatch.setattr(synthetic, "fit_logits",
                         lambda t, X, W: stacks.append(X.shape) or real(t, X, W))
-    # at n = 12 every sieve replicate is dropped, and its empty summary warns
-    with pytest.warns(RuntimeWarning) if n == 12 else contextlib.nullcontext():
-        got = _assert_study_is_the_loop(design, 101, RngSpec(5))
+    # at n = 12 every sieve replicate is dropped
+    got = _assert_study_is_the_loop(design, 101, RngSpec(5))
     n_rows = design.n_per_stratum
     size = max(1, synthetic.BLOCK_CELLS // (2 * n_rows * 21))
     blocks = [min(size, 101 - start) for start in range(0, 101, size)]
@@ -268,6 +266,24 @@ def test_mc_drops_are_counted_by_class_and_estimator():
         "parametric": {"SeparationDetected": 6, "ValidationError": 1},
         "sieve": {"SeparationDetected": 8, "ValidationError": 1}}
     assert [c.n_failed for c in result.cells] == [7, 7, 9, 9]
+
+
+def test_an_estimator_with_no_kept_replicate_has_nan_statistics_and_no_warning():
+    # at n = 12 all 101 sieve replicates fail with "need total weight > J";
+    # the parametric cells are those of a study of the parametric fits alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_mc_study(MCDesign(n_per_stratum=12), replications=101, rng=RngSpec(5))
+        alone = run_mc_study(MCDesign(n_per_stratum=12), ("parametric",), replications=101,
+                             rng=RngSpec(5))
+    assert result.failures["sieve"] == {"ValidationError": 101}
+    for y in (0, 1):
+        cell = result.cell("sieve", y)
+        assert (cell.n_replicates, cell.n_failed) == (0, 101)
+        statistics = list(vars(cell).values())[5:]
+        assert len(statistics) == 8 and np.isnan(statistics).all()
+        assert result.cell("parametric", y) == alone.cell("parametric", y)
+        assert result.cell("parametric", y).n_replicates == 82
 
 
 def test_a_basis_refusal_drops_a_replicate_before_its_fits(monkeypatch):

@@ -62,16 +62,16 @@ replicate's statistic depend on the other replicates of its block.  The
 designs are gathered from the pattern table's [1, basis], built once; a
 design with a spline term, whose knots are the quantiles of each drawn
 multiset, is rebuilt whole per replicate on its support by
-`design_columns`, as on the table.  A block is three batched Newton fits
-(`logit.fit_logit_batch`: stratum 0, stratum 1, the prospective fit), and
-the curve or xi of every replicate is read off (replicate x grid x packed
+`design_columns`, as on the table.  A block is three stacked Newton fits
+(`logit.fit_logits`: stratum 0, stratum 1, the prospective fit), and the
+curve or xi of every replicate is read off (replicate x grid x packed
 row) arrays.  A block holds as many replicates as fit in `BLOCK_CELLS`
 cells of both packed designs or of such an array, so memory does not grow
 with B.  The block gives each replicate one verdict, None or the
 CaseboundError that drops it, the first of: `build_basis`'s refusal of a
 spline design rebuilt on its support, DegenerateColumn (a basis column
 constant on the support, `basis.constant_columns`), what `fit_logit`
-would raise for the first nonzero kernel status of its three fits
+would raise for the first nonzero status of its three fits
 (`logit.status_error`), then NuisanceProbabilityOutOfRange for a fitted
 probability outside [0, 1]; a fit that halves a step stays.  A replicate
 whose support in a stratum is wider than the packed width, the sample
@@ -97,7 +97,7 @@ from .basis import BasisSpec, CubicSplineTerm, constant_columns
 from .errors import (BootstrapDegenerate, CaseboundError, DegenerateColumn,
                      NuisanceProbabilityOutOfRange, ValidationError)
 # fit_logit is bound here only for the benchmark's tracer, which wraps it
-from .logit import BLOCK_CELLS, fit_logit, fit_logit_batch, status_error  # noqa: F401
+from .logit import BLOCK_CELLS, fit_logit, fit_logits, status_error  # noqa: F401
 from .model import Design, ObservedDataset
 from .oracle import ar_term_formula, gamma_ar_formula
 from .relative_risk import clip_probabilities, design_columns, p_grid
@@ -219,8 +219,8 @@ def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
 def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
            designs: tuple[np.ndarray, np.ndarray],
            grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A block of replicates refitted together by `fit_logit_batch`, each on
-    its own rows.
+    """A block of replicates refitted together by `fit_logits`, each on its
+    own rows.
 
     Every replicate has the same number of rows, the first n0 of them in
     stratum 0 and the rest in stratum 1; `t` and `counts` are (replicates,
@@ -237,15 +237,15 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
     support = counts > 0
     w = counts.astype(float)
     s0, s1 = slice(None, n0), slice(n0, None)
-    fits = ((fit_logit_batch(t[:, s0], rdesign[:, s0], w[:, s0]), rdesign),
-            (fit_logit_batch(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
-            (fit_logit_batch(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
+    fits = ((fit_logits(t[:, s0], rdesign[:, s0], w[:, s0]), rdesign),
+            (fit_logits(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
+            (fit_logits(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
     probs = []
     in_range = np.ones(counts.shape[0], dtype=bool)
     n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
-    for (coef, _), design in fits:
+    for fit, design in fits:
         clipped, valid, n_moved = clip_probabilities(
-            expit((design @ coef[:, :, None])[:, :, 0]), counts)
+            expit((design @ fit.coef[:, :, None])[:, :, 0]), counts)
         in_range &= (valid | ~support).all(axis=1)
         n_clipped += n_moved
         # off the support a value only has to keep the weighted sums finite
@@ -253,7 +253,7 @@ def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
     # the statistic of the replicates that are kept, an estimated h0 their
     # counts-weighted share of cases; every probability now lies in
     # [CLIP, 1 - CLIP], so no denominator vanishes
-    status = np.column_stack([fit_status for (_, fit_status), _ in fits])
+    status = np.column_stack([fit.status for fit, _ in fits])
     ok = in_range & ~status.any(axis=1)
     pi0, pi1, py, c = (a[ok] for a in (*probs, counts))
     h0 = c[:, case].sum(axis=1) / c.sum(axis=1) if data.h0_estimated else data.h0

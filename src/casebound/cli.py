@@ -5,7 +5,8 @@ curve), oracle (identity suite on finite populations), mc (simulation
 study), demo (bundled 2x2 tables).  Outputs are plain tables on stdout,
 or a self-describing JSON document with --format json; grid outputs go to
 files under --out.  Exit codes: 0 success, 2 validation/ingestion, 3
-estimation, 4 bootstrap, 5 identification-law errors, 1 anything else.
+estimation, 4 bootstrap, 5 identification-law errors, 6 a failed check
+under oracle --strict, 1 anything else.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ def ar(input_path, design, y_col, t_col, x_cols, h0, retro_basis,
               help="random populations per identity check")
 @click.option("--population", "population_path", type=click.Path(exists=True),
               default=None, help="run the checks on a population fixture file")
-@click.option("--strict", is_flag=True, help="exit nonzero when a check fails")
+@click.option("--strict", is_flag=True, help="exit 6 when a check fails")
 @_format_option
 def oracle(seed, populations, population_path, strict, fmt):
     """Brute-force verification of the identification identities."""
@@ -377,13 +378,11 @@ def mc(replications, seed, estimators, out, fmt):
                               replications=replications, rng=RngSpec(seed))
         stats = ["mean_bias", "median_bias", "rmse", "mean_abs_dev",
                  "median_abs_dev", "coverage"]
-        header = ["statistic"] + [f"{c.estimator}:beta({c.y_stratum})"
-                                  for c in result.cells]
-        widths = [max(len(h), 12) for h in header]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for stat in stats:
-            row = [stat] + [f"{getattr(c, stat):.4f}" for c in result.cells]
-            lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+        rows = [["statistic"] + [f"{c.estimator}:beta({c.y_stratum})" for c in result.cells]]
+        rows += [[stat] + [f"{getattr(c, stat):.4f}" for c in result.cells] for stat in stats]
+        # each column as wide as its widest entry, the labels included
+        widths = [max(12, *map(len, column)) for column in zip(*rows)]
+        lines = ["  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in rows]
         if out is not None:
             outdir = _out_dir(out)
             with open(outdir / "mc_summary.json", "w") as fh:

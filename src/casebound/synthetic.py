@@ -247,8 +247,8 @@ def mc_nuisance_fits(design: MCDesign, specs: tuple[BasisSpec, ...], replication
                     X[i], W[2 * i:2 * i + 2] = 0.0, 0.0
             fits = fit_logits(t, X.reshape(2 * b, n, k), W)
             # row 2i is replicate i's cases (stratum 1), row 2i + 1 its controls
-            per_spec.append([_verdict(data, X[i, :, 1:], refused.get(i), fits[2 * i + 1],
-                                      fits[2 * i]) for i, data in enumerate(draws)])
+            per_spec.append([_verdict(data, X[i, :, 1:], refused.get(i), fits.row(2 * i + 1),
+                                      fits.row(2 * i)) for i, data in enumerate(draws)])
         yield from zip(*per_spec)
 
 
@@ -263,12 +263,15 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
     estimator, so the study holds one block's designs at a time.
     Replicates where a fit or a read-out fails are dropped per estimator
     and counted by exception class; an estimator that keeps none gets NaN
-    statistics, without a warning.
+    statistics, without a warning.  Each estimator is named at most once.
     """
     if replications < 100:
         raise ValidationError("use at least 100 replications")
     if not estimators:
         raise ValidationError("name at least one estimator")
+    repeated = sorted(name for name in set(estimators) if estimators.count(name) > 1)
+    if repeated:
+        raise ValidationError(f"estimators named more than once: {repeated}")
     unknown = set(estimators) - set(_SPEC_BUILDERS)
     if unknown:
         raise ValidationError(f"unknown estimators: {sorted(unknown)}")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casebound.attributable_risk as ar_mod
+import casebound.logit as logit_mod
 from casebound.attributable_risk import ar_curve, bc_level
 from casebound.basis import BasisSpec, CubicSplineTerm, Linear
 from casebound.errors import (
@@ -19,6 +20,7 @@ from casebound.errors import (
     EmptyStratum,
     NuisanceProbabilityOutOfRange,
     SeparationDetected,
+    Singular,
     ValidationError,
 )
 from casebound.fixtures import mc_defaults
@@ -360,17 +362,17 @@ def test_failed_replicates_dropped_and_counted(monkeypatch):
 
 def test_sample_with_bad_probabilities_raises_before_any_draw(monkeypatch):
     # NaN coefficients of the sample's stratum-1 fit, the second of its
-    # block's three fit_logit_batch calls, give NaN fitted Pi(1|1,x), a
-    # typed refusal
+    # block's three fit_logits calls, give NaN fitted Pi(1|1,x), a typed
+    # refusal
     calls = []
-    real = ar_mod.fit_logit_batch
+    real = ar_mod.fit_logits
 
     def batch(t, X, W):
         calls.append(1)
-        coef, status = real(t, X, W)
-        return (np.full_like(coef, np.nan) if len(calls) == 2 else coef), status
+        fits = real(t, X, W)
+        return fits._replace(coef=np.full_like(fits.coef, np.nan)) if len(calls) == 2 else fits
 
-    monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
+    monkeypatch.setattr(ar_mod, "fit_logits", batch)
     draws = []
     monkeypatch.setattr(ar_mod, "_replicate_counts", lambda *a: draws.append(1))
     with pytest.raises(NuisanceProbabilityOutOfRange, match="leave \\[0, 1\\]"):
@@ -408,30 +410,68 @@ def test_replicates_with_bad_probabilities_are_dropped(monkeypatch):
     _, clean = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert clean.n_dropped == 0
     bad = [2, 49, 199]
-    real_batch, real_refit = ar_mod.fit_logit_batch, ar_mod._refit_block
+    real_batch, real_refit = ar_mod.fit_logits, ar_mod._refit_block
     sizes, verdicts = [], []
 
     def batch(t, X, W):
         # the sample's block of one, then one block of all 200: stratum 0,
         # stratum 1, the prospective fit
-        coef, status = real_batch(t, X, W)
+        fits = real_batch(t, X, W)
         sizes.append(W.shape[0])
         if len(sizes) == 5:
-            coef[bad] = np.nan
-        return coef, status
+            fits.coef[bad] = np.nan
+        return fits
 
     def refit(*args):
         out = real_refit(*args)
         verdicts.extend(out[2])
         return out
 
-    monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
+    monkeypatch.setattr(ar_mod, "fit_logits", batch)
     monkeypatch.setattr(ar_mod, "_refit_block", refit)
     _, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
     assert sizes == [1] * 3 + [200] * 3 and (diag.n_dropped, diag.n_kept) == (3, 197)
     assert verdicts[0] is None
     assert {b: type(v) for b, v in enumerate(verdicts[1:]) if v is not None} == dict.fromkeys(
         bad, NuisanceProbabilityOutOfRange)
+
+
+def test_a_replicate_whose_inverse_is_not_finite_is_dropped_as_singular(monkeypatch):
+    # the covariance read-out's refusal holds in the bootstrap too: a NaN in
+    # the inverse information of the 50th replicate's stratum-1 fit drops
+    # that replicate alone, with the Singular fit_logit raises for it
+    data = expand(COUNTS_D1, D1)
+    real_linalg, real_refit = logit_mod._linalg, ar_mod._refit_block
+    sizes, verdicts, poisoned = [], [], {5: 49}
+
+    def inv(info):
+        cov = real_linalg.inv(info)
+        sizes.append(info.shape[0])
+        if len(sizes) in poisoned:
+            cov[poisoned[len(sizes)], 0, 0] = np.nan
+        return cov
+
+    def refit(*args):
+        out = real_refit(*args)
+        verdicts.extend(out[2])
+        return out
+
+    monkeypatch.setattr(logit_mod, "_linalg", type("LinalgStub", (), {
+        "cholesky_lo": staticmethod(real_linalg.cholesky_lo),
+        "solve1": staticmethod(real_linalg.solve1), "inv": staticmethod(inv)}))
+    monkeypatch.setattr(ar_mod, "_refit_block", refit)
+    _, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
+    # the sample's block of one, then one block of all 200, every fit kept
+    # up to the read-out: stratum 0, stratum 1, the prospective fit
+    assert sizes == [1] * 3 + [200] * 3 and (diag.n_dropped, diag.n_kept) == (1, 199)
+    assert verdicts[0] is None
+    dropped = {b: v for b, v in enumerate(verdicts[1:]) if v is not None}
+    assert list(dropped) == [49] and type(dropped[49]) is Singular
+    # fit_logit on a fit whose inverse is not finite
+    poisoned[len(sizes) + 1] = 0
+    with pytest.raises(Singular) as lone:
+        fit_logit(data.t[data.y == 1], data.x[data.y == 1])
+    assert str(dropped[49]) == str(lone.value) == "observed information is not invertible"
 
 
 # --- the weighted replicate engine against the expanded rows -----------------
@@ -600,8 +640,8 @@ def record_batches(monkeypatch):
     """Patch the batched kernel to record the replicates of every call it
     makes, three per block (stratum 0, stratum 1, the prospective fit)."""
     sizes = []
-    real = ar_mod.fit_logit_batch
-    monkeypatch.setattr(ar_mod, "fit_logit_batch",
+    real = ar_mod.fit_logits
+    monkeypatch.setattr(ar_mod, "fit_logits",
                         lambda t, X, W: sizes.append(W.shape[0]) or real(t, X, W))
     return sizes
 
@@ -720,18 +760,18 @@ def test_spline_replicates_are_refitted_in_blocks(monkeypatch):
     # layout, its blocks hold all B, a replicate a fit status fails is
     # dropped there, and no fit goes through fit_logit; on the ar_cp_spline
     # input some replicates separate
-    real_batch, real_fit = ar_mod.fit_logit_batch, ar_mod.fit_logit
+    real_batch, real_fit = ar_mod.fit_logits, ar_mod.fit_logit
     for data, pspec, rspec, pbar, separated in [
             (wide_data(600, D2, spline=True), BasisSpec.linear(2), SPLINE_LIN, 0.6, False),
             (spline_draw(20240501), BasisSpec.linear(5), SPLINE5, 0.15, True)]:
         blocks, lone_fits = [], []
 
         def batch(t, X, W):
-            coef, status = real_batch(t, X, W)
-            blocks.append(status)
-            return coef, status
+            fits = real_batch(t, X, W)
+            blocks.append(fits.status)
+            return fits
 
-        monkeypatch.setattr(ar_mod, "fit_logit_batch", batch)
+        monkeypatch.setattr(ar_mod, "fit_logits", batch)
         monkeypatch.setattr(ar_mod, "fit_logit", lambda *a: lone_fits.append(1) or real_fit(*a))
         _, diag = ar_curve(data, pspec, rspec, pbar=pbar, B=200, seed=1)
         # the sample, wider than the layout: its own block of one alone

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -140,9 +141,9 @@ def test_bad_grid_step_exits_2(runner, tmp_path, command, step):
 @pytest.mark.parametrize("command", ["rr", "ar"])
 def test_too_fine_grid_step_exits_2(runner, tmp_path, command, monkeypatch):
     # the grid is refused before any fit runs; every ar fit, the sample's
-    # included, goes through attributable_risk.fit_logit_batch
+    # included, goes through attributable_risk.fit_logits
     fits = []
-    for module, name in ((cli_mod, "fit_nuisances"), (attributable_risk, "fit_logit_batch")):
+    for module, name in ((cli_mod, "fit_nuisances"), (attributable_risk, "fit_logits")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, **k: fits.append(1) or real(*a, **k))
@@ -454,6 +455,29 @@ def test_mc_without_estimators_exits_2_before_any_draw(runner, monkeypatch):
     result = runner.invoke(main, ["mc", "--replications", "100", "--estimators", ","])
     assert result.exit_code == 2, result.output
     assert "name at least one estimator" in result.output and not draws
+
+
+def test_mc_with_a_repeated_estimator_exits_2_before_any_draw(runner, monkeypatch):
+    # a repeated name would be fitted and counted twice
+    import casebound.synthetic as synthetic
+    draws = []
+    monkeypatch.setattr(synthetic, "draw_mc_sample", lambda *args: draws.append(args))
+    result = runner.invoke(main, ["mc", "--replications", "100",
+                                  "--estimators", "parametric,parametric"])
+    _assert_one_error_line(result)
+    assert "named more than once: ['parametric']" in result.output and not draws
+
+
+def test_mc_table_columns_line_up(runner):
+    # every line has the same width and the same column ends, the label
+    # column as wide as its longest label, median_abs_dev
+    result = runner.invoke(main, ["mc", "--replications", "100", "--seed", "21",
+                                  "--estimators", "parametric"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 7 and any(line.split()[0] == "median_abs_dev" for line in lines)
+    (ends,) = {tuple(m.end() for m in re.finditer(r"\S+", line)) for line in lines}
+    assert {len(line) for line in lines} == {ends[-1]}
 
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

@@ -16,7 +16,7 @@ from casebound.errors import (
     ValidationError,
 )
 from casebound.fixtures import count_table, mc_defaults
-from casebound.logit import LogitFit, fit_logit, fit_logit_batch, fit_logits
+from casebound.logit import LogitFit, fit_logit, fit_logits
 from casebound.model import Design
 from casebound.relative_risk import clip_probabilities
 from casebound.rng import RngSpec, bernoulli
@@ -393,7 +393,7 @@ def test_every_refusal_is_one_rule_for_both_front_ends(name, monkeypatch):
     X = np.column_stack([np.ones(x.shape[0]), x])
     if name in _INPUT_REFUSALS:
         with pytest.raises(ValidationError) as batch:
-            fit_logit_batch(t[None], X[None], w[None])
+            fit_logits(t[None], X[None], w[None])
         with pytest.raises(ValidationError, match=re.escape(str(batch.value))):
             fit_logit(t, x, w)
         return
@@ -408,11 +408,12 @@ def test_every_refusal_is_one_rule_for_both_front_ends(name, monkeypatch):
 # --- the batched Newton kernel against fit_logit, one weight row at a time ---
 
 def _batch_shared(t, X, W):
-    """fit_logit_batch of the (n,) response t on the (n, k) design X under
-    every row of the weights W: both broadcast to one per weight row."""
+    """The coefficients and statuses of fit_logits of the (n,) response t on
+    the (n, k) design X under every row of the weights W: both broadcast to
+    one per weight row."""
     W = np.asarray(W, dtype=float)
-    return fit_logit_batch(np.broadcast_to(t, W.shape),
-                           np.broadcast_to(X, W.shape + X.shape[1:]), W)
+    fits = fit_logits(np.broadcast_to(t, W.shape), np.broadcast_to(X, W.shape + X.shape[1:]), W)
+    return fits.coef, fits.status
 
 
 def _loop_fits(t, design, W):
@@ -534,24 +535,37 @@ def test_batch_flags_a_column_constant_on_the_support():
 def test_fit_logits_rows_are_fit_logit_bit_for_bit(name):
     # each row of the stacked front end is fit_logit under that weight row:
     # the same coefficients, covariance, iterations and log-likelihood, or
-    # an exception of the class and message fit_logit raises
+    # an exception of the class and message fit_logit raises; the arrays
+    # hold the same bits, and zeros on every refused row
     t, x, W = _batch_case(name)
     X = np.column_stack([np.ones(t.size), x])
     fits = fit_logits(np.tile(t, (W.shape[0], 1)), np.tile(X, (W.shape[0], 1, 1)), W)
-    assert len(fits) == W.shape[0]
+    m, k = W.shape[0], X.shape[1]
+    assert (fits.coef.shape, fits.cov.shape) == ((m, k), (m, k, k))
+    assert all(a.shape == (m,) for a in (fits.status, fits.steps, fits.loglik))
+    refused = fits.status != 0
+    assert not fits.coef[refused].any() and not fits.cov[refused].any()
     n_fitted = 0
-    for w, got in zip(W, fits):
+    for i, w in enumerate(W):
+        got = fits.row(i)
         try:
             want = fit_logit(t, x, w)
         except CaseboundError as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
+            assert refused[i]
             continue
         n_fitted += 1
-        assert isinstance(got, LogitFit)
-        assert got.coef.tobytes() == want.coef.tobytes()
-        assert got.cov.tobytes() == want.cov.tobytes()
+        assert isinstance(got, LogitFit) and not refused[i]
+        assert got.coef.tobytes() == want.coef.tobytes() == fits.coef[i].tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes() == fits.cov[i].tobytes()
         assert (got.iterations, got.loglik) == (want.iterations, want.loglik)
+        assert (fits.steps[i], fits.loglik[i]) == (want.iterations, want.loglik)
     assert n_fitted >= (0 if name in ("duplicated", "separated") else 40)
+
+
+def _rows(fits):
+    """Every row of a `fit_logits` stack as fit_logit gives it."""
+    return [fits.row(i) for i in range(fits.status.size)]
 
 
 def test_fit_logits_refuses_a_row_whose_inverse_is_not_finite(monkeypatch):
@@ -560,7 +574,7 @@ def test_fit_logits_refuses_a_row_whose_inverse_is_not_finite(monkeypatch):
     t, x, W = _batch_case("J2_polynomial")
     X = np.column_stack([np.ones(t.size), x])
     args = (np.tile(t, (W.shape[0], 1)), np.tile(X, (W.shape[0], 1, 1)), W)
-    want = fit_logits(*args)
+    want = _rows(fit_logits(*args))
     row = next(i for i, fit in enumerate(want) if isinstance(fit, LogitFit))
     real = logit_mod._linalg
 
@@ -572,7 +586,7 @@ def test_fit_logits_refuses_a_row_whose_inverse_is_not_finite(monkeypatch):
     monkeypatch.setattr(logit_mod, "_linalg", type("LinalgStub", (), {
         "cholesky_lo": staticmethod(real.cholesky_lo), "solve1": staticmethod(real.solve1),
         "inv": staticmethod(inv)}))
-    got = fit_logits(*args)
+    got = _rows(fit_logits(*args))
     assert type(got[row]) is Singular
     assert str(got[row]) == "observed information is not invertible"
     with pytest.raises(Singular, match="not invertible"):
@@ -621,14 +635,14 @@ def test_batch_input_contracts():
     X = np.column_stack([np.ones(4), [0.0, 1.0, 0.0, 1.0]])
     T, Xs = np.stack([t, t]), np.stack([X, X])
     with pytest.raises(ValidationError, match="binary"):
-        fit_logit_batch(2 * T, Xs, np.ones((2, 4)))
+        fit_logits(2 * T, Xs, np.ones((2, 4)))
     with pytest.raises(ValidationError, match="nonnegative"):
-        fit_logit_batch(T, Xs, -np.ones((2, 4)))
+        fit_logits(T, Xs, -np.ones((2, 4)))
     with pytest.raises(ValidationError, match="differ in length"):
-        fit_logit_batch(T, Xs, np.ones((2, 3)))
+        fit_logits(T, Xs, np.ones((2, 3)))
     # one response and design under every weight row is not a layout
     with pytest.raises(ValidationError, match="differ in length"):
-        fit_logit_batch(t, X, np.ones((2, 4)))
+        fit_logits(t, X, np.ones((2, 4)))
 
 
 # --- a design and a response per weight row -----------------------------------
@@ -668,12 +682,14 @@ def test_stacked_rows_are_their_own_fits():
     # each stacked row fits as that row alone would, to the bit, and as
     # fit_logit on its support to rounding
     T, X, W = _stacked_case()
-    coef, status = fit_logit_batch(T, X, W)
+    fits = fit_logits(T, X, W)
+    coef, status = fits.coef, fits.status
     assert not status[2:].any()
     assert logit_mod._FAILURES[status[0]][0] is ValidationError
     assert logit_mod._FAILURES[status[1]][0] is SeparationDetected
     for i in range(6):
-        alone, status_alone = fit_logit_batch(T[i:i + 1], X[i:i + 1], W[i:i + 1])
+        lone = fit_logits(T[i:i + 1], X[i:i + 1], W[i:i + 1])
+        alone, status_alone = lone.coef, lone.status
         assert status_alone[0] == status[i] and np.array_equal(alone[0], coef[i])
         keep = W[i] > 0
         if not status[i]:
@@ -684,12 +700,12 @@ def test_stacked_rows_are_their_own_fits():
 def test_stacked_input_contracts():
     T, X, W = _stacked_case()
     with pytest.raises(ValidationError, match="differ in length"):
-        fit_logit_batch(T, X[:5], W)           # a design per row, one missing
+        fit_logits(T, X[:5], W)           # a design per row, one missing
     with pytest.raises(ValidationError, match="differ in length"):
-        fit_logit_batch(T[:, :39], X, W)       # a response shorter than the rows
+        fit_logits(T[:, :39], X, W)       # a response shorter than the rows
     with pytest.raises(ValidationError, match="binary"):
-        fit_logit_batch(2 * T, X, W)
+        fit_logits(2 * T, X, W)
     bad = X.copy()
     bad[3, 7, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
-        fit_logit_batch(T, bad, W)
+        fit_logits(T, bad, W)

@@ -106,7 +106,7 @@ def test_one_attributable_risk_statistic():
 
 def test_one_refit_path():
     # attributable_risk.py refits the sample and every replicate through
-    # _refit_block, whose blocks alone call _block and fit_logit_batch: no
+    # _refit_block, whose blocks alone call _block and fit_logits: no
     # definition names fit_logit, and only _refit_block calls _block
     path = next(path for path in SOURCES if path.stem == "attributable_risk")
     defs = list(_definitions(path))
@@ -140,6 +140,23 @@ def test_one_mc_fitting_path_and_one_covariance_read_out():
             if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                    and n.func.attr == "inv" and isinstance(n.func.value, ast.Name)
                    and n.func.value.id == "_linalg" for n in ast.walk(node))] == ["fit_logits"]
+
+
+def _callers(path, callee):
+    """The top-level definitions of a source file that call `callee` by name."""
+    return [name for name, node, _ in _definitions(path)
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == callee for n in ast.walk(node))]
+
+
+def test_one_newton_front_end():
+    # every fit reaches the Newton loop through logit.fit_logits, which
+    # fit_logit calls on a stack of one; no module keeps a second stacked
+    # front end, fit_logit_batch, under any form
+    assert [path.stem for path in SOURCES if "fit_logit_batch" in path.read_text()] == []
+    path = next(path for path in SOURCES if path.stem == "logit")
+    assert _callers(path, "_newton") == ["fit_logits"]
+    assert _callers(path, "fit_logits") == ["fit_logit"]
 
 
 LOADS_NUMPY_MA = {f"{nan}{name}" for nan in ("", "nan")

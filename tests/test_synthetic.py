@@ -204,6 +204,16 @@ def test_run_mc_study_deterministic_and_sane():
         run_mc_study(design, ("oracle",), replications=100, rng=RngSpec(8))
 
 
+def test_a_repeated_estimator_is_refused_before_any_draw(monkeypatch):
+    # named twice, an estimator's replicates would be fitted and counted twice
+    draws = []
+    monkeypatch.setattr(synthetic, "draw_mc_sample", lambda *args: draws.append(args))
+    with pytest.raises(ValidationError, match=r"named more than once: \['sieve'\]"):
+        run_mc_study(mc_defaults(), ("sieve", "parametric", "sieve"), replications=100,
+                     rng=RngSpec(8))
+    assert draws == []
+
+
 def _looped_study(design, replications, rng):
     """run_mc_study's kept values and ses per (estimator, stratum) and its
     drops per estimator by class, from `fit_nuisances` on one replicate at

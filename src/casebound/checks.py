@@ -7,19 +7,21 @@ and the claimed identities, orderings and containments are evaluated cell
 by cell.  Exact identities must hold to 1e-10; a failure carries a
 counterexample dump.
 
-The suite also runs a negative control: populations built to violate
-monotone selection, for which the odds-ratio upper bound must fail.
+One table, `_CHECKS`, lists the checks in report order with the
+assumptions their populations must meet and whether each is exact.  The
+suite draws one family of populations per assumption set (`_FAMILIES`)
+and runs that family's checks; `check_population` runs the exact checks
+whose assumptions a supplied population meets.  Most checks are one error
+per cell in one loop, `_per_cell`.  Two checks draw their own populations:
+the rare-disease limit, and a negative control that violates monotone
+selection, for which the odds-ratio upper bound must fail.
 
-Each population is projected at most once per design: the suite pairs it
-with its laws when it is drawn and hands the pair to every check that reads
-it.  Populations are drawn one family at a time (general, monotone,
-unconfounded, unconfounded and monotone), and a family's pairs are dropped
-once its checks have run, so nothing outlives the suite and only one
-family's laws are held at once.  Populations and laws are immutable and
-cache their derived arrays on the instance (see `casebound.oracle`), so
-sharing them between checks cannot change a result.
-
-A non-finite error counts as a failure, and as an infinite worst error.
+Each population is projected at most once per design, and a family's laws
+are released once its checks have run, so one family's laws are held at a
+time.  Populations and laws are immutable and cache their derived arrays
+(see `casebound.oracle`), so sharing them between checks cannot change a
+result.  A non-finite error counts as a failure, and as an infinite worst
+error.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = ["CheckResult", "run_identity_suite", "render_report", "check_populati
 
 EXACT_TOL = 1e-10
 _H0 = 0.35  # arbitrary sampling rate; the identities must hold for any h0
+_CC = (Design.CASE_CONTROL,)
 _BOTH = (Design.CASE_CONTROL, Design.CASE_POPULATION)
 
 
@@ -102,146 +105,60 @@ def _cases(pops, designs=_BOTH) -> list[tuple[DiscretePopulation, dict[Design, O
     return [(pop, {design: project(pop, design, _H0) for design in designs}) for pop in pops]
 
 
-def run_identity_suite(seed: int = 0, n_populations: int = 200) -> list[CheckResult]:
-    """Run every identity check on `n_populations` seeded populations each.
-
-    Each family of populations is drawn, projected, checked and released
-    before the next is drawn, so one family's laws are alive at a time.
-    """
-    if n_populations < 1:
-        raise ValidationError(f"the suite needs at least one population, got {n_populations}")
-    rng = RngSpec(seed)
-
-    def family(purpose: str, checks, designs=_BOTH, **kind) -> list[CheckResult]:
-        cases = _cases([random_population(rng.derive(purpose, i), n_cells=2, **kind)
-                        for i in range(n_populations)], designs)
-        return [check(cases) for check in checks]
-
-    general = family("pop-general", (
-        _check_case_prob_identity, _check_gamma_prospective_rr, _check_bayes_or_invariance,
-        _check_aggregation_identity, _check_cp_bound_linear, _check_slope_finite_difference))
-    monotone = family("pop-monotone", (
-        _check_gamma_ordering, _check_rr_containment, _check_ar_containment),
-        mtr=True, mts=True)
-    unconf = family("pop-unconf", (_check_rr_point_id, _check_ar_point_id),
-                    unconfounded=True)
-    unconf_mtr = family("pop-unconf-mtr", (_check_gamma_monotone,), (Design.CASE_CONTROL,),
-                        unconfounded=True, mtr=True, mts=True)
-    return [*general[:3], *monotone, *unconf, *general[3:], *unconf_mtr,
-            _check_rare_disease_limit(rng, n_populations),
-            _check_mts_violation_detected(rng, n_populations)]
+def _per_cell(name: str, *parts):
+    """The check `name`: on each case, for each (designs, error) part in
+    turn, it records error(pop, law, p, c) at every cell c of the law of
+    each design, where p is the case share at which Gamma reads the truth:
+    p0 under case-control, 0 under case-population."""
+    def check(cases) -> CheckResult:
+        t = _Tally(name)
+        for pop, laws in cases:
+            for designs, error in parts:
+                for design in designs:
+                    law = laws[design]
+                    p = pop.p0 if design is Design.CASE_CONTROL else 0.0
+                    for c in range(pop.n_cells):
+                        t.record(error(pop, law, p, c), pop, c)
+        return t.result()
+    return check
 
 
-def check_population(pop: DiscretePopulation) -> list[CheckResult]:
-    """Run the applicable identity checks on a single supplied population."""
-    # no finite-difference slope check: a one-sided difference is not exact,
-    # and its 1e-4 tolerance is tuned to the suite's random populations
-    cases = _cases([pop])
-    results = [
-        _check_case_prob_identity(cases),
-        _check_gamma_prospective_rr(cases),
-        _check_bayes_or_invariance(cases),
-        _check_aggregation_identity(cases),
-        _check_cp_bound_linear(cases),
-    ]
-    report = pop.check_assumptions()
-    if report.mtr and report.mts:
-        results.append(_check_gamma_ordering(cases))
-        results.append(_check_rr_containment(cases))
-        results.append(_check_ar_containment(cases))
-    if report.unconfounded:
-        results.append(_check_rr_point_id(cases))
-        results.append(_check_ar_point_id(cases))
-        if report.mtr and report.mts:
-            results.append(_check_gamma_monotone(cases))
-    return results
+def _outside(bounds: tuple[float, float], value: float) -> float:
+    """How far value lies outside the interval `bounds`; 0 inside."""
+    lo, hi = bounds
+    return max(lo - value, value - hi, 0.0)
 
 
-def _check_case_prob_identity(cases) -> CheckResult:
-    t = _Tally("case-probability identity r(x, p0) = Pr(Y*=1|x)")
-    for pop, laws in cases:
-        truth = pop.py_given_x()
-        for law in laws.values():
-            for c in range(pop.n_cells):
-                t.record(abs(r_case_prob(law, c, pop.p0) - truth[c]), pop, c)
-    return t.result()
-
-
-def _check_gamma_prospective_rr(cases) -> CheckResult:
-    t = _Tally("Gamma at the true case share equals the prospective relative risk")
-    for pop, laws in cases:
-        for design, law in laws.items():
-            p = pop.p0 if design is Design.CASE_CONTROL else 0.0
-            for c in range(pop.n_cells):
-                t.record(abs(gamma(law, c, p) - pop.prospective_rr(c)), pop, c)
-    return t.result()
-
-
-def _check_bayes_or_invariance(cases) -> CheckResult:
-    t = _Tally("odds-ratio invariance: Gamma(x, 0) equals the prospective odds ratio")
-    for pop, laws in cases:
-        law = laws[Design.CASE_CONTROL]
-        for c in range(pop.n_cells):
-            t.record(abs(gamma(law, c, 0.0) - pop.prospective_or(c)), pop, c)
-    return t.result()
-
-
-def _check_gamma_ordering(cases) -> CheckResult:
-    t = _Tally("monotone populations: Gamma(x, p0) <= Gamma(x, 0)")
-    for pop, laws in cases:
-        law = laws[Design.CASE_CONTROL]
-        for c in range(pop.n_cells):
-            gap = gamma(law, c, pop.p0) - gamma(law, c, 0.0)
-            t.record(max(gap, 0.0), pop, c)
-    return t.result()
-
-
-def _check_rr_containment(cases) -> CheckResult:
-    t = _Tally("relative risk lies in [1, Gamma(x, 0)] under monotonicity")
-    for pop, laws in cases:
-        for law in laws.values():
-            for c in range(pop.n_cells):
-                lo, hi = bounds_rr(law, c, 1.0, AssumptionSet.MONOTONE)
-                theta = pop.theta(c)
-                err = max(lo - theta, theta - hi, 0.0)
-                t.record(err, pop, c)
-    return t.result()
-
-
-def _check_ar_containment(cases) -> CheckResult:
-    t = _Tally("attributable risk lies in [0, envelope bound] under monotonicity")
-    for pop, laws in cases:
-        for law in laws.values():
-            for c in range(pop.n_cells):
-                lo, hi = bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE)
-                ar = pop.theta_ar(c)
-                t.record(max(lo - ar, ar - hi, 0.0), pop, c)
-    return t.result()
-
-
-def _check_rr_point_id(cases) -> CheckResult:
-    t = _Tally("ignorability: Gamma pins down the relative risk exactly")
-    for pop, laws in cases:
-        for design, law in laws.items():
-            p = pop.p0 if design is Design.CASE_CONTROL else 0.0
-            for c in range(pop.n_cells):
-                t.record(abs(gamma(law, c, p) - pop.theta(c)), pop, c)
-        law2 = laws[Design.CASE_POPULATION]
-        for c in range(pop.n_cells):
-            lo, hi = bounds_rr(law2, c, 1.0, AssumptionSet.IGNORABILITY)
-            t.record(max(abs(lo - pop.theta(c)), abs(hi - pop.theta(c))), pop, c)
-    return t.result()
-
-
-def _check_ar_point_id(cases) -> CheckResult:
-    t = _Tally("ignorability: r * Gamma_AR pins down the attributable risk exactly")
-    for pop, laws in cases:
-        for design, law in laws.items():
-            p = pop.p0 if design is Design.CASE_CONTROL else 0.0
-            for c in range(pop.n_cells):
-                val = r_case_prob(law, c, pop.p0) * gamma_ar(law, c, p)
-                t.record(abs(val - pop.theta_ar(c)), pop, c)
-    return t.result()
+_check_case_prob_identity = _per_cell(
+    "case-probability identity r(x, p0) = Pr(Y*=1|x)",
+    (_BOTH, lambda pop, law, p, c: abs(r_case_prob(law, c, pop.p0) - pop.py_given_x()[c])))
+_check_gamma_prospective_rr = _per_cell(
+    "Gamma at the true case share equals the prospective relative risk",
+    (_BOTH, lambda pop, law, p, c: abs(gamma(law, c, p) - pop.prospective_rr(c))))
+_check_bayes_or_invariance = _per_cell(
+    "odds-ratio invariance: Gamma(x, 0) equals the prospective odds ratio",
+    (_CC, lambda pop, law, p, c: abs(gamma(law, c, 0.0) - pop.prospective_or(c))))
+_check_gamma_ordering = _per_cell(
+    "monotone populations: Gamma(x, p0) <= Gamma(x, 0)",
+    (_CC, lambda pop, law, p, c: max(gamma(law, c, p) - gamma(law, c, 0.0), 0.0)))
+_check_rr_containment = _per_cell(
+    "relative risk lies in [1, Gamma(x, 0)] under monotonicity",
+    (_BOTH, lambda pop, law, p, c: _outside(bounds_rr(law, c, 1.0, AssumptionSet.MONOTONE),
+                                            pop.theta(c))))
+_check_ar_containment = _per_cell(
+    "attributable risk lies in [0, envelope bound] under monotonicity",
+    (_BOTH, lambda pop, law, p, c: _outside(bounds_ar(law, c, 1.0, AssumptionSet.MONOTONE),
+                                            pop.theta_ar(c))))
+_check_rr_point_id = _per_cell(
+    "ignorability: Gamma pins down the relative risk exactly",
+    (_BOTH, lambda pop, law, p, c: abs(gamma(law, c, p) - pop.theta(c))),
+    ((Design.CASE_POPULATION,), lambda pop, law, p, c: max(
+        abs(bound - pop.theta(c))
+        for bound in bounds_rr(law, c, 1.0, AssumptionSet.IGNORABILITY))))
+_check_ar_point_id = _per_cell(
+    "ignorability: r * Gamma_AR pins down the attributable risk exactly",
+    (_BOTH, lambda pop, law, p, c: abs(r_case_prob(law, c, pop.p0) * gamma_ar(law, c, p)
+                                       - pop.theta_ar(c))))
 
 
 def _check_aggregation_identity(cases) -> CheckResult:
@@ -308,6 +225,69 @@ def _check_gamma_monotone(cases) -> CheckResult:
     return t.result()
 
 
+# assumption sets, by the names of the AssumptionReport fields that hold them
+_NONE = frozenset()
+_MTR_MTS = frozenset({"mtr", "mts"})
+_UNCONF = frozenset({"unconfounded"})
+_ALL = _MTR_MTS | _UNCONF
+
+# the suite's families, drawn in this order: assumptions -> (purpose, designs)
+_FAMILIES = {
+    _NONE: ("pop-general", _BOTH),
+    _MTR_MTS: ("pop-monotone", _BOTH),
+    _UNCONF: ("pop-unconf", _BOTH),
+    _ALL: ("pop-unconf-mtr", _CC),
+}
+
+# every family check, in report order: (check, the assumptions its
+# populations must meet, exact).  A one-sided finite difference is not
+# exact, and its 1e-4 tolerance is tuned to the suite's random populations
+_CHECKS = (
+    (_check_case_prob_identity, _NONE, True),
+    (_check_gamma_prospective_rr, _NONE, True),
+    (_check_bayes_or_invariance, _NONE, True),
+    (_check_gamma_ordering, _MTR_MTS, True),
+    (_check_rr_containment, _MTR_MTS, True),
+    (_check_ar_containment, _MTR_MTS, True),
+    (_check_rr_point_id, _UNCONF, True),
+    (_check_ar_point_id, _UNCONF, True),
+    (_check_aggregation_identity, _NONE, True),
+    (_check_cp_bound_linear, _NONE, True),
+    (_check_slope_finite_difference, _NONE, False),
+    (_check_gamma_monotone, _ALL, True),
+)
+
+
+def run_identity_suite(seed: int = 0, n_populations: int = 200) -> list[CheckResult]:
+    """Run every identity check on `n_populations` seeded populations each.
+
+    Each family of populations is drawn, projected, checked and released
+    before the next is drawn, so one family's laws are alive at a time.
+    """
+    if n_populations < 1:
+        raise ValidationError(f"the suite needs at least one population, got {n_populations}")
+    rng = RngSpec(seed)
+    results = {}
+    for needs, (purpose, designs) in _FAMILIES.items():
+        kind = dict.fromkeys(needs, True)
+        cases = _cases([random_population(rng.derive(purpose, i), n_cells=2, **kind)
+                        for i in range(n_populations)], designs)
+        results.update((check, check(cases)) for check, meets, _ in _CHECKS if meets == needs)
+        del cases  # released before the next family is drawn
+    return [*(results[check] for check, _, _ in _CHECKS),
+            _check_rare_disease_limit(rng, n_populations),
+            _check_mts_violation_detected(rng, n_populations)]
+
+
+def check_population(pop: DiscretePopulation) -> list[CheckResult]:
+    """Run, in the suite's order, every exact check whose assumptions a
+    single supplied population meets."""
+    report = pop.check_assumptions()
+    met = {name for name in _ALL if getattr(report, name)}
+    cases = _cases([pop])
+    return [check(cases) for check, needs, exact in _CHECKS if exact and needs <= met]
+
+
 def _check_rare_disease_limit(rng: RngSpec, n: int) -> CheckResult:
     # theta / Gamma(x,0) must approach 1 from below as the case share shrinks
     t = _Tally("odds ratio converges to the relative risk as the case share vanishes")
@@ -323,8 +303,7 @@ def _check_rare_disease_limit(rng: RngSpec, n: int) -> CheckResult:
             law = project(pop, Design.CASE_CONTROL, _H0)
             gaps.append(abs(pop.theta(0) / gamma(law, 0, 0.0) - 1.0))
         monotone = gaps[0] > gaps[1] > gaps[2]
-        t.record(0.0 if monotone and gaps[2] < 0.05 else 1.0,
-                 pop, 0, 0.5)
+        t.record(0.0 if monotone and gaps[2] < 0.05 else 1.0, pop, 0, 0.5)
     return t.result()
 
 

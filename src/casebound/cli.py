@@ -154,8 +154,9 @@ _seed_option = click.option("--seed", type=int, envvar="CASEBOUND_SEED", default
                             show_default=True, help="master seed (env CASEBOUND_SEED)")
 _format_option = click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
                               default="tabular", show_default=True)
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)  # a directory is a usage error
 _DATA_OPTIONS = (
-    click.option("--input", "input_path", required=True, type=click.Path(exists=True)),
+    click.option("--input", "input_path", required=True, type=_INPUT_FILE),
     click.option("--design", required=True, help="case-control | case-population"),
     click.option("--y-col", required=True),
     click.option("--t-col", required=True),
@@ -343,7 +344,7 @@ def ar(input_path, design, y_col, t_col, x_cols, h0, retro_basis,
 @_seed_option
 @click.option("--populations", type=int, default=200, show_default=True,
               help="random populations per identity check")
-@click.option("--population", "population_path", type=click.Path(exists=True),
+@click.option("--population", "population_path", type=_INPUT_FILE,
               default=None, help="run the checks on a population fixture file")
 @click.option("--strict", is_flag=True, help="exit 6 when a check fails")
 @_format_option

@@ -18,6 +18,7 @@ import csv
 import enum
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "CountTable2x2",
     "ColumnSchema",
     "IngestReport",
+    "open_csv",
     "ingest_csv",
     "export_csv",
     "odds_ratio_2x2",
@@ -247,6 +249,17 @@ def _parse_record(row: list[str], ycol: int, tcol: int, xcols: list[int]) -> tup
     return y, t, xrow
 
 
+@contextmanager
+def open_csv(path):
+    """A csv.reader over a file read as UTF-8, skipping a byte-order mark as
+    spreadsheets write; a file that is not UTF-8 raises ValidationError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def ingest_csv(path, schema: ColumnSchema, design: Design,
                h0: float | None = None) -> tuple[ObservedDataset, IngestReport]:
     """Read a header-first CSV into a validated dataset.
@@ -255,10 +268,9 @@ def ingest_csv(path, schema: ColumnSchema, design: Design,
     as decimal reals.  Rows with any missing or unparsable covariate field
     are rejected (never imputed) and reported by index; blank lines are
     skipped unreported.  A mapped column named twice in the header is
-    refused.  A UTF-8 byte-order mark, as spreadsheets write, is skipped.
+    refused.  The file is read by `open_csv`.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

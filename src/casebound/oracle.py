@@ -46,7 +46,7 @@ from .errors import (
     ZeroDenominator,
     ZeroRetroProb,
 )
-from .model import Design
+from .model import Design, open_csv
 
 __all__ = [
     "DiscretePopulation",
@@ -634,9 +634,10 @@ def save_population(pop: DiscretePopulation, path) -> None:
 
 def load_population(path) -> DiscretePopulation:
     """Read a population written by save_population; a file that is not
-    one raises ValidationError naming it."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    one, such as one that writes an entry twice or gives a cell two
+    covariate values, raises ValidationError naming it."""
+    with open_csv(path) as reader:
+        rows = list(reader)
     if len(rows) < 2:
         raise ValidationError(f"{path}: no population rows")
     xcols = [name for name in rows[0] if name.startswith("x")]
@@ -645,13 +646,19 @@ def load_population(path) -> DiscretePopulation:
         if cells != list(range(len(cells))):
             raise ValidationError("cell ids must be 0..n_cells-1")
         pmf = np.zeros((len(cells), 2, 2, 2))
-        support = np.zeros((len(cells), len(xcols)))
+        entries, coords = set(), {}
         for r in rows[1:]:
-            c, t, y0, y1 = (int(v) for v in r[:4])
+            c, t, y0, y1 = entry = tuple(int(v) for v in r[:4])
             if not {t, y0, y1} <= {0, 1}:
                 raise ValidationError(f"t, y0 and y1 must be 0 or 1, got {r[1:4]}")
-            pmf[c, t, y0, y1] = float(r[4])
-            support[c] = [float(v) for v in r[5:5 + len(xcols)]]
+            if entry in entries:
+                raise ValidationError(f"entry (cell, t, y0, y1) = {entry} is written twice")
+            entries.add(entry)
+            pmf[entry] = float(r[4])
+            x = [float(v) for v in r[5:5 + len(xcols)]]
+            if not np.array_equal(coords.setdefault(c, x), x, equal_nan=True):
+                raise ValidationError(f"cell {c} is given covariates {coords[c]} and {x}")
+        support = np.array([coords[c] for c in cells]).reshape(len(cells), len(xcols))
+        return DiscretePopulation(support_x=support, pmf=pmf)
     except (ValueError, IndexError) as exc:
         raise ValidationError(f"{path}: not a population file: {exc}") from None
-    return DiscretePopulation(support_x=support, pmf=pmf)

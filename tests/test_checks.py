@@ -110,3 +110,38 @@ def test_cp_bound_check_catches_a_wrong_slope(monkeypatch):
     result = checks._check_cp_bound_linear(checks._cases(pops))
     assert result.n_cases == 12
     assert not result.passed
+
+
+# the checks the suite runs on each family of random populations, by name,
+# with the keyword arguments that draw the family
+FAMILIES = {
+    "pop-general": ({}, ["case-probability identity", "prospective relative risk",
+                         "odds-ratio invariance", "aggregation", "AR bound is p times",
+                         "finite difference"]),
+    "pop-monotone": ({"mtr": True, "mts": True},
+                     ["monotone populations", "relative risk lies in",
+                      "attributable risk lies in"]),
+    "pop-unconf": ({"unconfounded": True},
+                   ["Gamma pins down the relative risk", "pins down the attributable risk"]),
+    "pop-unconf-mtr": ({"unconfounded": True, "mtr": True, "mts": True},
+                       ["Gamma decreasing in p"]),
+}
+
+
+@pytest.mark.parametrize("purpose", list(FAMILIES))
+def test_check_population_runs_the_suites_checks_of_each_family(purpose):
+    # a population drawn as the suite draws a family gets every check the
+    # suite runs on that family but the finite-difference one, in the
+    # suite's order; general checks apply to every family
+    kind, family = FAMILIES[purpose]
+    expected = [needle for needle in FAMILIES["pop-general"][1] + family
+                if needle != "finite difference"]
+    suite = [r.name for r in run_identity_suite(seed=6, n_populations=1)]
+    for i in range(3):
+        pop = random_population(RngSpec(6).derive(purpose, i), n_cells=2, **kind)
+        results = check_population(pop)
+        names = [r.name for r in results]
+        assert all(r.passed for r in results)
+        assert all(any(needle in name for name in names) for needle in expected), names
+        assert not any("finite difference" in name for name in names)
+        assert names == [name for name in suite if name in names]

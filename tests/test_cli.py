@@ -17,6 +17,7 @@ from casebound.cli import main
 from casebound.errors import ValidationError
 from casebound.fixtures import count_table
 from casebound.model import ColumnSchema, Design, ObservedDataset, export_csv
+from casebound.oracle import save_population
 from casebound.rng import RngSpec, bernoulli
 from casebound.synthetic import sample_from_population
 from casebound.fixtures import top_income_population
@@ -284,6 +285,36 @@ def test_rr_reads_a_utf8_byte_order_mark(runner, tmp_path):
                for path in (plain, bom)]
     assert results[1].exit_code == 0, results[1].output
     assert results[1].output == results[0].output
+
+
+def _file_args(command, path):
+    """The arguments of `command` that read `path` as its input file."""
+    if command == "oracle":
+        return ["oracle", "--population", str(path)]
+    args = [command, "--input", str(path), "--design", "case-control",
+            "--y-col", "vsu", "--t-col", "private"]
+    return args + ["--B", "20"] if command == "ar" else args
+
+
+@pytest.mark.parametrize("command", ["rr", "ar", "oracle"])
+def test_an_input_that_is_not_utf8_exits_2_naming_it(runner, tmp_path, command):
+    # a Latin-1 "é" in the header is not UTF-8
+    path = tmp_path / "latin.csv"
+    if command == "oracle":
+        save_population(top_income_population(), path)
+    else:
+        write_university_csv(path)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b",caf\xe9\r\n", 1))
+    result = runner.invoke(main, _file_args(command, path))
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("command", ["rr", "ar", "oracle"])
+def test_a_directory_given_as_the_input_file_is_a_usage_error(runner, tmp_path, command):
+    result = runner.invoke(main, _file_args(command, tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "is a directory" in result.output
 
 
 def _refuse_constant(name):

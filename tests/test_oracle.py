@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -645,3 +646,36 @@ def test_non_finite_probabilities_are_rejected(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValidationError):
         load_population(path)
+
+
+def _edit_population_file(tmp_path, edit):
+    """A saved two-cell population file with its data rows passed through `edit`."""
+    path = tmp_path / "pop.csv"
+    save_population(random_population(RngSpec(23).derive("io"), n_cells=2), path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    return path
+
+
+def test_load_population_refuses_an_entry_written_twice(tmp_path):
+    # the file used to load, the later copy of the entry winning
+    path = _edit_population_file(tmp_path, lambda rows: rows + [rows[3]])
+    twice = re.escape(f"{path}: ") + r".*\(0, 0, 1, 1\) is written twice"
+    with pytest.raises(ValidationError, match=twice):
+        load_population(path)
+
+
+def test_load_population_refuses_a_cell_with_two_covariate_values(tmp_path):
+    # one of cell 0's eight rows says x1 = 7.0; the cell used to take the
+    # value of its last row
+    def edit(rows):
+        fields = rows[2].split(",")
+        fields[5] = "7.0"
+        return [*rows[:2], ",".join(fields), *rows[3:]]
+
+    path = _edit_population_file(tmp_path, edit)
+    two_values = re.escape(f"{path}: ") + ".*cell 0 is given covariates"
+    with pytest.raises(ValidationError, match=two_values):
+        load_population(path)
+    # the control: the file as saved loads
+    assert load_population(_edit_population_file(tmp_path, list)).n_cells == 2

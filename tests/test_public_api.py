@@ -171,3 +171,49 @@ def test_no_module_calls_what_loads_numpy_ma(path):
     names = {name for _, _, names in _definitions(path) for name in names}
     imported = {name.rsplit(".", 1)[-1] for name in _imports(path)}
     assert sorted((names | imported) & LOADS_NUMPY_MA) == []
+
+
+SELF_DRAWING_CHECKS = {"_check_rare_disease_limit", "_check_mts_violation_detected"}
+
+
+def test_one_table_of_identity_checks():
+    # checks.py states once, in _CHECKS, which identity is checked on which
+    # populations: the suite and check_population read the table and name
+    # no family check themselves, and the table lists each family check once
+    path = next(path for path in SOURCES if path.stem == "checks")
+    bound = {}  # each top-level name: its definition, or its assigned value
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            bound[node.name] = node
+        elif isinstance(node, ast.Assign):
+            bound.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+    family = {name for name in bound if name.startswith("_check_")} - SELF_DRAWING_CHECKS
+    assert len(family) == 12
+
+    def checks_named(node):
+        return [n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id.startswith("_check_")]
+
+    for reader in ("run_identity_suite", "check_population"):
+        assert set(checks_named(bound[reader])) <= SELF_DRAWING_CHECKS, reader
+    assert sorted(checks_named(bound["_CHECKS"])) == sorted(family)
+
+
+def _opens(path):
+    """(definition, mode) of every `open(...)` call in a source file; the
+    mode is None where it is not a literal."""
+    for name, node, _ in _definitions(path):
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
+                    and call.func.id == "open":
+                modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+                mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+                yield name, mode
+
+
+def test_every_file_read_goes_through_one_reader():
+    # model.open_csv is the one code that opens a file to read it, so every
+    # input is decoded by one rule; any other open writes
+    reads = [(path.stem, name) for path in SOURCES for name, mode in _opens(path)
+             if "w" not in mode]
+    assert reads == [("model", "open_csv")]

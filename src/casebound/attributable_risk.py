@@ -21,9 +21,10 @@ probabilities clipped into [CLIP, 1 - CLIP]; the term is
 `oracle.ar_term_formula`, the same kernel the finite-population reference
 evaluates per cell.  Its convex-combination denominators make UB(0) = 0
 and (case-control) UB(1) = 0 hold exactly in floating point, matching the
-estimand, which vanishes at both ends.  `_block` fits those probabilities
-on each replicate's patterns and is the only caller of `_statistic`; the
-sample and every replicate are rows of its blocks.
+estimand, which vanishes at both ends.  One routine, `_refit_block`,
+packs a block of replicates, fits those probabilities on each replicate's
+patterns, judges each replicate and is the only caller of `fit_logits`
+and `_statistic`; the sample and every replicate are rows of its blocks.
 
 The bootstrap does not rebuild resampled data sets.  The sample is
 collapsed once to a pattern table, its distinct (y, t, x) rows (eight for
@@ -67,7 +68,7 @@ multiset, is rebuilt whole per replicate on its support by
 curve or xi of every replicate is read off (replicate x grid x packed
 row) arrays.  A block holds as many replicates as fit in `BLOCK_CELLS`
 cells of both packed designs or of such an array, so memory does not grow
-with B.  The block gives each replicate one verdict, None or the
+with B.  `_refit_block` gives each replicate one verdict, None or the
 CaseboundError that drops it, the first of: `build_basis`'s refusal of a
 spline design rebuilt on its support, DegenerateColumn (a basis column
 constant on the support, `basis.constant_columns`), what `fit_logit`
@@ -216,53 +217,6 @@ def _replicate_counts(gen, y: np.ndarray, inverse: np.ndarray, n_patterns: int,
     return np.bincount(inverse[idx], minlength=n_patterns)
 
 
-def _block(data: ObservedDataset, n0: int, t: np.ndarray, counts: np.ndarray,
-           designs: tuple[np.ndarray, np.ndarray],
-           grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A block of replicates refitted together by `fit_logits`, each on its
-    own rows.
-
-    Every replicate has the same number of rows, the first n0 of them in
-    stratum 0 and the rest in stratum 1; `t` and `counts` are (replicates,
-    rows), a zero count dropping a row; `designs` hold the retrospective
-    and prospective [1, basis] at each replicate's rows, (replicates, rows,
-    k).  Returns each replicate's statistic, its clip count, the
-    (replicates, 3) kernel statuses of its fits (stratum 0, stratum 1, the
-    prospective fit) and whether their probabilities on its support lie in
-    [0, 1]; the statistic and clip count of a replicate with a nonzero
-    status or a probability outside [0, 1] are meaningless.
-    """
-    rdesign, pdesign = designs
-    case = np.arange(counts.shape[1]) >= n0
-    support = counts > 0
-    w = counts.astype(float)
-    s0, s1 = slice(None, n0), slice(n0, None)
-    fits = ((fit_logits(t[:, s0], rdesign[:, s0], w[:, s0]), rdesign),
-            (fit_logits(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
-            (fit_logits(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
-    probs = []
-    in_range = np.ones(counts.shape[0], dtype=bool)
-    n_clipped = np.zeros(counts.shape[0], dtype=np.int64)
-    for fit, design in fits:
-        clipped, valid, n_moved = clip_probabilities(
-            expit((design @ fit.coef[:, :, None])[:, :, 0]), counts)
-        in_range &= (valid | ~support).all(axis=1)
-        n_clipped += n_moved
-        # off the support a value only has to keep the weighted sums finite
-        probs.append(np.where(support, clipped, 0.5))
-    # the statistic of the replicates that are kept, an estimated h0 their
-    # counts-weighted share of cases; every probability now lies in
-    # [CLIP, 1 - CLIP], so no denominator vanishes
-    status = np.column_stack([fit.status for fit, _ in fits])
-    ok = in_range & ~status.any(axis=1)
-    pi0, pi1, py, c = (a[ok] for a in (*probs, counts))
-    h0 = c[:, case].sum(axis=1) / c.sum(axis=1) if data.h0_estimated else data.h0
-    vals = _statistic(data.design, h0, case, pi0, pi1, py, w[ok], grid)
-    stat = np.zeros((counts.shape[0], vals.shape[1]))
-    stat[ok] = vals
-    return stat, n_clipped, status, in_range
-
-
 @dataclass(frozen=True)
 class _Layout:
     """What every block of one `ar_curve` run shares: the pattern table, the
@@ -323,18 +277,22 @@ def _pack(counts: np.ndarray, n0: int, widths: tuple[int, int]) -> tuple[np.ndar
 
 def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
                  grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_block` on a block of replicates' (replicates, patterns) counts, each
-    replicate packed on its own support: designs gathered from the pattern
-    table, a design with a spline term rebuilt whole on the support by
-    `design_columns`, with knots from its counts.  Returns each replicate's
+    """A block of replicates' (replicates, patterns) counts refitted
+    together, each replicate packed on its own support.  The designs are
+    gathered from the pattern table, and a design with a spline term is
+    rebuilt whole on the support by `design_columns`, with knots from its
+    counts.  Three stacked `fit_logits` calls (stratum 0, stratum 1, the
+    prospective fit) fit every replicate on its packed rows, and their
+    probabilities at those rows, clipped and counted by
+    `clip_probabilities`, feed `_statistic`.  Returns each replicate's
     statistic and clip count, and its verdict: None, or the CaseboundError
     that drops it, the first of `build_basis`'s refusal of a rebuilt
     design, DegenerateColumn (`constant_columns` on its support), the
     `status_error` of its first failed fit and
-    NuisanceProbabilityOutOfRange.  A replicate refused before its fits
-    gets zero counts, which the kernel refuses; one wider than the layout
-    never enters the block and is fitted alone, as a block of one at its
-    own widths."""
+    NuisanceProbabilityOutOfRange; a dropped replicate's statistic is zero.
+    A replicate refused before its fits gets zero counts, which the kernel
+    refuses; one wider than the layout never enters the block and is
+    fitted alone, as a block of one at its own widths."""
     patterns = layout.patterns
     n0 = np.count_nonzero(patterns[:, 0] == 0)
     idx, wide = _pack(counts, n0, layout.widths)
@@ -365,13 +323,35 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
                 & np.equal(verdict, None)] = DegenerateColumn(
             "a basis column is constant on the replicate's support")
     w[~np.equal(verdict, None)] = 0
-    stats, clipped, status, in_range = _block(data, layout.widths[0], patterns[idx, 1], w,
-                                              designs, grid)
-    for i in np.flatnonzero((status.any(axis=1) | ~in_range) & np.equal(verdict, None)):
-        failed = status[i][status[i] != 0]
-        verdict[i] = status_error(failed[0]) if failed.size else NuisanceProbabilityOutOfRange(
-            "fitted probabilities leave [0, 1] or are not finite")
-    return stats, clipped, verdict
+    # the packed rows hold stratum 0 first, widths[0] of them
+    case = np.arange(w.shape[1]) >= layout.widths[0]
+    s0, s1 = slice(None, layout.widths[0]), slice(layout.widths[0], None)
+    t, (rdesign, pdesign) = patterns[idx, 1], designs
+    fits = ((fit_logits(t[:, s0], rdesign[:, s0], w[:, s0]), rdesign),
+            (fit_logits(t[:, s1], rdesign[:, s1], w[:, s1]), rdesign),
+            (fit_logits(np.broadcast_to(case, w.shape), pdesign, w), pdesign))
+    for fit, _ in fits:
+        for i in np.flatnonzero((fit.status != 0) & np.equal(verdict, None)):
+            verdict[i] = status_error(fit.status[i])
+    probs, n_clipped = [], np.zeros(counts.shape[0], dtype=np.int64)
+    for fit, design in fits:
+        clipped, valid, n_moved = clip_probabilities(
+            expit((design @ fit.coef[:, :, None])[:, :, 0]), w)
+        verdict[~(valid | ~on).all(axis=1) & np.equal(verdict, None)] = (
+            NuisanceProbabilityOutOfRange("fitted probabilities leave [0, 1] or are not finite"))
+        n_clipped += n_moved
+        # off the support a value only has to keep the weighted sums finite
+        probs.append(np.where(on, clipped, 0.5))
+    # the statistic of the replicates that are kept, an estimated h0 their
+    # counts-weighted share of cases; every probability now lies in
+    # [CLIP, 1 - CLIP], so no denominator vanishes
+    ok = np.equal(verdict, None)
+    pi0, pi1, py, c = (a[ok] for a in (*probs, w))
+    h0 = c[:, case].sum(axis=1) / c.sum(axis=1) if data.h0_estimated else data.h0
+    vals = _statistic(data.design, h0, case, pi0, pi1, py, c, grid)
+    stats = np.zeros((counts.shape[0], vals.shape[1]))
+    stats[ok] = vals
+    return stats, n_clipped, verdict
 
 
 def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,

@@ -109,11 +109,14 @@ def _load_dataset(input_path, design, y_col, t_col, x_cols, h0):
 
 
 def _emit(doc: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, **doc}
-        click.echo(json.dumps(_jsonable(doc), indent=2, allow_nan=False))
-    else:
-        click.echo(text)
+    click.echo(_json(doc) if fmt == "json" else text)
+
+
+def _json(doc: dict) -> str:
+    """doc as every JSON document the CLI writes, stdout's or a file's:
+    schema_version first, and a non-finite float as null."""
+    return json.dumps(_jsonable({"schema_version": SCHEMA_VERSION, **doc}), indent=2,
+                      allow_nan=False)
 
 
 def _jsonable(obj):
@@ -144,9 +147,16 @@ def _write_grid(path: pathlib.Path, header: list[str], rows) -> None:
             fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
-def _out_dir(out: str) -> pathlib.Path:
+def _out_dir(out: str | None) -> pathlib.Path | None:
+    """The --out directory, created before any fit or draw, or None."""
+    if out is None:
+        return None
     outdir = pathlib.Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{out}: cannot create the output directory "
+                              f"({exc.strerror})") from None
     return outdir
 
 
@@ -155,6 +165,7 @@ _seed_option = click.option("--seed", type=int, envvar="CASEBOUND_SEED", default
 _format_option = click.option("--format", "fmt", type=click.Choice(["tabular", "json"]),
                               default="tabular", show_default=True)
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)  # a directory is a usage error
+_OUT_DIR = click.Path(file_okay=False)  # an existing file is a usage error
 _DATA_OPTIONS = (
     click.option("--input", "input_path", required=True, type=_INPUT_FILE),
     click.option("--design", required=True, help="case-control | case-population"),
@@ -168,7 +179,7 @@ _DATA_OPTIONS = (
     click.option("--pbar", type=float, default=1.0, show_default=True,
                  help="upper bound on the true case probability"),
     click.option("--grid-step", type=float, default=0.01, show_default=True),
-    click.option("--out", type=click.Path(), default=None,
+    click.option("--out", type=_OUT_DIR, default=None,
                  help="directory for the grid output files"),
 )
 
@@ -251,6 +262,7 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
        alpha, pbar, grid_step, out, fmt):
     """Stratum aggregates of the log odds ratio and the relative-risk band."""
     def body():
+        outdir = _out_dir(out)
         if not 0.0 < alpha <= 0.5:
             raise ValidationError("alpha must lie in (0, 0.5]")
         p_grid(pbar, grid_step)  # refuse a bad grid before the fits
@@ -279,8 +291,7 @@ def rr(input_path, design, y_col, t_col, x_cols, h0, basis, interactions,
                                   "ci_log": [0.0, max(ub_log, 0.0)],
                                   "exp_value": _exp(est.value),
                                   "ci_level": [1.0, _exp(max(ub_log, 0.0))]}
-        if out is not None:
-            outdir = _out_dir(out)
+        if outdir is not None:
             _write_grid(outdir / "rr_band.csv", ["p", "point", "lower", "upper"],
                         band.rows())
             lines.append(f"band grid written to {outdir / 'rr_band.csv'}")
@@ -306,6 +317,7 @@ def ar(input_path, design, y_col, t_col, x_cols, h0, retro_basis,
        resample, out, fmt):
     """Attributable-risk upper-bound curve with BC bootstrap limits."""
     def body():
+        outdir = _out_dir(out)
         data = _load_dataset(input_path, design, y_col, t_col, x_cols, h0)
         rspec = _parse_basis(retro_basis, data.n_covariates, interactions)
         pspec = _parse_basis(prospective_basis, data.n_covariates, interactions)
@@ -317,20 +329,18 @@ def ar(input_path, design, y_col, t_col, x_cols, h0, retro_basis,
             lines.append(f"{p:6.3f} {point:10.6f} {upper:10.6f}")
         lines.append(f"mode={curve.mode} B={curve.B} kept={diag.n_kept} "
                      f"dropped={diag.n_dropped}")
-        if out is not None:
-            outdir = _out_dir(out)
+        if outdir is not None:
             _write_grid(outdir / "ar_curve.csv",
                         ["p", "point", "upper", "mu_star", "nu_star"],
                         ((curve.p[i], curve.point[i], curve.upper[i],
                           diag.mu_star[i], diag.nu_star[i])
                          for i in range(curve.p.size)))
-            with open(outdir / "ar_diagnostics.json", "w") as fh:
-                json.dump({"schema_version": SCHEMA_VERSION,
-                           "mode": curve.mode, "B": curve.B, "alpha": curve.alpha,
-                           "resample_mode": diag.resample_mode,
-                           "n_kept": diag.n_kept, "n_dropped": diag.n_dropped,
-                           "n_clipped_point": diag.n_clipped_point,
-                           "n_clipped_boot": diag.n_clipped_boot}, fh, indent=2)
+            (outdir / "ar_diagnostics.json").write_text(_json({
+                "mode": curve.mode, "B": curve.B, "alpha": curve.alpha,
+                "resample_mode": diag.resample_mode,
+                "n_kept": diag.n_kept, "n_dropped": diag.n_dropped,
+                "n_clipped_point": diag.n_clipped_point,
+                "n_clipped_boot": diag.n_clipped_boot}))
             lines.append(f"curve written to {outdir / 'ar_curve.csv'}")
         _emit({"command": "ar", "design": data.design.value,
                "curve": {"p": curve.p, "point": curve.point, "upper": curve.upper},
@@ -369,11 +379,12 @@ def oracle(seed, populations, population_path, strict, fmt):
 @click.option("--replications", type=int, default=1000, show_default=True)
 @_seed_option
 @click.option("--estimators", default="parametric,sieve", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT_DIR, default=None)
 @_format_option
 def mc(replications, seed, estimators, out, fmt):
     """Replication study of the benchmark design (six summary statistics)."""
     def body():
+        outdir = _out_dir(out)
         names = tuple(e.strip() for e in estimators.split(",") if e.strip())
         result = run_mc_study(mc_defaults(), estimators=names,
                               replications=replications, rng=RngSpec(seed))
@@ -384,14 +395,10 @@ def mc(replications, seed, estimators, out, fmt):
         # each column as wide as its widest entry, the labels included
         widths = [max(12, *map(len, column)) for column in zip(*rows)]
         lines = ["  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in rows]
-        if out is not None:
-            outdir = _out_dir(out)
-            with open(outdir / "mc_summary.json", "w") as fh:
-                json.dump(_jsonable({"schema_version": SCHEMA_VERSION, "seed": seed,
-                                     "replications": replications,
-                                     "cells": [c.__dict__ for c in result.cells],
-                                     "failures": result.failures}),
-                          fh, indent=2, allow_nan=False)
+        if outdir is not None:
+            (outdir / "mc_summary.json").write_text(_json({
+                "seed": seed, "replications": replications,
+                "cells": [c.__dict__ for c in result.cells], "failures": result.failures}))
             lines.append(f"summary written to {outdir / 'mc_summary.json'}")
         _emit({"command": "mc", "seed": seed, "replications": replications,
                "cells": [c.__dict__ for c in result.cells]}, "\n".join(lines), fmt)

@@ -634,13 +634,17 @@ def save_population(pop: DiscretePopulation, path) -> None:
 
 def load_population(path) -> DiscretePopulation:
     """Read a population written by save_population; a file that is not
-    one, such as one that writes an entry twice or gives a cell two
-    covariate values, raises ValidationError naming it."""
+    one, such as one with another header, or one that writes an entry
+    twice or gives a cell two covariate values, raises ValidationError
+    naming it."""
     with open_csv(path) as reader:
         rows = list(reader)
     if len(rows) < 2:
         raise ValidationError(f"{path}: no population rows")
-    xcols = [name for name in rows[0] if name.startswith("x")]
+    xcols = rows[0][5:]
+    if rows[0] != ["cell", "t", "y0", "y1", "mass", *(f"x{i + 1}" for i in range(len(xcols)))]:
+        raise ValidationError(f"{path}: the header must be cell,t,y0,y1,mass,x1,...,xk, "
+                              f"as save_population writes it, not {','.join(rows[0])}")
     try:
         cells = sorted({int(r[0]) for r in rows[1:]})
         if cells != list(range(len(cells))):

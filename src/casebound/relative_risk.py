@@ -19,7 +19,7 @@ read off it, and a read-out takes only the fit and its own index:
   the MC sd.
 
 The attributable-risk statistic is not read off this fit: it lives only
-in `attributable_risk._statistic`, which `_block` feeds from its own fits
+in `attributable_risk._statistic`, which `_refit_block` feeds from its own fits
 on the pattern table, clipped and counted by `clip_probabilities`.
 
 The relative-risk band is indexed by the unknown true case probability p:

@@ -323,13 +323,12 @@ def test_stratified_resampling_keeps_stratum_sizes():
 
 def test_bootstrap_degenerate_raises(monkeypatch):
     data = expand(COUNTS_D1, D2)
-    real = ar_mod._block
+    real = ar_mod._statistic
 
-    def constant(*args, **kwargs):
-        stats, *rest = real(*args, **kwargs)
-        return np.full_like(stats, 0.25), *rest
+    def constant(*args):
+        return np.full_like(real(*args), 0.25)
 
-    monkeypatch.setattr(ar_mod, "_block", constant)
+    monkeypatch.setattr(ar_mod, "_statistic", constant)
     with pytest.raises(BootstrapDegenerate):
         ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=5)
 
@@ -345,17 +344,20 @@ def test_case_control_grid_without_interior_point_is_zero():
 
 def test_failed_replicates_dropped_and_counted(monkeypatch):
     data = expand(COUNTS_D1, D1)
-    real = ar_mod._block
+    real = ar_mod.fit_logits
+    block = []  # the replicates of each fit of the bootstrap's block
 
-    def flaky_block(*args):
-        stats, clipped, status, in_range = real(*args)
-        if args[3].shape[0] > 1:  # the bootstrap's block, not the sample's block of one
-            status = status.copy()
-            status[[2, 3, 4], 1] = 1  # three replicates' stratum-1 fits fail
-        return stats, clipped, status, in_range
+    def flaky(t, X, W):
+        fits = real(t, X, W)
+        if W.shape[0] > 1:  # the bootstrap's block, not the sample's block of one
+            block.append(W.shape[0])
+            if len(block) == 2:  # its stratum-1 fit
+                fits.status[[2, 3, 4]] = 1  # three replicates' stratum-1 fits fail
+        return fits
 
-    monkeypatch.setattr(ar_mod, "_block", flaky_block)
+    monkeypatch.setattr(ar_mod, "fit_logits", flaky)
     curve, diag = ar_curve(data, LIN, LIN, pbar=0.5, B=200, seed=6, step=0.1)
+    assert block == [200] * 3
     assert diag.n_dropped == 3
     assert diag.n_kept == 197
 

@@ -317,6 +317,28 @@ def test_a_directory_given_as_the_input_file_is_a_usage_error(runner, tmp_path, 
     assert "is a directory" in result.output
 
 
+@pytest.mark.parametrize("command", ["rr", "ar", "mc"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_out_naming_a_file_exits_2_before_any_fit(runner, tmp_path, monkeypatch, command,
+                                                   under):
+    # both used to end in a traceback, exit 1, after every fit and draw had run
+    calls = []
+    for name in ("fit_nuisances", "ar_curve", "run_mc_study"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, **k: calls.append(name))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if under else afile
+    args = (["mc", "--replications", "100"] if command == "mc"
+            else _file_args(command, write_university_csv(tmp_path / "univ.csv")))
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert calls == []
+    if under:
+        assert result.output.startswith(f"error: {out}: cannot create the output directory")
+    else:
+        assert "is a file" in result.output
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

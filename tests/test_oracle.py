@@ -657,6 +657,34 @@ def _edit_population_file(tmp_path, edit):
     return path
 
 
+def _edit_population_columns(tmp_path, edit):
+    """A saved two-cell population file with the fields of every line, its
+    header included, passed through `edit`."""
+    path = tmp_path / "pop.csv"
+    save_population(random_population(RngSpec(23).derive("io"), n_cells=2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(",".join(edit(line.split(","))) for line in lines) + "\n")
+    return path
+
+
+def test_load_population_refuses_swapped_columns(tmp_path):
+    # t and y1 swapped, header included: the file used to load, its pmf off
+    # by up to 0.049
+    path = _edit_population_columns(tmp_path, lambda f: [f[0], f[3], f[2], f[1], *f[4:]])
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: the header must be")):
+        load_population(path)
+
+
+def test_load_population_refuses_an_extra_column(tmp_path):
+    # a weight column after mass used to be read as x1
+    path = _edit_population_columns(
+        tmp_path, lambda f: [*f[:5], "weight" if f[0] == "cell" else "9", *f[5:]])
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: the header must be")):
+        load_population(path)
+    # the control: the file as saved loads
+    assert load_population(_edit_population_columns(tmp_path, list)).n_cells == 2
+
+
 def test_load_population_refuses_an_entry_written_twice(tmp_path):
     # the file used to load, the later copy of the entry winning
     path = _edit_population_file(tmp_path, lambda rows: rows + [rows[3]])

@@ -106,14 +106,23 @@ def test_one_attributable_risk_statistic():
 
 def test_one_refit_path():
     # attributable_risk.py refits the sample and every replicate through
-    # _refit_block, whose blocks alone call _block and fit_logits: no
-    # definition names fit_logit, and only _refit_block calls _block
+    # _refit_block, the one routine that packs, fits, reads and judges a
+    # block: no _block, no definition but _refit_block names fit_logits or
+    # _statistic, and none names fit_logit
     path = next(path for path in SOURCES if path.stem == "attributable_risk")
     defs = list(_definitions(path))
+    assert "_block" not in [name for name, _, _ in defs]
+    assert [name for name, _, names in defs
+            if names & {"fit_logits", "_statistic"}] == ["_refit_block"]
     assert [name for name, _, names in defs if "fit_logit" in names] == []
-    assert [name for name, node, _ in defs
-            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                   and n.func.id == "_block" for n in ast.walk(node))] == ["_refit_block"]
+
+
+def test_one_json_writer():
+    # stdout's document, ar_diagnostics.json and mc_summary.json are all
+    # written by cli._json, which adds schema_version and refuses NaN
+    path = next(path for path in SOURCES if path.stem == "cli")
+    assert [name for name, _, names in _definitions(path)
+            if names & {"dump", "dumps"}] == ["_json"]
 
 
 def test_one_constant_column_rule():

@@ -112,6 +112,8 @@ __all__ = [
     "bc_level",
 ]
 
+MAX_B = 100_000  # ar_curve refuses more replicates before any fit; ten times the paper's B
+
 # the standard deviations of a draw's distinct patterns that the packed
 # width of a stratum adds to their mean (see the module docstring); a block
 # holds at most BLOCK_CELLS (replicate x packed row x max(grid, design
@@ -372,10 +374,12 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     Replicates whose refit fails (separation, an empty stratum, a constant
     basis column, ...) are dropped and counted.  Point estimates and limits
     are truncated into [0, 1].  Identical (data, specs, B, seed) give
-    identical output.
+    identical output.  B must lie in 200..MAX_B, checked before any fit.
     """
     if B < 200:
         raise ValidationError("use at least 200 bootstrap replications")
+    if B > MAX_B:
+        raise ValidationError(f"use at most {MAX_B} bootstrap replications")
     grid = p_grid(pbar, step)
     if not 0.0 < alpha <= 0.5:
         raise ValidationError("alpha must lie in (0, 0.5]")

@@ -14,11 +14,14 @@ Caching
 A DiscretePopulation and an ObservedLaw are frozen and their arrays are
 read-only, so what they determine is computed on first use and kept on the
 instance with functools.cached_property: a population's cell mass,
-treatment propensity, potential-outcome margins, factual joint, p0 and its
-assumption report, and a law's Pr(Y=1|x).  Cached arrays are read-only
+treatment propensity, potential-outcome margins, factual joint, p0, its
+overlap verdict (all that `project` reads) and its assumption report (which
+reuses that verdict), and a law's Pr(Y=1|x).  Cached arrays are read-only
 too, so no caller can change them under another.  A cache lives and dies
 with its instance; nothing is memoised at module level, where a population
 (unhashable, since it holds arrays) would be kept alive for good.
+`random_population(mts=True)` draws and judges its rejection candidates a
+batch at a time, and returns what a one-at-a-time loop would (see there).
 
 `bounds_ar` takes the attributable-risk envelope over p in closed form,
 at the stationary point of r * Gamma_AR in r; nothing is scanned.
@@ -151,14 +154,6 @@ class DiscretePopulation:
         """Pr{Y*(t)=1 | X*=x}, per cell."""
         return self._potential_probs[1 if t == 1 else 0]
 
-    def potential_prob_by_arm(self, t: int, arm: int) -> np.ndarray:
-        """Pr{Y*(t)=1 | T*=arm, X*=x}, per cell."""
-        slab = self.pmf[:, arm]  # (n_cells, y0, y1)
-        denom = slab.sum(axis=(1, 2))
-        num = slab[:, :, 1].sum(axis=1) if t == 1 else slab[:, 1, :].sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), np.nan)
-
     @cached_property
     def joint_xty(self) -> np.ndarray:
         """Pr(X*=x, T*=t, Y*=y) with Y* = T*Y*(1) + (1-T*)Y*(0); shape (n_cells, 2, 2)."""
@@ -221,32 +216,37 @@ class DiscretePopulation:
         return self._assumption_report
 
     @cached_property
-    def _assumption_report(self) -> AssumptionReport:
-        # Every cell and both arms at once.  Overlap needs Pr(T*=1|x) and both
+    def _overlap(self) -> bool:
+        # Every cell and both arms at once: Pr(T*=1|x) and both
         # potential-outcome margins inside (0, 1); the margins are only
         # computed when treatment overlap holds.
         pt = self.p_treat_given_x
-        overlap = bool(((pt > 0) & (pt < 1)).all())
-        if overlap:
-            q = self._potential_probs
-            overlap = bool(((q > 0) & (q < 1)).all())
+        if not ((pt > 0) & (pt < 1)).all():
+            return False
+        q = self._potential_probs
+        return bool(((q > 0) & (q < 1)).all())
+
+    @cached_property
+    def _assumption_report(self) -> AssumptionReport:
         mtr = bool(self.pmf[:, :, 1, 0].sum() <= _ASSUMPTION_TOL)
         unconf, mts = _selection(self.pmf)
-        return AssumptionReport(overlap=overlap, unconfounded=unconf, mtr=mtr, mts=mts)
+        return AssumptionReport(overlap=self._overlap, unconfounded=bool(unconf),
+                                mtr=mtr, mts=bool(mts))
 
 
-def _selection(pmf: np.ndarray) -> tuple[bool, bool]:
-    """Unconfoundedness and monotone selection of a pmf, by enumeration."""
-    # by_arm[c, arm, t] = Pr{Y*(t)=1 | T*=arm, X*=x}; an empty arm leaves
-    # it undefined, and then neither assumption can be verified
-    denom = pmf.sum(axis=(2, 3))
-    if (denom <= 0).any():
-        return False, False
-    num = np.stack([pmf[:, :, 1, :].sum(axis=2), pmf[:, :, :, 1].sum(axis=2)], axis=2)
-    by_arm = num / denom[:, :, None]
-    by1, by0 = by_arm[:, 1], by_arm[:, 0]
-    return (bool((np.abs(by1 - by0) <= _ASSUMPTION_TOL).all()),
-            bool((by1 >= by0 - _ASSUMPTION_TOL).all()))
+def _selection(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unconfoundedness and monotone selection, by enumeration, of each pmf
+    of a stack (..., n_cells, 2, 2, 2): two boolean arrays of shape (...)."""
+    # by_arm[..., c, arm, t] = Pr{Y*(t)=1 | T*=arm, X*=x}; an empty arm
+    # leaves it undefined, and then neither assumption can be verified
+    denom = pmf.sum(axis=(-2, -1))
+    filled = denom > 0
+    num = np.stack([pmf[..., 1, :].sum(axis=-1), pmf[..., :, 1].sum(axis=-1)], axis=-1)
+    by_arm = num / np.where(filled, denom, 1.0)[..., None]
+    by1, by0 = by_arm[..., 1, :], by_arm[..., 0, :]
+    defined = filled.all(axis=(-2, -1))
+    return (defined & (np.abs(by1 - by0) <= _ASSUMPTION_TOL).all(axis=(-2, -1)),
+            defined & (by1 >= by0 - _ASSUMPTION_TOL).all(axis=(-2, -1)))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -315,7 +315,7 @@ def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:
     Y*=y.  Case-population: the y=0 stratum is the unconditional law of
     (T*, X*).  Requires an overlap-valid population.
     """
-    if not pop.check_assumptions().overlap:
+    if not pop._overlap:
         raise OverlapViolation("population violates overlap on some support cell")
     j = pop.joint_xty  # (cell, t, ystar)
     p_y1 = j[:, :, 1].sum()
@@ -539,10 +539,13 @@ def upper_bound_ar(law: ObservedLaw, p: float) -> float:
 
 
 def _floored_dirichlet(rng: np.random.Generator, shape: tuple[int, ...],
-                       floor: float) -> np.ndarray:
-    raw = rng.dirichlet(np.full(int(np.prod(shape)), 1.5)).reshape(shape)
-    out = raw + floor
-    return out / out.sum()
+                       floor: float, draws: int = 1) -> np.ndarray:
+    """`draws` Dirichlet(1.5) pmfs of `shape`, each floored and renormalised,
+    stacked on a leading axis.  One call of `draws` rows draws what as many
+    calls of one row would, and each row is normalised by its own sum."""
+    raw = rng.dirichlet(np.full(math.prod(shape), 1.5), size=draws)
+    out = raw.reshape(draws, *shape) + floor
+    return out / out.sum(axis=tuple(range(1, out.ndim)), keepdims=True)
 
 
 def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
@@ -573,6 +576,17 @@ def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
 
 
 _MAX_TRIES = 2000  # rejection draws before monotone selection is given up
+_BATCH = 16  # rejection candidates per Dirichlet call; about 1 in 7 is admissible
+
+
+def _candidates(rng: np.random.Generator, n_cells: int, mtr: bool,
+                draws: int) -> np.ndarray:
+    """A stack of `draws` candidate pmfs, with no mass on y0 > y1 under `mtr`."""
+    pmf = _floored_dirichlet(rng, (n_cells, 2, 2, 2), floor=0.02, draws=draws)
+    if mtr:
+        pmf[..., 1, 0] = 0.0
+        pmf /= pmf.sum(axis=(1, 2, 3, 4), keepdims=True)
+    return pmf
 
 
 def random_population(rng: np.random.Generator, n_cells: int = 2, *,
@@ -583,6 +597,14 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
     Monotone response is enforced by construction (no mass on y0 > y1),
     unconfoundedness by a product construction, and monotone selection by
     rejection when it does not already hold by construction.
+
+    The rejection draw takes `_BATCH` candidates from one Dirichlet call,
+    judges them with one `_selection` call and returns the first admissible
+    one, after at most `_MAX_TRIES` candidates.  `Generator.dirichlet` with
+    `size=K` gives the rows of K successive calls, and each row is floored,
+    normalised and judged on its own, so the population is the one a loop
+    drawing one candidate at a time returns; only the generator has also
+    drawn the rest of the batch.
     """
     support = np.arange(n_cells, dtype=float)[:, None]
     if unconfounded:
@@ -591,25 +613,23 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
         if mtr or mts:
             q1 = lo + (hi - lo) * rng.random(n_cells)
             q0 = lo + (q1 - lo) * rng.random(n_cells)
-            mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)
+            mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)[0]
             return population_from_margins(pt, q1, q0, mass=mass)
-        mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)
+        mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)[0]
         pmf = np.zeros((n_cells, 2, 2, 2))
         for c in range(n_cells):
-            joint = _floored_dirichlet(rng, (2, 2), floor=0.08)
+            joint = _floored_dirichlet(rng, (2, 2), floor=0.08)[0]
             pmf[c, 0] = mass[c] * (1.0 - pt[c]) * joint
             pmf[c, 1] = mass[c] * pt[c] * joint
         return DiscretePopulation(support_x=support, pmf=pmf)
 
-    for _ in range(_MAX_TRIES):
-        pmf = _floored_dirichlet(rng, (n_cells, 2, 2, 2), floor=0.02)
-        if mtr:
-            pmf = pmf.copy()
-            pmf[:, :, 1, 0] = 0.0
-            pmf /= pmf.sum()
-        if mts and not _selection(pmf)[1]:
-            continue
-        return DiscretePopulation(support_x=support, pmf=pmf)
+    if not mts:
+        return DiscretePopulation(support_x=support, pmf=_candidates(rng, n_cells, mtr, 1)[0])
+    for drawn in range(0, _MAX_TRIES, _BATCH):
+        batch = _candidates(rng, n_cells, mtr, min(_BATCH, _MAX_TRIES - drawn))
+        admissible = np.flatnonzero(_selection(batch)[1])
+        if admissible.size:
+            return DiscretePopulation(support_x=support, pmf=batch[admissible[0]])
     raise ValidationError(f"no admissible population found in {_MAX_TRIES} draws")
 
 

@@ -432,6 +432,23 @@ def test_ar_rejects_small_bootstrap(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("n_boot", [attributable_risk.MAX_B + 1, 10 ** 13])
+def test_ar_rejects_huge_bootstrap_before_any_fit(runner, tmp_path, monkeypatch, n_boot):
+    # a B too large to allocate is refused with one error line before the
+    # sample fit, not by a MemoryError traceback after it
+    fits = []
+    real = attributable_risk.fit_logits
+    monkeypatch.setattr(attributable_risk, "fit_logits",
+                        lambda *a, **k: fits.append(1) or real(*a, **k))
+    path = write_university_csv(tmp_path / "univ.csv")
+    result = runner.invoke(main, [
+        "ar", "--input", path, "--design", "case-control", "--y-col", "vsu",
+        "--t-col", "private", "--B", str(n_boot)])
+    _assert_one_error_line(result)
+    assert f"at most {attributable_risk.MAX_B} bootstrap replications" in result.output
+    assert not fits
+
+
 def test_oracle_command(runner, tmp_path):
     result = runner.invoke(main, ["oracle", "--populations", "5", "--seed", "3"])
     assert result.exit_code == 0, result.output

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from casebound import checks
 from casebound.errors import (
     OverlapViolation,
     ValidationError,
@@ -16,6 +17,7 @@ from casebound.errors import (
 from casebound.fixtures import top_income_population
 from casebound.model import Design
 from casebound.oracle import (
+    AssumptionReport,
     AssumptionSet,
     DiscretePopulation,
     ObservedLaw,
@@ -126,6 +128,104 @@ def test_mts_draw_is_judged_on_its_array(monkeypatch, n_cells, mtr):
     assert len(built) == 50
 
 
+@pytest.mark.parametrize("mtr", [False, True])
+def test_mts_draw_gives_up_after_max_tries_candidates(monkeypatch, mtr):
+    # a bound the batch does not divide: the last batch is cut short
+    import casebound.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_MAX_TRIES", 37)
+    assert 37 % oracle._BATCH
+    monkeypatch.setattr(oracle, "_selection",
+                        lambda pmf: (np.zeros(pmf.shape[:-4], bool),) * 2)
+
+    class Counting:
+        # the generator, counting the Dirichlet rows it is asked for
+        def __init__(self, gen):
+            self.gen, self.rows = gen, 0
+
+        def dirichlet(self, alpha, size=None):
+            out = self.gen.dirichlet(alpha, size=size)
+            self.rows += out.size // len(alpha)
+            return out
+
+    rng = Counting(RngSpec(0).derive("mts-edge"))
+    with pytest.raises(ValidationError, match="no admissible population found in 37 draws"):
+        random_population(rng, 2, mtr=mtr, mts=True)
+    assert rng.rows == 37
+
+
+def _report_as_it_was(pop):
+    # the assumption report before project read only the overlap verdict
+    pt = pop.p_treat_given_x
+    overlap = bool(((pt > 0) & (pt < 1)).all())
+    if overlap:
+        q = np.stack([pop.potential_prob(0), pop.potential_prob(1)])
+        overlap = bool(((q > 0) & (q < 1)).all())
+    pmf = pop.pmf
+    mtr = bool(pmf[:, :, 1, 0].sum() <= 1e-12)
+    denom = pmf.sum(axis=(2, 3))
+    if (denom <= 0).any():
+        unconf = mts = False
+    else:
+        num = np.stack([pmf[:, :, 1, :].sum(axis=2), pmf[:, :, :, 1].sum(axis=2)], axis=2)
+        by_arm = num / denom[:, :, None]
+        by1, by0 = by_arm[:, 1], by_arm[:, 0]
+        unconf = bool((np.abs(by1 - by0) <= 1e-12).all())
+        mts = bool((by1 >= by0 - 1e-12).all())
+    return AssumptionReport(overlap=overlap, unconfounded=unconf, mtr=mtr, mts=mts)
+
+
+def _empty_arm_population():
+    # cell 1 has no untreated unit, so its by-arm probabilities are
+    # undefined (read as 0, that arm would pass monotone selection)
+    pmf = np.full((2, 2, 2, 2), 1.0 / 12)
+    pmf[1, 0] = 0.0
+    return DiscretePopulation(support_x=np.arange(2.0)[:, None], pmf=pmf)
+
+
+def test_project_reads_only_the_overlap_verdict():
+    pop = random_population(RngSpec(6).derive("lazy-pop"), n_cells=3)
+    for design in (D1, D2):
+        project(pop, design, 0.4)
+    assert "_assumption_report" not in vars(pop)
+    assert pop.check_assumptions() == _report_as_it_was(pop)
+    # overlap failing on treatment, and on a potential-outcome margin alone
+    for pop in (_empty_arm_population(),
+                population_from_margins(pt=np.array([0.5]), q1=np.array([0.4]),
+                                        q0=np.array([0.0]))):
+        with pytest.raises(OverlapViolation):
+            project(pop, D1, 0.5)
+        assert "_assumption_report" not in vars(pop)
+        assert not pop.check_assumptions().overlap
+
+
+def test_check_assumptions_unchanged_on_suite_families():
+    pops = [top_income_population(), _empty_arm_population()]
+    for needs, (purpose, _) in checks._FAMILIES.items():
+        pops += [random_population(RngSpec(0).derive(purpose, i), n_cells=2,
+                                   **dict.fromkeys(needs, True)) for i in range(20)]
+    for pop in pops:
+        report = pop.check_assumptions()
+        assert report == _report_as_it_was(pop)
+        assert all(type(v) is bool for v in vars(report).values())
+    assert _empty_arm_population().check_assumptions() == AssumptionReport(
+        overlap=False, unconfounded=False, mtr=False, mts=False)
+
+
+def test_selection_judges_each_pmf_of_a_stack():
+    import casebound.oracle as oracle
+
+    pops = [_empty_arm_population(),
+            *(random_population(RngSpec(3).derive("stack", i), n_cells=2,
+                                unconfounded=i < 3) for i in range(30))]
+    unconf, mts = oracle._selection(np.stack([pop.pmf for pop in pops]))
+    assert unconf.shape == mts.shape == (len(pops),)
+    want = [_report_as_it_was(pop) for pop in pops]
+    assert unconf.tolist() == [r.unconfounded for r in want]
+    assert mts.tolist() == [r.mts for r in want]
+    assert 0 < sum(unconf.tolist()) < sum(mts.tolist()) < len(pops) - 1
+
+
 def test_check_assumptions_flags():
     pmf = np.zeros((1, 2, 2, 2))
     pmf[0, 0, 1, 0] = 0.5  # mass on a harmed unit: y0=1, y1=0
@@ -182,9 +282,17 @@ def test_check_assumptions_matches_hand_scan():
                         if y0 > y1 and pop.pmf[c, arm, y0, y1] > 0:
                             mtr_hand = False
             for t in (0, 1):
-                a1 = pop.potential_prob_by_arm(t, 1)[c]
-                a0 = pop.potential_prob_by_arm(t, 0)[c]
-                if a1 < a0 - 1e-12:
+                # Pr{Y*(t)=1 | T*=arm, X*=x}, summed entry by entry
+                by_arm = []
+                for arm in (0, 1):
+                    mass = success = 0.0
+                    for y0 in (0, 1):
+                        for y1 in (0, 1):
+                            mass += pop.pmf[c, arm, y0, y1]
+                            if (y1 if t == 1 else y0) == 1:
+                                success += pop.pmf[c, arm, y0, y1]
+                    by_arm.append(success / mass)
+                if by_arm[1] < by_arm[0] - 1e-12:
                     mts_hand = False
         assert rep.mtr == mtr_hand
         assert rep.mts == mts_hand

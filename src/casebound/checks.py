@@ -12,16 +12,21 @@ assumptions their populations must meet and whether each is exact.  The
 suite draws one family of populations per assumption set (`_FAMILIES`)
 and runs that family's checks; `check_population` runs the exact checks
 whose assumptions a supplied population meets.  Most checks are one error
-per cell in one loop, `_per_cell`.  Two checks draw their own populations:
-the rare-disease limit, and a negative control that violates monotone
+per cell, `_per_cell`.  Two checks draw their own populations: the
+rare-disease limit, and a negative control that violates monotone
 selection, for which the odds-ratio upper bound must fail.
 
-Each population is projected at most once per design, and a family's laws
+Each family is drawn population by population, then stacked into one
+population with a leading stack axis (see `casebound.oracle`) and
+projected once per design; `check_population` checks a stack of one.  A
+check calls the oracle's per-cell functions on the whole stack at once,
+cell by cell, and records an array of errors in the order population,
+part, design, cell, so its counts, worst error and first counterexample
+are those of a loop over the populations, bit for bit.  A family's laws
 are released once its checks have run, so one family's laws are held at a
-time.  Populations and laws are immutable and cache their derived arrays
-(see `casebound.oracle`), so sharing them between checks cannot change a
-result.  A non-finite error counts as a failure, and as an infinite worst
-error.
+time.  Populations and laws are immutable and cache their derived arrays,
+so sharing them between checks cannot change a result.  A non-finite
+error counts as a failure, and as an infinite worst error.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .rng import RngSpec
 __all__ = ["CheckResult", "run_identity_suite", "render_report", "check_population"]
 
 EXACT_TOL = 1e-10
+MAX_POPULATIONS = 100_000  # the suite refuses more populations per family before any draw
 _H0 = 0.35  # arbitrary sampling rate; the identities must hold for any h0
 _CC = (Design.CASE_CONTROL,)
 _BOTH = (Design.CASE_CONTROL, Design.CASE_POPULATION)
@@ -82,56 +88,92 @@ class _Tally:
         self.worst = 0.0
         self.example = None
 
-    def record(self, err: float, pop: DiscretePopulation, cell: int,
-               tol: float = EXACT_TOL):
-        self.n += 1
+    def record(self, err, pop: DiscretePopulation, cell, tol=EXACT_TOL):
+        """Record the errors `err` in the order of their flat index.  For a
+        stacked `pop` the first axis of `err` runs over its members; `cell`
+        and `tol` broadcast against `err`, naming each error's cell and
+        bounding it."""
+        err = np.asarray(err, dtype=float)
         # a non-finite error fails and is the worst possible: NaN would
         # otherwise pass both `err > tol` and `max`
-        finite = math.isfinite(err)
-        self.worst = max(self.worst, err if finite else math.inf)
-        if err > tol or not finite:
-            self.fail += 1
-            if self.example is None:
-                self.example = (f"cell={cell} err={err:.3e}\n"
-                                f"pmf={np.array2string(pop.pmf, precision=6)}")
+        finite = np.isfinite(err)
+        failed = (err > tol) | ~finite
+        self.n += err.size
+        if err.size:
+            self.worst = max(self.worst, float(np.where(finite, err, math.inf).max()))
+        n_failed = int(np.count_nonzero(failed))
+        self.fail += n_failed
+        if n_failed and self.example is None:
+            at = np.unravel_index(int(failed.argmax()), failed.shape)
+            pmf = pop.pmf[at[0]] if pop.pmf.ndim > 4 else pop.pmf
+            self.example = (f"cell={int(np.broadcast_to(cell, err.shape)[at])} "
+                            f"err={err[at]:.3e}\n"
+                            f"pmf={np.array2string(pmf, precision=6)}")
 
     def result(self) -> CheckResult:
         return CheckResult(name=self.name, n_cases=self.n, n_failures=self.fail,
                            worst_error=self.worst, counterexample=self.example)
 
 
-def _cases(pops, designs=_BOTH) -> list[tuple[DiscretePopulation, dict[Design, ObservedLaw]]]:
-    """Pair each population with its observed laws, projected once per design."""
-    return [(pop, {design: project(pop, design, _H0) for design in designs}) for pop in pops]
+def _cases(pops, designs=_BOTH) -> tuple[DiscretePopulation, dict[Design, ObservedLaw]]:
+    """Stack populations on one support into one population and project
+    the stack once per design."""
+    pops = iter(pops)
+    first = next(pops)
+    stack = DiscretePopulation(support_x=first.support_x,
+                               pmf=np.stack([first.pmf, *(pop.pmf for pop in pops)]))
+    return stack, {design: project(stack, design, _H0) for design in designs}
+
+
+def _members(pops: DiscretePopulation, values) -> np.ndarray:
+    """Per-member values stacked on a last axis; a value that does not vary
+    over the stack, such as a plain float, is spread over it."""
+    return np.stack([np.broadcast_to(v, pops.pmf.shape[:-4]) for v in values], axis=-1)
 
 
 def _per_cell(name: str, *parts):
-    """The check `name`: on each case, for each (designs, error) part in
-    turn, it records error(pop, law, p, c) at every cell c of the law of
-    each design, where p is the case share at which Gamma reads the truth:
-    p0 under case-control, 0 under case-population."""
+    """The check `name`: for each (designs, error) part in turn, it records
+    error(pops, law, p, c) at every cell c of the law of each design, where
+    p is the case share at which Gamma reads the truth: p0 under
+    case-control, 0 under case-population."""
     def check(cases) -> CheckResult:
+        pops, laws = cases
+        cells = range(pops.n_cells)
+        errors = _members(pops, [
+            error(pops, laws[design], pops.p0 if design is Design.CASE_CONTROL else 0.0, c)
+            for designs, error in parts for design in designs for c in cells])
         t = _Tally(name)
-        for pop, laws in cases:
-            for designs, error in parts:
-                for design in designs:
-                    law = laws[design]
-                    p = pop.p0 if design is Design.CASE_CONTROL else 0.0
-                    for c in range(pop.n_cells):
-                        t.record(error(pop, law, p, c), pop, c)
+        # the cells repeat once per (part, design)
+        t.record(errors, pops, np.resize(cells, errors.shape[-1]))
         return t.result()
     return check
 
 
-def _outside(bounds: tuple[float, float], value: float) -> float:
+def _first_max(*values):
+    """max(*values) as Python takes it, per element: the first of the
+    largest, so a NaN counts only where it comes first."""
+    out = values[0]
+    for value in values[1:]:
+        out = np.where(value > out, value, out)
+    return out
+
+
+def _dot(a, b):
+    """a @ b per member of a stack: a BLAS dot over the last axis, whose
+    rounding an elementwise sum would not share."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _outside(bounds, value):
     """How far value lies outside the interval `bounds`; 0 inside."""
     lo, hi = bounds
-    return max(lo - value, value - hi, 0.0)
+    return _first_max(lo - value, value - hi, 0.0)
 
 
 _check_case_prob_identity = _per_cell(
     "case-probability identity r(x, p0) = Pr(Y*=1|x)",
-    (_BOTH, lambda pop, law, p, c: abs(r_case_prob(law, c, pop.p0) - pop.py_given_x()[c])))
+    (_BOTH, lambda pop, law, p, c: abs(r_case_prob(law, c, pop.p0)
+                                       - pop.py_given_x()[..., c])))
 _check_gamma_prospective_rr = _per_cell(
     "Gamma at the true case share equals the prospective relative risk",
     (_BOTH, lambda pop, law, p, c: abs(gamma(law, c, p) - pop.prospective_rr(c))))
@@ -140,7 +182,7 @@ _check_bayes_or_invariance = _per_cell(
     (_CC, lambda pop, law, p, c: abs(gamma(law, c, 0.0) - pop.prospective_or(c))))
 _check_gamma_ordering = _per_cell(
     "monotone populations: Gamma(x, p0) <= Gamma(x, 0)",
-    (_CC, lambda pop, law, p, c: max(gamma(law, c, p) - gamma(law, c, 0.0), 0.0)))
+    (_CC, lambda pop, law, p, c: _first_max(gamma(law, c, p) - gamma(law, c, 0.0), 0.0)))
 _check_rr_containment = _per_cell(
     "relative risk lies in [1, Gamma(x, 0)] under monotonicity",
     (_BOTH, lambda pop, law, p, c: _outside(bounds_rr(law, c, 1.0, AssumptionSet.MONOTONE),
@@ -152,9 +194,9 @@ _check_ar_containment = _per_cell(
 _check_rr_point_id = _per_cell(
     "ignorability: Gamma pins down the relative risk exactly",
     (_BOTH, lambda pop, law, p, c: abs(gamma(law, c, p) - pop.theta(c))),
-    ((Design.CASE_POPULATION,), lambda pop, law, p, c: max(
-        abs(bound - pop.theta(c))
-        for bound in bounds_rr(law, c, 1.0, AssumptionSet.IGNORABILITY))))
+    ((Design.CASE_POPULATION,), lambda pop, law, p, c: _first_max(
+        *(abs(bound - pop.theta(c))
+          for bound in bounds_rr(law, c, 1.0, AssumptionSet.IGNORABILITY)))))
 _check_ar_point_id = _per_cell(
     "ignorability: r * Gamma_AR pins down the attributable risk exactly",
     (_BOTH, lambda pop, law, p, c: abs(r_case_prob(law, c, pop.p0) * gamma_ar(law, c, p)
@@ -163,17 +205,18 @@ _check_ar_point_id = _per_cell(
 
 def _check_aggregation_identity(cases) -> CheckResult:
     t = _Tally("aggregation: population mean of log OR matches the stratum mix")
-    for pop, laws in cases:
-        mass = pop.cell_mass
-        for design, law in laws.items():
-            target = float(mass @ np.log([gamma(law, c, 0.0)
-                                          for c in range(pop.n_cells)]))
-            if design is Design.CASE_CONTROL:
-                mix = ((1.0 - pop.p0) * beta_aggregate(law, 0)
-                       + pop.p0 * beta_aggregate(law, 1))
-            else:
-                mix = beta_aggregate(law, 0)
-            t.record(abs(mix - target), pop, 0)
+    pops, laws = cases
+    errors = []
+    for design, law in laws.items():
+        log_or = np.log(_members(pops, [gamma(law, c, 0.0) for c in range(pops.n_cells)]))
+        target = _dot(pops.cell_mass, log_or)
+        if design is Design.CASE_CONTROL:
+            mix = ((1.0 - pops.p0) * beta_aggregate(law, 0)
+                   + pops.p0 * beta_aggregate(law, 1))
+        else:
+            mix = beta_aggregate(law, 0)
+        errors.append(abs(mix - target))
+    t.record(_members(pops, errors), pops, 0)
     return t.result()
 
 
@@ -181,12 +224,13 @@ def _check_cp_bound_linear(cases) -> CheckResult:
     # upper_bound_ar is p * xi_cp for these laws, so it is checked against
     # the bound summed cell by cell, r(x, p) * Gamma_AR(x, 0), not its slope
     t = _Tally("case-population AR bound is p times its slope")
-    for pop, laws in cases:
-        law = laws[Design.CASE_POPULATION]
-        diff = gamma_ar_formula(law.pi[1, 0], law.pi[1, 1], 0.0)
-        for p in (0.0, 0.25, 0.5, 1.0):
-            cellwise = law.fxy[0] @ (r_formula(law.pyx, law.h0, p, law.design) * diff)
-            t.record(abs(upper_bound_ar(law, p) - cellwise), pop, 0)
+    pops, laws = cases
+    law = laws[Design.CASE_POPULATION]
+    diff = gamma_ar_formula(law.pi[..., 1, 0, :], law.pi[..., 1, 1, :], 0.0)
+    errors = [abs(upper_bound_ar(law, p)
+                  - _dot(law.fxy[..., 0, :], r_formula(law.pyx, law.h0, p, law.design) * diff))
+              for p in (0.0, 0.25, 0.5, 1.0)]
+    t.record(_members(pops, errors), pops, 0)
     return t.result()
 
 
@@ -195,33 +239,37 @@ def _check_slope_finite_difference(cases) -> CheckResult:
     # finite difference is not exact, so EXACT_TOL gives way to a fixed 1e-4
     t = _Tally("odds-ratio slope at p=0 matches a finite difference (1e-4 relative)")
     eps = 1e-6
-    for pop, laws in cases:
-        law = laws[Design.CASE_CONTROL]
-        for c in range(pop.n_cells):
-            slope = rare_disease_slope(law, c)
-            fd = (gamma(law, c, eps) - gamma(law, c, 0.0)) / eps
-            scale = max(abs(slope), 1e-8)
-            t.record(abs(slope - fd) / scale, pop, c, 1e-4)
-            sign_ok = (slope == 0.0 or
-                       math.copysign(1.0, slope)
-                       == math.copysign(1.0, law.pi[1, 0, c] - law.pi[1, 1, c]))
-            t.record(0.0 if sign_ok else 1.0, pop, c, 0.5)
+    pops, laws = cases
+    law = laws[Design.CASE_CONTROL]
+    errors = []
+    for c in range(pops.n_cells):
+        slope = rare_disease_slope(law, c)
+        fd = (gamma(law, c, eps) - gamma(law, c, 0.0)) / eps
+        scale = _first_max(abs(slope), 1e-8)
+        sign_ok = ((slope == 0.0)
+                   | (np.copysign(1.0, slope)
+                      == np.copysign(1.0, law.pi[..., 1, 0, c] - law.pi[..., 1, 1, c])))
+        errors += [abs(slope - fd) / scale, np.where(sign_ok, 0.0, 1.0)]
+    # two errors per cell: the slope's, within 1e-4, and its sign's
+    t.record(_members(pops, errors), pops, np.repeat(range(pops.n_cells), 2),
+             np.resize([1e-4, 0.5], len(errors)))
     return t.result()
 
 
 def _check_gamma_monotone(cases) -> CheckResult:
     t = _Tally("monotone + unconfounded: Gamma decreasing in p, sandwiching theta")
     grid = np.linspace(0.0, 1.0, 21)
-    for pop, laws in cases:
-        law = laws[Design.CASE_CONTROL]
-        for c in range(pop.n_cells):
-            vals = [gamma(law, c, p) for p in grid]
-            worst_up = max(max(b - a for a, b in zip(vals, vals[1:])), 0.0)
-            t.record(worst_up, pop, c)
-            theta = pop.theta(c)
-            pbar = min(1.0, pop.p0 + 0.5 * (1.0 - pop.p0))
-            sandwich = max(gamma(law, c, pbar) - theta, theta - gamma(law, c, 0.0), 0.0)
-            t.record(sandwich, pop, c)
+    pops, laws = cases
+    law = laws[Design.CASE_CONTROL]
+    pbar = np.minimum(1.0, pops.p0 + 0.5 * (1.0 - pops.p0))
+    errors = []
+    for c in range(pops.n_cells):
+        vals = [gamma(law, c, p) for p in grid]
+        worst_up = _first_max(_first_max(*(b - a for a, b in zip(vals, vals[1:]))), 0.0)
+        theta = pops.theta(c)
+        sandwich = _first_max(gamma(law, c, pbar) - theta, theta - gamma(law, c, 0.0), 0.0)
+        errors += [worst_up, sandwich]
+    t.record(_members(pops, errors), pops, np.repeat(range(pops.n_cells), 2))
     return t.result()
 
 
@@ -261,17 +309,22 @@ _CHECKS = (
 def run_identity_suite(seed: int = 0, n_populations: int = 200) -> list[CheckResult]:
     """Run every identity check on `n_populations` seeded populations each.
 
-    Each family of populations is drawn, projected, checked and released
-    before the next is drawn, so one family's laws are alive at a time.
+    Each family of populations is drawn, stacked, projected once per
+    design, checked and released before the next is drawn, so one family's
+    laws are alive at a time.  At most MAX_POPULATIONS, refused before any
+    draw.
     """
     if n_populations < 1:
         raise ValidationError(f"the suite needs at least one population, got {n_populations}")
+    if n_populations > MAX_POPULATIONS:
+        raise ValidationError(f"the suite takes at most {MAX_POPULATIONS} populations, "
+                              f"got {n_populations}")
     rng = RngSpec(seed)
     results = {}
     for needs, (purpose, designs) in _FAMILIES.items():
         kind = dict.fromkeys(needs, True)
-        cases = _cases([random_population(rng.derive(purpose, i), n_cells=2, **kind)
-                        for i in range(n_populations)], designs)
+        cases = _cases((random_population(rng.derive(purpose, i), n_cells=2, **kind)
+                        for i in range(n_populations)), designs)
         results.update((check, check(cases)) for check, meets, _ in _CHECKS if meets == needs)
         del cases  # released before the next family is drawn
     return [*(results[check] for check, _, _ in _CHECKS),
@@ -281,52 +334,55 @@ def run_identity_suite(seed: int = 0, n_populations: int = 200) -> list[CheckRes
 
 def check_population(pop: DiscretePopulation) -> list[CheckResult]:
     """Run, in the suite's order, every exact check whose assumptions a
-    single supplied population meets."""
+    single supplied population meets, on a stack of one."""
     report = pop.check_assumptions()
     met = {name for name in _ALL if getattr(report, name)}
     cases = _cases([pop])
     return [check(cases) for check, needs, exact in _CHECKS if exact and needs <= met]
 
 
+def _uniforms(rng: RngSpec, purpose: str, n: int) -> np.ndarray:
+    """Three uniforms per population i < n, from the generator of (purpose, i)."""
+    return np.array([rng.derive(purpose, i).random(3) for i in range(n)])
+
+
 def _check_rare_disease_limit(rng: RngSpec, n: int) -> CheckResult:
-    # theta / Gamma(x,0) must approach 1 from below as the case share shrinks
+    # theta / Gamma(x,0) must approach 1 from below as the case share shrinks;
+    # one single-cell stack per scale, the counterexample from the last
     t = _Tally("odds ratio converges to the relative risk as the case share vanishes")
-    for i in range(n):
-        gen = rng.derive("pop-limit", i)
-        base1 = 0.3 + 0.5 * gen.random()
-        base0 = base1 * (0.2 + 0.7 * gen.random())
-        pt = 0.2 + 0.6 * gen.random()
-        gaps = []
-        for scale in (0.25, 0.025, 0.0025):
-            pop = population_from_margins(np.array([pt]), np.array([base1 * scale]),
-                                          np.array([base0 * scale]))
-            law = project(pop, Design.CASE_CONTROL, _H0)
-            gaps.append(abs(pop.theta(0) / gamma(law, 0, 0.0) - 1.0))
-        monotone = gaps[0] > gaps[1] > gaps[2]
-        t.record(0.0 if monotone and gaps[2] < 0.05 else 1.0, pop, 0, 0.5)
+    u = _uniforms(rng, "pop-limit", n)
+    base1 = 0.3 + 0.5 * u[:, :1]
+    base0 = base1 * (0.2 + 0.7 * u[:, 1:2])
+    pt = 0.2 + 0.6 * u[:, 2:]
+    gaps = []
+    for scale in (0.25, 0.025, 0.0025):
+        pops = population_from_margins(pt, base1 * scale, base0 * scale)
+        law = project(pops, Design.CASE_CONTROL, _H0)
+        gaps.append(abs(pops.theta(0) / gamma(law, 0, 0.0) - 1.0))
+    ok = (gaps[0] > gaps[1]) & (gaps[1] > gaps[2]) & (gaps[2] < 0.05)
+    t.record(_members(pops, [np.where(ok, 0.0, 1.0)]), pops, 0, 0.5)
     return t.result()
 
 
 def _check_mts_violation_detected(rng: RngSpec, n: int) -> CheckResult:
     # negative control: anti-selection populations must break the upper bound
     t = _Tally("negative control: selection violations break the odds-ratio bound")
-    for i in range(n):
-        gen = rng.derive("pop-anti-mts", i)
-        pt = 0.25 + 0.5 * gen.random()
-        hi = 0.7 + 0.25 * gen.random()
-        lo = 0.05 + 0.25 * gen.random()
-        pmf = np.zeros((1, 2, 2, 2))
-        # treated units have the low success rate, untreated the high one
-        pmf[0, 1, 1, 1] = pt * lo
-        pmf[0, 1, 0, 0] = pt * (1.0 - lo)
-        pmf[0, 0, 1, 1] = (1.0 - pt) * hi
-        pmf[0, 0, 0, 0] = (1.0 - pt) * (1.0 - hi)
-        pop = DiscretePopulation(support_x=np.zeros((1, 1)), pmf=pmf)
-        report = pop.check_assumptions()
-        law = project(pop, Design.CASE_CONTROL, _H0)
-        violated = pop.theta(0) > gamma(law, 0, 0.0) + EXACT_TOL
-        ok = (not report.mts) and violated
-        t.record(0.0 if ok else 1.0, pop, 0, 0.5)
+    u = _uniforms(rng, "pop-anti-mts", n)
+    pt = 0.25 + 0.5 * u[:, 0]
+    hi = 0.7 + 0.25 * u[:, 1]
+    lo = 0.05 + 0.25 * u[:, 2]
+    pmf = np.zeros((n, 1, 2, 2, 2))
+    # treated units have the low success rate, untreated the high one
+    pmf[:, 0, 1, 1, 1] = pt * lo
+    pmf[:, 0, 1, 0, 0] = pt * (1.0 - lo)
+    pmf[:, 0, 0, 1, 1] = (1.0 - pt) * hi
+    pmf[:, 0, 0, 0, 0] = (1.0 - pt) * (1.0 - hi)
+    pops = DiscretePopulation(support_x=np.zeros((1, 1)), pmf=pmf)
+    report = pops.check_assumptions()
+    law = project(pops, Design.CASE_CONTROL, _H0)
+    violated = pops.theta(0) > gamma(law, 0, 0.0) + EXACT_TOL
+    ok = ~report.mts & violated
+    t.record(_members(pops, [np.where(ok, 0.0, 1.0)]), pops, 0, 0.5)
     return t.result()
 
 

@@ -9,6 +9,22 @@ formulas — can then be evaluated by plain enumeration, with no estimation
 error.  This module is the reference against which the estimators and the
 identification formulas are verified.
 
+Stacks
+------
+A DiscretePopulation or an ObservedLaw may hold a stack of populations or
+laws on one support: leading axes before the per-population ones, with h0
+and the support shared.  `project` pushes a whole stack through a design
+at once, and every per-cell function, estimand, aggregate and bound then
+gives an array over the stack where it gives a float for one population
+or law; a case share p may be an array over the stack too.  Each value is
+the one a call on that member alone gives, to the last bit: the
+arithmetic is element by element, sums reduce the same axes in the same
+order, per-member dot products stay BLAS dot products, and the square in
+`rare_disease_slope` is C pow, as a numpy scalar takes it.  A check that
+refuses one member refuses the stack, before any division.  The identity
+suite in `casebound.checks` projects and checks each family of random
+populations as one stack.
+
 Caching
 -------
 A DiscretePopulation and an ObservedLaw are frozen and their arrays are
@@ -16,21 +32,23 @@ read-only, so what they determine is computed on first use and kept on the
 instance with functools.cached_property: a population's cell mass,
 treatment propensity, potential-outcome margins, factual joint, p0, its
 overlap verdict (all that `project` reads) and its assumption report (which
-reuses that verdict), and a law's Pr(Y=1|x).  Cached arrays are read-only
-too, so no caller can change them under another.  A cache lives and dies
-with its instance; nothing is memoised at module level, where a population
-(unhashable, since it holds arrays) would be kept alive for good.
-`random_population(mts=True)` draws and judges its rejection candidates a
-batch at a time, and returns what a one-at-a-time loop would (see there).
+reuses that verdict), and a law's Pr(Y=1|x); for a stack, each per member.
+Cached arrays are read-only too, so no caller can change them under
+another.  A cache lives and dies with its instance; nothing is memoised at
+module level, where a population (unhashable, since it holds arrays) would
+be kept alive for good.  `random_population(mts=True)` draws and judges its
+rejection candidates a batch at a time, and returns what a one-at-a-time
+loop would (see there).
 
 `bounds_ar` takes the attributable-risk envelope over p in closed form,
 at the stationary point of r * Gamma_AR in r; nothing is scanned.
 
 Index conventions
 -----------------
-pmf has shape (n_cells, 2, 2, 2) indexed [cell, t, y0, y1].
-ObservedLaw.pi has shape (2, 2, n_cells) indexed [t, y, cell]; fxy has
-shape (2, n_cells) indexed [y, cell].
+pmf has shape (..., n_cells, 2, 2, 2) indexed [..., cell, t, y0, y1].
+ObservedLaw.pi has shape (..., 2, 2, n_cells) indexed [..., t, y, cell];
+fxy has shape (..., 2, n_cells) indexed [..., y, cell].  The leading "..."
+are the stack axes, none for a single population or law.
 """
 
 from __future__ import annotations
@@ -91,6 +109,8 @@ class AssumptionSet(enum.Enum):
 
 @dataclass(frozen=True)
 class AssumptionReport:
+    """Which assumptions hold: a bool each, or a bool array over a stack."""
+
     overlap: bool
     unconfounded: bool
     mtr: bool
@@ -99,24 +119,27 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class DiscretePopulation:
-    """Finite joint distribution of (X*, T*, Y*(0), Y*(1))."""
+    """Finite joint distribution of (X*, T*, Y*(0), Y*(1)), or a stack of
+    them on one support."""
 
     support_x: np.ndarray  # (n_cells, K)
-    pmf: np.ndarray        # (n_cells, 2, 2, 2) indexed [cell, t, y0, y1]
+    pmf: np.ndarray        # (..., n_cells, 2, 2, 2) indexed [..., cell, t, y0, y1]
 
     def __post_init__(self):
         support = np.asarray(self.support_x, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
         pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.shape != (support.shape[0], 2, 2, 2):
+        if pmf.shape[-4:] != (support.shape[0], 2, 2, 2):
             raise ValidationError(f"pmf must have shape (n_cells, 2, 2, 2), got {pmf.shape}")
         if not (np.isfinite(pmf).all() and np.isfinite(support).all()):
             raise ValidationError("pmf and support_x must be finite")
         if np.any(pmf < 0):
             raise ValidationError("pmf entries must be nonnegative")
-        if abs(pmf.sum() - 1.0) > _PMF_TOL:
-            raise ValidationError(f"pmf sums to {pmf.sum()!r}, not 1")
+        total = pmf.sum(axis=(-4, -3, -2, -1))
+        off = np.abs(total - 1.0) > _PMF_TOL
+        if off.any():
+            raise ValidationError(f"pmf sums to {np.extract(off, total)[0]!r}, not 1")
         object.__setattr__(self, "support_x", support)
         object.__setattr__(self, "pmf", pmf)
         self.support_x.setflags(write=False)
@@ -127,7 +150,7 @@ class DiscretePopulation:
     # The population is immutable, so everything below that depends only on
     # pmf is computed on first use and cached on the instance as a read-only
     # array (functools.cached_property writes the instance __dict__, which a
-    # frozen dataclass allows).
+    # frozen dataclass allows).  Per-cell arrays are (..., n_cells).
 
     @property
     def n_cells(self) -> int:
@@ -136,18 +159,18 @@ class DiscretePopulation:
     @cached_property
     def cell_mass(self) -> np.ndarray:
         """f_{X*}(x), per cell."""
-        return _frozen(self.pmf.sum(axis=(1, 2, 3)))
+        return _frozen(self.pmf.sum(axis=(-3, -2, -1)))
 
     @cached_property
     def p_treat_given_x(self) -> np.ndarray:
         """Pr(T*=1 | X*=x), per cell."""
-        return _frozen(self.pmf[:, 1].sum(axis=(1, 2)) / self.cell_mass)
+        return _frozen(self.pmf[..., 1, :, :].sum(axis=(-2, -1)) / self.cell_mass)
 
     @cached_property
     def _potential_probs(self) -> np.ndarray:
-        # [t, cell] -> Pr{Y*(t)=1 | X*=x}
-        num = np.stack([self.pmf[:, :, 1, :].sum(axis=(1, 2)),
-                        self.pmf[:, :, :, 1].sum(axis=(1, 2))])
+        # [t, ..., cell] -> Pr{Y*(t)=1 | X*=x}
+        num = np.stack([self.pmf[..., 1, :].sum(axis=(-2, -1)),
+                        self.pmf[..., :, 1].sum(axis=(-2, -1))])
         return _frozen(num / self.cell_mass)
 
     def potential_prob(self, t: int) -> np.ndarray:
@@ -156,82 +179,82 @@ class DiscretePopulation:
 
     @cached_property
     def joint_xty(self) -> np.ndarray:
-        """Pr(X*=x, T*=t, Y*=y) with Y* = T*Y*(1) + (1-T*)Y*(0); shape (n_cells, 2, 2)."""
-        out = np.empty((self.n_cells, 2, 2))
-        out[:, 0, 0] = self.pmf[:, 0, 0, :].sum(axis=1)   # t=0, y0=0
-        out[:, 0, 1] = self.pmf[:, 0, 1, :].sum(axis=1)   # t=0, y0=1
-        out[:, 1, 0] = self.pmf[:, 1, :, 0].sum(axis=1)   # t=1, y1=0
-        out[:, 1, 1] = self.pmf[:, 1, :, 1].sum(axis=1)   # t=1, y1=1
+        """Pr(X*=x, T*=t, Y*=y) with Y* = T*Y*(1) + (1-T*)Y*(0); shape (..., n_cells, 2, 2)."""
+        out = np.empty((*self.pmf.shape[:-3], 2, 2))
+        out[..., 0, 0] = self.pmf[..., 0, 0, :].sum(axis=-1)   # t=0, y0=0
+        out[..., 0, 1] = self.pmf[..., 0, 1, :].sum(axis=-1)   # t=0, y0=1
+        out[..., 1, 0] = self.pmf[..., 1, :, 0].sum(axis=-1)   # t=1, y1=0
+        out[..., 1, 1] = self.pmf[..., 1, :, 1].sum(axis=-1)   # t=1, y1=1
         return _frozen(out)
 
     @cached_property
     def p0(self) -> float:
         """True case probability Pr(Y*=1)."""
-        j = self.joint_xty
-        return float(j[:, :, 1].sum())
+        return _out(self.joint_xty[..., 1].sum(axis=(-2, -1)))
 
     def py_given_x(self) -> np.ndarray:
         """Pr(Y*=1 | X*=x), per cell."""
-        return self.joint_xty[:, :, 1].sum(axis=1) / self.cell_mass
+        return self.joint_xty[..., 1].sum(axis=-1) / self.cell_mass
 
     # --- causal estimands ---------------------------------------------------
 
     def theta(self, cell: int) -> float:
         """Causal relative risk Pr{Y*(1)=1|x} / Pr{Y*(0)=1|x}."""
         _check_cell(self, cell)
-        p1 = self.potential_prob(1)[cell]
-        p0 = self.potential_prob(0)[cell]
-        if p0 <= 0:
+        p1 = self.potential_prob(1)[..., cell]
+        p0 = self.potential_prob(0)[..., cell]
+        if np.any(p0 <= 0):
             raise ZeroDenominator(f"Pr{{Y*(0)=1 | cell {cell}}} is zero")
-        return float(p1 / p0)
+        return _out(p1 / p0)
 
     def theta_ar(self, cell: int) -> float:
         """Causal attributable risk Pr{Y*(1)=1|x} - Pr{Y*(0)=1|x}."""
         _check_cell(self, cell)
-        return float(self.potential_prob(1)[cell] - self.potential_prob(0)[cell])
+        return _out(self.potential_prob(1)[..., cell] - self.potential_prob(0)[..., cell])
 
     def prospective_rr(self, cell: int) -> float:
         """Pr(Y*=1|T*=1,x) / Pr(Y*=1|T*=0,x) from the factual joint."""
         _check_cell(self, cell)
-        j = self.joint_xty[cell]
-        p1 = j[1, 1] / j[1].sum()
-        p0 = j[0, 1] / j[0].sum()
-        if p0 <= 0:
+        j = self.joint_xty[..., cell, :, :]
+        p1 = j[..., 1, 1] / j[..., 1, :].sum(axis=-1)
+        p0 = j[..., 0, 1] / j[..., 0, :].sum(axis=-1)
+        if np.any(p0 <= 0):
             raise ZeroDenominator("Pr(Y*=1|T*=0,x) is zero")
-        return float(p1 / p0)
+        return _out(p1 / p0)
 
     def prospective_or(self, cell: int) -> float:
         """Odds ratio of (Y*, T*) given X*=x."""
         _check_cell(self, cell)
-        j = self.joint_xty[cell]
+        j = self.joint_xty[..., cell, :, :]
         if (j <= 0).any():
             raise ZeroDenominator("a factual (t, y) cell has zero mass")
-        return float((j[1, 1] * j[0, 0]) / (j[0, 1] * j[1, 0]))
+        return _out((j[..., 1, 1] * j[..., 0, 0]) / (j[..., 0, 1] * j[..., 1, 0]))
 
     # --- assumption checks ----------------------------------------------------
 
     def check_assumptions(self) -> AssumptionReport:
         """Exact enumeration of overlap, unconfoundedness, MTR and MTS,
-        computed once per population."""
+        computed once per population (per member of a stack)."""
         return self._assumption_report
 
     @cached_property
     def _overlap(self) -> bool:
         # Every cell and both arms at once: Pr(T*=1|x) and both
         # potential-outcome margins inside (0, 1); the margins are only
-        # computed when treatment overlap holds.
+        # computed when treatment overlap holds for some member.
         pt = self.p_treat_given_x
-        if not ((pt > 0) & (pt < 1)).all():
-            return False
-        q = self._potential_probs
-        return bool(((q > 0) & (q < 1)).all())
+        overlap = ((pt > 0) & (pt < 1)).all(axis=-1)
+        if overlap.any():
+            q = self._potential_probs
+            overlap &= ((q > 0) & (q < 1)).all(axis=(0, -1))
+        return _out(overlap, bool)
 
     @cached_property
     def _assumption_report(self) -> AssumptionReport:
-        mtr = bool(self.pmf[:, :, 1, 0].sum() <= _ASSUMPTION_TOL)
+        mtr = self.pmf[..., 1, 0].sum(axis=(-2, -1)) <= _ASSUMPTION_TOL
         unconf, mts = _selection(self.pmf)
-        return AssumptionReport(overlap=self._overlap, unconfounded=bool(unconf),
-                                mtr=mtr, mts=bool(mts))
+        return AssumptionReport(overlap=self._overlap, unconfounded=_out(unconf, bool),
+                                mtr=_out(mtr, bool), mts=_out(mts, bool))
 
 
 def _selection(pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +277,39 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _out(value, kind=float):
+    """A value per member: a plain `kind` without stack axes, else a
+    read-only array over the stack."""
+    return kind(value) if np.ndim(value) == 0 else _frozen(value)
+
+
+def _check_unit(name: str, value) -> None:
+    """Refuse a case share (or any of an array of them) outside [0, 1]."""
+    if not np.all((0.0 <= value) & (value <= 1.0)):
+        raise ValidationError(f"{name} must lie in [0, 1]")
+
+
+def _first_min(a, b):
+    """min(a, b) as Python takes it, per element: a unless b < a."""
+    return _out(np.where(b < a, b, a))
+
+
+def _first_max(a, b):
+    """max(a, b) as Python takes it, per element: a unless b > a."""
+    return _out(np.where(b > a, b, a))
+
+
+def _dot(a, b):
+    """The dot product over the last axis, per member of a stack: a BLAS dot,
+    as a @ b is for one pair of vectors, never an elementwise sum."""
+    return _out((a[..., None, :] @ b[..., :, None])[..., 0, 0])
+
+
+# C pow per element, as numpy takes x ** 2 for one float64 scalar; for an
+# array numpy computes x * x, which rounds a few squares otherwise
+_scalar_pow = np.vectorize(math.pow, otypes=[float])
+
+
 def _check_cell(source, cell: int) -> None:
     """Reject a cell index outside 0..n_cells-1 (negative indices included)."""
     if not 0 <= cell < source.n_cells:
@@ -262,11 +318,13 @@ def _check_cell(source, cell: int) -> None:
 
 @dataclass(frozen=True)
 class ObservedLaw:
-    """The distribution of (Y, T, X) induced by a sampling design.
+    """The distribution of (Y, T, X) induced by a sampling design, or a
+    stack of them with one h0.
 
-    pi[t, y, cell] is the retrospective probability Pi(t|y, x); fxy[y, cell]
-    is the covariate pmf within stratum y.  Laws with a zero retrospective
-    cell are rejected outright: every downstream formula divides by them.
+    pi[..., t, y, cell] is the retrospective probability Pi(t|y, x);
+    fxy[..., y, cell] is the covariate pmf within stratum y.  Laws with a
+    zero retrospective cell are rejected outright: every downstream formula
+    divides by them.
     """
 
     design: Design
@@ -277,15 +335,15 @@ class ObservedLaw:
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
         fxy = np.asarray(self.fxy, dtype=float)
-        if pi.ndim != 3 or pi.shape[:2] != (2, 2) or fxy.shape != (2, pi.shape[2]):
+        if pi.shape[-3:-1] != (2, 2) or fxy.shape != (*pi.shape[:-3], 2, pi.shape[-1]):
             raise ValidationError("pi must be (2, 2, n_cells) and fxy (2, n_cells)")
         if not 0.0 < self.h0 < 1.0:
             raise ValidationError("h0 must lie in (0, 1)")
         if not (np.isfinite(pi).all() and np.isfinite(fxy).all()):
             raise ValidationError("pi and fxy must be finite")
-        if np.any(np.abs(pi.sum(axis=0) - 1.0) > 1e-9):
+        if np.any(np.abs(pi.sum(axis=-3) - 1.0) > 1e-9):
             raise ValidationError("Pi(0|y,x) + Pi(1|y,x) must equal 1")
-        if np.any(np.abs(fxy.sum(axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(fxy.sum(axis=-1) - 1.0) > 1e-9):
             raise ValidationError("each f_{X|Y}(.|y) must sum to 1")
         if np.any(pi <= 0):
             raise ZeroRetroProb("Pi(t|y,x) hits zero on a support cell")
@@ -298,41 +356,44 @@ class ObservedLaw:
 
     @property
     def n_cells(self) -> int:
-        return self.pi.shape[2]
+        return self.pi.shape[-1]
 
     @cached_property
     def pyx(self) -> np.ndarray:
         """Pr(Y=1 | X=x) by the Bayes rule from fxy and h0, computed once."""
-        num = self.h0 * self.fxy[1]
-        den = num + (1.0 - self.h0) * self.fxy[0]
+        num = self.h0 * self.fxy[..., 1, :]
+        den = num + (1.0 - self.h0) * self.fxy[..., 0, :]
         return _frozen(num / den)
 
 
 def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:
-    """Push a population through a sampling design.
+    """Push a population, or each member of a stack, through a sampling design.
 
     Case-control: both strata are the conditional laws of (T*, X*) given
     Y*=y.  Case-population: the y=0 stratum is the unconditional law of
-    (T*, X*).  Requires an overlap-valid population.
+    (T*, X*).  Requires an overlap-valid population (every member of a
+    stack).
     """
-    if not pop._overlap:
+    if not np.all(pop._overlap):
         raise OverlapViolation("population violates overlap on some support cell")
-    j = pop.joint_xty  # (cell, t, ystar)
-    p_y1 = j[:, :, 1].sum()
-    p_y0 = j[:, :, 0].sum()
-    pi = np.empty((2, 2, pop.n_cells))
-    fxy = np.empty((2, pop.n_cells))
-    # case stratum: (T*, X*) | Y*=1 under both designs
-    fxy[1] = j[:, :, 1].sum(axis=1) / p_y1
-    pi[1, 1] = j[:, 1, 1] / j[:, :, 1].sum(axis=1)
-    pi[0, 1] = 1.0 - pi[1, 1]
+    j = pop.joint_xty  # (..., cell, t, ystar)
+    stack = j.shape[:-3]
+    pi = np.empty((*stack, 2, 2, pop.n_cells))
+    fxy = np.empty((*stack, 2, pop.n_cells))
+    # case stratum: (T*, X*) | Y*=1 under both designs; a stratum's share
+    # sums its (cell, t) entries in one pass, as Pr(Y*=1) does
+    case = j[..., 1].sum(axis=-1)
+    fxy[..., 1, :] = case / j[..., 1].sum(axis=(-2, -1))[..., None]
+    pi[..., 1, 1, :] = j[..., 1, 1] / case
+    pi[..., 0, 1, :] = 1.0 - pi[..., 1, 1, :]
     if design is Design.CASE_CONTROL:
-        fxy[0] = j[:, :, 0].sum(axis=1) / p_y0
-        pi[1, 0] = j[:, 1, 0] / j[:, :, 0].sum(axis=1)
+        control = j[..., 0].sum(axis=-1)
+        fxy[..., 0, :] = control / j[..., 0].sum(axis=(-2, -1))[..., None]
+        pi[..., 1, 0, :] = j[..., 1, 0] / control
     else:
-        fxy[0] = pop.cell_mass
-        pi[1, 0] = pop.p_treat_given_x
-    pi[0, 0] = 1.0 - pi[1, 0]
+        fxy[..., 0, :] = pop.cell_mass
+        pi[..., 1, 0, :] = pop.p_treat_given_x
+    pi[..., 0, 0, :] = 1.0 - pi[..., 1, 0, :]
     return ObservedLaw(design=design, h0=h0, pi=pi, fxy=fxy)
 
 
@@ -340,9 +401,10 @@ def project(pop: DiscretePopulation, design: Design, h0: float) -> ObservedLaw:
 #
 # r, Gamma, Gamma_AR and the attributable-risk term r * Gamma_AR as plain
 # arithmetic on floats or arrays.  The per-cell oracle functions below call
-# them on one cell, the aggregates on every cell at once, and the estimators
-# on every observation.  Denominators are convex combinations, so the
-# endpoints p=0 and (case-control) p=1 come out exact.
+# them on one cell (of every member of a stack), the aggregates on every
+# cell at once, and the estimators on every observation.  Denominators are
+# convex combinations, so the endpoints p=0 and (case-control) p=1 come out
+# exact.
 
 
 def r_formula(q, h0, p, design: Design):
@@ -392,23 +454,22 @@ def r_case_prob(law: ObservedLaw, cell: int, p: float) -> float:
     Pr(Y*=1 | X*=x) under both designs; at p=0 it returns 0.
     """
     _check_cell(law, cell)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must lie in [0, 1]")
-    return float(r_formula(law.pyx[cell], law.h0, p, law.design))
+    _check_unit("p", p)
+    return _out(r_formula(law.pyx[..., cell], law.h0, p, law.design))
 
 
 def gamma(law: ObservedLaw, cell: int, p: float) -> float:
     """The identified bound function Gamma(x, p); Gamma(x, 0) is the odds ratio."""
     _check_cell(law, cell)
-    return float(gamma_formula(law.pi[1, 0, cell], law.pi[1, 1, cell],
-                               r_case_prob(law, cell, p)))
+    return _out(gamma_formula(law.pi[..., 1, 0, cell], law.pi[..., 1, 1, cell],
+                              r_case_prob(law, cell, p)))
 
 
 def gamma_ar(law: ObservedLaw, cell: int, p: float) -> float:
     """The attributable-risk analogue of Gamma: a difference of probability ratios."""
     _check_cell(law, cell)
-    return float(gamma_ar_formula(law.pi[1, 0, cell], law.pi[1, 1, cell],
-                                  r_case_prob(law, cell, p)))
+    return _out(gamma_ar_formula(law.pi[..., 1, 0, cell], law.pi[..., 1, 1, cell],
+                                 r_case_prob(law, cell, p)))
 
 
 def rare_disease_slope(law: ObservedLaw, cell: int) -> float:
@@ -421,10 +482,10 @@ def rare_disease_slope(law: ObservedLaw, cell: int) -> float:
     if law.design is not Design.CASE_CONTROL:
         raise ValidationError("the p=0 slope formula applies to case-control laws")
     _check_cell(law, cell)
-    pi = law.pi
-    lead = pi[1, 1, cell] * (pi[1, 0, cell] - pi[1, 1, cell]) / (
-        pi[0, 1, cell] * pi[1, 0, cell] ** 2)
-    return float(lead * law.fxy[1, cell] / law.fxy[0, cell])
+    pi = law.pi[..., cell]
+    lead = pi[..., 1, 1] * (pi[..., 1, 0] - pi[..., 1, 1]) / (
+        pi[..., 0, 1] * _scalar_pow(pi[..., 1, 0], 2))
+    return _out(lead * law.fxy[..., 1, cell] / law.fxy[..., 0, cell])
 
 
 def bounds_rr(law: ObservedLaw, cell: int, pbar: float,
@@ -435,10 +496,10 @@ def bounds_rr(law: ObservedLaw, cell: int, pbar: float,
     Under monotone response + selection the interval is [1, Gamma(x, 0)]
     for both designs.  Under ignorability it is the segment between
     Gamma(x, 0) and Gamma(x, pbar) for case-control sampling, and the
-    single point Gamma(x, 0) for case-population sampling.
+    single point Gamma(x, 0) for case-population sampling.  On a stack
+    each end is an array over it, or the constant 1.
     """
-    if not 0.0 <= pbar <= 1.0:
-        raise ValidationError("pbar must lie in [0, 1]")
+    _check_unit("pbar", pbar)
     _check_cell(law, cell)
     g0 = gamma(law, cell, 0.0)
     if assumptions is AssumptionSet.MONOTONE:
@@ -446,13 +507,13 @@ def bounds_rr(law: ObservedLaw, cell: int, pbar: float,
     if law.design is Design.CASE_POPULATION:
         return (g0, g0)
     gbar = gamma(law, cell, pbar)
-    return (min(g0, gbar), max(g0, gbar))
+    return (_first_min(g0, gbar), _first_max(g0, gbar))
 
 
-def _peak_r(pi0, pi1) -> float:
+def _peak_r(pi0, pi1):
     """The r in [0, 1] at which r * Gamma_AR is stationary; 1/2 when pi1 = pi0."""
-    s = math.sqrt(pi0 * pi1)
-    u = math.sqrt((1.0 - pi0) * (1.0 - pi1))
+    s = np.sqrt(pi0 * pi1)
+    u = np.sqrt((1.0 - pi0) * (1.0 - pi1))
     return pi0 * (1.0 - pi0) / (((1.0 - pi0) * s + pi0 * u) * (s + u))
 
 
@@ -474,48 +535,53 @@ def bounds_ar(law: ObservedLaw, cell: int, pbar: float,
     r* = pi0 (1-pi0) / {[(1-pi0) s + pi0 u] (s + u)}, s = sqrt(pi0 pi1),
     u = sqrt((1-pi0)(1-pi1)), a form that does not cancel as pi1 -> pi0,
     and ext = g(min(r*, r(x, pbar))).  Under case-population sampling r
-    is linear in p, so ext = r(x, pbar) * Gamma_AR(x, 0).
+    is linear in p, so ext = r(x, pbar) * Gamma_AR(x, 0).  On a stack
+    each end is an array over it, or the constant 0.
     """
-    if not 0.0 <= pbar <= 1.0:
-        raise ValidationError("pbar must lie in [0, 1]")
+    _check_unit("pbar", pbar)
     _check_cell(law, cell)
-    pi0, pi1 = law.pi[1, 0, cell], law.pi[1, 1, cell]
-    r = r_formula(law.pyx[cell], law.h0, pbar, law.design)
+    pi0, pi1 = law.pi[..., 1, 0, cell], law.pi[..., 1, 1, cell]
+    r = r_formula(law.pyx[..., cell], law.h0, pbar, law.design)
     if law.design is Design.CASE_CONTROL:
-        r = min(r, _peak_r(pi0, pi1))
-        ext = float(r * gamma_ar_formula(pi0, pi1, r))
+        r = _first_min(r, _peak_r(pi0, pi1))
+        ext = _out(r * gamma_ar_formula(pi0, pi1, r))
     else:
-        ext = float(r * gamma_ar_formula(pi0, pi1, 0.0))
+        ext = _out(r * gamma_ar_formula(pi0, pi1, 0.0))
     if assumptions is AssumptionSet.MONOTONE:
-        return (0.0, max(0.0, ext))
-    return (min(0.0, ext), max(0.0, ext))
+        return (0.0, _first_max(0.0, ext))
+    return (_first_min(0.0, ext), _first_max(0.0, ext))
 
 
 # --- aggregated identification objects ------------------------------------------
 
 
+#
+# Each is a float for one law and an array over a stack, where the case
+# share p is one float.
+
+
 def _odds_ratios(law: ObservedLaw) -> np.ndarray:
     # Gamma(x, 0) over every cell
-    return gamma_formula(law.pi[1, 0], law.pi[1, 1],
+    return gamma_formula(law.pi[..., 1, 0, :], law.pi[..., 1, 1, :],
                          r_formula(law.pyx, law.h0, 0.0, law.design))
 
 
 def beta_aggregate(law: ObservedLaw, y: int) -> float:
     """beta(y): stratum-weighted mean of the log odds ratio."""
-    return float(law.fxy[y] @ np.log(_odds_ratios(law)))
+    return _dot(law.fxy[..., y, :], np.log(_odds_ratios(law)))
 
 
 def kappa_aggregate(law: ObservedLaw, y: int) -> float:
     """kappa(y): stratum-weighted mean of the odds ratio itself."""
-    return float(law.fxy[y] @ _odds_ratios(law))
+    return _dot(law.fxy[..., y, :], _odds_ratios(law))
 
 
 def beta_ar_aggregate(law: ObservedLaw, p: float, y: int) -> float:
     """Stratum-weighted mean of r(X, p) * Gamma_AR(X, p)."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    return float(law.fxy[y] @ ar_term_formula(law.pyx, law.h0, p, law.design,
-                                              law.pi[1, 0], law.pi[1, 1]))
+    return _dot(law.fxy[..., y, :], ar_term_formula(law.pyx, law.h0, p, law.design,
+                                                    law.pi[..., 1, 0, :], law.pi[..., 1, 1, :]))
 
 
 def xi_cp(law: ObservedLaw) -> float:
@@ -524,15 +590,15 @@ def xi_cp(law: ObservedLaw) -> float:
         raise ValidationError("xi_cp applies to case-population laws")
     q = law.pyx
     ratio = q / (1.0 - q)
-    diff = gamma_ar_formula(law.pi[1, 0], law.pi[1, 1], 0.0)
-    return float((1.0 - law.h0) / law.h0 * (law.fxy[0] @ (ratio * diff)))
+    diff = gamma_ar_formula(law.pi[..., 1, 0, :], law.pi[..., 1, 1, :], 0.0)
+    return _out((1.0 - law.h0) / law.h0 * _dot(law.fxy[..., 0, :], ratio * diff))
 
 
 def upper_bound_ar(law: ObservedLaw, p: float) -> float:
     """Aggregated attributable-risk upper bound at case share p."""
     if law.design is Design.CASE_CONTROL:
-        return (1.0 - p) * beta_ar_aggregate(law, p, 0) + p * beta_ar_aggregate(law, p, 1)
-    return p * xi_cp(law)
+        return _out((1.0 - p) * beta_ar_aggregate(law, p, 0) + p * beta_ar_aggregate(law, p, 1))
+    return _out(p * xi_cp(law))
 
 
 # --- random populations for property tests ----------------------------------------
@@ -552,26 +618,28 @@ def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
                             mass: np.ndarray | None = None) -> DiscretePopulation:
     """Unconfounded population with given per-cell treatment and outcome margins.
 
-    pt[c] = Pr(T*=1|x), q1[c] = Pr{Y*(1)=1|x}, q0[c] = Pr{Y*(0)=1|x} with
-    q1 >= q0; the potential outcomes are coupled comonotonically, so the
-    population satisfies monotone response by construction and monotone
-    selection with equality.
+    pt[..., c] = Pr(T*=1|x), q1[..., c] = Pr{Y*(1)=1|x}, q0[..., c] =
+    Pr{Y*(0)=1|x} with q1 >= q0, and leading axes, if any, for a stack; the
+    potential outcomes are coupled comonotonically, so the population
+    satisfies monotone response by construction and monotone selection
+    with equality.
     """
     pt = np.asarray(pt, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     q0 = np.asarray(q0, dtype=float)
-    n_cells = pt.shape[0]
+    n_cells = pt.shape[-1]
     if np.any(q1 < q0):
         raise ValidationError("comonotone coupling needs q1 >= q0 at every cell")
     if mass is None:
         mass = np.full(n_cells, 1.0 / n_cells)
     mass = np.asarray(mass, dtype=float)
-    pmf = np.zeros((n_cells, 2, 2, 2))
     # joint of (y0, y1): (1,1) -> q0, (0,1) -> q1 - q0, (0,0) -> 1 - q1
-    for c in range(n_cells):
-        joint = np.array([[1.0 - q1[c], q1[c] - q0[c]], [0.0, q0[c]]])
-        pmf[c, 0] = mass[c] * (1.0 - pt[c]) * joint
-        pmf[c, 1] = mass[c] * pt[c] * joint
+    joint = np.zeros((*q1.shape, 2, 2))
+    joint[..., 0, 0] = 1.0 - q1
+    joint[..., 0, 1] = q1 - q0
+    joint[..., 1, 1] = q0
+    arms = np.stack([mass * (1.0 - pt), mass * pt], axis=-1)   # [..., cell, t]
+    pmf = arms[..., None, None] * joint[..., None, :, :]
     return DiscretePopulation(support_x=np.arange(n_cells, dtype=float)[:, None], pmf=pmf)
 
 
@@ -629,7 +697,8 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
         batch = _candidates(rng, n_cells, mtr, min(_BATCH, _MAX_TRIES - drawn))
         admissible = np.flatnonzero(_selection(batch)[1])
         if admissible.size:
-            return DiscretePopulation(support_x=support, pmf=batch[admissible[0]])
+            # a copy, so the population does not keep the batch alive
+            return DiscretePopulation(support_x=support, pmf=batch[admissible[0]].copy())
     raise ValidationError(f"no admissible population found in {_MAX_TRIES} draws")
 
 
@@ -638,6 +707,8 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
 
 def save_population(pop: DiscretePopulation, path) -> None:
     """Write the population in the tabular cell format (one row per pmf entry)."""
+    if pop.pmf.ndim != 4:
+        raise ValidationError("save_population writes one population, not a stack")
     k = pop.support_x.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -190,6 +190,7 @@ class MCStudyResult:
 
 
 _SPEC_BUILDERS = {"parametric": parametric_spec, "sieve": sieve_spec}
+MAX_REPLICATIONS = 100_000  # run_mc_study refuses more replicates before any draw
 
 
 def _median(v: np.ndarray) -> np.floating:
@@ -263,10 +264,13 @@ def run_mc_study(design: MCDesign, estimators: tuple[str, ...] = ("parametric", 
     estimator, so the study holds one block's designs at a time.
     Replicates where a fit or a read-out fails are dropped per estimator
     and counted by exception class; an estimator that keeps none gets NaN
-    statistics, without a warning.  Each estimator is named at most once.
+    statistics, without a warning.  Each estimator is named at most once,
+    and replications lie in 100..MAX_REPLICATIONS, checked before any draw.
     """
     if replications < 100:
         raise ValidationError("use at least 100 replications")
+    if replications > MAX_REPLICATIONS:
+        raise ValidationError(f"use at most {MAX_REPLICATIONS} replications")
     if not estimators:
         raise ValidationError("name at least one estimator")
     repeated = sorted(name for name in set(estimators) if estimators.count(name) > 1)

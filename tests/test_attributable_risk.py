@@ -26,9 +26,11 @@ from casebound.errors import (
 from casebound.fixtures import mc_defaults
 from casebound.logit import fit_logit
 from casebound.model import Design, ObservedDataset
+from casebound.checks import EXACT_TOL
 from casebound.oracle import (
     ObservedLaw,
     ar_term_formula,
+    beta_aggregate,
     beta_ar_aggregate,
     gamma_ar_formula,
     kappa_aggregate,
@@ -39,6 +41,8 @@ from casebound.oracle import (
 from casebound.relative_risk import (
     clip_probabilities,
     design_columns,
+    estimate_beta_combined,
+    estimate_beta_plugin,
     estimate_kappa,
     fit_nuisances,
     p_grid,
@@ -199,6 +203,33 @@ def test_xi_cp_matches_oracle_on_exact_expansion():
     law = law_from_counts(COUNTS_D1, D2)
     xi, _ = sample_statistic(data, LIN, LIN)
     assert xi[0] == pytest.approx(xi_cp(law), abs=1e-8)
+
+
+@given(data=st.data(), n_cells=st.integers(2, 5), design=st.sampled_from([D1, D2]))
+@settings(max_examples=40, deadline=None)
+def test_every_estimator_equals_its_oracle_on_random_exact_expansions(data, n_cells, design):
+    # random positive counts n[y][t][x] on x = 0..n_cells-1, some of them
+    # single rows, expanded under the saturated basis with h0 estimated: the
+    # fits reproduce the empirical law, so every read-out is its oracle
+    # function of that law to EXACT_TOL, fixed before looking
+    counts = {(y, t, float(x)): data.draw(st.integers(1, 40), label=f"n[{y}][{t}][{x}]")
+              for y in (0, 1) for t in (0, 1) for x in range(n_cells)}
+    sample = expand(counts, design)
+    law = law_from_counts(counts, design)
+    spec = BasisSpec.polynomial(1, n_cells - 1)
+    nuis = fit_nuisances(sample, spec)
+    for y in (0, 1):
+        for estimate in (estimate_beta_combined, estimate_beta_plugin):
+            assert abs(estimate(nuis, y).value - beta_aggregate(law, y)) <= EXACT_TOL
+    grid = np.linspace(0.0, 1.0, 11)
+    oracle_curve = np.array([upper_bound_ar(law, p) for p in grid])
+    if design is D1:
+        curve, _ = sample_statistic(sample, spec, spec, grid)
+    else:
+        xi, _ = sample_statistic(sample, spec, spec)
+        assert abs(xi[0] - xi_cp(law)) <= EXACT_TOL
+        curve = grid * xi[0]
+    assert np.abs(curve - oracle_curve).max() <= EXACT_TOL
 
 
 def test_xi_cp_zero_when_strata_probabilities_agree():

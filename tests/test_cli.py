@@ -12,7 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import casebound.attributable_risk as attributable_risk
+import casebound.checks as checks_mod
 import casebound.cli as cli_mod
+import casebound.synthetic as synthetic_mod
 from casebound.cli import main
 from casebound.errors import ValidationError
 from casebound.fixtures import count_table
@@ -654,6 +656,28 @@ def test_cli_calls_leave_numpy_ma_unloaded(tmp_path):
                           str(tmp_path / "rr.csv"), str(tmp_path / "ar.csv")],
                          env=env, check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("drew before refusing the count")
+
+
+@pytest.mark.parametrize("count", [checks_mod.MAX_POPULATIONS + 1, 10 ** 13])
+def test_oracle_refuses_too_many_populations_before_any_draw(runner, monkeypatch, count):
+    # a count too large to draw in reasonable time or to stack in memory is
+    # refused with one error line before the first population is drawn
+    monkeypatch.setattr(checks_mod, "random_population", _refuse)
+    result = runner.invoke(main, ["oracle", "--populations", str(count)])
+    _assert_one_error_line(result)
+    assert f"at most {checks_mod.MAX_POPULATIONS} populations" in result.output
+
+
+@pytest.mark.parametrize("count", [synthetic_mod.MAX_REPLICATIONS + 1, 10 ** 13])
+def test_mc_refuses_too_many_replications_before_any_draw(runner, monkeypatch, count):
+    monkeypatch.setattr(synthetic_mod, "draw_mc_sample", _refuse)
+    result = runner.invoke(main, ["mc", "--replications", str(count)])
+    _assert_one_error_line(result)
+    assert f"at most {synthetic_mod.MAX_REPLICATIONS} replications" in result.output
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -815,3 +815,125 @@ def test_load_population_refuses_a_cell_with_two_covariate_values(tmp_path):
         load_population(path)
     # the control: the file as saved loads
     assert load_population(_edit_population_file(tmp_path, list)).n_cells == 2
+
+
+# --- stacks -----------------------------------------------------------------------
+
+
+def _stack(pops):
+    return DiscretePopulation(support_x=pops[0].support_x,
+                              pmf=np.stack([pop.pmf for pop in pops]))
+
+
+def _same(stacked, alone):
+    """A stacked value equals its members' values to the last bit, and a
+    population or law without a stack axis still gives a plain float."""
+    assert all(type(v) is float for v in alone)
+    assert not stacked.flags.writeable
+    assert stacked.tolist() == alone
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_pops=st.integers(1, 5), n_cells=st.integers(1, 4),
+       h0=st.floats(0.05, 0.95), p=st.floats(0.0, 1.0), design=st.sampled_from([D1, D2]),
+       assumptions=st.sampled_from(list(AssumptionSet)))
+@settings(max_examples=40, deadline=None)
+def test_stack_gives_each_members_values(seed, n_pops, n_cells, h0, p, design, assumptions):
+    pops = [random_population(RngSpec(seed).derive("stack-pop", i), n_cells=n_cells,
+                              mtr=i % 2 == 1, mts=i % 2 == 1) for i in range(n_pops)]
+    stack = _stack(pops)
+    laws = [project(pop, design, h0) for pop in pops]
+    law = project(stack, design, h0)
+    for name in ("pi", "fxy", "pyx"):
+        assert np.array_equal(getattr(law, name), np.stack([getattr(m, name) for m in laws]))
+    for name in ("cell_mass", "p_treat_given_x", "joint_xty", "_potential_probs"):
+        # the potential-outcome margins are [t, ..., cell]
+        want = np.stack([getattr(pop, name) for pop in pops],
+                        axis=1 if name == "_potential_probs" else 0)
+        assert np.array_equal(getattr(stack, name), want), name
+    _same(stack.p0, [pop.p0 for pop in pops])
+    report = stack.check_assumptions()
+    for name, value in vars(report).items():
+        assert value.tolist() == [getattr(pop.check_assumptions(), name) for pop in pops]
+    shares = np.array([pop.p0 for pop in pops])
+    for c in range(n_cells):
+        for method in ("theta", "theta_ar", "prospective_rr", "prospective_or"):
+            _same(getattr(stack, method)(c), [getattr(pop, method)(c) for pop in pops])
+        for fn in (r_case_prob, gamma, gamma_ar):
+            _same(fn(law, c, p), [fn(m, c, p) for m in laws])
+            _same(fn(law, c, shares), [fn(m, c, pop.p0) for m, pop in zip(laws, pops)])
+        for bounds in (bounds_rr, bounds_ar):
+            ends = bounds(law, c, p, assumptions)
+            alone = [bounds(m, c, p, assumptions) for m in laws]
+            for end, want in zip(ends, zip(*alone)):
+                assert np.broadcast_to(end, n_pops).tolist() == list(want)
+        if design is D1:
+            _same(rare_disease_slope(law, c), [rare_disease_slope(m, c) for m in laws])
+    for y in (0, 1):
+        _same(beta_aggregate(law, y), [beta_aggregate(m, y) for m in laws])
+        _same(kappa_aggregate(law, y), [kappa_aggregate(m, y) for m in laws])
+        _same(beta_ar_aggregate(law, p, y), [beta_ar_aggregate(m, p, y) for m in laws])
+    _same(upper_bound_ar(law, p), [upper_bound_ar(m, p) for m in laws])
+    if design is D2:
+        _same(xi_cp(law), [xi_cp(m) for m in laws])
+
+
+def _zero_untreated_outcome(cell):
+    # no unit of `cell` has Y*(0) = 1
+    pmf = np.full((2, 2, 2, 2), 1.0 / 16)
+    pmf[cell, :, 1, :] = 0.0
+    return DiscretePopulation(support_x=np.arange(2.0)[:, None], pmf=pmf / pmf.sum())
+
+
+def test_stack_member_with_zero_denominator_refuses_before_dividing():
+    import warnings
+
+    good = random_population(RngSpec(2).derive("zero-den"), n_cells=2)
+    stack = _stack([good, _zero_untreated_outcome(1), good])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pop in (stack, _zero_untreated_outcome(1)):
+            with pytest.raises(ZeroDenominator, match=re.escape("Pr{Y*(0)=1 | cell 1} is zero")):
+                pop.theta(1)
+        assert stack.theta(0).shape == (3,)
+
+
+def test_stack_with_one_member_without_overlap_is_not_projected():
+    good = random_population(RngSpec(2).derive("stack-overlap"), n_cells=2)
+    stack = _stack([good, _empty_arm_population(), good])
+    assert stack._overlap.tolist() == [True, False, True]
+    for design in (D1, D2):
+        with pytest.raises(OverlapViolation,
+                           match="population violates overlap on some support cell"):
+            project(stack, design, 0.4)
+    assert project(_stack([good, good]), D1, 0.4).pi.shape == (2, 2, 2, 2)
+
+
+def test_stack_validation_names_the_member_that_fails():
+    good = random_population(RngSpec(2).derive("stack-sum"), n_cells=2)
+    with pytest.raises(ValidationError, match=re.escape("pmf sums to np.float64(0.5), not 1")):
+        DiscretePopulation(support_x=good.support_x, pmf=np.stack([good.pmf, good.pmf / 2]))
+    with pytest.raises(ValidationError, match="pmf must have shape"):
+        DiscretePopulation(support_x=np.zeros((3, 1)), pmf=np.stack([good.pmf, good.pmf]))
+    law = project(good, D1, 0.4)
+    with pytest.raises(ValidationError, match="pi must be"):
+        ObservedLaw(design=D1, h0=0.4, pi=np.stack([law.pi] * 2), fxy=law.fxy)
+    with pytest.raises(ValidationError, match="writes one population, not a stack"):
+        save_population(_stack([good, good]), "unused.csv")
+
+
+def test_rare_disease_slope_squares_as_a_float_does():
+    # x ** 2 on a float is C pow, which rounds some squares otherwise than
+    # x * x, numpy's square of an array; the slope keeps the float's square
+    # for one law and for every member of a stack
+    def slope(pi10, square):
+        return 0.4 * (pi10 - 0.4) / (0.6 * square) * 1.0 / 1.0
+
+    rng = np.random.default_rng(3)
+    pi10 = next(x for x in rng.uniform(0.05, 0.95, 100_000).tolist()
+                if slope(x, x ** 2) != slope(x, x * x))
+    pi = np.array([[[1.0 - pi10], [0.6]], [[pi10], [0.4]]])
+    law = ObservedLaw(design=D1, h0=0.3, pi=pi, fxy=np.ones((2, 1)))
+    want = slope(pi10, pi10 ** 2)
+    assert rare_disease_slope(law, 0) == want
+    stack = ObservedLaw(design=D1, h0=0.3, pi=np.stack([pi, pi]), fxy=np.ones((2, 2, 1)))
+    assert rare_disease_slope(stack, 0).tolist() == [want, want]

@@ -47,7 +47,6 @@ from .relative_risk import (
     RRBand,
     estimate_beta_combined,
     estimate_beta_plugin,
-    estimate_kappa,
     fit_nuisances,
     rr_band,
 )
@@ -66,8 +65,7 @@ __all__ = [
     "gamma", "gamma_ar", "project", "r_case_prob", "random_population",
     "rare_disease_slope",
     "BetaEstimate", "NuisanceFit", "RRBand",
-    "estimate_beta_combined", "estimate_beta_plugin", "estimate_kappa",
-    "fit_nuisances", "rr_band",
+    "estimate_beta_combined", "estimate_beta_plugin", "fit_nuisances", "rr_band",
     "RngSpec",
     "MCDesign", "draw_mc_sample", "run_mc_study", "sample_from_population",
 ]

@@ -20,9 +20,10 @@ Each family is drawn population by population, then stacked into one
 population with a leading stack axis (see `casebound.oracle`) and
 projected once per design; `check_population` checks a stack of one.  A
 check calls the oracle's per-cell functions on the whole stack at once,
-cell by cell, and records an array of errors in the order population,
-part, design, cell, so its counts, worst error and first counterexample
-are those of a loop over the populations, bit for bit.  A family's laws
+cell by cell, and gives its one array of errors, in the order population,
+part, design, cell, to `_result`, so the check's counts, worst error and
+first counterexample are those of a loop over the populations, bit for
+bit.  A family's laws
 are released once its checks have run, so one family's laws are held at a
 time.  Populations and laws are immutable and cache their derived arrays,
 so sharing them between checks cannot change a result.  A non-finite
@@ -80,39 +81,24 @@ class CheckResult:
         return self.n_failures == 0
 
 
-class _Tally:
-    def __init__(self, name: str):
-        self.name = name
-        self.n = 0
-        self.fail = 0
-        self.worst = 0.0
-        self.example = None
-
-    def record(self, err, pop: DiscretePopulation, cell, tol=EXACT_TOL):
-        """Record the errors `err` in the order of their flat index.  For a
-        stacked `pop` the first axis of `err` runs over its members; `cell`
-        and `tol` broadcast against `err`, naming each error's cell and
-        bounding it."""
-        err = np.asarray(err, dtype=float)
-        # a non-finite error fails and is the worst possible: NaN would
-        # otherwise pass both `err > tol` and `max`
-        finite = np.isfinite(err)
-        failed = (err > tol) | ~finite
-        self.n += err.size
-        if err.size:
-            self.worst = max(self.worst, float(np.where(finite, err, math.inf).max()))
-        n_failed = int(np.count_nonzero(failed))
-        self.fail += n_failed
-        if n_failed and self.example is None:
-            at = np.unravel_index(int(failed.argmax()), failed.shape)
-            pmf = pop.pmf[at[0]] if pop.pmf.ndim > 4 else pop.pmf
-            self.example = (f"cell={int(np.broadcast_to(cell, err.shape)[at])} "
-                            f"err={err[at]:.3e}\n"
-                            f"pmf={np.array2string(pmf, precision=6)}")
-
-    def result(self) -> CheckResult:
-        return CheckResult(name=self.name, n_cases=self.n, n_failures=self.fail,
-                           worst_error=self.worst, counterexample=self.example)
+def _result(name: str, err, pops: DiscretePopulation, cell, tol=EXACT_TOL) -> CheckResult:
+    """The check `name` on the errors `err` of the stack `pops`, taken in
+    the order of their flat index: the first axis of `err` runs over the
+    members, and `cell` and `tol` broadcast against `err`, naming each
+    error's cell and bounding it."""
+    err = np.asarray(err, dtype=float)
+    # a non-finite error fails and is the worst possible: NaN would
+    # otherwise pass both `err > tol` and `max`
+    finite = np.isfinite(err)
+    failed = (err > tol) | ~finite
+    example = None
+    if failed.any():
+        at = np.unravel_index(int(failed.argmax()), failed.shape)
+        example = (f"cell={int(np.broadcast_to(cell, err.shape)[at])} err={err[at]:.3e}\n"
+                   f"pmf={np.array2string(pops.pmf[at[0]], precision=6)}")
+    return CheckResult(name=name, n_cases=err.size, n_failures=int(np.count_nonzero(failed)),
+                       worst_error=max(0.0, float(np.where(finite, err, math.inf).max())),
+                       counterexample=example)
 
 
 def _cases(pops, designs=_BOTH) -> tuple[DiscretePopulation, dict[Design, ObservedLaw]]:
@@ -142,10 +128,8 @@ def _per_cell(name: str, *parts):
         errors = _members(pops, [
             error(pops, laws[design], pops.p0 if design is Design.CASE_CONTROL else 0.0, c)
             for designs, error in parts for design in designs for c in cells])
-        t = _Tally(name)
         # the cells repeat once per (part, design)
-        t.record(errors, pops, np.resize(cells, errors.shape[-1]))
-        return t.result()
+        return _result(name, errors, pops, np.resize(cells, errors.shape[-1]))
     return check
 
 
@@ -204,7 +188,6 @@ _check_ar_point_id = _per_cell(
 
 
 def _check_aggregation_identity(cases) -> CheckResult:
-    t = _Tally("aggregation: population mean of log OR matches the stratum mix")
     pops, laws = cases
     errors = []
     for design, law in laws.items():
@@ -216,28 +199,26 @@ def _check_aggregation_identity(cases) -> CheckResult:
         else:
             mix = beta_aggregate(law, 0)
         errors.append(abs(mix - target))
-    t.record(_members(pops, errors), pops, 0)
-    return t.result()
+    return _result("aggregation: population mean of log OR matches the stratum mix",
+                   _members(pops, errors), pops, 0)
 
 
 def _check_cp_bound_linear(cases) -> CheckResult:
     # upper_bound_ar is p * xi_cp for these laws, so it is checked against
     # the bound summed cell by cell, r(x, p) * Gamma_AR(x, 0), not its slope
-    t = _Tally("case-population AR bound is p times its slope")
     pops, laws = cases
     law = laws[Design.CASE_POPULATION]
     diff = gamma_ar_formula(law.pi[..., 1, 0, :], law.pi[..., 1, 1, :], 0.0)
     errors = [abs(upper_bound_ar(law, p)
                   - _dot(law.fxy[..., 0, :], r_formula(law.pyx, law.h0, p, law.design) * diff))
               for p in (0.0, 0.25, 0.5, 1.0)]
-    t.record(_members(pops, errors), pops, 0)
-    return t.result()
+    return _result("case-population AR bound is p times its slope",
+                   _members(pops, errors), pops, 0)
 
 
 def _check_slope_finite_difference(cases) -> CheckResult:
     # derivative formula vs central-quality one-sided difference at p ~ 0; a
     # finite difference is not exact, so EXACT_TOL gives way to a fixed 1e-4
-    t = _Tally("odds-ratio slope at p=0 matches a finite difference (1e-4 relative)")
     eps = 1e-6
     pops, laws = cases
     law = laws[Design.CASE_CONTROL]
@@ -251,13 +232,12 @@ def _check_slope_finite_difference(cases) -> CheckResult:
                       == np.copysign(1.0, law.pi[..., 1, 0, c] - law.pi[..., 1, 1, c])))
         errors += [abs(slope - fd) / scale, np.where(sign_ok, 0.0, 1.0)]
     # two errors per cell: the slope's, within 1e-4, and its sign's
-    t.record(_members(pops, errors), pops, np.repeat(range(pops.n_cells), 2),
-             np.resize([1e-4, 0.5], len(errors)))
-    return t.result()
+    return _result("odds-ratio slope at p=0 matches a finite difference (1e-4 relative)",
+                   _members(pops, errors), pops, np.repeat(range(pops.n_cells), 2),
+                   np.resize([1e-4, 0.5], len(errors)))
 
 
 def _check_gamma_monotone(cases) -> CheckResult:
-    t = _Tally("monotone + unconfounded: Gamma decreasing in p, sandwiching theta")
     grid = np.linspace(0.0, 1.0, 21)
     pops, laws = cases
     law = laws[Design.CASE_CONTROL]
@@ -269,8 +249,8 @@ def _check_gamma_monotone(cases) -> CheckResult:
         theta = pops.theta(c)
         sandwich = _first_max(gamma(law, c, pbar) - theta, theta - gamma(law, c, 0.0), 0.0)
         errors += [worst_up, sandwich]
-    t.record(_members(pops, errors), pops, np.repeat(range(pops.n_cells), 2))
-    return t.result()
+    return _result("monotone + unconfounded: Gamma decreasing in p, sandwiching theta",
+                   _members(pops, errors), pops, np.repeat(range(pops.n_cells), 2))
 
 
 # assumption sets, by the names of the AssumptionReport fields that hold them
@@ -349,7 +329,6 @@ def _uniforms(rng: RngSpec, purpose: str, n: int) -> np.ndarray:
 def _check_rare_disease_limit(rng: RngSpec, n: int) -> CheckResult:
     # theta / Gamma(x,0) must approach 1 from below as the case share shrinks;
     # one single-cell stack per scale, the counterexample from the last
-    t = _Tally("odds ratio converges to the relative risk as the case share vanishes")
     u = _uniforms(rng, "pop-limit", n)
     base1 = 0.3 + 0.5 * u[:, :1]
     base0 = base1 * (0.2 + 0.7 * u[:, 1:2])
@@ -360,13 +339,12 @@ def _check_rare_disease_limit(rng: RngSpec, n: int) -> CheckResult:
         law = project(pops, Design.CASE_CONTROL, _H0)
         gaps.append(abs(pops.theta(0) / gamma(law, 0, 0.0) - 1.0))
     ok = (gaps[0] > gaps[1]) & (gaps[1] > gaps[2]) & (gaps[2] < 0.05)
-    t.record(_members(pops, [np.where(ok, 0.0, 1.0)]), pops, 0, 0.5)
-    return t.result()
+    return _result("odds ratio converges to the relative risk as the case share vanishes",
+                   _members(pops, [np.where(ok, 0.0, 1.0)]), pops, 0, 0.5)
 
 
 def _check_mts_violation_detected(rng: RngSpec, n: int) -> CheckResult:
     # negative control: anti-selection populations must break the upper bound
-    t = _Tally("negative control: selection violations break the odds-ratio bound")
     u = _uniforms(rng, "pop-anti-mts", n)
     pt = 0.25 + 0.5 * u[:, 0]
     hi = 0.7 + 0.25 * u[:, 1]
@@ -382,8 +360,8 @@ def _check_mts_violation_detected(rng: RngSpec, n: int) -> CheckResult:
     law = project(pops, Design.CASE_CONTROL, _H0)
     violated = pops.theta(0) > gamma(law, 0, 0.0) + EXACT_TOL
     ok = ~report.mts & violated
-    t.record(_members(pops, [np.where(ok, 0.0, 1.0)]), pops, 0, 0.5)
-    return t.result()
+    return _result("negative control: selection violations break the odds-ratio bound",
+                   _members(pops, [np.where(ok, 0.0, 1.0)]), pops, 0, 0.5)
 
 
 def render_report(results: list[CheckResult]) -> str:

@@ -94,16 +94,6 @@ class LogitFit:
         self.coef.setflags(write=False)
         self.cov.setflags(write=False)
 
-    def predict(self, design: np.ndarray) -> np.ndarray:
-        """Fitted success probabilities at new rows (intercept added here);
-        a 1-D design is one column, as in `fit_logit`."""
-        design = np.asarray(design, dtype=float)
-        if design.ndim == 1:
-            design = design[:, None]
-        if design.ndim != 2 or design.shape[1] != self.coef.size - 1:
-            raise ValidationError(f"design must have {self.coef.size - 1} columns")
-        return expit(self.coef[0] + design @ self.coef[1:])
-
 
 class LogitFits(NamedTuple):
     """The arrays of `fit_logits`, one row per fit: a status is 0, or the

@@ -157,10 +157,6 @@ class CountTable2x2:
     def total(self) -> int:
         return self.n00 + self.n01 + self.n10 + self.n11
 
-    def swapped(self) -> "CountTable2x2":
-        """The table with the roles of rows (y) and columns (t) exchanged."""
-        return CountTable2x2(self.n00, self.n10, self.n01, self.n11)
-
     def to_dataset(self, design: Design, h0: float | None = None) -> ObservedDataset:
         """Expand the counts into one row per unit, with no covariates."""
         y = np.repeat([0, 0, 1, 1], [self.n00, self.n01, self.n10, self.n11])

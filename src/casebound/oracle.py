@@ -86,7 +86,6 @@ __all__ = [
     "bounds_rr",
     "bounds_ar",
     "beta_aggregate",
-    "kappa_aggregate",
     "beta_ar_aggregate",
     "xi_cp",
     "upper_bound_ar",
@@ -566,22 +565,23 @@ def _odds_ratios(law: ObservedLaw) -> np.ndarray:
                          r_formula(law.pyx, law.h0, 0.0, law.design))
 
 
+def _stratum_mass(law: ObservedLaw, y: int) -> np.ndarray:
+    """f(x | Y=y) over the cells; y must be a stratum, 0 or 1."""
+    if y not in (0, 1):
+        raise ValidationError(f"stratum y must be 0 or 1, got {y}")
+    return law.fxy[..., y, :]
+
+
 def beta_aggregate(law: ObservedLaw, y: int) -> float:
     """beta(y): stratum-weighted mean of the log odds ratio."""
-    return _dot(law.fxy[..., y, :], np.log(_odds_ratios(law)))
-
-
-def kappa_aggregate(law: ObservedLaw, y: int) -> float:
-    """kappa(y): stratum-weighted mean of the odds ratio itself."""
-    return _dot(law.fxy[..., y, :], _odds_ratios(law))
+    return _dot(_stratum_mass(law, y), np.log(_odds_ratios(law)))
 
 
 def beta_ar_aggregate(law: ObservedLaw, p: float, y: int) -> float:
     """Stratum-weighted mean of r(X, p) * Gamma_AR(X, p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must lie in [0, 1]")
-    return _dot(law.fxy[..., y, :], ar_term_formula(law.pyx, law.h0, p, law.design,
-                                                    law.pi[..., 1, 0, :], law.pi[..., 1, 1, :]))
+    _check_unit("p", p)
+    return _dot(_stratum_mass(law, y), ar_term_formula(law.pyx, law.h0, p, law.design,
+                                                       law.pi[..., 1, 0, :], law.pi[..., 1, 1, :]))
 
 
 def xi_cp(law: ObservedLaw) -> float:
@@ -596,6 +596,7 @@ def xi_cp(law: ObservedLaw) -> float:
 
 def upper_bound_ar(law: ObservedLaw, p: float) -> float:
     """Aggregated attributable-risk upper bound at case share p."""
+    _check_unit("p", p)
     if law.design is Design.CASE_CONTROL:
         return _out((1.0 - p) * beta_ar_aggregate(law, p, 0) + p * beta_ar_aggregate(law, p, 1))
     return _out(p * xi_cp(law))

@@ -13,10 +13,6 @@ read off it, and a read-out takes only the fit and its own index:
   reports the interacted fit's se, sqrt(c'V1c + c'V0c), from the two
   stratum fits' covariances; "plugin" adds the sampling variance of the
   stratum-y mean, which makes it the plug-in's own influence-function se.
-* kappa(y) is the stratum mean of the fitted odds ratio exp{X~'(b1 - b0)},
-  a point estimate with no se: on the benchmark design at n=1000 per
-  stratum, its level-scale influence-function se ran at 1.64-2.27 times
-  the MC sd.
 
 The attributable-risk statistic is not read off this fit: it lives only
 in `attributable_risk._statistic`, which `_refit_block` feeds from its own fits
@@ -49,7 +45,6 @@ __all__ = [
     "design_columns",
     "estimate_beta_combined",
     "estimate_beta_plugin",
-    "estimate_kappa",
     "fit_nuisances",
     "p_grid",
     "rr_band",
@@ -165,12 +160,6 @@ def estimate_beta_plugin(nuis: NuisanceFit, y_stratum: int) -> BetaEstimate:
     var = var_fits + np.mean((lor - value) ** 2) / lor.shape[0]
     return BetaEstimate(y_stratum=y_stratum, value=value, se=float(np.sqrt(var)),
                         method="plugin")
-
-
-def estimate_kappa(nuis: NuisanceFit, y_stratum: int) -> float:
-    """Level-scale aggregate kappa(y): stratum mean of the fitted odds ratio
-    exp{X~'(b1 - b0)}, the exact linear-predictor gap that beta(y) averages."""
-    return float(np.mean(np.exp(_read_out(nuis, y_stratum)[2])))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from casebound.oracle import (
     beta_aggregate,
     beta_ar_aggregate,
     gamma_ar_formula,
-    kappa_aggregate,
     random_population,
     upper_bound_ar,
     xi_cp,
@@ -43,11 +42,11 @@ from casebound.relative_risk import (
     design_columns,
     estimate_beta_combined,
     estimate_beta_plugin,
-    estimate_kappa,
     fit_nuisances,
     p_grid,
 )
 from casebound.rng import RngSpec, bernoulli, resample_indices
+from casebound.special import expit
 from casebound.synthetic import draw_mc_sample, parametric_spec, sample_from_population
 
 D1, D2 = Design.CASE_CONTROL, Design.CASE_POPULATION
@@ -84,6 +83,11 @@ def law_from_counts(counts, design):
     return ObservedLaw(design=design, h0=h0, pi=pi, fxy=fxy)
 
 
+def fitted(fit, X):
+    """The fitted success probabilities of `fit` at the design rows X."""
+    return expit(fit.coef[0] + X @ fit.coef[1:])
+
+
 def rowwise_probabilities(data, rspec, pspec):
     """The row-wise reference for the AR engine, independent of
     `_statistic`: the two stratum fits and the prospective fit on every row,
@@ -93,9 +97,9 @@ def rowwise_probabilities(data, rspec, pspec):
     pcols = design_columns(data.x, pspec)
     pfit = fit_logit(data.y, pcols)
     probs, n_clipped = [], 0
-    for name, p in (("Pi(1|0,x)", nuis.fit0.predict(nuis.cols)),
-                    ("Pi(1|1,x)", nuis.fit1.predict(nuis.cols)),
-                    ("Pr(Y=1|x)", pfit.predict(pcols))):
+    for name, p in (("Pi(1|0,x)", fitted(nuis.fit0, nuis.cols)),
+                    ("Pi(1|1,x)", fitted(nuis.fit1, nuis.cols)),
+                    ("Pr(Y=1|x)", fitted(pfit, pcols))):
         clipped, in_range, n_moved = clip_probabilities(p, np.ones(data.n))
         if not in_range.all():
             raise NuisanceProbabilityOutOfRange(
@@ -175,13 +179,6 @@ def test_beta_ar_matches_oracle_on_exact_expansion():
     curve, _ = sample_statistic(data, LIN, LIN, grid)
     oracle = [upper_bound_ar(law, p) for p in grid]
     np.testing.assert_allclose(curve, oracle, atol=1e-8)
-
-
-def test_kappa_matches_oracle_on_exact_expansion():
-    nuis = fit_nuisances(expand(COUNTS_D1, D1), LIN)
-    law = law_from_counts(COUNTS_D1, D1)
-    for y in (0, 1):
-        assert estimate_kappa(nuis, y) == pytest.approx(kappa_aggregate(law, y), abs=1e-8)
 
 
 def test_curve_point_invariant_to_row_order():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from casebound import checks
-from casebound.checks import _Tally, check_population, render_report, run_identity_suite
+from casebound.checks import _result, check_population, render_report, run_identity_suite
 from casebound.errors import ValidationError
 from casebound.fixtures import top_income_population
 from casebound.model import Design
@@ -60,12 +60,8 @@ def test_check_population_on_bundled_table():
 
 
 def test_nan_error_fails_with_counterexample():
-    pop = top_income_population()
-    tally = _Tally("nan")
-    tally.record(1e-13, pop, 0, 1e-10)
-    tally.record(float("nan"), pop, 0, 1e-10)
-    tally.record(2e-13, pop, 0, 1e-10)
-    res = tally.result()
+    pops, _ = checks._cases([top_income_population()])
+    res = _result("nan", [[1e-13, float("nan"), 2e-13]], pops, 0, 1e-10)
     assert res.n_cases == 3 and res.n_failures == 1 and not res.passed
     assert res.worst_error == math.inf
     assert res.counterexample.startswith("cell=0 err=nan")
@@ -434,10 +430,8 @@ def test_tally_records_an_error_array_in_flat_order():
     # the first failure in flat order names its member's pmf and its cell
     members = list(_family_draws(1))[:3]
     pops, _ = checks._cases(members)
-    tally = _Tally("array")
     err = np.array([[1e-13, 0.0], [1e-11, 2e-10], [float("nan"), 0.3]])
-    tally.record(err, pops, np.array([0, 1]))
-    res = tally.result()
+    res = _result("array", err, pops, np.array([0, 1]))
     assert (res.n_cases, res.n_failures, res.worst_error) == (6, 3, math.inf)
     assert res.counterexample == ("cell=1 err=2.000e-10\n"
                                   f"pmf={np.array2string(members[1].pmf, precision=6)}")

@@ -29,7 +29,6 @@ from casebound.oracle import (
     gamma_ar,
     gamma_ar_formula,
     gamma_formula,
-    kappa_aggregate,
     load_population,
     population_from_margins,
     project,
@@ -264,6 +263,24 @@ def test_law_cell_index_outside_support_is_typed(cell):
     for call in calls:
         with pytest.raises(ValidationError, match="outside support"):
             call()
+
+
+@pytest.mark.parametrize("y", [-1, 2])
+def test_aggregate_stratum_outside_zero_one_is_typed(y):
+    # a negative y would index a stratum from the end
+    law = project(random_population(RngSpec(8).derive("index-pop"), n_cells=2), D1, 0.4)
+    for call in (lambda: beta_aggregate(law, y), lambda: beta_ar_aggregate(law, 0.3, y)):
+        with pytest.raises(ValidationError, match="stratum y must be 0 or 1"):
+            call()
+
+
+@pytest.mark.parametrize("design", [D1, D2])
+@pytest.mark.parametrize("p", [-1.0, 1.5, math.nan])
+def test_upper_bound_ar_refuses_a_case_share_outside_the_unit_interval(design, p):
+    # under case-population sampling p * xi reads any p, so the bound checks it
+    law = project(top_income_population(), design, 0.4)
+    with pytest.raises(ValidationError, match=re.escape("p must lie in [0, 1]")):
+        upper_bound_ar(law, p)
 
 
 def test_check_assumptions_matches_hand_scan():
@@ -692,7 +709,6 @@ def test_kernel_over_cells_equals_scalar_calls(seed, n_cells, p, h0, design):
     odds_ratios = [gamma(law, c, 0.0) for c in cells]
     for y in (0, 1):
         assert beta_aggregate(law, y) == float(law.fxy[y] @ np.log(odds_ratios))
-        assert kappa_aggregate(law, y) == float(law.fxy[y] @ np.array(odds_ratios))
         per_cell = [r_case_prob(law, c, p) * gamma_ar(law, c, p) for c in cells]
         assert beta_ar_aggregate(law, p, y) == float(law.fxy[y] @ np.array(per_cell))
 
@@ -870,7 +886,6 @@ def test_stack_gives_each_members_values(seed, n_pops, n_cells, h0, p, design, a
             _same(rare_disease_slope(law, c), [rare_disease_slope(m, c) for m in laws])
     for y in (0, 1):
         _same(beta_aggregate(law, y), [beta_aggregate(m, y) for m in laws])
-        _same(kappa_aggregate(law, y), [kappa_aggregate(m, y) for m in laws])
         _same(beta_ar_aggregate(law, p, y), [beta_ar_aggregate(m, p, y) for m in laws])
     _same(upper_bound_ar(law, p), [upper_bound_ar(m, p) for m in laws])
     if design is D2:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import casebound.relative_risk as rr_mod
 from casebound.basis import BasisSpec, CubicSplineTerm, Linear
 from casebound.errors import ValidationError
 from casebound.fixtures import count_table, mc_defaults
@@ -13,13 +12,12 @@ from casebound.relative_risk import (
     clip_probabilities,
     estimate_beta_combined,
     estimate_beta_plugin,
-    estimate_kappa,
     fit_nuisances,
     p_grid,
     rr_band,
 )
 from casebound.rng import RngSpec, bernoulli
-from casebound.synthetic import MCDesign, draw_mc_sample, parametric_spec, sieve_spec
+from casebound.synthetic import draw_mc_sample, parametric_spec, sieve_spec
 
 D1, D2 = Design.CASE_CONTROL, Design.CASE_POPULATION
 
@@ -99,8 +97,6 @@ def test_estimates_invariant_to_row_order():
                 a, b = estimate(nuis, y), estimate(nuis_shuffled, y)
                 assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
                 assert abs(a.se - b.se) <= 1e-12 * max(1.0, a.se)
-            a, b = estimate_kappa(nuis, y), estimate_kappa(nuis_shuffled, y)
-            assert abs(a - b) <= 1e-12 * max(1.0, a)
 
 
 def test_null_data_estimates_center_at_zero():
@@ -161,65 +157,6 @@ def test_clip_probabilities_over_replicates_matches_each_row():
     assert n_moved.tolist() == [1 + 2 + 4, 6 + 7 + 8]
     # unit counts count each moved value once
     assert clip_probabilities(p[0], np.ones(4))[2] == 3
-
-
-def homogeneous_or_design() -> MCDesign:
-    # same slope vector in both strata: the odds ratio is exp(0.5) everywhere
-    return MCDesign(alpha1_case=(1.0, 1.0, 0.0, 0.0, 0.0),
-                    alpha1_control=(1.0, 1.0, 0.0, 0.0, 0.0))
-
-
-def test_kappa_no_covariates_equals_table_odds_ratio():
-    table = count_table("university_private_school")
-    data = table.to_dataset(D1)
-    kappa = estimate_kappa(fit_nuisances(data, BasisSpec.empty()), 1)
-    exact = table.n11 * table.n00 / (table.n01 * table.n10)
-    assert kappa == pytest.approx(exact, abs=1e-9)
-
-
-def test_kappa_is_mean_exp_of_linear_predictor_gap():
-    # kappa(y) averages exp of the same gap X~'(b1 - b0) whose mean is beta(y),
-    # with no round trip through the fitted probabilities
-    design = mc_defaults()
-    data = draw_mc_sample(design, RngSpec(20240501).derive("mc-replicate", 0))
-    for spec in (parametric_spec(design), sieve_spec(design)):
-        nuis = fit_nuisances(data, spec)
-        for y in (0, 1):
-            lor = rr_mod._read_out(nuis, y)[2]
-            kappa = estimate_kappa(nuis, y)
-            assert kappa == pytest.approx(float(np.mean(np.exp(lor))), rel=1e-14, abs=0)
-
-
-def test_kappa_jensen_ordering():
-    design = mc_defaults()
-    rng = RngSpec(107)
-    for r in range(6):
-        data = draw_mc_sample(design, rng.derive("mc-replicate", r))
-        nuis = fit_nuisances(data, parametric_spec(design))
-        for y in (0, 1):
-            beta = estimate_beta_plugin(nuis, y)
-            kappa = estimate_kappa(nuis, y)
-            assert math.log(kappa) >= beta.value - 1e-12
-
-
-def test_kappa_centered_on_homogeneous_odds_ratio():
-    # the exp transform biases the plug-in upward at small n; the centering
-    # is a consistency statement, so check the bias shrinks with n and is
-    # gone at the larger stratum size
-    target = math.exp(0.5)
-    means = {}
-    for n_per in (1000, 4000):
-        design = MCDesign(alpha1_case=(1.0, 1.0, 0.0, 0.0, 0.0),
-                          alpha1_control=(1.0, 1.0, 0.0, 0.0, 0.0),
-                          n_per_stratum=n_per)
-        rng = RngSpec(108)
-        vals = [estimate_kappa(fit_nuisances(draw_mc_sample(design,
-                                                            rng.derive("mc-replicate", r)),
-                                             parametric_spec(design)), 1)
-                for r in range(40)]
-        means[n_per] = float(np.mean(vals))
-    assert abs(means[4000] - target) < abs(means[1000] - target)
-    assert abs(means[4000] - target) < 0.08
 
 
 def _estimate(value, se, y):

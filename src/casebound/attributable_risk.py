@@ -70,17 +70,18 @@ row) arrays.  A block holds as many replicates as fit in `BLOCK_CELLS`
 cells of both packed designs or of such an array, so memory does not grow
 with B.  `_refit_block` gives each replicate one verdict, None or the
 CaseboundError that drops it, the first of: `build_basis`'s refusal of a
-spline design rebuilt on its support, DegenerateColumn (a basis column
-constant on the support, `basis.constant_columns`), what `fit_logit`
-would raise for the first nonzero status of its three fits
-(`logit.status_error`), then NuisanceProbabilityOutOfRange for a fitted
-probability outside [0, 1]; a fit that halves a step stays.  A replicate
-whose support in a stratum is wider than the packed width, the sample
-among them when the width is less than the table's, never enters a block
-of the others: the same routine fits it alone, as a block of one packed
-at its own support's widths.  A replicate padded in a block and refitted
-alone differ only by the padding's effect on the BLAS sums (1e-12 in the
-tests, 1e-10 with a spline basis, whose design is ill-conditioned).
+spline design rebuilt on its support (a constant column included),
+DegenerateColumn (a column of a gathered design constant on the support,
+`basis.constant_columns`), what `fit_logit` would raise for the first
+nonzero status of its three fits (`logit.status_error`), then
+NuisanceProbabilityOutOfRange for a fitted probability outside [0, 1]; a
+fit that halves a step stays.  A replicate whose support in a stratum is
+wider than the packed width, the sample among them when the width is less
+than the table's, never enters a block of the others: the same routine
+fits it alone, as a block of one packed at its own support's widths.  A
+replicate padded in a block and refitted alone differ only by the
+padding's effect on the BLAS sums (1e-12 in the tests, 1e-10 with a spline
+basis, whose design is ill-conditioned).
 
 The bias correction counts a replicate as at or below the point
 estimate within 1e-12 * max(1, |estimate|): a replicate whose counts
@@ -289,8 +290,8 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
     `clip_probabilities`, feed `_statistic`.  Returns each replicate's
     statistic and clip count, and its verdict: None, or the CaseboundError
     that drops it, the first of `build_basis`'s refusal of a rebuilt
-    design, DegenerateColumn (`constant_columns` on its support), the
-    `status_error` of its first failed fit and
+    design, DegenerateColumn (`constant_columns` on the support of a
+    gathered design), the `status_error` of its first failed fit and
     NuisanceProbabilityOutOfRange; a dropped replicate's statistic is zero.
     A replicate refused before its fits gets zero counts, which the kernel
     refuses; one wider than the layout never enters the block and is
@@ -311,19 +312,21 @@ def _refit_block(data: ObservedDataset, layout: _Layout, counts: np.ndarray,
     w = np.take_along_axis(counts, idx, axis=1)
     on, designs = w > 0, tuple(table[idx] for table in layout.tables)
     verdict = np.full(counts.shape[0], None, dtype=object)
-    # each design judged as `_layout` builds it: a spline design rebuilt on
-    # the support with build_basis's refusals, then no column constant there
+    # each design judged once, as `_layout` builds it: a spline design is
+    # rebuilt on the support, where build_basis refuses a constant column of
+    # the whole basis; a gathered one must have no column constant there
     for design, spec in zip(designs, layout.splines):
-        if spec is not None:
-            for i in np.flatnonzero(np.equal(verdict, None)):
-                sup = np.flatnonzero(w[i])
-                try:
-                    design[i, sup, 1:] = design_columns(patterns[idx[i, sup], 2:], spec, w[i, sup])
-                except CaseboundError as exc:
-                    verdict[i] = exc
-        verdict[constant_columns(design[..., 1:], on).any(axis=1)
-                & np.equal(verdict, None)] = DegenerateColumn(
-            "a basis column is constant on the replicate's support")
+        if spec is None:
+            verdict[constant_columns(design[..., 1:], on).any(axis=1)
+                    & np.equal(verdict, None)] = DegenerateColumn(
+                "a basis column is constant on the replicate's support")
+            continue
+        for i in np.flatnonzero(np.equal(verdict, None)):
+            sup = np.flatnonzero(w[i])
+            try:
+                design[i, sup, 1:] = design_columns(patterns[idx[i, sup], 2:], spec, w[i, sup])
+            except CaseboundError as exc:
+                verdict[i] = exc
     w[~np.equal(verdict, None)] = 0
     # the packed rows hold stratum 0 first, widths[0] of them
     case = np.arange(w.shape[1]) >= layout.widths[0]

@@ -11,7 +11,10 @@ makes one column per block redundant, so specs also expose a mask selecting
 the columns to use in intercept-carrying fits; dropping the first column of
 each spline block is an exact reparameterization (the dropped function is an
 affine combination of the intercept and the retained ones), leaving fitted
-probabilities and the treatment coefficient unchanged.
+probabilities and the treatment coefficient unchanged.  The column layout,
+with each column's name and whether the intercept makes it redundant, is
+stated once, in `BasisSpec._columns`; `build_basis` checks its column count
+against it.
 
 A spline term with m inner knots places them at the probabilities
 k / (m + 1), k = 1..m, by numpy's default linear quantile (Hyndman & Fan
@@ -28,6 +31,7 @@ package itself runs on numpy alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +42,12 @@ __all__ = ["Linear", "Polynomial", "CubicSplineTerm", "BasisSpec", "build_basis"
            "constant_columns"]
 
 _SPLINE_ORDER = 4  # cubic
+MAX_TERM_SIZE = 1_000  # a larger degree or knot count is refused before it is allocated
 
 
 @dataclass(frozen=True)
 class Linear:
     """Use the covariate itself as a single term."""
-
-    def n_terms(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,8 @@ class Polynomial:
     def __post_init__(self):
         if self.degree < 1:
             raise ValidationError("polynomial degree must be >= 1")
-
-    def n_terms(self) -> int:
-        return self.degree
+        if self.degree > MAX_TERM_SIZE:
+            raise ValidationError(f"polynomial degree must be <= {MAX_TERM_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,8 @@ class CubicSplineTerm:
     def __post_init__(self):
         if self.inner_knots < 1:
             raise ValidationError("cubic spline needs at least one inner knot")
+        if self.inner_knots > MAX_TERM_SIZE:
+            raise ValidationError(f"cubic spline takes at most {MAX_TERM_SIZE} inner knots")
 
     def n_terms(self) -> int:
         return self.inner_knots + _SPLINE_ORDER
@@ -102,53 +105,37 @@ class BasisSpec:
     def polynomial(cls, k: int, degree: int, interactions: bool = False) -> "BasisSpec":
         return cls(terms=(Polynomial(degree),) * k, interactions=interactions)
 
-    @classmethod
-    def empty(cls) -> "BasisSpec":
-        """Intercept-only model: no basis terms at all."""
-        return cls(terms=())
-
     @property
     def n_covariates(self) -> int:
         return len(self.terms)
 
-    @property
-    def n_columns(self) -> int:
-        j = sum(t.n_terms() for t in self.terms)
-        if self.interactions:
-            k = len(self.terms)
-            j += k * (k - 1) // 2
-        return j
-
-    def intercept_safe_mask(self) -> np.ndarray:
-        """Columns that stay linearly independent next to an intercept.
-
-        Drops the leading column of every spline block (spline bases sum
-        to one); all other columns are kept.
-        """
-        mask = []
-        for term in self.terms:
-            if isinstance(term, CubicSplineTerm):
-                mask.extend([False] + [True] * (term.n_terms() - 1))
-            else:
-                mask.extend([True] * term.n_terms())
-        if self.interactions:
-            k = len(self.terms)
-            mask.extend([True] * (k * (k - 1) // 2))
-        return np.asarray(mask, dtype=bool)
-
-    def column_names(self) -> list[str]:
-        names = []
+    def _columns(self) -> Iterator[tuple[str, bool]]:
+        """(name, intercept-safe) of every basis column, in `build_basis`'s
+        order: x<i>, x<i>^<d> or x<i>.bs<j> per covariate, then the
+        interaction pairs x<i>*x<j>.  A spline block sums to one, so its
+        first column is the one that is not safe beside an intercept."""
         for i, term in enumerate(self.terms, start=1):
             if isinstance(term, Linear):
-                names.append(f"x{i}")
+                yield f"x{i}", True
             elif isinstance(term, Polynomial):
-                names.extend(f"x{i}^{d}" for d in range(1, term.degree + 1))
+                yield from ((f"x{i}^{d}", True) for d in range(1, term.degree + 1))
             else:
-                names.extend(f"x{i}.bs{j}" for j in range(1, term.n_terms() + 1))
+                yield from ((f"x{i}.bs{j}", j > 1) for j in range(1, term.n_terms() + 1))
         if self.interactions:
             k = len(self.terms)
-            names.extend(f"x{i}*x{j}" for i in range(1, k + 1) for j in range(i + 1, k + 1))
-        return names
+            yield from ((f"x{i}*x{j}", True)
+                        for i in range(1, k + 1) for j in range(i + 1, k + 1))
+
+    @property
+    def n_columns(self) -> int:
+        return sum(1 for _ in self._columns())
+
+    def intercept_safe_mask(self) -> np.ndarray:
+        """Columns that stay linearly independent next to an intercept."""
+        return np.array([safe for _, safe in self._columns()], dtype=bool)
+
+    def column_names(self) -> list[str]:
+        return [name for name, _ in self._columns()]
 
 
 def _linear_quantiles(col: np.ndarray, counts: np.ndarray | None,

@@ -633,15 +633,24 @@ def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
         raise ValidationError("comonotone coupling needs q1 >= q0 at every cell")
     if mass is None:
         mass = np.full(n_cells, 1.0 / n_cells)
-    mass = np.asarray(mass, dtype=float)
     # joint of (y0, y1): (1,1) -> q0, (0,1) -> q1 - q0, (0,0) -> 1 - q1
     joint = np.zeros((*q1.shape, 2, 2))
     joint[..., 0, 0] = 1.0 - q1
     joint[..., 0, 1] = q1 - q0
     joint[..., 1, 1] = q0
+    return _product_population(pt, joint, mass)
+
+
+def _product_population(pt: np.ndarray, joint: np.ndarray,
+                        mass: np.ndarray) -> DiscretePopulation:
+    """The unconfounded population whose cell c has mass[..., c], Pr(T*=1|x)
+    = pt[..., c] and potential-outcome joint joint[..., c, y0, y1] in both
+    arms: pmf[..., c, t, y0, y1] = mass * Pr(T*=t|x) * joint."""
+    mass = np.asarray(mass, dtype=float)
     arms = np.stack([mass * (1.0 - pt), mass * pt], axis=-1)   # [..., cell, t]
     pmf = arms[..., None, None] * joint[..., None, :, :]
-    return DiscretePopulation(support_x=np.arange(n_cells, dtype=float)[:, None], pmf=pmf)
+    return DiscretePopulation(support_x=np.arange(pt.shape[-1], dtype=float)[:, None],
+                              pmf=pmf)
 
 
 _MAX_TRIES = 2000  # rejection draws before monotone selection is given up
@@ -685,12 +694,8 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
             mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)[0]
             return population_from_margins(pt, q1, q0, mass=mass)
         mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)[0]
-        pmf = np.zeros((n_cells, 2, 2, 2))
-        for c in range(n_cells):
-            joint = _floored_dirichlet(rng, (2, 2), floor=0.08)[0]
-            pmf[c, 0] = mass[c] * (1.0 - pt[c]) * joint
-            pmf[c, 1] = mass[c] * pt[c] * joint
-        return DiscretePopulation(support_x=support, pmf=pmf)
+        return _product_population(pt, _floored_dirichlet(rng, (2, 2), floor=0.08,
+                                                          draws=n_cells), mass)
 
     if not mts:
         return DiscretePopulation(support_x=support, pmf=_candidates(rng, n_cells, mtr, 1)[0])

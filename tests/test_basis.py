@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from casebound.basis import (
+    MAX_TERM_SIZE,
     BasisSpec,
     CubicSplineTerm,
     Linear,
@@ -117,8 +118,66 @@ def test_spec_validation():
         build_basis(np.zeros((5, 2)), BasisSpec.linear(3))
 
 
+@pytest.mark.parametrize("term", [Polynomial, CubicSplineTerm])
+def test_term_size_past_the_cap_is_refused_at_construction(term):
+    assert term(MAX_TERM_SIZE)
+    for size in (MAX_TERM_SIZE + 1, 10 ** 13):
+        with pytest.raises(ValidationError, match=str(MAX_TERM_SIZE)):
+            term(size)
+
+
+def _layout_as_it_was(spec):
+    """The column layout as three separate dispatches over the term
+    families stated it, before `BasisSpec._columns`: (names, mask, count)."""
+    def n_terms(term):
+        if isinstance(term, Linear):
+            return 1
+        if isinstance(term, Polynomial):
+            return term.degree
+        return term.inner_knots + 4
+
+    k = len(spec.terms)
+    n_pairs = k * (k - 1) // 2 if spec.interactions else 0
+    count = sum(n_terms(t) for t in spec.terms) + n_pairs
+    mask = []
+    for term in spec.terms:
+        if isinstance(term, CubicSplineTerm):
+            mask.extend([False] + [True] * (n_terms(term) - 1))
+        else:
+            mask.extend([True] * n_terms(term))
+    mask.extend([True] * n_pairs)
+    names = []
+    for i, term in enumerate(spec.terms, start=1):
+        if isinstance(term, Linear):
+            names.append(f"x{i}")
+        elif isinstance(term, Polynomial):
+            names.extend(f"x{i}^{d}" for d in range(1, term.degree + 1))
+        else:
+            names.extend(f"x{i}.bs{j}" for j in range(1, n_terms(term) + 1))
+    if spec.interactions:
+        names.extend(f"x{i}*x{j}" for i in range(1, k + 1) for j in range(i + 1, k + 1))
+    return names, np.asarray(mask, dtype=bool), count
+
+
+_TERMS = st.one_of(st.just(Linear()), st.integers(1, 4).map(Polynomial),
+                   st.integers(1, 4).map(CubicSplineTerm))
+
+
+@given(terms=st.lists(_TERMS, min_size=1, max_size=4), interactions=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_column_layout_equals_the_three_dispatches(terms, interactions):
+    spec = BasisSpec(terms=tuple(terms), interactions=interactions and len(terms) > 1)
+    names, mask, count = _layout_as_it_was(spec)
+    assert spec.column_names() == names
+    got = spec.intercept_safe_mask()
+    assert got.dtype == mask.dtype and np.array_equal(got, mask)
+    assert spec.n_columns == count
+    x = RngSpec(7).derive("basis-layout").standard_normal((60, len(terms)))
+    assert build_basis(x, spec).shape[1] == spec.n_columns
+
+
 def test_empty_spec_for_no_covariate_data():
-    spec = BasisSpec.empty()
+    spec = BasisSpec(terms=())
     assert spec.n_columns == 0
     cols = build_basis(np.empty((7, 0)), spec)
     assert cols.shape == (7, 0)

@@ -451,6 +451,29 @@ def test_ar_rejects_huge_bootstrap_before_any_fit(runner, tmp_path, monkeypatch,
     assert not fits
 
 
+@pytest.mark.parametrize("command, option", [
+    ("rr", "--basis"), ("ar", "--retro-basis"), ("ar", "--prospective-basis")])
+@pytest.mark.parametrize("term", ["spline", "poly"])
+def test_huge_basis_term_refused_before_any_fit(runner, tmp_path, monkeypatch,
+                                                command, option, term):
+    # a degree or knot count too large to allocate is refused with one error
+    # line when the basis is parsed, not by a MemoryError traceback
+    import casebound.logit as logit_mod
+
+    fits = []
+    for module in (logit_mod, attributable_risk):
+        real = module.fit_logits
+        monkeypatch.setattr(module, "fit_logits",
+                            lambda *a, real=real, **k: fits.append(1) or real(*a, **k))
+    path = write_case_population_csv(tmp_path / "cp.csv")
+    result = runner.invoke(main, [
+        command, "--input", path, "--design", "case-population", "--y-col", "y",
+        "--t-col", "t", "--x-cols", "x1", option, f"{term}10000000000000"])
+    _assert_one_error_line(result)
+    assert "1000" in result.output
+    assert not fits
+
+
 def test_oracle_command(runner, tmp_path):
     result = runner.invoke(main, ["oracle", "--populations", "5", "--seed", "3"])
     assert result.exit_code == 0, result.output

@@ -153,6 +153,34 @@ def test_mts_draw_gives_up_after_max_tries_candidates(monkeypatch, mtr):
     assert rng.rows == 37
 
 
+def _unconfounded_pmf_as_it_was(rng, n_cells):
+    # random_population(unconfounded=True) without MTR or MTS, as it built
+    # its pmf before the product construction: cell by cell, each cell's
+    # joint of (y0, y1) drawn by a Dirichlet call of its own
+    def floored(shape, floor):
+        raw = rng.dirichlet(np.full(math.prod(shape), 1.5), size=1)
+        out = raw.reshape(1, *shape) + floor
+        return (out / out.sum(axis=tuple(range(1, out.ndim)), keepdims=True))[0]
+
+    pt = 0.12 + (0.88 - 0.12) * rng.random(n_cells)
+    mass = floored((n_cells,), 0.1)
+    pmf = np.zeros((n_cells, 2, 2, 2))
+    for c in range(n_cells):
+        joint = floored((2, 2), 0.08)
+        pmf[c, 0] = mass[c] * (1.0 - pt[c]) * joint
+        pmf[c, 1] = mass[c] * pt[c] * joint
+    return pmf
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 5])
+def test_unconfounded_draw_is_the_cell_loop_as_one_product(n_cells):
+    for seed in range(300):
+        pop = random_population(RngSpec(seed).derive("unconf-draw"), n_cells,
+                                unconfounded=True)
+        want = _unconfounded_pmf_as_it_was(RngSpec(seed).derive("unconf-draw"), n_cells)
+        assert pop.pmf.tobytes() == want.tobytes()
+
+
 def _report_as_it_was(pop):
     # the assumption report before project read only the overlap verdict
     pt = pop.p_treat_given_x

@@ -25,7 +25,7 @@ D1, D2 = Design.CASE_CONTROL, Design.CASE_POPULATION
 def test_intercept_only_combined_equals_table_log_odds_ratio():
     table = count_table("top_income_case_control")
     data = table.to_dataset(D1)
-    nuis = fit_nuisances(data, BasisSpec.empty())
+    nuis = fit_nuisances(data, BasisSpec(terms=()))
     est = estimate_beta_combined(nuis, 1)
     exact = math.log(table.n11 * table.n00 / (table.n01 * table.n10))
     assert est.value == pytest.approx(exact, abs=1e-9)
@@ -127,7 +127,7 @@ def test_plugin_se_without_covariates_is_woolf():
     table = count_table("top_income_case_control")
     woolf = math.sqrt(1 / table.n11 + 1 / table.n10 + 1 / table.n01 + 1 / table.n00)
     for y in (0, 1):
-        est = estimate_beta_plugin(fit_nuisances(table.to_dataset(D1), BasisSpec.empty()), y)
+        est = estimate_beta_plugin(fit_nuisances(table.to_dataset(D1), BasisSpec(terms=())), y)
         assert est.se == pytest.approx(woolf, rel=1e-9)
 
 

@@ -92,6 +92,7 @@ not be decided by the last bit of either path's rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -410,11 +411,12 @@ def ar_curve(data: ObservedDataset, prospective_spec: BasisSpec,
     boot = np.empty((B, stat_hat.shape[0]))  # each replicate's statistic
     kept = np.zeros(B, dtype=bool)
     n_clipped_boot = 0
+    streams = rng.streams("ar-bootstrap", 0, B)
     for start in range(0, B, size):
         stop = min(B, start + size)
-        counts = np.array([_replicate_counts(rng.derive("ar-bootstrap", b), data.y, inverse,
-                                             patterns.shape[0], resample_mode)
-                           for b in range(start, stop)])
+        counts = np.array([_replicate_counts(gen, data.y, inverse, patterns.shape[0],
+                                             resample_mode)
+                           for gen in islice(streams, stop - start)])
         stats, clipped, verdict = _refit_block(data, layout, counts, grid)
         ok = np.equal(verdict, None)
         boot[start:stop][ok] = stats[ok]

@@ -240,12 +240,16 @@ def build_basis(x: np.ndarray, spec: BasisSpec,
         if isinstance(term, Linear):
             blocks.append(col[:, None])
         elif isinstance(term, Polynomial):
-            blocks.append(np.column_stack([col ** d for d in range(1, term.degree + 1)]))
+            # a power or product that overflows is inf, which the fit
+            # refuses as a non-finite design; numpy's warning would repeat it
+            with np.errstate(over="ignore"):
+                blocks.append(np.column_stack([col ** d for d in range(1, term.degree + 1)]))
         else:
             blocks.append(_spline_columns(col, term, counts))
     if spec.interactions:
         k = spec.n_covariates
-        inter = [x[:, i] * x[:, j] for i in range(k) for j in range(i + 1, k)]
+        with np.errstate(over="ignore"):
+            inter = [x[:, i] * x[:, j] for i in range(k) for j in range(i + 1, k)]
         if inter:
             blocks.append(np.column_stack(inter))
     out = np.column_stack(blocks) if blocks else np.empty((n, 0))

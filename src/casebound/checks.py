@@ -16,16 +16,15 @@ per cell, `_per_cell`.  Two checks draw their own populations: the
 rare-disease limit, and a negative control that violates monotone
 selection, for which the odds-ratio upper bound must fail.
 
-Each family is drawn population by population, then stacked into one
-population with a leading stack axis (see `casebound.oracle`) and
-projected once per design; `check_population` checks a stack of one.  A
-check calls the oracle's per-cell functions on the whole stack at once,
+Each family is drawn from one `RngSpec.streams` range as one stack, a
+population with a leading stack axis (`casebound.oracle.random_populations`),
+and projected once per design; `check_population` checks a stack of one.
+A check calls the oracle's per-cell functions on the whole stack at once,
 cell by cell, and gives its one array of errors, in the order population,
 part, design, cell, to `_result`, so the check's counts, worst error and
 first counterexample are those of a loop over the populations, bit for
-bit.  A family's laws
-are released once its checks have run, so one family's laws are held at a
-time.  Populations and laws are immutable and cache their derived arrays,
+bit.  A family's laws are released once its checks have run, so one
+family's laws are held at a time.  Populations and laws are immutable and cache their derived arrays,
 so sharing them between checks cannot change a result.  A non-finite
 error counts as a failure, and as an infinite worst error.
 """
@@ -53,7 +52,7 @@ from .oracle import (
     project,
     r_case_prob,
     r_formula,
-    random_population,
+    random_populations,
     rare_disease_slope,
     upper_bound_ar,
 )
@@ -101,13 +100,9 @@ def _result(name: str, err, pops: DiscretePopulation, cell, tol=EXACT_TOL) -> Ch
                        counterexample=example)
 
 
-def _cases(pops, designs=_BOTH) -> tuple[DiscretePopulation, dict[Design, ObservedLaw]]:
-    """Stack populations on one support into one population and project
-    the stack once per design."""
-    pops = iter(pops)
-    first = next(pops)
-    stack = DiscretePopulation(support_x=first.support_x,
-                               pmf=np.stack([first.pmf, *(pop.pmf for pop in pops)]))
+def _cases(stack: DiscretePopulation,
+           designs=_BOTH) -> tuple[DiscretePopulation, dict[Design, ObservedLaw]]:
+    """A stack of populations, and its projection once per design."""
     return stack, {design: project(stack, design, _H0) for design in designs}
 
 
@@ -303,8 +298,8 @@ def run_identity_suite(seed: int = 0, n_populations: int = 200) -> list[CheckRes
     results = {}
     for needs, (purpose, designs) in _FAMILIES.items():
         kind = dict.fromkeys(needs, True)
-        cases = _cases((random_population(rng.derive(purpose, i), n_cells=2, **kind)
-                        for i in range(n_populations)), designs)
+        cases = _cases(random_populations(rng.streams(purpose, 0, n_populations),
+                                          n_cells=2, **kind), designs)
         results.update((check, check(cases)) for check, meets, _ in _CHECKS if meets == needs)
         del cases  # released before the next family is drawn
     return [*(results[check] for check, _, _ in _CHECKS),
@@ -317,13 +312,13 @@ def check_population(pop: DiscretePopulation) -> list[CheckResult]:
     single supplied population meets, on a stack of one."""
     report = pop.check_assumptions()
     met = {name for name in _ALL if getattr(report, name)}
-    cases = _cases([pop])
+    cases = _cases(DiscretePopulation(support_x=pop.support_x, pmf=pop.pmf[None]))
     return [check(cases) for check, needs, exact in _CHECKS if exact and needs <= met]
 
 
 def _uniforms(rng: RngSpec, purpose: str, n: int) -> np.ndarray:
     """Three uniforms per population i < n, from the generator of (purpose, i)."""
-    return np.array([rng.derive(purpose, i).random(3) for i in range(n)])
+    return np.array([gen.random(3) for gen in rng.streams(purpose, 0, n)])
 
 
 def _check_rare_disease_limit(rng: RngSpec, n: int) -> CheckResult:

@@ -56,6 +56,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,6 +91,7 @@ __all__ = [
     "xi_cp",
     "upper_bound_ar",
     "random_population",
+    "random_populations",
     "population_from_margins",
     "save_population",
     "load_population",
@@ -633,23 +635,32 @@ def population_from_margins(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
         raise ValidationError("comonotone coupling needs q1 >= q0 at every cell")
     if mass is None:
         mass = np.full(n_cells, 1.0 / n_cells)
+    return _population(_margins_pmf(pt, q1, q0, mass))
+
+
+def _margins_pmf(pt: np.ndarray, q1: np.ndarray, q0: np.ndarray,
+                 mass: np.ndarray) -> np.ndarray:
+    """The pmf of `population_from_margins`, unchecked."""
     # joint of (y0, y1): (1,1) -> q0, (0,1) -> q1 - q0, (0,0) -> 1 - q1
     joint = np.zeros((*q1.shape, 2, 2))
     joint[..., 0, 0] = 1.0 - q1
     joint[..., 0, 1] = q1 - q0
     joint[..., 1, 1] = q0
-    return _product_population(pt, joint, mass)
+    return _product_pmf(pt, joint, mass)
 
 
-def _product_population(pt: np.ndarray, joint: np.ndarray,
-                        mass: np.ndarray) -> DiscretePopulation:
-    """The unconfounded population whose cell c has mass[..., c], Pr(T*=1|x)
-    = pt[..., c] and potential-outcome joint joint[..., c, y0, y1] in both
-    arms: pmf[..., c, t, y0, y1] = mass * Pr(T*=t|x) * joint."""
+def _product_pmf(pt: np.ndarray, joint: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The pmf of the unconfounded population whose cell c has mass[..., c],
+    Pr(T*=1|x) = pt[..., c] and potential-outcome joint joint[..., c, y0,
+    y1] in both arms: pmf[..., c, t, y0, y1] = mass * Pr(T*=t|x) * joint."""
     mass = np.asarray(mass, dtype=float)
     arms = np.stack([mass * (1.0 - pt), mass * pt], axis=-1)   # [..., cell, t]
-    pmf = arms[..., None, None] * joint[..., None, :, :]
-    return DiscretePopulation(support_x=np.arange(pt.shape[-1], dtype=float)[:, None],
+    return arms[..., None, None] * joint[..., None, :, :]
+
+
+def _population(pmf: np.ndarray) -> DiscretePopulation:
+    """The population, or stack, of `pmf` on the support 0..n_cells-1."""
+    return DiscretePopulation(support_x=np.arange(pmf.shape[-4], dtype=float)[:, None],
                               pmf=pmf)
 
 
@@ -683,28 +694,50 @@ def random_population(rng: np.random.Generator, n_cells: int = 2, *,
     normalised and judged on its own, so the population is the one a loop
     drawing one candidate at a time returns; only the generator has also
     drawn the rest of the batch.
+
+    The population is the one member of `random_populations([rng], ...)`.
     """
-    support = np.arange(n_cells, dtype=float)[:, None]
+    return _population(_random_pmf(rng, n_cells, mtr, mts, unconfounded))
+
+
+def random_populations(gens: Iterable[np.random.Generator], n_cells: int = 2, *,
+                       mtr: bool = False, mts: bool = False,
+                       unconfounded: bool = False) -> DiscretePopulation:
+    """The stack whose member i is `random_population(gens[i], n_cells, ...)`.
+
+    Each generator draws its member's pmf as `random_population` would,
+    and consumes the same draws; the pmfs are stacked and the stack is
+    validated once, so no population is built per draw.  At least one
+    generator.
+    """
+    pmfs = [_random_pmf(gen, n_cells, mtr, mts, unconfounded) for gen in gens]
+    if not pmfs:
+        raise ValidationError("random_populations needs at least one generator")
+    return _population(np.stack(pmfs))
+
+
+def _random_pmf(rng: np.random.Generator, n_cells: int, mtr: bool, mts: bool,
+                unconfounded: bool) -> np.ndarray:
+    """The pmf of `random_population`, unchecked (see there)."""
     if unconfounded:
         lo, hi = 0.12, 0.88
         pt = lo + (hi - lo) * rng.random(n_cells)
         if mtr or mts:
             q1 = lo + (hi - lo) * rng.random(n_cells)
             q0 = lo + (q1 - lo) * rng.random(n_cells)
-            mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)[0]
-            return population_from_margins(pt, q1, q0, mass=mass)
+            return _margins_pmf(pt, q1, q0, _floored_dirichlet(rng, (n_cells,), floor=0.1)[0])
         mass = _floored_dirichlet(rng, (n_cells,), floor=0.1)[0]
-        return _product_population(pt, _floored_dirichlet(rng, (2, 2), floor=0.08,
-                                                          draws=n_cells), mass)
+        return _product_pmf(pt, _floored_dirichlet(rng, (2, 2), floor=0.08, draws=n_cells),
+                            mass)
 
     if not mts:
-        return DiscretePopulation(support_x=support, pmf=_candidates(rng, n_cells, mtr, 1)[0])
+        return _candidates(rng, n_cells, mtr, 1)[0]
     for drawn in range(0, _MAX_TRIES, _BATCH):
         batch = _candidates(rng, n_cells, mtr, min(_BATCH, _MAX_TRIES - drawn))
         admissible = np.flatnonzero(_selection(batch)[1])
         if admissible.size:
             # a copy, so the population does not keep the batch alive
-            return DiscretePopulation(support_x=support, pmf=batch[admissible[0]].copy())
+            return batch[admissible[0]].copy()
     raise ValidationError(f"no admissible population found in {_MAX_TRIES} draws")
 
 

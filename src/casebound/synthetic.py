@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -218,7 +219,7 @@ def _verdict(data: ObservedDataset, cols: np.ndarray, refusal, fit0, fit1):
 
 def mc_nuisance_fits(design: MCDesign, specs: tuple[BasisSpec, ...], replications: int,
                      rng: RngSpec) -> Iterator[tuple[NuisanceFit | CaseboundError, ...]]:
-    """Per replicate r, drawn from `rng.derive("mc-replicate", r)`, one
+    """Per replicate r, drawn from the stream ("mc-replicate", r), one
     entry per basis: the `NuisanceFit` `fit_nuisances` returns on the draw,
     or the exception it raises.
 
@@ -230,9 +231,9 @@ def mc_nuisance_fits(design: MCDesign, specs: tuple[BasisSpec, ...], replication
     n = design.n_per_stratum
     widths = [1 + int(spec.intercept_safe_mask().sum()) for spec in specs]
     size = max(1, BLOCK_CELLS // (2 * n * max(widths)))
-    for start in range(0, replications, size):
-        draws = [draw_mc_sample(design, rng.derive("mc-replicate", r))
-                 for r in range(start, min(replications, start + size))]
+    streams = rng.streams("mc-replicate", 0, replications)
+    for _ in range(0, replications, size):
+        draws = [draw_mc_sample(design, gen) for gen in islice(streams, size)]
         b = len(draws)
         t = np.array([data.t for data in draws], dtype=float).reshape(2 * b, n)
         per_spec = []

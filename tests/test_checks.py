@@ -22,10 +22,17 @@ from casebound.oracle import (
     r_case_prob,
     r_formula,
     random_population,
+    random_populations,
     rare_disease_slope,
     upper_bound_ar,
 )
 from casebound.rng import RngSpec
+
+
+def _stack(pops):
+    """Populations on one support as one stack."""
+    return DiscretePopulation(support_x=pops[0].support_x,
+                              pmf=np.stack([pop.pmf for pop in pops]))
 
 
 def test_identity_suite_passes_on_small_run():
@@ -60,7 +67,7 @@ def test_check_population_on_bundled_table():
 
 
 def test_nan_error_fails_with_counterexample():
-    pops, _ = checks._cases([top_income_population()])
+    pops, _ = checks._cases(_stack([top_income_population()]))
     res = _result("nan", [[1e-13, float("nan"), 2e-13]], pops, 0, 1e-10)
     assert res.n_cases == 3 and res.n_failures == 1 and not res.passed
     assert res.worst_error == math.inf
@@ -125,7 +132,7 @@ def test_cp_bound_check_catches_a_wrong_slope(monkeypatch):
 
     monkeypatch.setattr(oracle, "xi_cp", slope_without_factor)
     monkeypatch.setattr(checks, "xi_cp", slope_without_factor, raising=False)
-    pops = [random_population(RngSpec(5).derive("cp-slope", i)) for i in range(3)]
+    pops = random_populations(RngSpec(5).streams("cp-slope", 0, 3))
     result = checks._check_cp_bound_linear(checks._cases(pops))
     assert result.n_cases == 12
     assert not result.passed
@@ -429,7 +436,7 @@ def test_stacked_suite_equals_the_loop_where_the_kernel_fails(monkeypatch):
 def test_tally_records_an_error_array_in_flat_order():
     # the first failure in flat order names its member's pmf and its cell
     members = list(_family_draws(1))[:3]
-    pops, _ = checks._cases(members)
+    pops, _ = checks._cases(_stack(members))
     err = np.array([[1e-13, 0.0], [1e-11, 2e-10], [float("nan"), 0.3]])
     res = _result("array", err, pops, np.array([0, 1]))
     assert (res.n_cases, res.n_failures, res.worst_error) == (6, 3, math.inf)

@@ -396,6 +396,32 @@ def test_rr_overflow_prints_only_the_typed_error(tmp_path):
     assert result.stderr == "error: observed information is not finite\n"
 
 
+@pytest.mark.parametrize("args, scale", [
+    (("rr", "--design", "case-population", "--x-cols", "x1", "--basis", "poly1000"), 1.0),
+    (("ar", "--design", "case-population", "--x-cols", "x1", "--retro-basis", "poly1000",
+      "--pbar", "0.15", "--B", "200"), 1.0),
+    (("rr", "--design", "case-control", "--x-cols", "x1,x2", "--interactions"), 1e200)],
+    ids=["rr-poly1000", "ar-poly1000", "rr-interactions"])
+def test_overflowing_basis_prints_only_the_typed_error(tmp_path, args, scale):
+    # x1 ** 1000 overflows at x1 >= 2, and x1 * x2 at 1e200 each: numpy's
+    # overflow warning stays silent, and the refusal is the one stderr line
+    import casebound
+
+    rows = [f"{i % 2},{i // 2 % 2},{(1.5 + i * 7 % 11) * scale!r},{(1 + i % 5) * scale!r}"
+            for i in range(40)]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(["y,t,x1,x2", *rows]) + "\n")
+    src = os.path.dirname(os.path.dirname(casebound.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "casebound.cli", *args, "--input", str(path),
+         "--y-col", "y", "--t-col", "t"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
 def test_ar_case_population_grid(runner, tmp_path):
     path = write_case_population_csv(tmp_path / "cp.csv")
     out = tmp_path / "arout"
@@ -689,7 +715,7 @@ def _refuse(*args, **kwargs):
 def test_oracle_refuses_too_many_populations_before_any_draw(runner, monkeypatch, count):
     # a count too large to draw in reasonable time or to stack in memory is
     # refused with one error line before the first population is drawn
-    monkeypatch.setattr(checks_mod, "random_population", _refuse)
+    monkeypatch.setattr(checks_mod, "random_populations", _refuse)
     result = runner.invoke(main, ["oracle", "--populations", str(count)])
     _assert_one_error_line(result)
     assert f"at most {checks_mod.MAX_POPULATIONS} populations" in result.output

@@ -35,6 +35,7 @@ from casebound.oracle import (
     r_case_prob,
     r_formula,
     random_population,
+    random_populations,
     rare_disease_slope,
     save_population,
     upper_bound_ar,
@@ -179,6 +180,47 @@ def test_unconfounded_draw_is_the_cell_loop_as_one_product(n_cells):
                                 unconfounded=True)
         want = _unconfounded_pmf_as_it_was(RngSpec(seed).derive("unconf-draw"), n_cells)
         assert pop.pmf.tobytes() == want.tobytes()
+
+
+_KINDS = [{}, {"mtr": True}, {"mts": True}, {"mtr": True, "mts": True},
+          {"unconfounded": True}, {"unconfounded": True, "mtr": True, "mts": True}]
+
+
+@given(seed=st.integers(0, 2 ** 70), kind=st.sampled_from(_KINDS), n_cells=st.integers(1, 3),
+       n=st.integers(1, 6), purpose=st.sampled_from(["pop-general", "", "é"]))
+@settings(max_examples=120, deadline=None)
+def test_random_populations_is_the_stack_of_its_members(seed, kind, n_cells, n, purpose):
+    stacked_gens = list(RngSpec(seed).streams(purpose, 0, n))
+    member_gens = list(RngSpec(seed).streams(purpose, 0, n))
+    stack = random_populations(stacked_gens, n_cells, **kind)
+    members = [random_population(gen, n_cells, **kind) for gen in member_gens]
+    assert stack.pmf.shape == (n, n_cells, 2, 2, 2)
+    assert stack.pmf.tobytes() == np.stack([pop.pmf for pop in members]).tobytes()
+    assert stack.support_x.tobytes() == members[0].support_x.tobytes()
+    report = stack.check_assumptions()
+    for name in ("overlap", "unconfounded", "mtr", "mts"):
+        assert getattr(report, name).tolist() == [getattr(pop.check_assumptions(), name)
+                                                   for pop in members]
+    # each generator is left where random_population leaves it
+    assert [gen.random() for gen in stacked_gens] == [gen.random() for gen in member_gens]
+
+
+def test_random_populations_builds_one_population(monkeypatch):
+    import casebound.oracle as oracle
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return DiscretePopulation(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "DiscretePopulation", counting)
+    for kind in _KINDS:
+        stack = random_populations(RngSpec(4).streams("one-build", 0, 20), 2, **kind)
+        assert stack.pmf.shape[0] == 20
+    assert len(built) == len(_KINDS)
+    with pytest.raises(ValidationError, match="at least one generator"):
+        random_populations([], 2)
 
 
 def _report_as_it_was(pop):

@@ -170,6 +170,26 @@ def test_one_newton_front_end():
     assert _callers(path, "fit_logits") == ["fit_logit"]
 
 
+STREAM_BUILDERS = {"SeedSequence", "PCG64", "default_rng"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_one_stream_derivation(path):
+    # rng.py alone builds numpy seed sequences and generators, so the
+    # (seed, purpose, index) rule is stated once; a loop takes its streams
+    # from one RngSpec.streams range, not a derive call per pass
+    if path.stem != "rng":
+        names = {name for _, _, names in _definitions(path) for name in names}
+        imported = {name.rsplit(".", 1)[-1] for name in _imports(path)}
+        assert sorted((names | imported) & STREAM_BUILDERS) == []
+    looped = [node.lineno for loop in ast.walk(ast.parse(path.read_text()))
+              if isinstance(loop, LOOPS) for node in ast.walk(loop)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "derive"]
+    assert looped == []
+
+
 LOADS_NUMPY_MA = {f"{nan}{name}" for nan in ("", "nan")
                   for name in ("quantile", "percentile", "median")}
 
@@ -241,6 +261,11 @@ NAMED_OUTSIDE_SRC = {
     ("synthetic", "MCStudyResult.cell"): "criterion 2 reads its cells with it",
     ("fixtures", "benchmark_estimates"): "criterion 8 reads the paper's numbers from it",
     ("oracle", "save_population"): "the writer of the format load_population reads",
+    ("oracle", "random_population"): "perfbench's worker and the tests draw one population "
+                                     "with it; src/ draws stacks",
+    ("rng", "RngSpec.derive"): "perfbench's worker and the tests derive one stream with it; "
+                               "src/ loops open streams",
+    ("rng", "_SeedWords.generate_state"): "numpy's PCG64 calls it for its seed words",
 }
 
 
